@@ -1,11 +1,11 @@
 """Exact list 3-colouring of graphs without triangles or induced 7-vertex
 paths, with promise verification, witnesses, generators and a CLI."""
 
-from .engine import (BranchDescriptor, ListState, Outcome, Palette, SolveStats,
-                     apply_branch, colour_blownup_c7, eliminate_safe,
-                     enumerate_branches, enumerate_c5_colourings,
-                     palette_analysis, propagate, residual_to_2sat, solve,
-                     verify_colouring)
+from .engine import (BranchDescriptor, InternalError, ListState, Outcome,
+                     Palette, SolveStats, apply_branch, colour_blownup_c7,
+                     eliminate_safe, enumerate_branches,
+                     enumerate_c5_colourings, palette_analysis, propagate,
+                     residual_to_2sat, solve, verify_colouring)
 from .graph import (Bipartition, Graph, VertexSet, adjacency_query,
                     bipartite_check, build_graph, connected_components)
 from .recognition import (PromiseViolation, TwinDecomposition, check_promise,
@@ -17,7 +17,8 @@ from .skeleton import (Chain, ComponentInfo, Skeleton, build_chain,
 from .testkit import GenSpec, enumerate_colourings, generate, oracle_solve
 
 __all__ = [
-    "BranchDescriptor", "ListState", "Outcome", "Palette", "SolveStats",
+    "BranchDescriptor", "InternalError", "ListState", "Outcome", "Palette",
+    "SolveStats",
     "apply_branch", "colour_blownup_c7", "eliminate_safe",
     "enumerate_branches", "enumerate_c5_colourings", "palette_analysis",
     "propagate", "residual_to_2sat", "solve", "verify_colouring",

@@ -18,8 +18,9 @@ import json
 import sys
 import time
 
-from .engine import FULL_MASK, colours_of, solve, verify_colouring
-from .graph import Bipartition, bipartite_check, build_graph, \
+from .engine import (FULL_MASK, InternalError, colours_of, solve,
+                     verify_colouring)
+from .graph import Bipartition, GraphError, bipartite_check, build_graph, \
     connected_components, induced_subgraph
 from .recognition import (PromiseViolation, check_promise,
                           recognize_blownup_c7, shortest_odd_cycle)
@@ -435,11 +436,14 @@ def dispatch(argv):
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, OSError, GraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except RecursionError as exc:
+        print(f"error: recursion limit reached ({exc})", file=sys.stderr)
+        return 1
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from .graph import (Bipartition, bipartite_check, connected_components,
                     induced_subgraph, iter_bits)
 from .recognition import (STRUCTURE_BREACH, PromiseViolation, check_promise,
-                          p7_witness, recognize_blownup_c7, shortest_odd_cycle,
-                          triangle_witness)
+                          false_twin_classes, p7_witness, recognize_blownup_c7,
+                          shortest_odd_cycle, triangle_witness)
 from .sat2 import TwoSatInstance, add_clause, neg, pos, solve_2sat
 from .skeleton import build_chain, build_skeleton
 
@@ -59,6 +59,11 @@ def normalize_lists(n, lists):
 class PreconditionBreach(RuntimeError):
     """A vertex kept all three colours where the structure guarantees it
     cannot; signals a promise violation (or an internal bug)."""
+
+
+class InternalError(RuntimeError):
+    """The solver broke one of its own guarantees: a bug, never a property
+    of the input."""
 
 
 @dataclass
@@ -534,6 +539,18 @@ def solve(graph, lists=None, mode="trust", parallel=1, trail=False):
     In "verify" mode the promise (no triangles, no induced P7) is checked
     up front; in "trust" mode only violations met on the solving path are
     reported.  Identical inputs give identical outputs for any `parallel`.
+
+    Layer 0 drops dominated false twins: a vertex v is dropped when a kept
+    vertex u has the same neighbourhood (so u and v are not adjacent) and
+    L(u) ⊆ L(v), and v takes u's colour at the end.  The answer is
+    unchanged: the reduced graph is an induced subgraph, and a colouring of
+    it extends, since v sees exactly u's neighbours and u's colour is in
+    L(v).  Every triangle and every induced P7 holds at most one vertex of
+    each false-twin class, and the reduced graph keeps at least one vertex
+    of each class, so it is in the promise class exactly when the input is;
+    witnesses found on it are vertices of the input in its own labels.  An
+    input with nothing to drop is solved on the graph object itself.  Every
+    SAT answer is re-checked on the input graph and lists.
     """
     if mode not in ("trust", "verify"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -547,6 +564,52 @@ def solve(graph, lists=None, mode="trust", parallel=1, trail=False):
             stats.millis = (time.perf_counter() - t0) * 1000.0
             return Outcome("invalid", None, violation, stats)
 
+    rep = _twin_representatives(graph, masks)
+    kept = [v for v in range(graph.n) if rep[v] == v]
+    if len(kept) == graph.n:
+        core, ids = graph, range(graph.n)
+    else:
+        core, ids = induced_subgraph(graph, kept)
+    result = _solve_core(core, [masks[v] for v in ids], stats, parallel, trail)
+    if isinstance(result, PromiseViolation):
+        stats.millis = (time.perf_counter() - t0) * 1000.0
+        return Outcome("invalid", None, result.relabel(ids), stats)
+    if result is None:
+        stats.millis = (time.perf_counter() - t0) * 1000.0
+        return Outcome("unsat", None, None, stats)
+
+    placed = [0] * graph.n
+    for local, v in enumerate(ids):
+        placed[v] = result[local]
+    colouring = [placed[u] for u in rep]
+    if not verify_colouring(graph, masks, colouring):
+        raise InternalError("SAT colouring failed the final re-check")
+    stats.millis = (time.perf_counter() - t0) * 1000.0
+    return Outcome("sat", colouring, None, stats)
+
+
+def _twin_representatives(graph, masks):
+    """rep[v] = v for a kept vertex, else a kept false twin u of v with
+    masks[u] ⊆ masks[v].  Each class keeps, for every mask that is minimal
+    among its members' masks, the smallest vertex with that mask."""
+    rep = list(range(graph.n))
+    for cl in false_twin_classes(graph):
+        if len(cl) == 1:
+            continue
+        first = {}
+        for v in cl:
+            first.setdefault(masks[v], v)
+        kept = sorted(u for m, u in first.items()
+                      if not any(o != m and o & ~m == 0 for o in first))
+        for v in cl:
+            m = masks[v]
+            rep[v] = next(u for u in kept if masks[u] & ~m == 0)
+    return rep
+
+
+def _solve_core(graph, masks, stats, parallel, trail):
+    """Colouring, None (no colouring) or a violation, component by
+    component."""
     colouring = [0] * graph.n
     for comp in connected_components(graph):
         if len(comp) == graph.n:
@@ -556,17 +619,12 @@ def solve(graph, lists=None, mode="trust", parallel=1, trail=False):
         sub_masks = [masks[v] for v in ids]
         result = _solve_component(sub, sub_masks, stats, parallel, trail)
         if isinstance(result, PromiseViolation):
-            stats.millis = (time.perf_counter() - t0) * 1000.0
-            return Outcome("invalid", None, result.relabel(list(ids)), stats)
+            return result.relabel(ids)
         if result is None:
-            stats.millis = (time.perf_counter() - t0) * 1000.0
-            return Outcome("unsat", None, None, stats)
+            return None
         for local, v in enumerate(ids):
             colouring[v] = result[local]
-
-    assert verify_colouring(graph, masks, colouring)
-    stats.millis = (time.perf_counter() - t0) * 1000.0
-    return Outcome("sat", colouring, None, stats)
+    return colouring
 
 
 def _solve_component(g, masks, stats, parallel, trail):
@@ -606,31 +664,54 @@ def _solve_bipartite(g, masks, bip, stats, parallel, trail):
         return None
     stats.propagations += st.removals
     st.removals = 0
-    if not st.full_mask_vertices():
-        return _two_sat_leaf(g, st, stats)
-    stats.fallback_used += 1
     return _bipartite_fallback(g, st, stats)
 
 
 def _bipartite_fallback(g, st, stats):
-    # Exponential worst case; only reachable for bipartite components with
-    # constrained lists, outside the polynomial solving path.
-    full = st.full_mask_vertices()
-    if not full:
-        return _two_sat_leaf(g, st, stats)
-    v = full[0]
-    for colour in (1, 2, 3):
-        st2 = st.copy()
-        st2.assign(v, colour)
-        ok = propagate(st2) is not None
-        stats.propagations += st2.removals
-        st2.removals = 0
-        if not ok:
+    """Depth-first branching over colours 1, 2, 3 of the first full-list
+    vertex, propagating at each node and handing each node without a
+    full-list vertex to 2-SAT; counts in stats.fallback_used when it
+    branches at all.
+
+    Exponential worst case; only reachable for bipartite components with
+    constrained lists, outside the polynomial solving path.  The depth can
+    reach the vertex count, so the search keeps its own stack.  Masks only
+    shrink below a node, so a vertex that is not full at a node is not full
+    below it: the full vertices of the root, in order, are scanned once per
+    path, each node resuming at its parent's cursor.
+    """
+    order = st.full_mask_vertices()
+    if order:
+        stats.fallback_used += 1
+    stack = []  # [state, cursor, next colour] per branching node
+    node, cursor = st, 0
+    while True:
+        if node is not None:
+            masks = node.masks
+            while cursor < len(order) and masks[order[cursor]] != FULL_MASK:
+                cursor += 1
+            if cursor == len(order):
+                result = _two_sat_leaf(g, node, stats)
+                if result is not None:
+                    return result
+            else:
+                stack.append([node, cursor, 1])
+        if not stack:
+            return None
+        frame = stack[-1]
+        parent, cursor, colour = frame
+        if colour > 3:
+            stack.pop()
+            node = None
             continue
-        result = _bipartite_fallback(g, st2, stats)
-        if result is not None:
-            return result
-    return None
+        frame[2] = colour + 1
+        node = parent.copy()
+        node.assign(order[cursor], colour)
+        ok = propagate(node) is not None
+        stats.propagations += node.removals
+        node.removals = 0
+        if not ok:
+            node = None
 
 
 def _two_sat_leaf(g, st, stats):
@@ -684,14 +765,6 @@ def _solve_skeleton(g, masks, sk, stats, parallel, trail):
                     return chain
                 chains[i] = chain
 
-        ta = t_case_choices(palette, chains, palette.undetermined[0])
-        tb = t_case_choices(palette, chains, palette.undetermined[1])
-        ds = [d_case_choices(sk, palette, i) for i in palette.free_d]
-        choice_lists = [ta, tb] + ds
-        suffix = [1] * (len(choice_lists) + 1)
-        for idx in range(len(choice_lists) - 1, -1, -1):
-            suffix[idx] = suffix[idx + 1] * len(choice_lists[idx])
-
         base = ListState(g, masks, trail)
         ok = True
         for i in range(5):
@@ -711,8 +784,16 @@ def _solve_skeleton(g, masks, sk, stats, parallel, trail):
         stats.propagations += base.removals
         base.removals = 0
         if not ok:
-            stats.branches += suffix[0]
+            stats.branches += _branch_count(sk, chains, palette)
             continue
+
+        ta = t_case_choices(palette, chains, palette.undetermined[0])
+        tb = t_case_choices(palette, chains, palette.undetermined[1])
+        ds = [d_case_choices(sk, palette, i) for i in palette.free_d]
+        choice_lists = [ta, tb] + ds
+        suffix = [1] * (len(choice_lists) + 1)
+        for idx in range(len(choice_lists) - 1, -1, -1):
+            suffix[idx] = suffix[idx + 1] * len(choice_lists[idx])
 
         def seeds_of(choice):
             if isinstance(choice, TCase):
@@ -725,6 +806,23 @@ def _solve_skeleton(g, masks, sk, stats, parallel, trail):
         if result is not None:
             return result
     return None
+
+
+def _branch_count(sk, chains, palette):
+    """Number of branches of one anchor colouring, without building them:
+    the product of the lengths t_case_choices and d_case_choices would
+    return."""
+    count = 1
+    for i in palette.undetermined:
+        chain = chains.get(i)
+        if chain is not None:
+            levels = chain.levels
+            count *= 2 + 2 * sum(len(levels[k + 1] - levels[k])
+                                 for k in range(chain.r + 1))
+    for i in palette.free_d:
+        if sk.d[i]:
+            count *= 2 + 2 * (len(sk.d[i]) - 1)
+    return count
 
 
 def _leaf_stream(base, choice_lists, seeds_of, suffix):

@@ -167,7 +167,10 @@ def build_graph(n, edges):
             rows[v][u >> 3] |= 1 << (u & 7)
             m += 1
         bits = [int.from_bytes(row, "little") for row in rows]
-        adj = [tuple(iter_bits(b)) for b in bits]
+        # tuple() of a generator resizes as it grows and leaves tuples in
+        # oversized allocator blocks; a process that builds graphs one after
+        # another then keeps growing.  Sized from a list, it stays flat.
+        adj = [tuple(list(iter_bits(b))) for b in bits]
         return Graph(n, adj, bits, m)
 
     adj_lists = [[] for _ in range(n)]

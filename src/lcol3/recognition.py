@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .graph import VertexSet, adjacency_masks, iter_bits
+from .graph import VertexSet, adjacency_masks, induced_subgraph, iter_bits
 
 TRIANGLE = "triangle"
 INDUCED_P7 = "induced_p7"
@@ -222,13 +222,28 @@ def false_twin_classes(graph):
 
 
 def check_promise(graph):
-    """None if the graph is triangle-free and P7-free, else a verified witness."""
+    """None if the graph is triangle-free and P7-free, else a verified witness.
+
+    The triangle search runs on the graph itself.  The induced-P7 search runs
+    on the false-twin quotient, which answers the same: two false twins are
+    non-adjacent with the same neighbours, and no two vertices of an induced
+    path on four or more vertices have the same neighbours on the path, so an
+    induced P7 holds at most one vertex of each class and maps onto class
+    representatives; conversely the quotient is an induced subgraph.  The
+    representatives are vertices of the graph, so a path found there is
+    checked against the graph in its own labels.
+    """
     tri = find_triangle(graph)
     if tri is not None:
         return triangle_witness(graph, *tri)
-    p7 = find_induced_p7(graph)
+    classes = false_twin_classes(graph)
+    if len(classes) == graph.n:
+        quotient, ids = graph, range(graph.n)
+    else:
+        quotient, ids = induced_subgraph(graph, [cl.min() for cl in classes])
+    p7 = find_induced_p7(quotient)
     if p7 is not None:
-        return p7_witness(graph, p7)
+        return p7_witness(graph, [ids[v] for v in p7])
     return None
 
 

@@ -3,10 +3,12 @@ import pathlib
 
 import pytest
 
+from lcol3 import cli
 from lcol3.cli import (DuplicateEdgeError, DuplicateListLineError,
                        InstanceSyntaxError, OutOfRangeError, dispatch,
                        emit_instance, emit_result, parse_instance)
-from lcol3.engine import FULL_MASK, mask_of, solve
+from lcol3.engine import FULL_MASK, InternalError, mask_of, solve
+from lcol3.graph import GraphError
 from lcol3.testkit import GenSpec, generate, oracle_solve
 
 INSTANCES = pathlib.Path(__file__).resolve().parent.parent / "instances"
@@ -125,6 +127,22 @@ def test_dispatch_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.lcol"
     bad.write_text("p lcol 2 1\ne 1 5\n")
     assert dispatch(["solve", str(bad)]) == 1
+
+
+@pytest.mark.parametrize("error", [GraphError("bad graph"),
+                                   RecursionError("too deep"),
+                                   InternalError("broken guarantee")],
+                         ids=["GraphError", "RecursionError", "InternalError"])
+def test_dispatch_solver_errors_exit_1_with_one_line(monkeypatch, capsys, error):
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "solve", failing)
+    assert dispatch(["solve", str(INSTANCES / "c5.lcol")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "error" in lines[0] and str(error) in lines[0]
 
 
 def test_check_promise_exit_codes(capsys):

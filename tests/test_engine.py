@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -6,8 +9,11 @@ from lcol3 import (apply_branch, build_chain, build_graph, build_skeleton,
                    colour_blownup_c7, eliminate_safe, enumerate_branches,
                    enumerate_c5_colourings, palette_analysis, propagate,
                    residual_to_2sat, solve, verify_colouring)
-from lcol3.engine import (FULL_MASK, ListState, PreconditionBreach,
-                          branch_seeds, mask_of)
+import lcol3
+from lcol3 import engine
+from lcol3.engine import (FULL_MASK, InternalError, ListState,
+                          PreconditionBreach, branch_seeds, mask_of)
+from lcol3.recognition import false_twin_classes
 from lcol3.recognition import recognize_blownup_c7, shortest_odd_cycle
 from lcol3.sat2 import solve_2sat
 from lcol3.skeleton import Skeleton
@@ -462,3 +468,100 @@ def test_oracle_equivalence_random_sample():
         assert got.is_sat == (want is not None), (spec, got.kind)
         if got.is_sat:
             assert verify_colouring(g, masks, got.colouring)
+
+
+def test_branches_count_every_branch_on_unsat_twin_free_instances():
+    # Anchor colourings that base propagation kills are counted without
+    # building their choice lists; on an UNSAT input every branch of every
+    # anchor colouring is counted exactly once.
+    instances = [(groetzsch_graph(), [FULL_MASK] * 11)]
+    for seed in (486, 1295):
+        instances.append(generate(GenSpec("skeleton_built", seed=seed,
+                                          scale=16, lists="random")))
+    for g, masks in instances:
+        assert len(false_twin_classes(g)) == g.n
+        out = solve(g, masks)
+        assert out.is_unsat
+        sk = build_skeleton(g, shortest_odd_cycle(g))
+        chains = {i: build_chain(g, sk, i) for i in range(5) if sk.t[i]}
+        total = sum(len(list(enumerate_branches(sk, chains, col)))
+                    for col in enumerate_c5_colourings([masks[c] for c in sk.c]))
+        assert total > 0 and out.stats.branches == total
+
+
+def test_bipartite_fallback_depth_beyond_recursion_limit():
+    # Half graph a_i ~ b_j for j <= i: twin-free and 2K2-free (so P7-free);
+    # with a_0 precoloured the fallback branches about 300 levels deep.
+    half = 300
+    edges = [(i, half + j) for i in range(half) for j in range(i + 1)]
+    g = build_graph(2 * half, edges)
+    assert len(false_twin_classes(g)) == g.n
+    masks = [mask_of([1])] + [FULL_MASK] * (2 * half - 1)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        out = solve(g, masks)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert out.is_sat and verify_colouring(g, masks, out.colouring)
+    assert out.stats.fallback_used == 1
+
+
+def test_twin_free_input_solves_on_the_graph_itself(monkeypatch):
+    seen = []
+    component = engine._solve_component
+
+    def spy(sub, *args):
+        seen.append(sub)
+        return component(sub, *args)
+
+    def no_copy(*args):
+        raise AssertionError("twin-free input was copied")
+
+    monkeypatch.setattr(engine, "_solve_component", spy)
+    monkeypatch.setattr(engine, "induced_subgraph", no_copy)
+    g = groetzsch_graph()
+    assert len(false_twin_classes(g)) == g.n
+    assert solve(g).is_unsat
+    assert len(seen) == 1 and seen[0] is g
+
+
+def test_dominated_twins_are_dropped_and_take_their_twins_colour(monkeypatch):
+    seen = []
+    component = engine._solve_component
+
+    def spy(sub, *args):
+        seen.append(sub.n)
+        return component(sub, *args)
+
+    monkeypatch.setattr(engine, "_solve_component", spy)
+    g, _ = generate(GenSpec("blownup_c5", class_sizes=(3, 1, 2, 1, 4)))
+    masks = [FULL_MASK] * g.n
+    masks[1] = mask_of([2, 3])  # incomparable with its twin 2's {1, 3}
+    masks[2] = mask_of([1, 3])
+    out = solve(g, masks)
+    assert seen == [6]
+    assert out.is_sat and verify_colouring(g, masks, out.colouring)
+
+
+def test_failed_final_recheck_raises(monkeypatch):
+    monkeypatch.setattr(engine, "verify_colouring", lambda *args: False)
+    with pytest.raises(InternalError):
+        solve(cycle_graph(5))
+
+
+def test_failed_final_recheck_raises_under_optimisation():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lcol3.__file__)))
+    script = (
+        "from lcol3 import engine\n"
+        "from lcol3.testkit import cycle_graph\n"
+        "engine.verify_colouring = lambda *args: False\n"
+        "try:\n"
+        "    engine.solve(cycle_graph(5))\n"
+        "except engine.InternalError:\n"
+        "    print('raised')\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised\n"

@@ -9,6 +9,7 @@ whole family of denser ones.
 
 import random
 
+from conftest import check_witness
 from lcol3 import build_graph, check_promise, solve, verify_colouring
 from lcol3.testkit import GenSpec, generate, oracle_solve
 
@@ -38,24 +39,63 @@ def random_masks(rng, n):
     return out
 
 
+def small_promise_graph(seed, rng):
+    """A seeded random, skeleton or blown-up-cycle graph in the class."""
+    kind = seed % 4
+    if kind == 0:
+        spec = GenSpec("random_rejection", seed=seed, n=rng.randint(5, 10),
+                       target_edges=rng.randint(4, 12))
+    elif kind == 1:
+        spec = GenSpec("skeleton_built", seed=seed, scale=8)
+    elif kind == 2:
+        spec = GenSpec("blownup_c5", seed=seed,
+                       class_sizes=tuple(rng.randint(1, 2) for _ in range(5)))
+    else:
+        spec = GenSpec("blownup_c7", seed=seed, class_sizes=(1,) * 7)
+    return generate(spec)[0]
+
+
 def test_twin_expansions_stay_in_class_and_match_oracle():
+    # Expansions make dominated twins, which solve drops before the
+    # pipeline runs; both modes must still agree with the oracle.
     checked = 0
-    for seed in range(150):
+    for seed in range(200):
         rng = random.Random(seed * 37 + 1)
-        base, _ = generate(GenSpec("random_rejection", seed=seed,
-                                   n=rng.randint(5, 10),
-                                   target_edges=rng.randint(4, 12)))
-        expanded = twin_expand(base, rng, rng.randint(1, 8))
+        base = small_promise_graph(seed, rng)
+        if base.n > 12:
+            continue
+        expanded = twin_expand(base, rng, rng.randint(1, 14 - base.n))
         assert check_promise(expanded) is None, seed
         masks = random_masks(rng, expanded.n)
-        outcome = solve(expanded, masks, mode="verify")
-        assert not outcome.is_invalid
         expected = oracle_solve(expanded, masks)
-        assert outcome.is_sat == (expected is not None), seed
-        if outcome.is_sat:
-            assert verify_colouring(expanded, masks, outcome.colouring)
+        for mode in ("trust", "verify"):
+            outcome = solve(expanded, masks, mode=mode)
+            assert not outcome.is_invalid
+            assert outcome.is_sat == (expected is not None), (seed, mode)
+            if outcome.is_sat:
+                assert verify_colouring(expanded, masks, outcome.colouring)
         checked += 1
-    assert checked == 150
+    assert checked >= 150
+
+
+def test_pendant_p6_on_twin_expanded_blowup_is_witnessed_in_input_labels():
+    for seed in range(40):
+        rng = random.Random(seed + 9000)
+        k = 5 if seed % 2 else 7
+        base, _ = generate(GenSpec(f"blownup_c{k}", seed=seed,
+                                   class_sizes=tuple(rng.randint(1, 3)
+                                                     for _ in range(k))))
+        g = twin_expand(base, rng, rng.randint(1, 6))
+        n = g.n
+        edges = list(g.edges()) + [(rng.randrange(n), n)]
+        edges += [(n + i, n + i + 1) for i in range(5)]
+        perm = list(range(n + 6))
+        rng.shuffle(perm)
+        planted = build_graph(n + 6, [(perm[u], perm[v]) for u, v in edges])
+        for violation in (check_promise(planted),
+                          solve(planted, mode="verify").violation):
+            assert violation.kind == "induced_p7", seed
+            assert check_witness(planted, violation), (seed, violation)
 
 
 def test_filtered_random_graphs_match_oracle():

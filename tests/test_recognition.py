@@ -2,6 +2,7 @@ import random
 from itertools import combinations, permutations
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (brute_has_induced_p7, brute_triangle_free, check_witness,
                       graphs, subset_induces_path)
@@ -12,6 +13,7 @@ from lcol3.recognition import (PromiseViolation, TwinDecomposition,
                                is_induced_path, is_triangle)
 from lcol3.testkit import (GenSpec, cycle_graph, generate, groetzsch_graph,
                            path_graph, petersen_graph)
+from test_properties import twin_expand
 
 
 def test_find_triangle_k3():
@@ -200,6 +202,20 @@ def test_check_promise_k3_triangle():
 def test_check_promise_p8_induced_p7():
     out = check_promise(path_graph(8))
     assert out.kind == "induced_p7" and out.vertices == (0, 1, 2, 3, 4, 5, 6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_n=9), st.integers(min_value=0, max_value=2**16))
+def test_check_promise_on_twin_expansions_matches_brute_force(g, seed):
+    # the induced-P7 search runs on the false-twin quotient
+    rng = random.Random(seed)
+    expanded = twin_expand(g, rng, rng.randint(0, 5))
+    in_class = brute_triangle_free(expanded) and not (
+        expanded.n >= 7 and brute_has_induced_p7(expanded))
+    out = check_promise(expanded)
+    assert (out is None) == in_class
+    if out is not None:
+        assert check_witness(expanded, out)
 
 
 def test_long_odd_girth_reports_p7():
