@@ -566,10 +566,7 @@ def solve(graph, lists=None, mode="trust", parallel=1, trail=False):
 
     rep = _twin_representatives(graph, masks)
     kept = [v for v in range(graph.n) if rep[v] == v]
-    if len(kept) == graph.n:
-        core, ids = graph, range(graph.n)
-    else:
-        core, ids = induced_subgraph(graph, kept)
+    core, ids = induced_subgraph(graph, kept)
     result = _solve_core(core, [masks[v] for v in ids], stats, parallel, trail)
     if isinstance(result, PromiseViolation):
         stats.millis = (time.perf_counter() - t0) * 1000.0
@@ -612,10 +609,7 @@ def _solve_core(graph, masks, stats, parallel, trail):
     component."""
     colouring = [0] * graph.n
     for comp in connected_components(graph):
-        if len(comp) == graph.n:
-            sub, ids = graph, range(graph.n)
-        else:
-            sub, ids = induced_subgraph(graph, comp)
+        sub, ids = induced_subgraph(graph, comp)
         sub_masks = [masks[v] for v in ids]
         result = _solve_component(sub, sub_masks, stats, parallel, trail)
         if isinstance(result, PromiseViolation):

@@ -288,11 +288,17 @@ def _odd_cycle_from_conflict(parent, u, v):
 
 
 def induced_subgraph(graph, vertices):
-    """Induced subgraph plus the sorted original ids of its vertices."""
+    """Induced subgraph plus the sorted original ids of its vertices.
+
+    Vertices covering the whole graph give back the graph object itself
+    (graphs are immutable, so it is shared rather than copied).
+    """
     if isinstance(vertices, VertexSet):
         old_ids = vertices.to_list()
     else:
         old_ids = sorted(vertices)
+    if len(old_ids) == graph.n:
+        return graph, old_ids
     index = {old: new for new, old in enumerate(old_ids)}
     edges = []
     for new_u, old_u in enumerate(old_ids):

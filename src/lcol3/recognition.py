@@ -236,11 +236,8 @@ def check_promise(graph):
     tri = find_triangle(graph)
     if tri is not None:
         return triangle_witness(graph, *tri)
-    classes = false_twin_classes(graph)
-    if len(classes) == graph.n:
-        quotient, ids = graph, range(graph.n)
-    else:
-        quotient, ids = induced_subgraph(graph, [cl.min() for cl in classes])
+    quotient, ids = induced_subgraph(
+        graph, [cl.min() for cl in false_twin_classes(graph)])
     p7 = find_induced_p7(quotient)
     if p7 is not None:
         return p7_witness(graph, [ids[v] for v in p7])

@@ -108,6 +108,14 @@ def test_induced_subgraph_maps_ids():
     assert sub.m == 2 and sub.has_edge(0, 1) and sub.has_edge(1, 2)
 
 
+def test_induced_subgraph_on_every_vertex_shares_the_graph():
+    g = cycle_graph(6)
+    sub, ids = induced_subgraph(g, [5, 3, 1, 0, 2, 4])
+    assert sub is g and ids == list(range(6))
+    sub, ids = induced_subgraph(g, VertexSet.from_iterable(range(6)))
+    assert sub is g and ids == list(range(6))
+
+
 @given(graphs())
 def test_bipartite_xor_odd_cycle(g):
     res = bipartite_check(g)

@@ -39,43 +39,62 @@ def random_masks(rng, n):
     return out
 
 
-def small_promise_graph(seed, rng):
-    """A seeded random, skeleton or blown-up-cycle graph in the class."""
-    kind = seed % 4
-    if kind == 0:
-        spec = GenSpec("random_rejection", seed=seed, n=rng.randint(5, 10),
-                       target_edges=rng.randint(4, 12))
-    elif kind == 1:
-        spec = GenSpec("skeleton_built", seed=seed, scale=8)
-    elif kind == 2:
-        spec = GenSpec("blownup_c5", seed=seed,
-                       class_sizes=tuple(rng.randint(1, 2) for _ in range(5)))
-    else:
-        spec = GenSpec("blownup_c7", seed=seed, class_sizes=(1,) * 7)
-    return generate(spec)[0]
-
-
 def test_twin_expansions_stay_in_class_and_match_oracle():
     # Expansions make dominated twins, which solve drops before the
     # pipeline runs; both modes must still agree with the oracle.
     checked = 0
-    for seed in range(200):
+    for seed in range(150):
         rng = random.Random(seed * 37 + 1)
-        base = small_promise_graph(seed, rng)
-        if base.n > 12:
-            continue
-        expanded = twin_expand(base, rng, rng.randint(1, 14 - base.n))
+        base, _ = generate(GenSpec("random_rejection", seed=seed,
+                                   n=rng.randint(5, 10),
+                                   target_edges=rng.randint(4, 12)))
+        expanded = twin_expand(base, rng, rng.randint(1, 8))
         assert check_promise(expanded) is None, seed
         masks = random_masks(rng, expanded.n)
         expected = oracle_solve(expanded, masks)
-        for mode in ("trust", "verify"):
+        for mode in ("verify", "trust"):
             outcome = solve(expanded, masks, mode=mode)
             assert not outcome.is_invalid
             assert outcome.is_sat == (expected is not None), (seed, mode)
             if outcome.is_sat:
                 assert verify_colouring(expanded, masks, outcome.colouring)
         checked += 1
-    assert checked >= 150
+    assert checked == 150
+
+
+def structured_base(seed, rng):
+    """A seeded skeleton-built or blown-up C5/C7 graph in the class."""
+    kind = seed % 3
+    if kind == 0:
+        spec = GenSpec("skeleton_built", seed=seed, scale=8)
+    elif kind == 1:
+        spec = GenSpec("blownup_c5", seed=seed,
+                       class_sizes=tuple(rng.randint(1, 2) for _ in range(5)))
+    else:
+        spec = GenSpec("blownup_c7", seed=seed,
+                       class_sizes=tuple(rng.randint(1, 2) for _ in range(7)))
+    return generate(spec)[0]
+
+
+def test_twin_expanded_structured_bases_match_oracle():
+    # the non-bipartite layers (skeleton and blown-up cycles) behind the
+    # twin reduction, in both modes
+    checked = 0
+    for seed in range(90):
+        rng = random.Random(seed * 41 + 3)
+        expanded = twin_expand(structured_base(seed, rng), rng,
+                               rng.randint(1, 8))
+        assert check_promise(expanded) is None, seed
+        masks = random_masks(rng, expanded.n)
+        expected = oracle_solve(expanded, masks)
+        for mode in ("verify", "trust"):
+            outcome = solve(expanded, masks, mode=mode)
+            assert not outcome.is_invalid
+            assert outcome.is_sat == (expected is not None), (seed, mode)
+            if outcome.is_sat:
+                assert verify_colouring(expanded, masks, outcome.colouring)
+        checked += 1
+    assert checked == 90
 
 
 def test_pendant_p6_on_twin_expanded_blowup_is_witnessed_in_input_labels():
