@@ -20,8 +20,9 @@ import time
 
 from .engine import (FULL_MASK, InternalError, colours_of, solve,
                      verify_colouring)
-from .graph import Bipartition, GraphError, bipartite_check, build_graph, \
-    connected_components, induced_subgraph
+from .graph import DuplicateEdgeError as GraphDuplicateEdgeError
+from .graph import (Bipartition, GraphError, _graph_from_rows,
+                    bipartite_check, connected_components, induced_subgraph)
 from .recognition import (PromiseViolation, check_promise,
                           recognize_blownup_c7, shortest_odd_cycle)
 from .skeleton import build_skeleton, skeleton_report
@@ -55,31 +56,37 @@ class EmptyListError(ParseError):
 
 
 def parse_instance(text):
-    """Parse an instance file into a Graph and per-vertex colour masks."""
+    """Parse an instance file into a Graph and per-vertex colour masks.
+
+    Errors are reported at the first offending line.  Repeated edges are
+    found by the graph constructor once every line has been read, so on any
+    error the lines before it are searched again for the first repeat.
+    """
+    lines = text.splitlines()
+    try:
+        return _parse_lines(lines)
+    except ParseError as exc:
+        # Line 0 marks the checks made after the last line.
+        _raise_first_repeated_edge(lines, exc.line or len(lines) + 1)
+        raise
+    except GraphDuplicateEdgeError:
+        _raise_first_repeated_edge(lines, len(lines) + 1)
+        raise
+
+
+def _parse_lines(lines):
     n = None
     m_declared = None
-    edges = []
-    seen_edges = set()
+    edge_count = 0
+    rows = None
     masks = None
     listed = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+    for lineno, raw in enumerate(lines, start=1):
+        parts = raw.split()
+        if not parts:
             continue
-        parts = line.split()
-        if parts[0] == "p":
-            if n is not None:
-                raise InstanceSyntaxError(lineno, "repeated problem line")
-            if len(parts) != 4 or parts[1] != "lcol":
-                raise InstanceSyntaxError(lineno, "expected 'p lcol <n> <m>'")
-            try:
-                n, m_declared = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise InstanceSyntaxError(lineno, "non-integer problem sizes") from None
-            if n < 0 or m_declared < 0:
-                raise InstanceSyntaxError(lineno, "negative problem sizes")
-            masks = [FULL_MASK] * n
-        elif parts[0] == "e":
+        kind = parts[0]
+        if kind == "e":
             if n is None:
                 raise InstanceSyntaxError(lineno, "edge before problem line")
             if len(parts) != 3:
@@ -92,12 +99,25 @@ def parse_instance(text):
                 raise OutOfRangeError(lineno, f"vertex outside 1..{n}")
             if u == v:
                 raise InstanceSyntaxError(lineno, "self-loop")
-            key = (u, v) if u < v else (v, u)
-            if key in seen_edges:
-                raise DuplicateEdgeError(lineno, f"duplicate edge {u} {v}")
-            seen_edges.add(key)
-            edges.append((u - 1, v - 1))
-        elif parts[0] == "l":
+            rows[u - 1].append(v - 1)
+            rows[v - 1].append(u - 1)
+            edge_count += 1
+        elif kind.startswith("c"):
+            continue
+        elif kind == "p":
+            if n is not None:
+                raise InstanceSyntaxError(lineno, "repeated problem line")
+            if len(parts) != 4 or parts[1] != "lcol":
+                raise InstanceSyntaxError(lineno, "expected 'p lcol <n> <m>'")
+            try:
+                n, m_declared = int(parts[2]), int(parts[3])
+            except ValueError:
+                raise InstanceSyntaxError(lineno, "non-integer problem sizes") from None
+            if n < 0 or m_declared < 0:
+                raise InstanceSyntaxError(lineno, "negative problem sizes")
+            rows = [[] for _ in range(n)]
+            masks = [FULL_MASK] * n
+        elif kind == "l":
             if n is None:
                 raise InstanceSyntaxError(lineno, "list before problem line")
             if len(parts) != 3:
@@ -127,13 +147,27 @@ def parse_instance(text):
                 raise EmptyListError(lineno, "empty colour list")
             masks[v - 1] = mask
         else:
-            raise InstanceSyntaxError(lineno, f"unknown line type '{parts[0]}'")
+            raise InstanceSyntaxError(lineno, f"unknown line type '{kind}'")
     if n is None:
         raise InstanceSyntaxError(0, "missing problem line")
-    if len(edges) != m_declared:
+    if edge_count != m_declared:
         raise InstanceSyntaxError(0, f"problem line declares {m_declared} edges, "
-                                     f"found {len(edges)}")
-    return build_graph(n, edges), masks
+                                     f"found {edge_count}")
+    return _graph_from_rows(n, rows), masks
+
+
+def _raise_first_repeated_edge(lines, stop):
+    """Raise DuplicateEdgeError at the first edge line before line `stop`
+    that repeats an earlier one; those lines have passed every other check."""
+    seen = set()
+    for lineno, raw in enumerate(lines[:stop - 1], start=1):
+        parts = raw.split()
+        if parts and parts[0] == "e":
+            u, v = int(parts[1]), int(parts[2])
+            key = (u, v) if u < v else (v, u)
+            if key in seen:
+                raise DuplicateEdgeError(lineno, f"duplicate edge {u} {v}") from None
+            seen.add(key)
 
 
 def emit_instance(graph, masks=None):

@@ -10,6 +10,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+from .errors import InternalError
 from .graph import (Bipartition, bipartite_check, connected_components,
                     induced_subgraph, iter_bits)
 from .recognition import (STRUCTURE_BREACH, PromiseViolation, check_promise,
@@ -59,11 +60,6 @@ def normalize_lists(n, lists):
 class PreconditionBreach(RuntimeError):
     """A vertex kept all three colours where the structure guarantees it
     cannot; signals a promise violation (or an internal bug)."""
-
-
-class InternalError(RuntimeError):
-    """The solver broke one of its own guarantees: a bug, never a property
-    of the input."""
 
 
 @dataclass
@@ -247,7 +243,10 @@ def residual_to_2sat(st, graph):
             if iu is None or iv is None:
                 # propagation already removed the assigned endpoint's colour
                 a, b = (u, v) if iu is None else (v, u)
-                assert masks[b] & masks[a] == 0
+                if masks[b] & masks[a]:
+                    raise InternalError(
+                        f"vertex {b} still admits the colour of its assigned "
+                        f"neighbour {a}")
                 continue
             common = masks[u] & masks[v]
             for cbit in (1, 2, 4):
@@ -518,7 +517,14 @@ def colour_blownup_c7(dec, lists):
         chosen[idx] = 0
         return False
 
-    if not rec(0):
+    # rec refers to itself through its closure cell; clearing the name
+    # breaks that cycle, which would otherwise keep rec and what it refers
+    # to alive until a full garbage collection.
+    try:
+        found = rec(0)
+    finally:
+        rec = None
+    if not found:
         return None
     colouring = [0] * n
     for idx, cl in enumerate(classes):
@@ -849,11 +855,17 @@ def _leaf_stream(base, choice_lists, seeds_of, suffix):
                 continue
             yield from rec(st2, idx + 1)
 
-    for leaf in rec(base, 0):
-        b, p = pending
-        pending[0] = pending[1] = 0
-        yield ("leaf", leaf, b, p)
-    yield ("end", None, pending[0], pending[1])
+    # As in colour_blownup_c7, clearing rec breaks its closure cycle, which
+    # would keep the choice lists and states alive; closing the stream early
+    # runs this too.
+    try:
+        for leaf in rec(base, 0):
+            b, p = pending
+            pending[0] = pending[1] = 0
+            yield ("leaf", leaf, b, p)
+        yield ("end", None, pending[0], pending[1])
+    finally:
+        rec = None
 
 
 def _consume_leaves(g, stats, parallel, stream):

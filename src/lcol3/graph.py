@@ -106,7 +106,9 @@ class VertexSet:
 
 
 class Graph:
-    """Immutable undirected simple graph on vertices 0..n-1.
+    """Immutable undirected simple graph on vertices 0..n-1, made by
+    `_graph_from_rows` (through `build_graph`, `induced_subgraph` or the
+    instance parser).
 
     `adj` holds sorted neighbour tuples; for n <= BITMATRIX_LIMIT a per-vertex
     bit row backs O(1) edge queries, otherwise binary search is used. Safe to
@@ -151,31 +153,7 @@ def build_graph(n, edges):
     """Build a Graph from an edge list, rejecting loops and duplicates."""
     if n < 0:
         raise GraphError("negative vertex count")
-    if n <= BITMATRIX_LIMIT:
-        rows = [bytearray((n + 7) // 8) for _ in range(n)]
-        m = 0
-        for u, v in edges:
-            if not (0 <= u < n):
-                raise VertexRangeError(u, n)
-            if not (0 <= v < n):
-                raise VertexRangeError(v, n)
-            if u == v:
-                raise LoopEdgeError(u)
-            if rows[u][v >> 3] >> (v & 7) & 1:
-                raise DuplicateEdgeError(u, v)
-            rows[u][v >> 3] |= 1 << (v & 7)
-            rows[v][u >> 3] |= 1 << (u & 7)
-            m += 1
-        bits = [int.from_bytes(row, "little") for row in rows]
-        # tuple() of a generator resizes as it grows and leaves tuples in
-        # oversized allocator blocks; a process that builds graphs one after
-        # another then keeps growing.  Sized from a list, it stays flat.
-        adj = [tuple(list(iter_bits(b))) for b in bits]
-        return Graph(n, adj, bits, m)
-
-    adj_lists = [[] for _ in range(n)]
-    seen = set()
-    m = 0
+    rows = [[] for _ in range(n)]
     for u, v in edges:
         if not (0 <= u < n):
             raise VertexRangeError(u, n)
@@ -183,15 +161,41 @@ def build_graph(n, edges):
             raise VertexRangeError(v, n)
         if u == v:
             raise LoopEdgeError(u)
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise DuplicateEdgeError(u, v)
-        seen.add(key)
-        adj_lists[u].append(v)
-        adj_lists[v].append(u)
-        m += 1
-    adj = [tuple(sorted(row)) for row in adj_lists]
-    return Graph(n, adj, None, m)
+        rows[u].append(v)
+        rows[v].append(u)
+    return _graph_from_rows(n, rows)
+
+
+def _graph_from_rows(n, rows):
+    """The one constructor of Graph: per-vertex neighbour lists to a Graph.
+
+    `rows[u]` lists the neighbours of u in any order, each edge appearing in
+    the rows of both its endpoints; the lists are sorted in place.  Callers
+    have checked ranges and loops.  A neighbour listed twice in a row is a
+    duplicate edge and raises DuplicateEdgeError naming the pair with u < v:
+    below BITMATRIX_LIMIT the bit row's popcount falls short of the row's
+    length, above it the row's set does.
+    """
+    for row in rows:
+        row.sort()
+    # tuple() of a generator resizes as it grows and leaves tuples in
+    # oversized allocator blocks; a process that builds graphs one after
+    # another then keeps growing.  Sized from a list, it stays flat.
+    adj = list(map(tuple, rows))
+    lengths = list(map(len, rows))
+    if n <= BITMATRIX_LIMIT:
+        power = [1 << v for v in range(n)].__getitem__
+        bits = [sum(map(power, row)) for row in rows]
+        sizes = list(map(int.bit_count, bits))
+    else:
+        bits = None
+        sizes = list(map(len, map(set, rows)))
+    if sizes != lengths:
+        u = next(u for u in range(n) if sizes[u] != lengths[u])
+        row = rows[u]
+        v = next(row[i] for i in range(1, len(row)) if row[i] == row[i - 1])
+        raise DuplicateEdgeError(min(u, v), max(u, v))
+    return Graph(n, adj, bits, sum(lengths) // 2)
 
 
 def adjacency_masks(graph):
@@ -300,10 +304,5 @@ def induced_subgraph(graph, vertices):
     if len(old_ids) == graph.n:
         return graph, old_ids
     index = {old: new for new, old in enumerate(old_ids)}
-    edges = []
-    for new_u, old_u in enumerate(old_ids):
-        for old_v in graph.adj[old_u]:
-            new_v = index.get(old_v)
-            if new_v is not None and new_v > new_u:
-                edges.append((new_u, new_v))
-    return build_graph(len(old_ids), edges), old_ids
+    rows = [[index[w] for w in graph.adj[u] if w in index] for u in old_ids]
+    return _graph_from_rows(len(old_ids), rows), old_ids

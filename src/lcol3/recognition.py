@@ -123,10 +123,15 @@ def find_induced_p7(graph):
         path.pop()
         return False
 
-    for start in range(n):
-        if extend(start, 1 << start):
-            return tuple(path)
-    return None
+    # As in engine.colour_blownup_c7, clearing extend breaks its closure
+    # cycle, which would keep the path and bit rows alive.
+    try:
+        for start in range(n):
+            if extend(start, 1 << start):
+                return tuple(path)
+        return None
+    finally:
+        extend = None
 
 
 def shortest_odd_cycle(graph):

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import InternalError
+
 
 class LiteralRangeError(ValueError):
     pass
@@ -67,7 +69,8 @@ def solve_2sat(inst):
         assignment.append(cp < cn)
 
     for l1, l2 in inst.clauses:
-        assert _lit_value(assignment, l1) or _lit_value(assignment, l2)
+        if not (_lit_value(assignment, l1) or _lit_value(assignment, l2)):
+            raise InternalError(f"2-SAT assignment violates clause ({l1}, {l2})")
     return assignment
 
 

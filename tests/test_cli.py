@@ -41,8 +41,11 @@ def test_parse_rejects_descending_digits():
 
 
 def test_parse_duplicate_edge():
-    with pytest.raises(DuplicateEdgeError):
-        parse_instance("p lcol 2 2\ne 1 2\ne 2 1\n")
+    for text in ("p lcol 2 2\ne 1 2\ne 2 1\n", "p lcol 2 2\ne 1 2\ne 1 2\n",
+                 "p lcol 3 3\ne 2 3\ne 1 2\nc note\n\ne 3 2\n"):
+        with pytest.raises(DuplicateEdgeError) as exc:
+            parse_instance(text)
+        assert exc.value.line == len(text.splitlines())
 
 
 def test_parse_duplicate_list_line():
@@ -61,10 +64,20 @@ def test_parse_edge_count_mismatch():
 
 
 def test_parse_reports_line_numbers():
-    try:
-        parse_instance("p lcol 2 1\ne 1 2\nl 1 4\n")
-    except InstanceSyntaxError as exc:
-        assert exc.line == 3
+    # The first error in line order wins, a repeated edge included, although
+    # repeats are found only after the other lines have been read.
+    cases = [
+        ("p lcol 2 1\ne 1 2\nl 1 4\n", InstanceSyntaxError, 3),
+        ("p lcol 3 3\ne 1 2\ne 2 1\ne 2 3\nx 1\n", DuplicateEdgeError, 3),
+        ("p lcol 3 3\ne 1 2\nx 1\ne 2 3\ne 2 1\n", InstanceSyntaxError, 3),
+        ("p lcol 3 3\ne 1 2\ne 2 1\ne 2 4\n", DuplicateEdgeError, 3),
+        ("p lcol 3 5\ne 1 2\ne 2 3\ne 2 1\n", DuplicateEdgeError, 4),
+        ("p lcol 3 1\ne 1 2\ne 2 1\n", DuplicateEdgeError, 3),
+    ]
+    for text, error, line in cases:
+        with pytest.raises(error) as exc:
+            parse_instance(text)
+        assert type(exc.value) is error and exc.value.line == line, text
 
 
 def test_round_trip_generator_outputs():

@@ -1,7 +1,9 @@
+import gc
 import os
 import random
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -13,6 +15,7 @@ import lcol3
 from lcol3 import engine
 from lcol3.engine import (FULL_MASK, InternalError, ListState,
                           PreconditionBreach, branch_seeds, mask_of)
+from lcol3.graph import VertexSet
 from lcol3.recognition import false_twin_classes
 from lcol3.recognition import recognize_blownup_c7, shortest_odd_cycle
 from lcol3.sat2 import solve_2sat
@@ -546,14 +549,14 @@ def test_failed_final_recheck_raises(monkeypatch):
         solve(cycle_graph(5))
 
 
-def test_failed_final_recheck_raises_under_optimisation():
+def _raises_internal_error_under_optimisation(setup, call):
     src = os.path.dirname(os.path.dirname(os.path.abspath(lcol3.__file__)))
     script = (
-        "from lcol3 import engine\n"
+        "from lcol3 import engine, sat2\n"
         "from lcol3.testkit import cycle_graph\n"
-        "engine.verify_colouring = lambda *args: False\n"
+        f"{setup}\n"
         "try:\n"
-        "    engine.solve(cycle_graph(5))\n"
+        f"    {call}\n"
         "except engine.InternalError:\n"
         "    print('raised')\n")
     env = dict(os.environ, PYTHONPATH=src)
@@ -561,3 +564,51 @@ def test_failed_final_recheck_raises_under_optimisation():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "raised\n"
+
+
+def test_failed_final_recheck_raises_under_optimisation():
+    _raises_internal_error_under_optimisation(
+        "engine.verify_colouring = lambda *args: False",
+        "engine.solve(cycle_graph(5))")
+
+
+def test_failed_2sat_self_check_raises_under_optimisation():
+    # Every literal in its own component sets every variable true, which
+    # breaks the clause (not x0 or not x0).
+    _raises_internal_error_under_optimisation(
+        "sat2._tarjan_components = lambda n, adj: list(range(n))",
+        "sat2.solve_2sat(sat2.add_clause(sat2.TwoSatInstance(1), 1, 1))")
+
+
+def test_solves_leave_no_reference_cycles():
+    # The skeleton solve runs _leaf_stream; verify mode on a blown-up C7 runs
+    # find_induced_p7 and colour_blownup_c7.
+    sk_graph, sk_masks = generate(GenSpec("skeleton_built", seed=6, scale=25,
+                                          lists="random"))
+    verify_graph, _ = generate(GenSpec("blownup_c7", seed=4))
+    kept = (Skeleton, engine.TCase, engine.DCase, VertexSet)
+    flags = gc.get_debug()
+    gc.collect()
+    start = len(gc.garbage)
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        sk_stats = solve(sk_graph, sk_masks).stats
+        solve(verify_graph, mode="verify")
+        gc.collect()
+        leaked = [type(obj).__name__ for obj in gc.garbage[start:]
+                  if isinstance(obj, kept)]
+        leaked += [obj.__qualname__ for obj in gc.garbage[start:]
+                   if isinstance(obj, types.FunctionType)]
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[start:]
+    assert sk_stats.sat_instances > 0  # the leaf stream was consumed
+    assert leaked == []
+
+
+def test_residual_with_unpropagated_assignment_raises(monkeypatch):
+    # Without propagation the precoloured end's colour stays admissible at
+    # its neighbour, which the residual encoding assumes never happens.
+    monkeypatch.setattr(engine, "propagate", lambda st: st)
+    with pytest.raises(InternalError):
+        solve(path_graph(3), [mask_of([1]), mask_of([1, 2]), mask_of([2, 3])])

@@ -2,12 +2,13 @@ import random
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import graphs
 from lcol3 import (Bipartition, VertexSet, adjacency_query, bipartite_check,
                    build_graph, connected_components)
-from lcol3.graph import (DuplicateEdgeError, LoopEdgeError, VertexRangeError,
-                         induced_subgraph)
+from lcol3.graph import (BITMATRIX_LIMIT, DuplicateEdgeError, LoopEdgeError,
+                         VertexRangeError, induced_subgraph)
 from lcol3.testkit import cycle_graph
 
 
@@ -35,6 +36,70 @@ def test_build_rejects_duplicate():
 def test_build_rejects_out_of_range():
     with pytest.raises(VertexRangeError):
         build_graph(2, [(0, 2)])
+
+
+@st.composite
+def edge_lists(draw, min_size=0):
+    """A vertex count, on either side of BITMATRIX_LIMIT, and distinct edges
+    in random orientation."""
+    n = draw(st.one_of(st.integers(1, 12), st.just(BITMATRIX_LIMIT + 1)))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]),
+                          min_size=min_size, max_size=30,
+                          unique_by=lambda e: frozenset(e)))
+    return n, edges
+
+
+def reference_graph(n, edges):
+    """adj, bits and m of the graph, built edge by edge."""
+    nbrs = [set() for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    adj = [tuple(sorted(row)) for row in nbrs]
+    bits = None
+    if n <= BITMATRIX_LIMIT:
+        bits = [0] * n
+        for u, v in edges:
+            bits[u] |= 1 << v
+            bits[v] |= 1 << u
+    return adj, bits, len(edges)
+
+
+@given(edge_lists(), st.booleans())
+def test_build_graph_matches_edge_by_edge_reference(case, as_generator):
+    n, edges = case
+    g = build_graph(n, (e for e in edges) if as_generator else edges)
+    assert (g.adj, g.bits, g.m) == reference_graph(n, edges)
+
+
+@given(edge_lists(min_size=1), st.data())
+def test_build_graph_rejects_a_repeated_edge(case, data):
+    n, edges = case
+    u, v = data.draw(st.sampled_from(edges))
+    if data.draw(st.booleans()):
+        u, v = v, u
+    at = data.draw(st.integers(0, len(edges)))
+    edges = edges[:at] + [(u, v)] + edges[at:]
+    for given_edges in (edges, (e for e in edges)):
+        with pytest.raises(DuplicateEdgeError) as exc:
+            build_graph(n, given_edges)
+        assert exc.value.edge == (min(u, v), max(u, v))
+
+
+@given(edge_lists(), st.data())
+def test_induced_subgraph_matches_build_graph_on_induced_edges(case, data):
+    n, edges = case
+    g = build_graph(n, edges)
+    candidates = sorted({x for e in edges for x in e} | {0, n - 1})
+    keep = data.draw(st.lists(st.sampled_from(candidates), unique=True))
+    sub, ids = induced_subgraph(g, keep)
+    assert ids == sorted(keep)
+    index = {old: new for new, old in enumerate(ids)}
+    expected = build_graph(len(ids), [(index[u], index[v]) for u, v in edges
+                                      if u in index and v in index])
+    assert (sub.n, sub.adj, sub.bits, sub.m) == \
+        (expected.n, expected.adj, expected.bits, expected.m)
 
 
 def test_adjacency_query_c5():

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from lcol3 import sat2
+from lcol3.errors import InternalError
 from lcol3.sat2 import (LiteralRangeError, TwoSatInstance, add_clause, neg,
                         pos, solve_2sat)
 
@@ -90,3 +92,12 @@ def test_deep_implication_chain_is_iterative():
     add_clause(inst, pos(0), pos(0))
     solution = solve_2sat(inst)
     assert solution is not None and solution[0] and solution[-1]
+
+
+def test_assignment_breaking_a_clause_raises(monkeypatch):
+    # Every literal in its own component sets every variable true, which
+    # breaks the clause (not x0 or not x0).
+    monkeypatch.setattr(sat2, "_tarjan_components", lambda n, adj: list(range(n)))
+    inst = add_clause(TwoSatInstance(1), neg(0), neg(0))
+    with pytest.raises(InternalError):
+        solve_2sat(inst)
