@@ -191,6 +191,16 @@ def _witness_lines(violation):
     return lines
 
 
+def _stats_fields(stats):
+    """The --stats counters, one dict for the text and the JSON output."""
+    return {"branches": stats.branches,
+            "branches_survived": stats.branches_survived,
+            "propagations": stats.propagations,
+            "sat_instances": stats.sat_instances,
+            "fallback_used": stats.fallback_used,
+            "millis": round(stats.millis, 3)}
+
+
 def emit_result(outcome, fmt="text", include_stats=False):
     """Render an Outcome; byte-deterministic apart from the optional stats
     (whose millis field is wall-clock time)."""
@@ -203,13 +213,8 @@ def emit_result(outcome, fmt="text", include_stats=False):
         else:
             lines = ["INVALID"] + _witness_lines(outcome.violation)
         if include_stats:
-            s = outcome.stats
-            lines.append(f"s branches {s.branches}")
-            lines.append(f"s survived {s.branches_survived}")
-            lines.append(f"s propagations {s.propagations}")
-            lines.append(f"s sat_instances {s.sat_instances}")
-            lines.append(f"s fallback_used {s.fallback_used}")
-            lines.append(f"s millis {s.millis:.3f}")
+            lines.extend(f"s {key} {value}"
+                         for key, value in _stats_fields(outcome.stats).items())
         return "\n".join(lines) + "\n"
 
     if fmt == "json":
@@ -225,12 +230,7 @@ def emit_result(outcome, fmt="text", include_stats=False):
                 witness["note"] = outcome.violation.note
             doc["witness"] = witness
         if include_stats:
-            s = outcome.stats
-            doc["stats"] = {"branches": s.branches,
-                            "propagations": s.propagations,
-                            "sat_instances": s.sat_instances,
-                            "fallback_used": s.fallback_used,
-                            "millis": round(s.millis, 3)}
+            doc["stats"] = _stats_fields(outcome.stats)
         return json.dumps(doc) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
 

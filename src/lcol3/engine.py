@@ -118,7 +118,8 @@ class ListState:
                 self.pending.append(v)
 
     def copy(self):
-        assert not self.pending, "copy only at a propagation fixpoint"
+        if self.pending:
+            raise InternalError("ListState copied outside a propagation fixpoint")
         new = object.__new__(ListState)
         new.graph = self.graph
         new.masks = self.masks.copy()
@@ -326,7 +327,8 @@ def palette_analysis(c5col):
     c5col = tuple(c5col)
     counts = {c: c5col.count(c) for c in (1, 2, 3)}
     once = [c for c, k in counts.items() if k == 1]
-    assert len(once) == 1, "proper C5 3-colouring uses one colour exactly once"
+    if len(once) != 1:
+        raise InternalError(f"{c5col} is not a proper 3-colouring of a C5")
     q = once[0]
     p = c5col.index(q)
 
@@ -339,7 +341,9 @@ def palette_analysis(c5col):
         else:
             options[i] = (q, 6 - q - a)
     undetermined = tuple(sorted(((p + 2) % 5, (p + 3) % 5)))
-    assert tuple(sorted(options)) == undetermined
+    if tuple(sorted(options)) != undetermined:
+        raise InternalError(f"{c5col}: two-option T sets {sorted(options)}, "
+                            f"expected {undetermined}")
     d_options = {i: tuple(sorted({1, 2, 3} - {c5col[i]})) for i in range(5)}
     free_d = tuple(sorted(((p - 1) % 5, p, (p + 1) % 5)))
     return Palette(c5col, forced, options, undetermined, q, d_options, free_d)

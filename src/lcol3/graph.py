@@ -7,6 +7,8 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 
+from .errors import InternalError
+
 # Above this vertex count the per-vertex bit rows would exceed the desk-scale
 # memory cap (~2 MB), so the edge predicate falls back to binary search.
 BITMATRIX_LIMIT = 4096
@@ -287,7 +289,8 @@ def _odd_cycle_from_conflict(parent, u, v):
         path_v.append(parent[path_v[-1]])
     lca = path_v[-1]
     cycle = path_u[: pos_u[lca] + 1] + path_v[-2::-1]
-    assert len(cycle) % 2 == 1
+    if len(cycle) % 2 != 1:
+        raise InternalError(f"bipartite conflict closed an even cycle {cycle}")
     return cycle
 
 

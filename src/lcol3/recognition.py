@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+from .errors import InternalError
 from .graph import VertexSet, adjacency_masks, induced_subgraph, iter_bits
 
 TRIANGLE = "triangle"
@@ -96,42 +97,69 @@ def find_triangle(graph):
 
 
 def find_induced_p7(graph):
-    """An induced 7-vertex path in path order, or None.
+    """An induced 7-vertex path in path order, or None.  Correct on any
+    graph, triangles included.
 
-    Depth-first extension of induced paths with adjacency-mask pruning; a
-    candidate must be adjacent to the path's last vertex and to no earlier
-    one.  Worst case superpolynomial, which is acceptable since this runs
-    only in strict verification and test tooling, never on the solving path.
+    Middle-out search around the centre c = path[3].  A path
+    a3 a2 a1 c b1 b2 b3 is induced iff a1, b1 are non-adjacent neighbours
+    of c; a2 is a neighbour of a1 outside N(c) | N(b1); b2 is a neighbour
+    of b1 outside N(c) | N(a1) | N(a2); and, with
+    common = N(c) | N(a1) | N(b1) (which holds the five middle vertices),
+    a3 lies in A3 = N(a2) - common - N(b2), b3 in
+    B3 = N(b2) - common - N(a2), and a3, b3 are non-adjacent.  B3 misses
+    N(a2), so a3 != b3.  The last step is therefore one mask test: some a3
+    in A3 has B3 & ~N(a3) non-empty.
+
+    Every induced P7 is found: its centre, read with the smaller of the
+    centre's two path neighbours as a1, gives the path or its reverse, and
+    each of its vertices passes the filter of its step.  Taking a1 < b1
+    picks one of the two orientations, so each induced P5 a2 a1 c b1 b2 is
+    visited at most once (a second vertex that leaves no third one is
+    dropped before the join), at a cost of O(1 + |A3|) n-bit mask
+    operations; each (c, a1, b1) adds O(deg(a1) + deg(b1)) to build the two
+    sides.  A search grown from one end would instead meet every induced
+    path on up to six vertices, from both of its ends.  The search is
+    iterative, so its depth does not grow with n.
     """
     n = graph.n
     if n < 7:
         return None
+    adj = graph.adj
     bits = adjacency_masks(graph)
-    full = (1 << n) - 1
-
-    path = []
-    # blocked[d] = vertices adjacent to path[:d] or on the path itself
-    def extend(v, blocked):
-        path.append(v)
-        if len(path) == 7:
-            return True
-        new_blocked = blocked | bits[v] | (1 << v)
-        cand = bits[v] & full & ~blocked & ~(1 << v)
-        for w in iter_bits(cand):
-            if extend(w, new_blocked):
-                return True
-        path.pop()
-        return False
-
-    # As in engine.colour_blownup_c7, clearing extend breaks its closure
-    # cycle, which would keep the path and bit rows alive.
-    try:
-        for start in range(n):
-            if extend(start, 1 << start):
-                return tuple(path)
-        return None
-    finally:
-        extend = None
+    for c in range(n):
+        row_c = bits[c]
+        around = adj[c]
+        for i, a1 in enumerate(around):
+            row_a1 = bits[a1]
+            for b1 in around[i + 1:]:
+                if row_a1 >> b1 & 1:
+                    continue
+                row_b1 = bits[b1]
+                common = row_c | row_a1 | row_b1
+                # each side's second vertices that leave a third one open
+                off_a2 = row_c | row_b1
+                a_side = [(a2, bits[a2]) for a2 in adj[a1]
+                          if not off_a2 >> a2 & 1 and bits[a2] & ~common]
+                if not a_side:
+                    continue
+                off_b2 = row_c | row_a1
+                b_side = [(b2, bits[b2]) for b2 in adj[b1]
+                          if not off_b2 >> b2 & 1 and bits[b2] & ~common]
+                for a2, row_a2 in a_side:
+                    for b2, row_b2 in b_side:
+                        if row_a2 >> b2 & 1:
+                            continue
+                        a3s = row_a2 & ~(common | row_b2)
+                        b3s = row_b2 & ~(common | row_a2)
+                        while a3s and b3s:
+                            low = a3s & -a3s
+                            a3 = low.bit_length() - 1
+                            free = b3s & ~bits[a3]
+                            if free:
+                                b3 = (free & -free).bit_length() - 1
+                                return (a3, a2, a1, c, b1, b2, b3)
+                            a3s ^= low
+    return None
 
 
 def shortest_odd_cycle(graph):
@@ -211,7 +239,8 @@ def _extract_odd_cycle(graph, s, a, b, depth):
     up_b = chain(b)  # b .. s
     cycle = up_a[::-1] + up_b[:-1]  # s .. a, b .. (below s)
     # At the global minimum the two parent chains share only the root.
-    assert len(cycle) == 2 * depth + 1 and len(set(cycle)) == len(cycle)
+    if len(cycle) != 2 * depth + 1 or len(set(cycle)) != len(cycle):
+        raise InternalError(f"odd-cycle extraction gave {cycle} at depth {depth}")
     return cycle
 
 

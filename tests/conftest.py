@@ -5,6 +5,7 @@ from itertools import combinations
 from hypothesis import strategies as st
 
 from lcol3 import build_graph
+from lcol3.graph import adjacency_masks, iter_bits
 
 
 def brute_triangle_free(graph):
@@ -42,6 +43,33 @@ def subset_induces_path(graph, subset):
 def brute_has_induced_p7(graph):
     return any(subset_induces_path(graph, s)
                for s in combinations(range(graph.n), 7))
+
+
+def reference_induced_p7(graph):
+    """An induced 7-vertex path in path order, or None, by the end-first
+    depth-first search: a path grows by a neighbour of its last vertex that
+    sees no earlier one.  Independent of the solver's middle-out search,
+    which the tests check against it."""
+    bits = adjacency_masks(graph)
+    path = []
+
+    def extend(v, blocked):
+        # blocked: the path so far and every neighbour of its vertices
+        # before v
+        path.append(v)
+        if len(path) == 7:
+            return True
+        new_blocked = blocked | bits[v] | (1 << v)
+        for w in iter_bits(bits[v] & ~blocked & ~(1 << v)):
+            if extend(w, new_blocked):
+                return True
+        path.pop()
+        return False
+
+    for start in range(graph.n):
+        if extend(start, 1 << start):
+            return tuple(path)
+    return None
 
 
 def check_witness(graph, violation):

@@ -113,8 +113,27 @@ def test_emit_result_json_schema():
                                  include_stats=True))
     assert doc["status"] == "SAT"
     assert doc["colouring"]["1"] in (1, 2, 3)
-    assert set(doc["stats"]) == {"branches", "propagations", "sat_instances",
+    assert set(doc["stats"]) == {"branches", "branches_survived",
+                                 "propagations", "sat_instances",
                                  "fallback_used", "millis"}
+
+
+def test_emit_result_stats_text_and_json_agree():
+    g, masks = parse_instance((INSTANCES / "c5.lcol").read_text())
+    out = solve(g, masks)
+    # distinct values, so a key printed with another counter's value shows
+    want = {"branches": 11, "branches_survived": 7, "propagations": 13,
+            "sat_instances": 5, "fallback_used": 3, "millis": 2.5}
+    for key, value in want.items():
+        setattr(out.stats, key, value)
+    text = emit_result(out, include_stats=True)
+    doc = json.loads(emit_result(out, fmt="json", include_stats=True))
+    from_text = {}
+    for line in text.splitlines():
+        if line.startswith("s "):
+            _, key, value = line.split()
+            from_text[key] = float(value)
+    assert from_text == doc["stats"] == want
 
 
 def test_dispatch_solve_exit_codes(capsys):

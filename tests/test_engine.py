@@ -580,6 +580,22 @@ def test_failed_2sat_self_check_raises_under_optimisation():
         "sat2.solve_2sat(sat2.add_clause(sat2.TwoSatInstance(1), 1, 1))")
 
 
+@pytest.mark.parametrize("setup,call", [
+    # improper C5 colourings: no colour used once, and one with 1-1 and 2-2
+    ("", "engine.palette_analysis((1, 1, 1, 1, 1))"),
+    ("", "engine.palette_analysis((1, 1, 2, 2, 3))"),
+    # vertex 0's singleton list is still queued for propagation
+    ("st = engine.ListState(cycle_graph(5), [1] + [7] * 4)", "st.copy()"),
+    # parent chains 2-1-0 and 3-0 close the even cycle 2-1-0-3
+    ("from lcol3 import graph", "graph._odd_cycle_from_conflict([-1, 0, 1, 0], 2, 3)"),
+    # the C5's same-level edge 2-3 sits at depth 2, not 3
+    ("from lcol3 import recognition",
+     "recognition._extract_odd_cycle(cycle_graph(5), 0, 2, 3, 3)"),
+])
+def test_answer_guards_raise_under_optimisation(setup, call):
+    _raises_internal_error_under_optimisation(setup, call)
+
+
 def test_solves_leave_no_reference_cycles():
     # The skeleton solve runs _leaf_stream; verify mode on a blown-up C7 runs
     # find_induced_p7 and colour_blownup_c7.

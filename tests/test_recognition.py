@@ -1,14 +1,16 @@
 import random
 from itertools import combinations, permutations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (brute_has_induced_p7, brute_triangle_free, check_witness,
-                      graphs, subset_induces_path)
+                      graphs, reference_induced_p7, subset_induces_path)
 from lcol3 import (build_graph, check_promise, false_twin_classes,
                    find_induced_p7, find_triangle, recognize_blownup_c7,
                    shortest_odd_cycle)
+from lcol3.graph import induced_subgraph
 from lcol3.recognition import (PromiseViolation, TwinDecomposition,
                                is_induced_path, is_triangle)
 from lcol3.testkit import (GenSpec, cycle_graph, generate, groetzsch_graph,
@@ -60,6 +62,82 @@ def test_find_induced_p7_exhaustive_larger_spot():
     pairs = [(u, v) for u in range(20) for v in range(u + 1, 20)]
     g = build_graph(20, rng.sample(pairs, 24))
     assert (find_induced_p7(g) is not None) == brute_has_induced_p7(g)
+
+
+def _agrees_with_reference(g):
+    got = find_induced_p7(g)
+    assert (got is None) == (reference_induced_p7(g) is None)
+    if got is not None:
+        assert is_induced_path(g, got)
+    return got
+
+
+@st.composite
+def triangle_free_graphs(draw, max_n=12):
+    # edges in drawn order, skipping any that would close a triangle
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    order = draw(st.permutations(pairs)) if pairs else []
+    keep = draw(st.integers(min_value=0, max_value=len(pairs)))
+    nbrs = [set() for _ in range(n)]
+    edges = []
+    for u, v in order[:keep]:
+        if not nbrs[u] & nbrs[v]:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+            edges.append((u, v))
+    return build_graph(n, edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=12))
+def test_find_induced_p7_matches_reference(g):
+    _agrees_with_reference(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(triangle_free_graphs())
+def test_find_induced_p7_matches_reference_triangle_free(g):
+    assert find_triangle(g) is None
+    _agrees_with_reference(g)
+
+
+def _with_pendant_p6(g, at):
+    edges = [(u, v) for u in range(g.n) for v in g.adj[u] if u < v]
+    path = [at] + list(range(g.n, g.n + 6))
+    return build_graph(g.n + 6, edges + list(zip(path, path[1:])))
+
+
+def _twin_quotient(g):
+    return induced_subgraph(g, [cl.min() for cl in false_twin_classes(g)])[0]
+
+
+def test_find_induced_p7_matches_reference_on_skeletons():
+    # skeleton_built graphs keep twins (their quotients have under 20
+    # vertices), so each graph is checked whole, as its quotient, and with
+    # a pendant P6, which always holds an induced P7
+    rng = random.Random(11)
+    sizes = []
+    for seed in range(40):
+        g, _ = generate(GenSpec("skeleton_built", seed=seed, scale=120))
+        if not 30 <= g.n <= 80:
+            continue
+        sizes.append(g.n)
+        assert _agrees_with_reference(g) is None
+        assert _agrees_with_reference(_twin_quotient(g)) is None
+        assert _agrees_with_reference(_with_pendant_p6(g, rng.randrange(g.n))) is not None
+    assert len(sizes) >= 10 and max(sizes) > 60
+
+
+@pytest.mark.parametrize("kind,length", [("blownup_c5", 5), ("blownup_c7", 7)])
+def test_find_induced_p7_matches_reference_on_blowups(kind, length):
+    rng = random.Random(length)
+    for seed in range(12):
+        sizes = tuple(rng.randint(1, 5) for _ in range(length))
+        g, _ = generate(GenSpec(kind, seed=seed, class_sizes=sizes))
+        assert _agrees_with_reference(g) is None
+        assert _agrees_with_reference(_twin_quotient(g)) is None
+        assert _agrees_with_reference(_with_pendant_p6(g, rng.randrange(g.n))) is not None
 
 
 def _brute_shortest_odd_cycle_len(g, upper):
