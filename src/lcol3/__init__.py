@@ -1,13 +1,13 @@
 """Exact list 3-colouring of graphs without triangles or induced 7-vertex
 paths, with promise verification, witnesses, generators and a CLI."""
 
-from .engine import (BranchDescriptor, InternalError, ListState, Outcome,
-                     Palette, SolveStats, apply_branch, colour_blownup_c7,
-                     eliminate_safe, enumerate_branches,
+from .engine import (InternalError, ListState, Outcome, Palette, SolveStats,
+                     anchor_seeds, case_seeds, choice_lists,
+                     colour_blownup_c7, eliminate_safe,
                      enumerate_c5_colourings, palette_analysis, propagate,
                      residual_to_2sat, solve, verify_colouring)
-from .graph import (Bipartition, Graph, VertexSet, adjacency_query,
-                    bipartite_check, build_graph, connected_components)
+from .graph import (Bipartition, Graph, VertexSet, bipartite_check,
+                    build_graph, connected_components)
 from .recognition import (PromiseViolation, TwinDecomposition, check_promise,
                           false_twin_classes, find_induced_p7, find_triangle,
                           recognize_blownup_c7, shortest_odd_cycle)
@@ -17,12 +17,11 @@ from .skeleton import (Chain, ComponentInfo, Skeleton, build_chain,
 from .testkit import GenSpec, enumerate_colourings, generate, oracle_solve
 
 __all__ = [
-    "BranchDescriptor", "InternalError", "ListState", "Outcome", "Palette",
-    "SolveStats",
-    "apply_branch", "colour_blownup_c7", "eliminate_safe",
-    "enumerate_branches", "enumerate_c5_colourings", "palette_analysis",
+    "InternalError", "ListState", "Outcome", "Palette", "SolveStats",
+    "anchor_seeds", "case_seeds", "choice_lists", "colour_blownup_c7",
+    "eliminate_safe", "enumerate_c5_colourings", "palette_analysis",
     "propagate", "residual_to_2sat", "solve", "verify_colouring",
-    "Bipartition", "Graph", "VertexSet", "adjacency_query", "bipartite_check",
+    "Bipartition", "Graph", "VertexSet", "bipartite_check",
     "build_graph", "connected_components",
     "PromiseViolation", "TwinDecomposition", "check_promise",
     "false_twin_classes", "find_induced_p7", "find_triangle",

@@ -242,7 +242,7 @@ def _read(path):
 
 def _cmd_solve(args):
     graph, masks = parse_instance(_read(args.file))
-    outcome = solve(graph, masks, mode=args.mode, parallel=args.parallel)
+    outcome = solve(graph, masks, mode=args.mode)
     fmt = "json" if args.json else "text"
     sys.stdout.write(emit_result(outcome, fmt, include_stats=args.stats))
     return 2 if outcome.is_invalid else 0
@@ -402,7 +402,7 @@ def _cmd_bench(args):
     for name, spec in cases:
         graph, masks = generate(spec)
         t0 = time.perf_counter()
-        outcome = solve(graph, masks, mode="trust", parallel=args.parallel)
+        outcome = solve(graph, masks, mode="trust")
         elapsed = (time.perf_counter() - t0) * 1000.0
         status = "SAT" if outcome.is_sat else "UNSAT" if outcome.is_unsat else "INVALID"
         s = outcome.stats
@@ -421,7 +421,6 @@ def _build_parser():
     p.add_argument("file")
     p.add_argument("--mode", choices=("trust", "verify"), default="trust")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--parallel", type=int, default=1, metavar="N")
     p.add_argument("--stats", action="store_true")
     p.set_defaults(func=_cmd_solve)
 
@@ -457,7 +456,6 @@ def _build_parser():
 
     p = sub.add_parser("bench", help="timing suites")
     p.add_argument("--suite", choices=("smoke", "scale"), default="smoke")
-    p.add_argument("--parallel", type=int, default=1)
     p.set_defaults(func=_cmd_bench)
     return parser
 

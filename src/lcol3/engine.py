@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import InternalError
@@ -94,21 +93,15 @@ class Outcome:
 
 class ListState:
     """Mutable per-branch colouring state: masks, assignments and a pending
-    queue of freshly forced vertices awaiting propagation.
+    queue of freshly forced vertices awaiting propagation."""
 
-    The optional trail logs every colour removal as (vertex, colour, cause)
-    with cause -1 for direct assignments; replaying it over the initial
-    masks reproduces the final masks.
-    """
+    __slots__ = ("graph", "masks", "assigned", "pending", "removals")
 
-    __slots__ = ("graph", "masks", "assigned", "pending", "trail", "removals")
-
-    def __init__(self, graph, masks, trail=False):
+    def __init__(self, graph, masks):
         self.graph = graph
         self.masks = list(masks)
         self.assigned = [0] * graph.n
         self.pending = deque()
-        self.trail = [] if trail else None
         self.removals = 0
         for v, m in enumerate(self.masks):
             if not 0 < m <= FULL_MASK:
@@ -125,7 +118,6 @@ class ListState:
         new.masks = self.masks.copy()
         new.assigned = self.assigned.copy()
         new.pending = deque()
-        new.trail = [] if self.trail is not None else None
         new.removals = 0
         return new
 
@@ -137,13 +129,18 @@ class ListState:
             return False
         if m != cbit:
             self.removals += _SIZE[m] - 1
-            if self.trail is not None:
-                for c in colours_of(m & ~cbit):
-                    self.trail.append((v, c, -1))
             self.masks[v] = cbit
         if self.assigned[v] == 0:
             self.assigned[v] = colour
             self.pending.append(v)
+        return True
+
+    def assign_all(self, seeds):
+        """Force every (vertex, colour) seed in order; False at the first
+        one that is not admissible any more."""
+        for v, colour in seeds:
+            if not self.assign(v, colour):
+                return False
         return True
 
     def full_mask_vertices(self):
@@ -158,11 +155,9 @@ def propagate(st):
     assigned = st.assigned
     pending = st.pending
     adj = st.graph.adj
-    trail = st.trail
     while pending:
         v = pending.popleft()
         cbit = masks[v]
-        colour = _COLOUR_OF[cbit]
         for u in adj[v]:
             mu = masks[u]
             if mu & cbit:
@@ -171,21 +166,18 @@ def propagate(st):
                 mu &= ~cbit
                 masks[u] = mu
                 st.removals += 1
-                if trail is not None:
-                    trail.append((u, colour, v))
                 if _SIZE[mu] == 1:
                     assigned[u] = _COLOUR_OF[mu]
                     pending.append(u)
     return st
 
 
-def eliminate_safe(st, graph, debug=False):
+def eliminate_safe(st, graph):
     """Assign every full-mask vertex whose neighbours all miss a common
     colour (the smallest such); isolated full-mask vertices get colour 1.
 
     Runs in one pass: a safe assignment cannot shrink any neighbour's mask,
-    since the neighbours already miss the assigned colour.  With debug=True
-    a second pass asserts the pass was idempotent.
+    since the neighbours already miss the assigned colour.
     """
     masks = st.masks
     out = []
@@ -206,9 +198,6 @@ def eliminate_safe(st, graph, debug=False):
             j = _COLOUR_OF[acc & -acc]
             st.assign(v, j)
             out.append((v, j))
-    if debug:
-        again = eliminate_safe(st, graph)
-        assert not again, f"safe elimination not idempotent: {again}"
     return out
 
 
@@ -376,13 +365,6 @@ class DCase:
     vprime: int | None = None
 
 
-@dataclass(frozen=True)
-class BranchDescriptor:
-    c5_colouring: tuple
-    t_cases: tuple
-    d_cases: tuple
-
-
 def t_case_choices(palette, chains, i):
     chain = chains.get(i)
     if chain is None:
@@ -415,77 +397,48 @@ def d_case_choices(sk, palette, i):
     return choices
 
 
-def enumerate_branches(sk, chains, c5col):
-    """Lazy ordered stream of all branch descriptors for one anchor
-    colouring: case tags (c, d, a, b) with k then w ascending on each
-    undetermined T index, tags (g, h, e, f) with v' ascending on each free
-    D index, combined as a Cartesian product."""
-    palette = palette_analysis(c5col)
-    for i in palette.undetermined:
-        if bool(sk.t[i]) != (i in chains):
-            raise ValueError(f"chain missing or spurious for T index {i}")
-    ia, ib = palette.undetermined
-    ta = t_case_choices(palette, chains, ia)
-    tb = t_case_choices(palette, chains, ib)
-    ds = [d_case_choices(sk, palette, i) for i in palette.free_d]
-    for ca in ta:
-        for cb in tb:
-            for d1 in ds[0]:
-                for d2 in ds[1]:
-                    for d3 in ds[2]:
-                        yield BranchDescriptor(tuple(c5col), (ca, cb), (d1, d2, d3))
+def choice_lists(sk, chains, palette):
+    """The five choice lists of an anchor colouring, in search order: cases
+    (c, d, a, b) with k then w ascending on each undetermined T index, then
+    cases (g, h, e, f) with v' ascending on each free D index; [None] for an
+    empty set.  A branch is one pick from each, and the branches are their
+    Cartesian product."""
+    return ([t_case_choices(palette, chains, i) for i in palette.undetermined]
+            + [d_case_choices(sk, palette, i) for i in palette.free_d])
 
 
-def _t_case_seeds(sk, palette, chains, case):
+def anchor_seeds(sk, palette):
+    """Seeds every branch of an anchor colouring shares: the anchors and
+    the forced T sets."""
+    col = palette.c5_colouring
+    seeds = [(sk.c[i], col[i]) for i in range(5)]
+    for i, colour in palette.forced.items():
+        seeds.extend((v, colour) for v in sk.t[i])
+    return seeds
+
+
+def case_seeds(sk, chains, palette, case):
+    """Seeds of one TCase or DCase."""
     i = case.index
+    if isinstance(case, DCase):
+        if case.tag == "g":
+            return [(v, case.a) for v in sk.d[i]]
+        if case.tag == "h":
+            return [(v, case.b) for v in sk.d[i]]
+        if case.tag == "e":
+            return [(case.v, case.a), (case.vprime, case.b)]
+        return [(case.v, case.b), (case.vprime, case.a)]
     q = palette.q
     other = palette.options[i][1]
     if case.tag == "c":
         return [(v, other) for v in sk.t[i]]
     if case.tag == "d":
         return [(v, q) for v in sk.t[i]]
-    level = chains[i].levels[case.k]
     first = other if case.tag == "a" else q
     second = q if case.tag == "a" else other
-    seeds = [(v, first) for v in level]
+    seeds = [(v, first) for v in chains[i].levels[case.k]]
     seeds.append((case.w, second))
     return seeds
-
-
-def _d_case_seeds(sk, case):
-    i = case.index
-    if case.tag == "g":
-        return [(v, case.a) for v in sk.d[i]]
-    if case.tag == "h":
-        return [(v, case.b) for v in sk.d[i]]
-    if case.tag == "e":
-        return [(case.v, case.a), (case.vprime, case.b)]
-    return [(case.v, case.b), (case.vprime, case.a)]
-
-
-def branch_seeds(sk, chains, desc):
-    """Complete seed assignment of a branch: anchors, forced T sets, and the
-    case-specific choices."""
-    palette = palette_analysis(desc.c5_colouring)
-    seeds = [(sk.c[i], desc.c5_colouring[i]) for i in range(5)]
-    for i, colour in sorted(palette.forced.items()):
-        seeds.extend((v, colour) for v in sk.t[i])
-    for case in desc.t_cases:
-        if case is not None:
-            seeds.extend(_t_case_seeds(sk, palette, chains, case))
-    for case in desc.d_cases:
-        if case is not None:
-            seeds.extend(_d_case_seeds(sk, case))
-    return seeds
-
-
-def apply_branch(st, desc, sk, chains):
-    """Seed a branch's assignments into the state; None on a conflict with
-    the current masks."""
-    for v, colour in branch_seeds(sk, chains, desc):
-        if not st.assign(v, colour):
-            return None
-    return st
 
 
 # ---------------------------------------------------------------------------
@@ -542,13 +495,13 @@ def colour_blownup_c7(dec, lists):
 # top-level solve
 
 
-def solve(graph, lists=None, mode="trust", parallel=1, trail=False):
+def solve(graph, lists=None, mode="trust"):
     """Decide list 3-colourability and produce a colouring, an
     uncolourability verdict, or a promise-violation witness.
 
     In "verify" mode the promise (no triangles, no induced P7) is checked
     up front; in "trust" mode only violations met on the solving path are
-    reported.  Identical inputs give identical outputs for any `parallel`.
+    reported.  Identical inputs give identical outputs.
 
     Layer 0 drops dominated false twins: a vertex v is dropped when a kept
     vertex u has the same neighbourhood (so u and v are not adjacent) and
@@ -577,7 +530,7 @@ def solve(graph, lists=None, mode="trust", parallel=1, trail=False):
     rep = _twin_representatives(graph, masks)
     kept = [v for v in range(graph.n) if rep[v] == v]
     core, ids = induced_subgraph(graph, kept)
-    result = _solve_core(core, [masks[v] for v in ids], stats, parallel, trail)
+    result = _solve_core(core, [masks[v] for v in ids], stats)
     if isinstance(result, PromiseViolation):
         stats.millis = (time.perf_counter() - t0) * 1000.0
         return Outcome("invalid", None, result.relabel(ids), stats)
@@ -614,14 +567,14 @@ def _twin_representatives(graph, masks):
     return rep
 
 
-def _solve_core(graph, masks, stats, parallel, trail):
+def _solve_core(graph, masks, stats):
     """Colouring, None (no colouring) or a violation, component by
     component."""
     colouring = [0] * graph.n
     for comp in connected_components(graph):
         sub, ids = induced_subgraph(graph, comp)
         sub_masks = [masks[v] for v in ids]
-        result = _solve_component(sub, sub_masks, stats, parallel, trail)
+        result = _solve_component(sub, sub_masks, stats)
         if isinstance(result, PromiseViolation):
             return result.relabel(ids)
         if result is None:
@@ -631,10 +584,10 @@ def _solve_core(graph, masks, stats, parallel, trail):
     return colouring
 
 
-def _solve_component(g, masks, stats, parallel, trail):
+def _solve_component(g, masks, stats):
     bip = bipartite_check(g)
     if isinstance(bip, Bipartition):
-        return _solve_bipartite(g, masks, bip, stats, parallel, trail)
+        return _solve_bipartite(g, masks, bip, stats)
 
     cycle = shortest_odd_cycle(g)
     length = len(cycle)
@@ -650,10 +603,10 @@ def _solve_component(g, masks, stats, parallel, trail):
     sk = build_skeleton(g, cycle)
     if isinstance(sk, PromiseViolation):
         return sk
-    return _solve_skeleton(g, masks, sk, stats, parallel, trail)
+    return _solve_skeleton(g, masks, sk, stats)
 
 
-def _solve_bipartite(g, masks, bip, stats, parallel, trail):
+def _solve_bipartite(g, masks, bip, stats):
     if all(m == FULL_MASK for m in masks):
         colouring = [0] * g.n
         for v in bip.a:
@@ -662,7 +615,7 @@ def _solve_bipartite(g, masks, bip, stats, parallel, trail):
             colouring[v] = 2
         return colouring
 
-    st = ListState(g, masks, trail)
+    st = ListState(g, masks)
     if propagate(st) is None:
         stats.propagations += st.removals
         return None
@@ -719,6 +672,8 @@ def _bipartite_fallback(g, st, stats):
 
 
 def _two_sat_leaf(g, st, stats):
+    """Finish a state with no full-mask vertex left by 2-SAT: a colouring,
+    or None."""
     inst, var_info = residual_to_2sat(st, g)
     stats.sat_instances += 1
     solution = solve_2sat(inst)
@@ -730,34 +685,24 @@ def _two_sat_leaf(g, st, stats):
     return colouring
 
 
-def _leaf_job(g, st):
-    """Finish one branch: safe elimination, the no-full-mask assertion, and
-    the 2-SAT residual.  Returns (tag, payload, removals, sat_count)."""
+def _finish_branch(g, st, stats):
+    """Finish one branch: safe elimination, propagation, the no-full-mask
+    check and the 2-SAT tail.  A colouring, a violation, or None."""
     eliminate_safe(st, g)
-    if propagate(st) is None:
-        return ("fail", None, st.removals, 0)
+    ok = propagate(st) is not None
+    stats.propagations += st.removals
+    if not ok:
+        return None
     full = st.full_mask_vertices()
     if full:
-        violation = PromiseViolation(
+        return PromiseViolation(
             STRUCTURE_BREACH, tuple(full),
             "vertex kept all three colours after safe elimination")
-        return ("breach", violation, st.removals, 0)
-    try:
-        inst, var_info = residual_to_2sat(st, g)
-    except PreconditionBreach as exc:
-        return ("breach",
-                PromiseViolation(STRUCTURE_BREACH, (), str(exc)),
-                st.removals, 0)
-    solution = solve_2sat(inst)
-    if solution is None:
-        return ("unsat", None, st.removals, 1)
-    colouring = list(st.assigned)
-    for idx, (v, lo, hi) in enumerate(var_info):
-        colouring[v] = lo if solution[idx] else hi
-    return ("sat", colouring, st.removals, 1)
+    stats.branches_survived += 1
+    return _two_sat_leaf(g, st, stats)
 
 
-def _solve_skeleton(g, masks, sk, stats, parallel, trail):
+def _solve_skeleton(g, masks, sk, stats):
     chains = {}
     anchor_masks = [masks[c] for c in sk.c]
     for c5col in enumerate_c5_colourings(anchor_masks):
@@ -769,53 +714,26 @@ def _solve_skeleton(g, masks, sk, stats, parallel, trail):
                     return chain
                 chains[i] = chain
 
-        base = ListState(g, masks, trail)
-        ok = True
-        for i in range(5):
-            if not base.assign(sk.c[i], c5col[i]):
-                ok = False
-                break
-        if ok:
-            for i, colour in palette.forced.items():
-                for v in sk.t[i]:
-                    if not base.assign(v, colour):
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if ok and propagate(base) is None:
-            ok = False
+        base = ListState(g, masks)
+        ok = (base.assign_all(anchor_seeds(sk, palette))
+              and propagate(base) is not None)
         stats.propagations += base.removals
         base.removals = 0
         if not ok:
             stats.branches += _branch_count(sk, chains, palette)
             continue
 
-        ta = t_case_choices(palette, chains, palette.undetermined[0])
-        tb = t_case_choices(palette, chains, palette.undetermined[1])
-        ds = [d_case_choices(sk, palette, i) for i in palette.free_d]
-        choice_lists = [ta, tb] + ds
-        suffix = [1] * (len(choice_lists) + 1)
-        for idx in range(len(choice_lists) - 1, -1, -1):
-            suffix[idx] = suffix[idx + 1] * len(choice_lists[idx])
-
-        def seeds_of(choice):
-            if isinstance(choice, TCase):
-                return _t_case_seeds(sk, palette, chains, choice)
-            return _d_case_seeds(sk, choice)
-
-        result = _consume_leaves(
-            g, stats, parallel,
-            _leaf_stream(base, choice_lists, seeds_of, suffix))
-        if result is not None:
-            return result
+        for leaf in _leaf_stream(sk, chains, palette, base, stats):
+            stats.branches += 1
+            result = _finish_branch(g, leaf, stats)
+            if result is not None:
+                return result
     return None
 
 
 def _branch_count(sk, chains, palette):
     """Number of branches of one anchor colouring, without building them:
-    the product of the lengths t_case_choices and d_case_choices would
-    return."""
+    the product of the lengths of the lists choice_lists would return."""
     count = 1
     for i in palette.undetermined:
         chain = chains.get(i)
@@ -829,100 +747,36 @@ def _branch_count(sk, chains, palette):
     return count
 
 
-def _leaf_stream(base, choice_lists, seeds_of, suffix):
-    """Yield ("leaf", state, pruned_branches, removals) events for every
-    surviving seed combination, in enumeration order, followed by one
-    ("end", None, pruned_branches, removals) event."""
-    pending = [0, 0]  # branches skipped, removals accrued since last leaf
+def _leaf_stream(sk, chains, palette, base, stats):
+    """Yield, in search order, the state of every branch of an anchor
+    colouring whose seeds survive propagation.  Each choice is seeded and
+    propagated once on a copy of its prefix's state; a failed choice prunes
+    every branch below it.  Pruned branches and colour removals are added
+    to stats as they happen."""
+    lists = [c for c in choice_lists(sk, chains, palette) if c[0] is not None]
+    below = [1] * (len(lists) + 1)  # branches under one choice at each depth
+    for idx in range(len(lists) - 1, -1, -1):
+        below[idx] = below[idx + 1] * len(lists[idx])
 
     def rec(state, idx):
-        if idx == len(choice_lists):
+        if idx == len(lists):
             yield state
             return
-        choices = choice_lists[idx]
-        if len(choices) == 1 and choices[0] is None:
-            yield from rec(state, idx + 1)
-            return
-        for choice in choices:
+        for choice in lists[idx]:
             st2 = state.copy()
-            ok = True
-            for v, colour in seeds_of(choice):
-                if not st2.assign(v, colour):
-                    ok = False
-                    break
-            if ok and propagate(st2) is None:
-                ok = False
-            pending[1] += st2.removals
+            ok = (st2.assign_all(case_seeds(sk, chains, palette, choice))
+                  and propagate(st2) is not None)
+            stats.propagations += st2.removals
             st2.removals = 0
-            if not ok:
-                pending[0] += suffix[idx + 1]
-                continue
-            yield from rec(st2, idx + 1)
+            if ok:
+                yield from rec(st2, idx + 1)
+            else:
+                stats.branches += below[idx + 1]
 
     # As in colour_blownup_c7, clearing rec breaks its closure cycle, which
     # would keep the choice lists and states alive; closing the stream early
     # runs this too.
     try:
-        for leaf in rec(base, 0):
-            b, p = pending
-            pending[0] = pending[1] = 0
-            yield ("leaf", leaf, b, p)
-        yield ("end", None, pending[0], pending[1])
+        yield from rec(base, 0)
     finally:
         rec = None
-
-
-def _consume_leaves(g, stats, parallel, stream):
-    """Evaluate leaves in order with first-success semantics; stats reflect
-    the sequential prefix up to the successful leaf regardless of any
-    parallel overshoot."""
-    if parallel <= 1:
-        for kind, st, pruned, removals in stream:
-            stats.branches += pruned
-            stats.propagations += removals
-            if kind == "end":
-                break
-            stats.branches += 1
-            outcome = _apply_leaf_result(stats, _leaf_job(g, st))
-            if outcome is not None:
-                return outcome
-        return None
-
-    with ThreadPoolExecutor(max_workers=parallel) as pool:
-        events = iter(stream)
-        done = False
-        while not done:
-            chunk = []
-            for event in events:
-                chunk.append(event)
-                if event[0] == "end" or len(chunk) >= parallel:
-                    break
-            if not chunk:
-                break
-            jobs = {}
-            for idx, event in enumerate(chunk):
-                if event[0] == "leaf":
-                    jobs[idx] = pool.submit(_leaf_job, g, event[1])
-            for idx, event in enumerate(chunk):
-                kind, _, pruned, removals = event
-                stats.branches += pruned
-                stats.propagations += removals
-                if kind == "end":
-                    done = True
-                    break
-                stats.branches += 1
-                outcome = _apply_leaf_result(stats, jobs[idx].result())
-                if outcome is not None:
-                    return outcome
-    return None
-
-
-def _apply_leaf_result(stats, result):
-    tag, payload, removals, sat_count = result
-    stats.propagations += removals
-    stats.sat_instances += sat_count
-    if sat_count:
-        stats.branches_survived += 1
-    if tag == "sat" or tag == "breach":
-        return payload
-    return None

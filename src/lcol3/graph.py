@@ -113,8 +113,7 @@ class Graph:
     instance parser).
 
     `adj` holds sorted neighbour tuples; for n <= BITMATRIX_LIMIT a per-vertex
-    bit row backs O(1) edge queries, otherwise binary search is used. Safe to
-    share across threads once built.
+    bit row backs O(1) edge queries, otherwise binary search is used.
     """
 
     __slots__ = ("n", "m", "adj", "bits")
@@ -133,12 +132,6 @@ class Graph:
         row = self.adj[u]
         i = bisect_left(row, v)
         return i < len(row) and row[i] == v
-
-    def neighbours(self, v):
-        return self.adj[v]
-
-    def degree(self, v):
-        return len(self.adj[v])
 
     def edges(self):
         """All edges as (u, v) with u < v, lexicographically ascending."""
@@ -205,15 +198,6 @@ def adjacency_masks(graph):
     if graph.bits is not None:
         return graph.bits
     return [VertexSet.from_iterable(graph.adj[v]).mask for v in range(graph.n)]
-
-
-def adjacency_query(graph, u, v):
-    """Symmetric edge predicate; vertices must be in range."""
-    if not (0 <= u < graph.n):
-        raise VertexRangeError(u, graph.n)
-    if not (0 <= v < graph.n):
-        raise VertexRangeError(v, graph.n)
-    return graph.has_edge(u, v)
 
 
 def connected_components(graph):

@@ -9,6 +9,7 @@ import sys
 from dataclasses import dataclass
 
 from .engine import FULL_MASK, colours_of, normalize_lists, verify_colouring
+from .errors import InternalError
 from .graph import build_graph
 from .recognition import check_promise, find_induced_p7
 
@@ -96,7 +97,8 @@ def oracle_solve(graph, lists=None):
         sys.setrecursionlimit(old_limit)
     if not found:
         return None
-    assert verify_colouring(graph, masks, colouring)
+    if not verify_colouring(graph, masks, colouring):
+        raise InternalError("oracle colouring failed its re-check")
     return colouring
 
 

@@ -4,7 +4,7 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
-from lcol3 import build_graph
+from lcol3 import anchor_seeds, build_graph, case_seeds
 from lcol3.graph import adjacency_masks, iter_bits
 
 
@@ -12,6 +12,16 @@ def brute_triangle_free(graph):
     return all(
         not (graph.has_edge(a, b) and graph.has_edge(b, c) and graph.has_edge(a, c))
         for a, b, c in combinations(range(graph.n), 3))
+
+
+def seeds_of_branch(sk, chains, palette, branch):
+    """All seeds of one branch, a pick from each of the anchor colouring's
+    choice lists: the anchor colouring's own seeds, then each case's."""
+    seeds = anchor_seeds(sk, palette)
+    for case in branch:
+        if case is not None:
+            seeds.extend(case_seeds(sk, chains, palette, case))
+    return seeds
 
 
 def subset_induces_path(graph, subset):

@@ -4,13 +4,13 @@ its measured numbers.  Run with `pytest tests/test_acceptance.py -v -s`.
 
 import random
 import time
+from itertools import product
 
-from conftest import check_witness
+from conftest import check_witness, seeds_of_branch
 from lcol3 import (build_chain, build_graph, build_skeleton, check_promise,
-                   colour_blownup_c7, enumerate_branches,
-                   enumerate_c5_colourings, palette_analysis, solve,
-                   verify_colouring)
-from lcol3.engine import FULL_MASK, branch_seeds
+                   choice_lists, colour_blownup_c7, enumerate_c5_colourings,
+                   palette_analysis, solve, verify_colouring)
+from lcol3.engine import FULL_MASK, DCase, TCase
 from lcol3.graph import Bipartition, bipartite_check
 from lcol3.recognition import recognize_blownup_c7, shortest_odd_cycle
 from lcol3.sat2 import TwoSatInstance, add_clause, solve_2sat
@@ -77,7 +77,7 @@ def test_criterion_1_and_3_oracle_equivalence():
           "failures across suite 1")
 
 
-def _agreeing_descriptor(sk, chains, palette, colouring):
+def _agreeing_branch(sk, chains, palette, colouring):
     t_cases = []
     for i in palette.undetermined:
         if not sk.t[i]:
@@ -87,7 +87,6 @@ def _agreeing_descriptor(sk, chains, palette, colouring):
         q = palette.q
         other = palette.options[i][1]
         levels = chain.levels
-        from lcol3.engine import TCase
         if all(colouring[v] == other for v in sk.t[i]):
             t_cases.append(TCase(i, "c"))
             continue
@@ -110,7 +109,6 @@ def _agreeing_descriptor(sk, chains, palette, colouring):
         if not sk.d[i]:
             d_cases.append(None)
             continue
-        from lcol3.engine import DCase
         a, b = palette.d_options[i]
         v = sk.d[i].min()
         if all(colouring[u] == a for u in sk.d[i]):
@@ -123,13 +121,12 @@ def _agreeing_descriptor(sk, chains, palette, colouring):
         else:
             vp = min(u for u in sk.d[i] if colouring[u] == a)
             d_cases.append(DCase(i, "f", a, b, v, vp))
-    from lcol3.engine import BranchDescriptor
-    return BranchDescriptor(palette.c5_colouring, tuple(t_cases), tuple(d_cases))
+    return tuple(t_cases + d_cases)
 
 
 def test_criterion_2_branch_completeness():
     """1,000 promise instances with n <= 14: every proper list-colouring
-    agrees with some enumerated branch's seeds.  Zero misses."""
+    agrees with some branch's seeds.  Zero misses."""
     t0 = time.perf_counter()
     instances = 0
     colourings_checked = 0
@@ -159,15 +156,16 @@ def test_criterion_2_branch_completeness():
         instances += 1
         for f in enumerate_colourings(graph, masks):
             anchor_col = tuple(f[c] for c in sk.c)
+            palette = palette_analysis(anchor_col)
             if anchor_col not in branch_sets:
                 branch_sets[anchor_col] = set(
-                    enumerate_branches(sk, chains, anchor_col))
-            palette = palette_analysis(anchor_col)
-            desc = _agreeing_descriptor(sk, chains, palette, f)
-            if desc not in branch_sets[anchor_col]:
+                    product(*choice_lists(sk, chains, palette)))
+            branch = _agreeing_branch(sk, chains, palette, f)
+            if branch not in branch_sets[anchor_col]:
                 misses += 1
                 continue
-            if any(f[v] != c for v, c in branch_seeds(sk, chains, desc)):
+            seeds = seeds_of_branch(sk, chains, palette, branch)
+            if any(f[v] != c for v, c in seeds):
                 misses += 1
             colourings_checked += 1
     elapsed = time.perf_counter() - t0
@@ -178,7 +176,7 @@ def test_criterion_2_branch_completeness():
 
 def test_criterion_4_exact_branch_count():
     """Constructed skeletons with known set sizes and chain shapes: the
-    enumerator's output size equals the closed-form product."""
+    number of branches equals the closed-form product."""
     checked = 0
     # T_1 (0-based) of size 3 with nested component neighbourhoods {5},{5,6};
     # D sets of sizes up to 3 sit on positions 0..2, the ones that coexist
@@ -202,7 +200,7 @@ def test_criterion_4_exact_branch_count():
 
         for col in enumerate_c5_colourings([FULL_MASK] * 5):
             palette = palette_analysis(col)
-            count = sum(1 for _ in enumerate_branches(sk, chains, col))
+            count = sum(1 for _ in product(*choice_lists(sk, chains, palette)))
             formula = 1
             for i in palette.undetermined:
                 if sk.t[i]:

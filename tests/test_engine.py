@@ -1,20 +1,24 @@
+import ast
 import gc
+import glob
 import os
 import random
 import subprocess
 import sys
 import types
+from itertools import product
 
 import pytest
 
-from lcol3 import (apply_branch, build_chain, build_graph, build_skeleton,
-                   colour_blownup_c7, eliminate_safe, enumerate_branches,
-                   enumerate_c5_colourings, palette_analysis, propagate,
-                   residual_to_2sat, solve, verify_colouring)
+from conftest import seeds_of_branch
+from lcol3 import (build_chain, build_graph, build_skeleton, choice_lists,
+                   colour_blownup_c7, eliminate_safe, enumerate_c5_colourings,
+                   palette_analysis, propagate, residual_to_2sat, solve,
+                   verify_colouring)
 import lcol3
 from lcol3 import engine
 from lcol3.engine import (FULL_MASK, InternalError, ListState,
-                          PreconditionBreach, branch_seeds, mask_of)
+                          PreconditionBreach, mask_of)
 from lcol3.graph import VertexSet
 from lcol3.recognition import false_twin_classes
 from lcol3.recognition import recognize_blownup_c7, shortest_odd_cycle
@@ -77,23 +81,24 @@ def _skeleton_instance(extra, n):
     return g, sk, chains
 
 
+def _branches(sk, chains, col):
+    return list(product(*choice_lists(sk, chains, palette_analysis(col))))
+
+
 def test_enumerate_branches_trivial():
     g, sk, chains = _skeleton_instance([], 5)
-    branches = list(enumerate_branches(sk, chains, (1, 2, 1, 2, 3)))
-    assert len(branches) == 1
-    assert branches[0].t_cases == (None, None)
-    assert branches[0].d_cases == (None, None, None)
+    assert _branches(sk, chains, (1, 2, 1, 2, 3)) == [(None,) * 5]
 
 
 def test_enumerate_branches_t_set_of_three():
     # T_2 (0-based index 1) of size 3, no components: 2 + 2*(|T|-1) = 6
     extra = [(5, 0), (5, 2), (6, 0), (6, 2), (7, 0), (7, 2)]
     g, sk, chains = _skeleton_instance(extra, 8)
-    branches = list(enumerate_branches(sk, chains, (1, 2, 1, 2, 3)))
+    branches = _branches(sk, chains, (1, 2, 1, 2, 3))
     assert len(branches) == 6
-    tags = [b.t_cases[0].tag for b in branches]
+    tags = [b[0].tag for b in branches]
     assert tags == ["c", "d", "a", "a", "b", "b"]
-    witnesses = [b.t_cases[0].w for b in branches if b.t_cases[0].tag == "a"]
+    witnesses = [b[0].w for b in branches if b[0].tag == "a"]
     assert witnesses == [6, 7]
 
 
@@ -101,9 +106,9 @@ def test_enumerate_branches_single_free_d():
     # one D vertex on a free index: only whole-set cases (g), (h)
     extra = [(5, 4)]
     g, sk, chains = _skeleton_instance(extra, 6)
-    branches = list(enumerate_branches(sk, chains, (1, 2, 1, 2, 3)))
+    branches = _branches(sk, chains, (1, 2, 1, 2, 3))
     assert len(branches) == 2
-    assert [b.d_cases[2].tag for b in branches] == ["g", "h"]
+    assert [b[4].tag for b in branches] == ["g", "h"]
 
 
 def test_enumerate_branches_count_formula():
@@ -120,7 +125,7 @@ def test_enumerate_branches_count_formula():
         chains = {i: build_chain(g, sk, i) for i in range(5) if sk.t[i]}
         col = rng.choice(enumerate_c5_colourings([FULL_MASK] * 5))
         pal = palette_analysis(col)
-        count = sum(1 for _ in enumerate_branches(sk, chains, col))
+        count = len(_branches(sk, chains, col))
         formula = 1
         for i in pal.undetermined:
             if sk.t[i]:
@@ -145,11 +150,11 @@ def test_apply_branch_case_c():
     extra = [(5, 0), (5, 2), (6, 0), (6, 2)]
     g, sk, chains = _skeleton_instance(extra, 7)
     col = (1, 2, 1, 2, 3)
-    branches = list(enumerate_branches(sk, chains, col))
-    case_c = branches[0]
-    assert case_c.t_cases[0].tag == "c"
+    case_c = _branches(sk, chains, col)[0]
+    assert case_c[0].tag == "c"
     st = ListState(g, [FULL_MASK] * g.n)
-    assert apply_branch(st, case_c, sk, chains) is st
+    assert st.assign_all(seeds_of_branch(sk, chains, palette_analysis(col),
+                                         case_c))
     # palette of T_2 is {2,3}; case (c) forces the non-shared colour 2
     assert st.masks[5] == mask_of([2]) and st.masks[6] == mask_of([2])
 
@@ -158,11 +163,11 @@ def test_apply_branch_case_a_k0():
     extra = [(5, 0), (5, 2), (6, 0), (6, 2)]
     g, sk, chains = _skeleton_instance(extra, 7)
     col = (1, 2, 1, 2, 3)
-    branches = list(enumerate_branches(sk, chains, col))
-    case_a = next(b for b in branches if b.t_cases[0] and b.t_cases[0].tag == "a")
-    assert case_a.t_cases[0].k == 0 and case_a.t_cases[0].w == 6
+    case_a = next(b for b in _branches(sk, chains, col)
+                  if b[0] and b[0].tag == "a")
+    assert case_a[0].k == 0 and case_a[0].w == 6
     st = ListState(g, [FULL_MASK] * g.n)
-    apply_branch(st, case_a, sk, chains)
+    st.assign_all(seeds_of_branch(sk, chains, palette_analysis(col), case_a))
     assert st.masks[5] == mask_of([2])  # v0 takes the non-shared colour
     assert st.masks[6] == mask_of([3])  # witness takes q
 
@@ -171,19 +176,21 @@ def test_apply_branch_case_e():
     extra = [(5, 4), (6, 4)]  # D_5 (0-based 4) with two vertices
     g, sk, chains = _skeleton_instance(extra, 7)
     col = (1, 2, 1, 2, 3)
-    branches = list(enumerate_branches(sk, chains, col))
-    case_e = next(b for b in branches if b.d_cases[2] and b.d_cases[2].tag == "e")
-    assert (case_e.d_cases[2].a, case_e.d_cases[2].b) == (1, 2)
+    case_e = next(b for b in _branches(sk, chains, col)
+                  if b[4] and b[4].tag == "e")
+    assert (case_e[4].a, case_e[4].b) == (1, 2)
     st = ListState(g, [FULL_MASK] * g.n)
-    apply_branch(st, case_e, sk, chains)
+    st.assign_all(seeds_of_branch(sk, chains, palette_analysis(col), case_e))
     assert st.masks[5] == mask_of([1]) and st.masks[6] == mask_of([2])
 
 
 def test_apply_branch_conflict():
     g, sk, chains = _skeleton_instance([], 5)
-    branches = list(enumerate_branches(sk, chains, (1, 2, 1, 2, 3)))
+    col = (1, 2, 1, 2, 3)
+    branch = _branches(sk, chains, col)[0]
     st = ListState(g, [mask_of([2])] + [FULL_MASK] * 4)
-    assert apply_branch(st, branches[0], sk, chains) is None
+    assert not st.assign_all(seeds_of_branch(sk, chains, palette_analysis(col),
+                                             branch))
 
 
 def test_propagate_removes_colour():
@@ -207,18 +214,6 @@ def test_propagate_c5_partial():
     assert st.masks[0] == mask_of([1, 2])
     assert st.masks[3] == mask_of([1, 2])
     assert st.masks[1] == FULL_MASK and st.masks[2] == FULL_MASK
-
-
-def test_propagate_trail_replay():
-    g = cycle_graph(5)
-    initial = [FULL_MASK, FULL_MASK, mask_of([1]), FULL_MASK, mask_of([3])]
-    st = ListState(g, initial, trail=True)
-    assert propagate(st) is st
-    replayed = list(initial)
-    for v, colour, _cause in st.trail:
-        assert replayed[v] & (1 << (colour - 1))
-        replayed[v] &= ~(1 << (colour - 1))
-    assert replayed == st.masks
 
 
 def test_eliminate_safe_common_missing_colour():
@@ -246,8 +241,9 @@ def test_eliminate_safe_debug_idempotent():
     g = path_graph(5)
     st = ListState(g, [mask_of([1, 2]), FULL_MASK, mask_of([1, 2]),
                        FULL_MASK, mask_of([1, 2])])
-    out = eliminate_safe(st, g, debug=True)
+    out = eliminate_safe(st, g)
     assert out == [(1, 3), (3, 3)]
+    assert eliminate_safe(st, g) == []
 
 
 def test_residual_both_masks_equal():
@@ -426,10 +422,11 @@ def test_branch_completeness_small_instances():
         for f in enumerate_colourings(g, masks):
             col = tuple(f[c] for c in sk.c)
             if col not in per_colouring:
-                per_colouring[col] = list(enumerate_branches(sk, chains, col))
+                per_colouring[col] = _branches(sk, chains, col)
+            palette = palette_analysis(col)
             agreeing = False
-            for desc in per_colouring[col]:
-                seeds = branch_seeds(sk, chains, desc)
+            for branch in per_colouring[col]:
+                seeds = seeds_of_branch(sk, chains, palette, branch)
                 if all(f[v] == c for v, c in seeds):
                     agreeing = True
                     break
@@ -451,12 +448,12 @@ def test_solve_deterministic_and_parallel_equivalent():
     for seed in (0, 3, 11):
         g, masks = generate(GenSpec("skeleton_built", seed=seed, scale=25,
                                     lists="random"))
-        runs = [solve(g, masks, parallel=p) for p in (1, 1, 4)]
-        assert runs[0].kind == runs[1].kind == runs[2].kind
-        assert runs[0].colouring == runs[1].colouring == runs[2].colouring
+        runs = [solve(g, masks) for _ in range(2)]
+        assert runs[0].kind == runs[1].kind
+        assert runs[0].colouring == runs[1].colouring
         key = lambda s: (s.branches, s.branches_survived, s.propagations,
                          s.sat_instances, s.fallback_used)
-        assert key(runs[0].stats) == key(runs[1].stats) == key(runs[2].stats)
+        assert key(runs[0].stats) == key(runs[1].stats)
 
 
 def test_oracle_equivalence_random_sample():
@@ -487,7 +484,7 @@ def test_branches_count_every_branch_on_unsat_twin_free_instances():
         assert out.is_unsat
         sk = build_skeleton(g, shortest_odd_cycle(g))
         chains = {i: build_chain(g, sk, i) for i in range(5) if sk.t[i]}
-        total = sum(len(list(enumerate_branches(sk, chains, col)))
+        total = sum(len(_branches(sk, chains, col))
                     for col in enumerate_c5_colourings([masks[c] for c in sk.c]))
         assert total > 0 and out.stats.branches == total
 
@@ -591,9 +588,25 @@ def test_failed_2sat_self_check_raises_under_optimisation():
     # the C5's same-level edge 2-3 sits at depth 2, not 3
     ("from lcol3 import recognition",
      "recognition._extract_odd_cycle(cycle_graph(5), 0, 2, 3, 3)"),
+    # the oracle's colouring fails its re-check
+    ("from lcol3 import testkit; "
+     "testkit.verify_colouring = lambda *args: False",
+     "testkit.oracle_solve(cycle_graph(5))"),
 ])
 def test_answer_guards_raise_under_optimisation(setup, call):
     _raises_internal_error_under_optimisation(setup, call)
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, so none may guard the package.
+    package = os.path.dirname(os.path.abspath(lcol3.__file__))
+    found = []
+    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        found += [f"{os.path.basename(path)}:{node.lineno}"
+                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_solves_leave_no_reference_cycles():

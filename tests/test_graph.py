@@ -5,8 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import graphs
-from lcol3 import (Bipartition, VertexSet, adjacency_query, bipartite_check,
-                   build_graph, connected_components)
+from lcol3 import (Bipartition, VertexSet, bipartite_check, build_graph,
+                   connected_components)
 from lcol3.graph import (BITMATRIX_LIMIT, DuplicateEdgeError, LoopEdgeError,
                          VertexRangeError, induced_subgraph)
 from lcol3.testkit import cycle_graph
@@ -104,11 +104,9 @@ def test_induced_subgraph_matches_build_graph_on_induced_edges(case, data):
 
 def test_adjacency_query_c5():
     g = cycle_graph(5)
-    assert adjacency_query(g, 0, 1)
-    assert not adjacency_query(g, 0, 2)
-    assert not adjacency_query(g, 3, 3)
-    with pytest.raises(VertexRangeError):
-        adjacency_query(g, 0, 5)
+    assert g.has_edge(0, 1) and g.has_edge(4, 0)
+    assert not g.has_edge(0, 2)
+    assert not g.has_edge(3, 3)
 
 
 def test_adjacency_query_symmetric_exhaustive():
@@ -118,7 +116,7 @@ def test_adjacency_query_symmetric_exhaustive():
     g = build_graph(n, rng.sample(pairs, 200))
     for u in range(n):
         for v in range(n):
-            assert adjacency_query(g, u, v) == adjacency_query(g, v, u)
+            assert g.has_edge(u, v) == g.has_edge(v, u)
 
 
 def test_components_c5_plus_k2():
@@ -198,7 +196,7 @@ def test_bipartite_xor_odd_cycle(g):
 
 @given(graphs())
 def test_degree_sum_is_twice_edge_count(g):
-    assert sum(g.degree(v) for v in range(g.n)) == 2 * g.m
+    assert sum(len(g.adj[v]) for v in range(g.n)) == 2 * g.m
 
 
 @given(graphs())

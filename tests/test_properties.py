@@ -141,15 +141,3 @@ def test_filtered_random_graphs_match_oracle():
         if outcome.is_sat:
             assert verify_colouring(g, masks, outcome.colouring)
     assert accepted >= 100
-
-
-def test_twin_expanded_blowups_solve_at_parallel_settings():
-    for seed in range(25):
-        rng = random.Random(seed + 5000)
-        base, _ = generate(GenSpec("skeleton_built", seed=seed, scale=18))
-        expanded = twin_expand(base, rng, rng.randint(1, 6))
-        assert check_promise(expanded) is None
-        masks = random_masks(rng, expanded.n)
-        a = solve(expanded, masks, parallel=1)
-        b = solve(expanded, masks, parallel=3)
-        assert a.kind == b.kind and a.colouring == b.colouring
