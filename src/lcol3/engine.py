@@ -10,8 +10,8 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import InternalError
-from .graph import (Bipartition, bipartite_check, connected_components,
-                    induced_subgraph, iter_bits)
+from .graph import (Bipartition, VertexSet, bipartite_check,
+                    connected_components, induced_subgraph, iter_bits)
 from .recognition import (STRUCTURE_BREACH, PromiseViolation, check_promise,
                           false_twin_classes, p7_witness, recognize_blownup_c7,
                           shortest_odd_cycle, triangle_witness)
@@ -511,9 +511,11 @@ def solve(graph, lists=None, mode="trust"):
     L(v).  Every triangle and every induced P7 holds at most one vertex of
     each false-twin class, and the reduced graph keeps at least one vertex
     of each class, so it is in the promise class exactly when the input is;
-    witnesses found on it are vertices of the input in its own labels.  An
-    input with nothing to drop is solved on the graph object itself.  Every
-    SAT answer is re-checked on the input graph and lists.
+    witnesses found on it are vertices of the input in its own labels.  Each
+    component of the reduced graph, in order of smallest vertex, is copied
+    once from the input (a connected input with nothing to drop is solved
+    on the graph object itself).  Every SAT answer is re-checked on the
+    input graph and lists.
     """
     if mode not in ("trust", "verify"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -528,20 +530,24 @@ def solve(graph, lists=None, mode="trust"):
             return Outcome("invalid", None, violation, stats)
 
     rep = _twin_representatives(graph, masks)
-    kept = [v for v in range(graph.n) if rep[v] == v]
-    core, ids = induced_subgraph(graph, kept)
-    result = _solve_core(core, [masks[v] for v in ids], stats)
-    if isinstance(result, PromiseViolation):
-        stats.millis = (time.perf_counter() - t0) * 1000.0
-        return Outcome("invalid", None, result.relabel(ids), stats)
-    if result is None:
-        stats.millis = (time.perf_counter() - t0) * 1000.0
-        return Outcome("unsat", None, None, stats)
+    kept = sum(1 << v for v, u in enumerate(rep) if u == v)
+    # A dropped vertex sees what its kept twin sees, so the components of
+    # the kept subgraph are the input's components cut to kept vertices.
+    comps = [c.mask & kept for c in connected_components(graph)]
+    colouring = [0] * graph.n
+    for comp in sorted(filter(None, comps), key=lambda c: c & -c):
+        sub, ids = induced_subgraph(graph, VertexSet(comp))
+        result = _solve_component(sub, [masks[v] for v in ids], stats)
+        if isinstance(result, PromiseViolation):
+            stats.millis = (time.perf_counter() - t0) * 1000.0
+            return Outcome("invalid", None, result.relabel(ids), stats)
+        if result is None:
+            stats.millis = (time.perf_counter() - t0) * 1000.0
+            return Outcome("unsat", None, None, stats)
+        for local, v in enumerate(ids):
+            colouring[v] = result[local]
 
-    placed = [0] * graph.n
-    for local, v in enumerate(ids):
-        placed[v] = result[local]
-    colouring = [placed[u] for u in rep]
+    colouring = [colouring[u] for u in rep]
     if not verify_colouring(graph, masks, colouring):
         raise InternalError("SAT colouring failed the final re-check")
     stats.millis = (time.perf_counter() - t0) * 1000.0
@@ -565,23 +571,6 @@ def _twin_representatives(graph, masks):
             m = masks[v]
             rep[v] = next(u for u in kept if masks[u] & ~m == 0)
     return rep
-
-
-def _solve_core(graph, masks, stats):
-    """Colouring, None (no colouring) or a violation, component by
-    component."""
-    colouring = [0] * graph.n
-    for comp in connected_components(graph):
-        sub, ids = induced_subgraph(graph, comp)
-        sub_masks = [masks[v] for v in ids]
-        result = _solve_component(sub, sub_masks, stats)
-        if isinstance(result, PromiseViolation):
-            return result.relabel(ids)
-        if result is None:
-            return None
-        for local, v in enumerate(ids):
-            colouring[v] = result[local]
-    return colouring
 
 
 def _solve_component(g, masks, stats):

@@ -1,17 +1,13 @@
-"""Immutable simple-graph core: dense integer vertices, bitset vertex sets,
-constant-time edge queries, components and bipartiteness."""
+"""Immutable simple-graph core: dense integer vertices, each with a sorted
+neighbour tuple and an int bit row of its neighbours; bitset vertex sets,
+components and bipartiteness."""
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 
 from .errors import InternalError
-
-# Above this vertex count the per-vertex bit rows would exceed the desk-scale
-# memory cap (~2 MB), so the edge predicate falls back to binary search.
-BITMATRIX_LIMIT = 4096
 
 
 class GraphError(ValueError):
@@ -112,8 +108,8 @@ class Graph:
     `_graph_from_rows` (through `build_graph`, `induced_subgraph` or the
     instance parser).
 
-    `adj` holds sorted neighbour tuples; for n <= BITMATRIX_LIMIT a per-vertex
-    bit row backs O(1) edge queries, otherwise binary search is used.
+    `adj[u]` is the sorted tuple of u's neighbours and `bits[u]` the int
+    bitmask of the same set; edge queries read the bit row.
     """
 
     __slots__ = ("n", "m", "adj", "bits")
@@ -125,13 +121,7 @@ class Graph:
         self.m = m
 
     def has_edge(self, u, v):
-        if u == v:
-            return False
-        if self.bits is not None:
-            return (self.bits[u] >> v) & 1 == 1
-        row = self.adj[u]
-        i = bisect_left(row, v)
-        return i < len(row) and row[i] == v
+        return (self.bits[u] >> v) & 1 == 1
 
     def edges(self):
         """All edges as (u, v) with u < v, lexicographically ascending."""
@@ -167,9 +157,8 @@ def _graph_from_rows(n, rows):
     `rows[u]` lists the neighbours of u in any order, each edge appearing in
     the rows of both its endpoints; the lists are sorted in place.  Callers
     have checked ranges and loops.  A neighbour listed twice in a row is a
-    duplicate edge and raises DuplicateEdgeError naming the pair with u < v:
-    below BITMATRIX_LIMIT the bit row's popcount falls short of the row's
-    length, above it the row's set does.
+    duplicate edge, seen as a bit row whose popcount falls short of the
+    row's length, and raises DuplicateEdgeError naming the pair with u < v.
     """
     for row in rows:
         row.sort()
@@ -178,13 +167,9 @@ def _graph_from_rows(n, rows):
     # another then keeps growing.  Sized from a list, it stays flat.
     adj = list(map(tuple, rows))
     lengths = list(map(len, rows))
-    if n <= BITMATRIX_LIMIT:
-        power = [1 << v for v in range(n)].__getitem__
-        bits = [sum(map(power, row)) for row in rows]
-        sizes = list(map(int.bit_count, bits))
-    else:
-        bits = None
-        sizes = list(map(len, map(set, rows)))
+    power = [1 << v for v in range(n)].__getitem__
+    bits = [sum(map(power, row)) for row in rows]
+    sizes = list(map(int.bit_count, bits))
     if sizes != lengths:
         u = next(u for u in range(n) if sizes[u] != lengths[u])
         row = rows[u]
@@ -193,32 +178,31 @@ def _graph_from_rows(n, rows):
     return Graph(n, adj, bits, sum(lengths) // 2)
 
 
-def adjacency_masks(graph):
-    """Per-vertex neighbour bitmasks; built on demand above BITMATRIX_LIMIT."""
-    if graph.bits is not None:
-        return graph.bits
-    return [VertexSet.from_iterable(graph.adj[v]).mask for v in range(graph.n)]
+def components_within(graph, mask):
+    """Components of the subgraph induced by the vertex bitmask `mask`, as
+    int masks ordered by smallest member.
+
+    Each BFS layer is the union of its predecessor's bit rows, cut to the
+    vertices not yet reached."""
+    bits = graph.bits
+    out = []
+    while mask:
+        comp = frontier = mask & -mask
+        mask ^= frontier
+        while frontier:
+            reach = 0
+            for x in iter_bits(frontier):
+                reach |= bits[x]
+            frontier = reach & mask
+            mask ^= frontier
+            comp |= frontier
+        out.append(comp)
+    return out
 
 
 def connected_components(graph):
     """Partition of the vertices into components, ordered by smallest member."""
-    seen = bytearray(graph.n)
-    out = []
-    for root in range(graph.n):
-        if seen[root]:
-            continue
-        seen[root] = 1
-        comp = 1 << root
-        queue = deque([root])
-        while queue:
-            x = queue.popleft()
-            for y in graph.adj[x]:
-                if not seen[y]:
-                    seen[y] = 1
-                    comp |= 1 << y
-                    queue.append(y)
-        out.append(VertexSet(comp))
-    return out
+    return [VertexSet(c) for c in components_within(graph, (1 << graph.n) - 1)]
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import InternalError
-from .graph import VertexSet, adjacency_masks, induced_subgraph, iter_bits
+from .graph import VertexSet, induced_subgraph, iter_bits
 
 TRIANGLE = "triangle"
 INDUCED_P7 = "induced_p7"
@@ -83,7 +83,7 @@ def p7_witness(graph, vertices, note=""):
 
 def find_triangle(graph):
     """First triangle in edge order, or None if the graph is triangle-free."""
-    bits = adjacency_masks(graph)
+    bits = graph.bits
     for u in range(graph.n):
         row_u = bits[u]
         for v in graph.adj[u]:
@@ -125,7 +125,7 @@ def find_induced_p7(graph):
     if n < 7:
         return None
     adj = graph.adj
-    bits = adjacency_masks(graph)
+    bits = graph.bits
     for c in range(n):
         row_c = bits[c]
         around = adj[c]
@@ -172,7 +172,7 @@ def shortest_odd_cycle(graph):
     winning root the lexicographically first same-level edge.
     """
     n = graph.n
-    bits = adjacency_masks(graph)
+    bits = graph.bits
     full = (1 << n) - 1
 
     best_len = None
@@ -246,7 +246,7 @@ def _extract_odd_cycle(graph, s, a, b, depth):
 
 def false_twin_classes(graph):
     """Partition of the vertices into classes of equal neighbourhood."""
-    bits = adjacency_masks(graph)
+    bits = graph.bits
     groups = {}
     for v in range(graph.n):
         groups.setdefault(bits[v], []).append(v)
@@ -329,7 +329,7 @@ def recognize_blownup_c7(graph, c7):
     if covered != (1 << n) - 1:
         return _uncovered_witness(graph, c7, classes, covered)
 
-    bits = adjacency_masks(graph)
+    bits = graph.bits
     for i in range(7):
         # stability: two class members sharing the next cycle vertex
         for v in classes[i]:

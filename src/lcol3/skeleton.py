@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .graph import (Bipartition, VertexSet, adjacency_masks, bipartite_check,
+from .graph import (Bipartition, VertexSet, bipartite_check, components_within,
                     induced_subgraph, iter_bits)
 from .recognition import (STRUCTURE_BREACH, PromiseViolation, p7_witness,
                           triangle_witness)
@@ -93,7 +93,7 @@ def build_skeleton(graph, c5):
     c5 = tuple(c5)
     if not _induces_c5(graph, c5):
         return PromiseViolation(STRUCTURE_BREACH, c5, "anchor vertices do not induce a C5")
-    bits = adjacency_masks(graph)
+    bits = graph.bits
     pos = {v: i for i, v in enumerate(c5)}
 
     t_sets = [0] * 5
@@ -138,7 +138,7 @@ def build_skeleton(graph, c5):
         d_all |= m
 
     rest = ((1 << graph.n) - 1) & ~s_mask
-    comps = _components_within(graph, rest)
+    comps = components_within(graph, rest)
     w_mask = 0
     infos = []
     for comp in comps:
@@ -161,36 +161,10 @@ def build_skeleton(graph, c5):
     )
 
 
-def _components_within(graph, mask):
-    out = []
-    todo = mask
-    while todo:
-        root = (todo & -todo).bit_length() - 1
-        comp = 1 << root
-        queue = deque([root])
-        todo ^= 1 << root
-        while queue:
-            x = queue.popleft()
-            for y in graph.adj[x]:
-                b = 1 << y
-                if todo & b:
-                    todo ^= b
-                    comp |= b
-                    queue.append(y)
-        out.append(comp)
-    return out
-
-
-def _d_index_of(d_sets, u):
+def _index_of(sets, u):
+    """The position i with u in sets[i] (five disjoint int masks), or None."""
     for i in range(5):
-        if (d_sets[i] >> u) & 1:
-            return i
-    return None
-
-
-def _t_index_of(t_sets, u):
-    for i in range(5):
-        if (t_sets[i] >> u) & 1:
+        if (sets[i] >> u) & 1:
             return i
     return None
 
@@ -202,7 +176,7 @@ def _validate_gs_component(graph, bits, c5, t_sets, d_sets, d_all, s_mask, comp)
         hit = bits[x] & d_all
         if hit:
             u = (hit & -hit).bit_length() - 1
-            i = _d_index_of(d_sets, u)
+            i = _index_of(d_sets, u)
             y = ((bits[x] & comp) & -(bits[x] & comp)).bit_length() - 1
             if graph.has_edge(y, u):
                 return triangle_witness(graph, x, y, u)
@@ -223,7 +197,7 @@ def _validate_gs_component(graph, bits, c5, t_sets, d_sets, d_all, s_mask, comp)
         x, y, z, u = mismatch
         if graph.has_edge(y, u):
             return triangle_witness(graph, x, y, u)
-        ti = _t_index_of(t_sets, u)
+        ti = _index_of(t_sets, u)
         if ti is None:
             return PromiseViolation(STRUCTURE_BREACH, (x, y, z, u),
                                     "non-uniform S-neighbourhood outside the T sets")
@@ -336,11 +310,11 @@ def _odd_cycle_escape_witness(graph, bits, c5, t_sets, d_sets, s_mask, comp, cyc
         return triangle_witness(graph, c1, c2, c3)
 
     s_vertex = path[-1]
-    ti = _t_index_of(t_sets, s_vertex)
+    ti = _index_of(t_sets, s_vertex)
     if ti is not None:
         ext = (c5[(ti + 1) % 5], c5[(ti + 2) % 5], c5[(ti + 3) % 5])
     else:
-        di = _d_index_of(d_sets, s_vertex)
+        di = _index_of(d_sets, s_vertex)
         if di is None:
             return PromiseViolation(STRUCTURE_BREACH, (s_vertex,),
                                     "escape path ended on the anchor cycle")
@@ -352,13 +326,13 @@ def _odd_cycle_escape_witness(graph, bits, c5, t_sets, d_sets, s_mask, comp, cyc
 def wd_components(graph, sk, i):
     """Non-trivial components of G[W ∪ D_i] with per-side uniform
     T_i-neighbourhoods; returns a list of WDComponent or a PromiseViolation."""
-    bits = adjacency_masks(graph)
+    bits = graph.bits
     c5 = sk.c
     ti_mask = sk.t[i].mask
     d_masks = [s.mask for s in sk.d]
     verts = sk.w.mask | d_masks[i]
     out = []
-    for comp in _components_within(graph, verts):
+    for comp in components_within(graph, verts):
         if comp.bit_count() == 1:
             continue
         w_side = comp & sk.w.mask
@@ -450,7 +424,7 @@ def build_chain(graph, sk, i):
 
 
 def _chain_order_witness(graph, sk, i, mask_a, comp_a, mask_b, comp_b):
-    bits = adjacency_masks(graph)
+    bits = graph.bits
     u = ((mask_a & ~mask_b) & -(mask_a & ~mask_b)).bit_length() - 1
     z = ((mask_b & ~mask_a) & -(mask_b & ~mask_a)).bit_length() - 1
     va = bits[u] & comp_a

@@ -91,10 +91,13 @@ def oracle_solve(graph, lists=None):
         colouring[v] = 0
         return False
 
+    # rec refers to itself (and to pick) through closure cells; clearing
+    # the name breaks that cycle, as in engine.colour_blownup_c7.
     try:
         found = rec()
     finally:
         sys.setrecursionlimit(old_limit)
+        rec = None
     if not found:
         return None
     if not verify_colouring(graph, masks, colouring):
@@ -123,7 +126,12 @@ def enumerate_colourings(graph, lists=None):
             yield from rec(v + 1)
         colouring[v] = 0
 
-    yield from rec(0)
+    # As in oracle_solve, clearing rec breaks its closure cycle; closing the
+    # generator early runs this too.
+    try:
+        yield from rec(0)
+    finally:
+        rec = None
 
 
 # ---------------------------------------------------------------------------

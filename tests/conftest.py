@@ -5,7 +5,7 @@ from itertools import combinations
 from hypothesis import strategies as st
 
 from lcol3 import anchor_seeds, build_graph, case_seeds
-from lcol3.graph import adjacency_masks, iter_bits
+from lcol3.graph import iter_bits
 
 
 def brute_triangle_free(graph):
@@ -60,7 +60,7 @@ def reference_induced_p7(graph):
     depth-first search: a path grows by a neighbour of its last vertex that
     sees no earlier one.  Independent of the solver's middle-out search,
     which the tests check against it."""
-    bits = adjacency_masks(graph)
+    bits = graph.bits
     path = []
 
     def extend(v, blocked):

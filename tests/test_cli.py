@@ -241,7 +241,7 @@ def test_solve_oracle_agree_on_corpus():
         assert out.is_sat == (oracle_solve(g, masks) is not None), path.name
 
 
-def test_output_byte_determinism_across_parallel(capsys):
+def test_output_byte_determinism_across_runs(capsys):
     inst = str(INSTANCES / "skeleton_lists.lcol")
     outputs = []
     for args in (["solve", inst], ["solve", inst]):

@@ -369,6 +369,18 @@ def test_solve_disconnected_components():
     assert out.is_sat and verify_colouring(g, None, out.colouring)
 
 
+def test_solve_walks_components_by_smallest_kept_vertex():
+    # 0 is a dropped twin of 5 (both see only 6).  Walked by smallest input
+    # vertex, {0, 5, 6} would come first and answer unsat, since 5 and 6
+    # both need colour 1; by smallest kept vertex the triangle comes first.
+    g = build_graph(7, [(0, 6), (5, 6), (1, 2), (2, 3), (1, 3)])
+    lists = [FULL_MASK] * 7
+    lists[5] = lists[6] = mask_of([1])
+    out = solve(g, lists, mode="trust")
+    assert out.is_invalid and out.violation.kind == "triangle"
+    assert tuple(out.violation.vertices) == (1, 2, 3)
+
+
 def test_solve_trust_mode_detects_triangle_on_path():
     g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
     out = solve(g, mode="trust")
@@ -444,7 +456,7 @@ def test_claims_leave_no_full_masks_on_promise_instances():
         assert not out.is_invalid, (seed, out.violation)
 
 
-def test_solve_deterministic_and_parallel_equivalent():
+def test_solve_deterministic_across_runs():
     for seed in (0, 3, 11):
         g, masks = generate(GenSpec("skeleton_built", seed=seed, scale=25,
                                     lists="random"))
@@ -611,7 +623,8 @@ def test_package_has_no_assert_statements():
 
 def test_solves_leave_no_reference_cycles():
     # The skeleton solve runs _leaf_stream; verify mode on a blown-up C7 runs
-    # find_induced_p7 and colour_blownup_c7.
+    # find_induced_p7 and colour_blownup_c7; the oracle and the enumerator
+    # are the test kit's recursive searches.
     sk_graph, sk_masks = generate(GenSpec("skeleton_built", seed=6, scale=25,
                                           lists="random"))
     verify_graph, _ = generate(GenSpec("blownup_c7", seed=4))
@@ -623,6 +636,8 @@ def test_solves_leave_no_reference_cycles():
     try:
         sk_stats = solve(sk_graph, sk_masks).stats
         solve(verify_graph, mode="verify")
+        oracle_solve(cycle_graph(5))
+        list(enumerate_colourings(cycle_graph(5)))
         gc.collect()
         leaked = [type(obj).__name__ for obj in gc.garbage[start:]
                   if isinstance(obj, kept)]

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from conftest import graphs
 from lcol3 import (Bipartition, VertexSet, bipartite_check, build_graph,
                    connected_components)
-from lcol3.graph import (BITMATRIX_LIMIT, DuplicateEdgeError, LoopEdgeError,
-                         VertexRangeError, induced_subgraph)
+from lcol3.graph import (DuplicateEdgeError, LoopEdgeError, VertexRangeError,
+                         induced_subgraph)
 from lcol3.testkit import cycle_graph
 
 
@@ -40,9 +40,9 @@ def test_build_rejects_out_of_range():
 
 @st.composite
 def edge_lists(draw, min_size=0):
-    """A vertex count, on either side of BITMATRIX_LIMIT, and distinct edges
-    in random orientation."""
-    n = draw(st.one_of(st.integers(1, 12), st.just(BITMATRIX_LIMIT + 1)))
+    """A vertex count, small or large enough that a bit row spans many int
+    digits, and distinct edges in random orientation."""
+    n = draw(st.one_of(st.integers(1, 12), st.just(4097)))
     vertex = st.integers(0, n - 1)
     edges = draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]),
                           min_size=min_size, max_size=30,
@@ -57,12 +57,10 @@ def reference_graph(n, edges):
         nbrs[u].add(v)
         nbrs[v].add(u)
     adj = [tuple(sorted(row)) for row in nbrs]
-    bits = None
-    if n <= BITMATRIX_LIMIT:
-        bits = [0] * n
-        for u, v in edges:
-            bits[u] |= 1 << v
-            bits[v] |= 1 << u
+    bits = [0] * n
+    for u, v in edges:
+        bits[u] |= 1 << v
+        bits[v] |= 1 << u
     return adj, bits, len(edges)
 
 

@@ -219,8 +219,7 @@ def test_component_edge_t_neighbourhood_union_property():
         sk = build_skeleton(g, cyc)
         if not isinstance(sk, Skeleton):
             continue
-        from lcol3.graph import adjacency_masks
-        bits = adjacency_masks(g)
+        bits = g.bits
         for info in sk.components:
             mask = info.vertices.mask
             for u in info.vertices:
