@@ -13,8 +13,8 @@ from .errors import InternalError
 from .graph import (Bipartition, VertexSet, bipartite_check,
                     connected_components, induced_subgraph, iter_bits)
 from .recognition import (STRUCTURE_BREACH, PromiseViolation, check_promise,
-                          false_twin_classes, p7_witness, recognize_blownup_c7,
-                          shortest_odd_cycle, triangle_witness)
+                          p7_witness, recognize_blownup_c7, shortest_odd_cycle,
+                          triangle_witness)
 from .sat2 import TwoSatInstance, add_clause, neg, pos, solve_2sat
 from .skeleton import build_chain, build_skeleton
 
@@ -111,13 +111,19 @@ class ListState:
                 self.pending.append(v)
 
     def copy(self):
+        """A copy for a child of a search node, which is at a fixpoint."""
         if self.pending:
             raise InternalError("ListState copied outside a propagation fixpoint")
+        return self.fork()
+
+    def fork(self):
+        """An independent copy, the pending queue included, with no removals
+        counted yet."""
         new = object.__new__(ListState)
         new.graph = self.graph
         new.masks = self.masks.copy()
         new.assigned = self.assigned.copy()
-        new.pending = deque()
+        new.pending = self.pending.copy()
         new.removals = 0
         return new
 
@@ -338,6 +344,17 @@ def palette_analysis(c5col):
     return Palette(c5col, forced, options, undetermined, q, d_options, free_d)
 
 
+# palette_analysis of each of the 30 proper colourings of a C5
+_PALETTES = {col: palette_analysis(col)
+             for col in enumerate_c5_colourings([FULL_MASK] * 5)}
+
+
+def _anchor_palettes(anchor_masks):
+    """The palettes of the anchor colourings, in enumerate_c5_colourings
+    order."""
+    return [_PALETTES[col] for col in enumerate_c5_colourings(anchor_masks)]
+
+
 @dataclass(frozen=True)
 class TCase:
     """One of the cases (a)-(d) on an undetermined T index.
@@ -412,8 +429,9 @@ def anchor_seeds(sk, palette):
     the forced T sets."""
     col = palette.c5_colouring
     seeds = [(sk.c[i], col[i]) for i in range(5)]
+    t_lists = sk.t_lists
     for i, colour in palette.forced.items():
-        seeds.extend((v, colour) for v in sk.t[i])
+        seeds.extend([(v, colour) for v in t_lists[i]])
     return seeds
 
 
@@ -559,7 +577,10 @@ def _twin_representatives(graph, masks):
     masks[u] ⊆ masks[v].  Each class keeps, for every mask that is minimal
     among its members' masks, the smallest vertex with that mask."""
     rep = list(range(graph.n))
-    for cl in false_twin_classes(graph):
+    classes = {}  # bit row -> its vertices ascending: the false-twin classes
+    for v, row in enumerate(graph.bits):
+        classes.setdefault(row, []).append(v)
+    for cl in classes.values():
         if len(cl) == 1:
             continue
         first = {}
@@ -567,9 +588,9 @@ def _twin_representatives(graph, masks):
             first.setdefault(masks[v], v)
         kept = sorted(u for m, u in first.items()
                       if not any(o != m and o & ~m == 0 for o in first))
+        pick = {m: next(u for u in kept if masks[u] & ~m == 0) for m in first}
         for v in cl:
-            m = masks[v]
-            rep[v] = next(u for u in kept if masks[u] & ~m == 0)
+            rep[v] = pick[masks[v]]
     return rep
 
 
@@ -692,10 +713,15 @@ def _finish_branch(g, st, stats):
 
 
 def _solve_skeleton(g, masks, sk, stats):
+    """Search every anchor colouring of the skeleton in order.  The
+    component's list state is built once; each anchor colouring seeds and
+    propagates a fork of it, so the order of both is that of a fresh state.
+    A dead anchor colouring counts its branches, which depend only on which
+    T and D indices it leaves open."""
     chains = {}
-    anchor_masks = [masks[c] for c in sk.c]
-    for c5col in enumerate_c5_colourings(anchor_masks):
-        palette = palette_analysis(c5col)
+    counts = {}
+    root = ListState(g, masks)
+    for palette in _anchor_palettes([masks[c] for c in sk.c]):
         for i in palette.undetermined:
             if sk.t[i] and i not in chains:
                 chain = build_chain(g, sk, i)
@@ -703,13 +729,16 @@ def _solve_skeleton(g, masks, sk, stats):
                     return chain
                 chains[i] = chain
 
-        base = ListState(g, masks)
+        base = root.fork()
         ok = (base.assign_all(anchor_seeds(sk, palette))
               and propagate(base) is not None)
         stats.propagations += base.removals
         base.removals = 0
         if not ok:
-            stats.branches += _branch_count(sk, chains, palette)
+            key = (palette.undetermined, palette.free_d)
+            if key not in counts:
+                counts[key] = _branch_count(sk, chains, palette)
+            stats.branches += counts[key]
             continue
 
         for leaf in _leaf_stream(sk, chains, palette, base, stats):

@@ -165,12 +165,26 @@ def find_induced_p7(graph):
 def shortest_odd_cycle(graph):
     """A minimum-length odd cycle (vertex list), or None if bipartite.
 
-    BFS from every vertex with parity-labelled levels: an edge inside one BFS
-    level at depth d closes an odd walk of length 2d+1 through the root, and
-    the minimum over all roots is attained by a simple chordless cycle.
-    Deterministic: roots ascending, strict improvements only, and within the
-    winning root the lexicographically first same-level edge.
+    A triangle, if there is one, is find_triangle's, as [s, a, b]
+    ascending.  Otherwise BFS from every vertex with parity-labelled levels:
+    an edge inside one BFS level at depth d closes an odd walk of length
+    2d+1 through the root, and the minimum over all roots is attained by a
+    simple chordless cycle.  Deterministic: roots ascending, strict
+    improvements only, and within the winning root the lexicographically
+    first same-level edge.  With no triangle nothing beats a C5, so the
+    search stops at the first one.
+
+    The triangle is the one this BFS would report: s, the first root with
+    a same-level edge at depth 1, is the smallest vertex on any triangle;
+    a is the smallest neighbour of s on a triangle with s, and b the
+    smallest common neighbour of s and a.  find_triangle reaches s first
+    too, as every vertex before it is on no triangle, and there it picks
+    the same a and b, since every neighbour of s on such a triangle is
+    larger than s.
     """
+    tri = find_triangle(graph)
+    if tri is not None:
+        return list(tri)
     n = graph.n
     bits = graph.bits
     full = (1 << n) - 1
@@ -179,9 +193,9 @@ def shortest_odd_cycle(graph):
     best = None  # (root, edge endpoint a, endpoint b, depth)
     for s in range(n):
         if best_len is not None:
-            # Only strictly shorter walks matter now.
+            # Only strictly shorter walks, of length five or more, matter.
             dmax = (best_len - 3) // 2
-            if dmax < 1:
+            if dmax < 2:
                 break
         else:
             dmax = n

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
-from .graph import (Bipartition, VertexSet, bipartite_check, components_within,
+from .graph import (VertexSet, bipartite_check, components_within,
                     induced_subgraph, iter_bits)
 from .recognition import (STRUCTURE_BREACH, PromiseViolation, p7_witness,
                           triangle_witness)
@@ -60,6 +61,11 @@ class Skeleton:
     s: VertexSet
     w: VertexSet
     components: tuple
+
+    @cached_property
+    def t_lists(self):
+        """The vertices of each T set as an ascending list."""
+        return tuple(t.to_list() for t in self.t)
 
 
 @dataclass(frozen=True)
@@ -185,12 +191,13 @@ def _validate_gs_component(graph, bits, c5, t_sets, d_sets, d_all, s_mask, comp)
                 (y, x, u, c5[i], c5[(i + 1) % 5], c5[(i + 2) % 5], c5[(i + 3) % 5]),
                 "component vertex with a D-neighbour")
 
-    sub, ids = induced_subgraph(graph, VertexSet(comp))
-    bip = bipartite_check(sub)
-    if not isinstance(bip, Bipartition):
-        cycle = [ids[v] for v in bip]
+    sides = _bfs_sides(bits, comp)
+    if sides is None:
+        sub, ids = induced_subgraph(graph, VertexSet(comp))
+        cycle = [ids[v] for v in bipartite_check(sub)]
         return _odd_cycle_escape_witness(graph, bits, c5, t_sets, d_sets,
                                          s_mask, comp, cycle)
+    side_a, side_b = sides
 
     mismatch = _side_mismatch(graph, bits, comp, s_mask)
     if mismatch is not None:
@@ -206,12 +213,8 @@ def _validate_gs_component(graph, bits, c5, t_sets, d_sets, d_all, s_mask, comp)
             (z, y, x, u, c5[(ti + 1) % 5], c5[(ti + 2) % 5], c5[(ti + 3) % 5]),
             "component side with non-uniform T-neighbourhood")
 
-    side_a = sum(1 << ids[v] for v in bip.a)
-    side_b = sum(1 << ids[v] for v in bip.b)
-    if (side_a and side_b and VertexSet(side_b).min() < VertexSet(side_a).min()):
-        side_a, side_b = side_b, side_a
-    n1 = bits[VertexSet(side_a).min()] & s_mask if side_a else 0
-    n2 = bits[VertexSet(side_b).min()] & s_mask if side_b else 0
+    n1 = bits[(side_a & -side_a).bit_length() - 1] & s_mask
+    n2 = bits[(side_b & -side_b).bit_length() - 1] & s_mask
 
     common = n1 & n2
     if common:
@@ -232,6 +235,34 @@ def _validate_gs_component(graph, bits, c5, t_sets, d_sets, d_all, s_mask, comp)
         side_nbhd=(VertexSet(n1), VertexSet(n2)),
         t_nbhd=tuple(VertexSet(nbhd & t_sets[i]) for i in range(5)),
     )
+
+
+def _bfs_sides(bits, comp):
+    """The two sides of the connected vertex set `comp` (at least two
+    vertices) as int masks, the side of its smallest vertex first, or None
+    if it induces an odd cycle.
+
+    BFS layers from the smallest vertex, each the union of its
+    predecessor's bit rows cut to unreached vertices, alternate between
+    the sides; an edge joins two vertices of one layer or of consecutive
+    layers, so the set is bipartite iff no layer holds an edge.  These are
+    the sides bipartite_check gives on the induced subgraph."""
+    frontier = comp & -comp
+    rest = comp ^ frontier
+    sides = [0, 0]
+    parity = 0
+    while frontier:
+        sides[parity] |= frontier
+        reach = 0
+        for x in iter_bits(frontier):
+            row = bits[x]
+            if row & frontier:
+                return None
+            reach |= row
+        frontier = reach & rest
+        rest ^= frontier
+        parity ^= 1
+    return sides[0], sides[1]
 
 
 def _side_mismatch(graph, bits, comp, ref_mask):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from lcol3 import anchor_seeds, build_graph, case_seeds
 from lcol3.graph import iter_bits
+from lcol3.recognition import _extract_odd_cycle
 
 
 def brute_triangle_free(graph):
@@ -80,6 +81,46 @@ def reference_induced_p7(graph):
         if extend(start, 1 << start):
             return tuple(path)
     return None
+
+
+def reference_shortest_odd_cycle(graph):
+    """A minimum-length odd cycle, or None, by the full parity BFS: roots
+    ascending, each BFS stopped only when it can no longer beat the best
+    walk so far, so a triangle search still runs from every root after a
+    C5 is found.  Within the winning root, the first same-level edge in
+    (a, b) order.  The solver's search, which looks for a triangle first
+    and stops at the first C5, must return the same list."""
+    n = graph.n
+    bits = graph.bits
+    full = (1 << n) - 1
+    best_len = None
+    best = None
+    for s in range(n):
+        dmax = n if best_len is None else (best_len - 3) // 2
+        if dmax < 1:
+            break
+        seen = level = 1 << s
+        d = 0
+        while level and d < dmax:
+            d += 1
+            nxt = 0
+            for u in iter_bits(level):
+                nxt |= bits[u]
+            level = nxt & full & ~seen
+            seen |= level
+            hit = None
+            for a in iter_bits(level):
+                higher = bits[a] & level & ~((1 << (a + 1)) - 1)
+                if higher:
+                    hit = (a, (higher & -higher).bit_length() - 1)
+                    break
+            if hit is not None:
+                best_len = 2 * d + 1
+                best = (s, hit[0], hit[1], d)
+                break
+    if best is None:
+        return None
+    return _extract_odd_cycle(graph, *best)
 
 
 def check_witness(graph, violation):

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import gc
 import glob
 import os
@@ -499,6 +500,52 @@ def test_branches_count_every_branch_on_unsat_twin_free_instances():
         total = sum(len(_branches(sk, chains, col))
                     for col in enumerate_c5_colourings([masks[c] for c in sk.c]))
         assert total > 0 and out.stats.branches == total
+
+
+# (scale, seed) of a skeleton_built instance with random lists, its
+# colouring and every SolveStats counter but millis, as a solver that built
+# a fresh list state for each anchor colouring gave them.  Each instance has
+# a dead anchor colouring before its 2-SAT leaf, so seeding or propagating
+# in another order, or propagating the shared state before the anchors are
+# seeded, shows in `propagations`.
+PINNED_SKELETON_SOLVES = [
+    ((25, 34), [3, 1, 2, 1, 2, 2, 2, 1, 2, 3, 2, 1, 1, 2, 2, 1, 1],
+     dict(branches=81, branches_survived=1, propagations=158,
+          sat_instances=1, fallback_used=0)),
+    ((12, 18), [1, 3, 1, 2, 3, 1, 1, 3, 1, 2, 2, 1, 1],
+     dict(branches=49, branches_survived=1, propagations=31,
+          sat_instances=1, fallback_used=0)),
+    ((25, 49), [3, 2, 3, 2, 1, 3, 3, 3, 3, 3, 1, 1, 1, 1, 2, 2],
+     dict(branches=69, branches_survived=1, propagations=41,
+          sat_instances=1, fallback_used=0)),
+]
+
+
+@pytest.mark.parametrize("spec,colouring,counters", PINNED_SKELETON_SOLVES)
+def test_skeleton_solves_keep_pinned_answers_and_counters(monkeypatch, spec,
+                                                           colouring, counters):
+    scale, seed = spec
+    g, masks = generate(GenSpec("skeleton_built", seed=seed, scale=scale,
+                                lists="random"))
+    dead = []  # _branch_count runs only for a dead anchor colouring
+    count = engine._branch_count
+    monkeypatch.setattr(engine, "_branch_count",
+                        lambda *args: dead.append(args) or count(*args))
+    out = solve(g, masks)
+    assert dead
+    assert out.is_sat and out.colouring == colouring
+    got = dataclasses.asdict(out.stats)
+    del got["millis"]
+    assert got == counters
+    assert got["sat_instances"] >= 1 and got["branches_survived"] >= 1
+
+
+def test_anchor_palettes_follow_enumeration_order():
+    # every tuple of five anchor lists
+    for masks in product(range(1, 8), repeat=5):
+        got = [(p.c5_colouring, p) for p in engine._anchor_palettes(list(masks))]
+        assert got == [(c, palette_analysis(c))
+                       for c in enumerate_c5_colourings(list(masks))]
 
 
 def test_bipartite_fallback_depth_beyond_recursion_limit():

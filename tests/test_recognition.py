@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (brute_has_induced_p7, brute_triangle_free, check_witness,
-                      graphs, reference_induced_p7, subset_induces_path)
+                      graphs, reference_induced_p7, reference_shortest_odd_cycle,
+                      subset_induces_path)
 from lcol3 import (build_graph, check_promise, false_twin_classes,
                    find_induced_p7, find_triangle, recognize_blownup_c7,
                    shortest_odd_cycle)
@@ -194,6 +195,62 @@ def test_shortest_odd_cycle_deterministic():
     pairs = [(u, v) for u in range(12) for v in range(u + 1, 12)]
     g = build_graph(12, rng.sample(pairs, 20))
     assert shortest_odd_cycle(g) == shortest_odd_cycle(g)
+
+
+@st.composite
+def triangle_free_graphs(draw, max_n=14):
+    """Random graphs with every edge that would close a triangle left out."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    order = draw(st.permutations(pairs)) if pairs else []
+    keep = draw(st.integers(min_value=0, max_value=len(pairs)))
+    rows = [0] * n
+    edges = []
+    for u, v in order[:keep]:
+        if not rows[u] & rows[v]:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+            edges.append((u, v))
+    return build_graph(n, edges)
+
+
+@settings(max_examples=150)
+@given(graphs(max_n=14))
+def test_shortest_odd_cycle_matches_full_bfs(g):
+    assert shortest_odd_cycle(g) == reference_shortest_odd_cycle(g)
+
+
+@settings(max_examples=150)
+@given(triangle_free_graphs())
+def test_shortest_odd_cycle_matches_full_bfs_triangle_free(g):
+    assert find_triangle(g) is None
+    assert shortest_odd_cycle(g) == reference_shortest_odd_cycle(g)
+
+
+def test_shortest_odd_cycle_triangle_after_a_c5():
+    # The full BFS meets the C5 from root 0 first and the triangle only at
+    # root 5; the triangle still wins.
+    g = build_graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
+                        (5, 6), (6, 7), (5, 7)])
+    assert reference_shortest_odd_cycle(g) == [5, 6, 7]
+    assert shortest_odd_cycle(g) == [5, 6, 7]
+
+
+def test_shortest_odd_cycle_matches_full_bfs_on_generated_graphs():
+    rng = random.Random(9)
+    graphs_ = [generate(GenSpec("skeleton_built", seed=seed, scale=25))[0]
+               for seed in range(20)]
+    for length in (5, 7):
+        for seed in range(10):
+            sizes = tuple(rng.randint(1, 4) for _ in range(length))
+            kind = f"blownup_c{length}"
+            graphs_.append(generate(GenSpec(kind, seed=seed, class_sizes=sizes))[0])
+    lengths = set()
+    for g in graphs_:
+        cyc = shortest_odd_cycle(g)
+        assert cyc == reference_shortest_odd_cycle(g)
+        lengths.add(len(cyc))
+    assert lengths == {5, 7}
 
 
 def test_false_twins_c4():

@@ -1,6 +1,7 @@
 from conftest import check_witness
 from lcol3 import build_chain, build_graph, build_skeleton, check_promise, wd_components
-from lcol3.recognition import PromiseViolation
+from lcol3.graph import Bipartition, bipartite_check, induced_subgraph
+from lcol3.recognition import PromiseViolation, shortest_odd_cycle
 from lcol3.skeleton import Chain, Skeleton, skeleton_report
 from lcol3.testkit import GenSpec, generate
 
@@ -200,6 +201,28 @@ def test_generated_instances_build_cleanly():
                     assert a <= b
                     assert a == b or a < b
     assert seen_component
+
+
+def test_component_sides_match_bipartite_check():
+    # The sides found from BFS layers are the ones bipartite_check gives on
+    # the component's induced subgraph, the side of its smallest vertex
+    # first.
+    checked = 0
+    for seed in range(30):
+        g, _ = generate(GenSpec("skeleton_built", seed=seed, scale=25))
+        cyc = shortest_odd_cycle(g)
+        if cyc is None or len(cyc) != 5:
+            continue
+        sk = build_skeleton(g, cyc)
+        assert isinstance(sk, Skeleton), seed
+        for info in sk.components:
+            sub, ids = induced_subgraph(g, info.vertices)
+            bip = bipartite_check(sub)
+            assert isinstance(bip, Bipartition)
+            sides = sorted(([ids[v] for v in bip.a], [ids[v] for v in bip.b]))
+            assert [side.to_list() for side in info.sides] == sides
+            checked += 1
+    assert checked > 0
 
 
 def test_component_edge_t_neighbourhood_union_property():
