@@ -55,6 +55,10 @@ class EmptyListError(ParseError):
     pass
 
 
+# The seven valid colour lists, as their ascending digit strings.
+_LIST_MASKS = {"".join(map(str, colours_of(m))): m for m in range(1, FULL_MASK + 1)}
+
+
 def parse_instance(text):
     """Parse an instance file into a Graph and per-vertex colour masks.
 
@@ -80,6 +84,7 @@ def _parse_lines(lines):
     edge_count = 0
     rows = None
     masks = None
+    ids = None
     listed = set()
     for lineno, raw in enumerate(lines, start=1):
         parts = raw.split()
@@ -91,16 +96,19 @@ def _parse_lines(lines):
                 raise InstanceSyntaxError(lineno, "edge before problem line")
             if len(parts) != 3:
                 raise InstanceSyntaxError(lineno, "expected 'e <u> <v>'")
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise InstanceSyntaxError(lineno, "non-integer endpoints") from None
-            if not (1 <= u <= n) or not (1 <= v <= n):
-                raise OutOfRangeError(lineno, f"vertex outside 1..{n}")
+            u = ids.get(parts[1])
+            v = ids.get(parts[2])
+            if u is None or v is None:
+                try:
+                    u, v = int(parts[1]) - 1, int(parts[2]) - 1
+                except ValueError:
+                    raise InstanceSyntaxError(lineno, "non-integer endpoints") from None
+                if not (0 <= u < n) or not (0 <= v < n):
+                    raise OutOfRangeError(lineno, f"vertex outside 1..{n}")
             if u == v:
                 raise InstanceSyntaxError(lineno, "self-loop")
-            rows[u - 1].append(v - 1)
-            rows[v - 1].append(u - 1)
+            rows[u].append(v)
+            rows[v].append(u)
             edge_count += 1
         elif kind.startswith("c"):
             continue
@@ -117,35 +125,37 @@ def _parse_lines(lines):
                 raise InstanceSyntaxError(lineno, "negative problem sizes")
             rows = [[] for _ in range(n)]
             masks = [FULL_MASK] * n
+            # Canonical vertex tokens; any other spelling takes int() below.
+            ids = {str(i + 1): i for i in range(n)}
         elif kind == "l":
             if n is None:
                 raise InstanceSyntaxError(lineno, "list before problem line")
             if len(parts) != 3:
                 raise InstanceSyntaxError(lineno, "expected 'l <v> <digits>'")
-            try:
-                v = int(parts[1])
-            except ValueError:
-                raise InstanceSyntaxError(lineno, "non-integer vertex") from None
-            if not 1 <= v <= n:
-                raise OutOfRangeError(lineno, f"vertex outside 1..{n}")
+            v = ids.get(parts[1])
+            if v is None:
+                try:
+                    v = int(parts[1]) - 1
+                except ValueError:
+                    raise InstanceSyntaxError(lineno, "non-integer vertex") from None
+                if not 0 <= v < n:
+                    raise OutOfRangeError(lineno, f"vertex outside 1..{n}")
             if v in listed:
-                raise DuplicateListLineError(lineno, f"second list for vertex {v}")
+                raise DuplicateListLineError(lineno, f"second list for vertex {v + 1}")
             listed.add(v)
             digits = parts[2]
-            if not digits:
+            mask = _LIST_MASKS.get(digits)
+            if mask is None:
+                # Not one of the seven valid lists: report its first fault.
+                prev = "0"
+                for ch in digits:
+                    if ch not in "123":
+                        raise InstanceSyntaxError(lineno, f"colour '{ch}' outside {{1,2,3}}")
+                    if ch <= prev:
+                        raise InstanceSyntaxError(lineno, "digits must be ascending")
+                    prev = ch
                 raise EmptyListError(lineno, "empty colour list")
-            mask = 0
-            prev = 0
-            for ch in digits:
-                if ch not in "123":
-                    raise InstanceSyntaxError(lineno, f"colour '{ch}' outside {{1,2,3}}")
-                if int(ch) <= prev:
-                    raise InstanceSyntaxError(lineno, "digits must be ascending")
-                prev = int(ch)
-                mask |= 1 << (int(ch) - 1)
-            if mask == 0:
-                raise EmptyListError(lineno, "empty colour list")
-            masks[v - 1] = mask
+            masks[v] = mask
         else:
             raise InstanceSyntaxError(lineno, f"unknown line type '{kind}'")
     if n is None:

@@ -256,7 +256,11 @@ def residual_to_2sat(st, graph):
 
 def verify_colouring(graph, lists, colouring):
     """True iff the colouring is total, list-respecting and proper."""
-    masks = normalize_lists(graph.n, lists)
+    return _colouring_fits(graph, normalize_lists(graph.n, lists), colouring)
+
+
+def _colouring_fits(graph, masks, colouring):
+    """verify_colouring on lists already normalised to masks."""
     if len(colouring) != graph.n:
         return False
     for v in range(graph.n):
@@ -566,7 +570,7 @@ def solve(graph, lists=None, mode="trust"):
             colouring[v] = result[local]
 
     colouring = [colouring[u] for u in rep]
-    if not verify_colouring(graph, masks, colouring):
+    if not _colouring_fits(graph, masks, colouring):
         raise InternalError("SAT colouring failed the final re-check")
     stats.millis = (time.perf_counter() - t0) * 1000.0
     return Outcome("sat", colouring, None, stats)

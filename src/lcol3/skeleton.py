@@ -101,15 +101,15 @@ def build_skeleton(graph, c5):
         return PromiseViolation(STRUCTURE_BREACH, c5, "anchor vertices do not induce a C5")
     bits = graph.bits
     pos = {v: i for i, v in enumerate(c5)}
+    c_mask = sum(1 << v for v in c5)
+    near = 0
+    for a in c5:
+        near |= bits[a]
 
     t_sets = [0] * 5
     d_sets = [0] * 5
-    for v in range(graph.n):
-        if v in pos:
-            continue
-        hits = sorted(pos[u] for u in graph.adj[v] if u in pos)
-        if not hits:
-            continue
+    for v in iter_bits(near & ~c_mask):
+        hits = sorted(pos[u] for u in iter_bits(bits[v] & c_mask))
         for idx in range(len(hits)):
             i, j = hits[idx], hits[(idx + 1) % len(hits)]
             if i != j and ((j - i) % 5 == 1 or (i - j) % 5 == 1):
@@ -134,7 +134,7 @@ def build_skeleton(graph, c5):
                 u = (inside & -inside).bit_length() - 1
                 return triangle_witness(graph, v, u, c5[i])
 
-    s_mask = sum(1 << v for v in c5)
+    s_mask = c_mask
     for m in t_sets:
         s_mask |= m
     for m in d_sets:

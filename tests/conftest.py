@@ -5,8 +5,11 @@ from itertools import combinations
 from hypothesis import strategies as st
 
 from lcol3 import anchor_seeds, build_graph, case_seeds
-from lcol3.graph import iter_bits
-from lcol3.recognition import _extract_odd_cycle
+from lcol3.cli import (DuplicateListLineError, EmptyListError,
+                       InstanceSyntaxError, OutOfRangeError)
+from lcol3.engine import FULL_MASK
+from lcol3.graph import _graph_from_rows, iter_bits
+from lcol3.recognition import _extract_odd_cycle, triangle_witness
 
 
 def brute_triangle_free(graph):
@@ -121,6 +124,134 @@ def reference_shortest_odd_cycle(graph):
     if best is None:
         return None
     return _extract_odd_cycle(graph, *best)
+
+
+def reference_anchor_classes(graph, c5):
+    """The T and D sets of an anchored C5 as five int masks each, or the
+    triangle witness build_skeleton reports while classifying: a vertex
+    seeing two consecutive anchors, else an edge inside a T or D set.  Walks
+    every vertex's neighbour tuple, in the way build_skeleton once did; its
+    walk over the anchors' bit rows must give the same."""
+    bits = graph.bits
+    pos = {v: i for i, v in enumerate(c5)}
+    t_sets = [0] * 5
+    d_sets = [0] * 5
+    for v in range(graph.n):
+        if v in pos:
+            continue
+        hits = sorted(pos[u] for u in graph.adj[v] if u in pos)
+        if not hits:
+            continue
+        for idx in range(len(hits)):
+            i, j = hits[idx], hits[(idx + 1) % len(hits)]
+            if i != j and ((j - i) % 5 == 1 or (i - j) % 5 == 1):
+                lo = i if (j - i) % 5 == 1 else j
+                return triangle_witness(graph, v, c5[lo], c5[(lo + 1) % 5])
+        if len(hits) == 1:
+            d_sets[hits[0]] |= 1 << v
+        else:
+            p, q = hits
+            mid = (p + 1) % 5 if (q - p) % 5 == 2 else (q + 1) % 5
+            t_sets[mid] |= 1 << v
+    for i in range(5):
+        for v in iter_bits(t_sets[i]):
+            inside = bits[v] & t_sets[i]
+            if inside:
+                u = (inside & -inside).bit_length() - 1
+                return triangle_witness(graph, v, u, c5[(i + 1) % 5])
+        for v in iter_bits(d_sets[i]):
+            inside = bits[v] & d_sets[i]
+            if inside:
+                u = (inside & -inside).bit_length() - 1
+                return triangle_witness(graph, v, u, c5[i])
+    return t_sets, d_sets
+
+
+def reference_parse_lines(lines):
+    """The instance parser as it stood before its lookup tables, kept
+    verbatim: int() on every vertex token and a loop over every list's
+    digits.  cli._parse_lines must accept the same texts with the same
+    results and reject the rest with the same error."""
+    n = None
+    m_declared = None
+    edge_count = 0
+    rows = None
+    masks = None
+    listed = set()
+    for lineno, raw in enumerate(lines, start=1):
+        parts = raw.split()
+        if not parts:
+            continue
+        kind = parts[0]
+        if kind == "e":
+            if n is None:
+                raise InstanceSyntaxError(lineno, "edge before problem line")
+            if len(parts) != 3:
+                raise InstanceSyntaxError(lineno, "expected 'e <u> <v>'")
+            try:
+                u, v = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise InstanceSyntaxError(lineno, "non-integer endpoints") from None
+            if not (1 <= u <= n) or not (1 <= v <= n):
+                raise OutOfRangeError(lineno, f"vertex outside 1..{n}")
+            if u == v:
+                raise InstanceSyntaxError(lineno, "self-loop")
+            rows[u - 1].append(v - 1)
+            rows[v - 1].append(u - 1)
+            edge_count += 1
+        elif kind.startswith("c"):
+            continue
+        elif kind == "p":
+            if n is not None:
+                raise InstanceSyntaxError(lineno, "repeated problem line")
+            if len(parts) != 4 or parts[1] != "lcol":
+                raise InstanceSyntaxError(lineno, "expected 'p lcol <n> <m>'")
+            try:
+                n, m_declared = int(parts[2]), int(parts[3])
+            except ValueError:
+                raise InstanceSyntaxError(lineno, "non-integer problem sizes") from None
+            if n < 0 or m_declared < 0:
+                raise InstanceSyntaxError(lineno, "negative problem sizes")
+            rows = [[] for _ in range(n)]
+            masks = [FULL_MASK] * n
+        elif kind == "l":
+            if n is None:
+                raise InstanceSyntaxError(lineno, "list before problem line")
+            if len(parts) != 3:
+                raise InstanceSyntaxError(lineno, "expected 'l <v> <digits>'")
+            try:
+                v = int(parts[1])
+            except ValueError:
+                raise InstanceSyntaxError(lineno, "non-integer vertex") from None
+            if not 1 <= v <= n:
+                raise OutOfRangeError(lineno, f"vertex outside 1..{n}")
+            if v in listed:
+                raise DuplicateListLineError(lineno, f"second list for vertex {v}")
+            listed.add(v)
+            digits = parts[2]
+            if not digits:
+                raise EmptyListError(lineno, "empty colour list")
+            mask = 0
+            prev = 0
+            for ch in digits:
+                if ch not in "123":
+                    raise InstanceSyntaxError(lineno, f"colour '{ch}' outside {{1,2,3}}")
+                if int(ch) <= prev:
+                    raise InstanceSyntaxError(lineno, "digits must be ascending")
+                prev = int(ch)
+                mask |= 1 << (int(ch) - 1)
+            if mask == 0:
+                raise EmptyListError(lineno, "empty colour list")
+            masks[v - 1] = mask
+        else:
+            raise InstanceSyntaxError(lineno, f"unknown line type '{kind}'")
+    if n is None:
+        raise InstanceSyntaxError(0, "missing problem line")
+    if edge_count != m_declared:
+        raise InstanceSyntaxError(0, f"problem line declares {m_declared} edges, "
+                                     f"found {edge_count}")
+    return _graph_from_rows(n, rows), masks
+
 
 
 def check_witness(graph, violation):

@@ -2,7 +2,10 @@ import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import reference_parse_lines
 from lcol3 import cli
 from lcol3.cli import (DuplicateEdgeError, DuplicateListLineError,
                        InstanceSyntaxError, OutOfRangeError, dispatch,
@@ -78,6 +81,80 @@ def test_parse_reports_line_numbers():
         with pytest.raises(error) as exc:
             parse_instance(text)
         assert type(exc.value) is error and exc.value.line == line, text
+
+
+VALID_DIGITS = ["1", "2", "3", "12", "13", "23", "123"]
+BAD_DIGITS = ["21", "31", "132", "113", "4", "0", "14", "12a", "\u0663"]
+
+
+def spellings(v):
+    """Ways to write vertex v that int() reads as v: canonical, leading
+    zeros, a plus sign, another script's digits."""
+    return st.sampled_from([str(v), str(v), "0" + str(v), "00" + str(v),
+                            "+" + str(v),
+                            "".join(chr(0x660 + int(d)) for d in str(v))])
+
+
+@st.composite
+def instance_texts(draw):
+    """Instance texts with odd but valid spellings, in any line order, with
+    up to two faulty lines: bad vertices, self-loops, bad digits, repeated
+    edges and list lines, unknown or short lines."""
+    n = draw(st.integers(0, 8))
+    vertex = st.integers(1, n).flatmap(spellings) if n else st.just("1")
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True,
+                          max_size=10)) if pairs else []
+    body = []
+    for u, v in edges:
+        a, b = draw(st.permutations([u, v]))
+        body.append(("e", draw(spellings(a)), draw(spellings(b))))
+    for v in draw(st.lists(st.integers(1, n), unique=True,
+                           max_size=n)) if n else []:
+        body.append(("l", draw(spellings(v)), draw(st.sampled_from(VALID_DIGITS))))
+    body += draw(st.lists(st.sampled_from([("c", "note"), ("cx", "1"), ()]),
+                          max_size=3))
+    bad_vertex = st.sampled_from(["0", str(n + 1), "x", "-1", "1.0", "1_0",
+                                  "0" + str(n + 1)])
+    faults = [st.tuples(st.just("e"), bad_vertex, vertex),
+              st.tuples(st.just("e"), vertex, bad_vertex),
+              st.tuples(st.just("l"), bad_vertex, st.sampled_from(VALID_DIGITS)),
+              st.tuples(st.just("l"), vertex, st.sampled_from(BAD_DIGITS)),
+              st.sampled_from([("e", "1"), ("l", "1"), ("x", "1", "2"),
+                               ("p", "lcol", "2", "1")])]
+    if n:
+        faults.append(st.integers(1, n).flatmap(
+            lambda v: st.tuples(st.just("e"), spellings(v), spellings(v))))
+        faults.append(st.tuples(st.just("l"), vertex, st.sampled_from(VALID_DIGITS)))
+    if edges:
+        faults.append(st.sampled_from(edges).map(
+            lambda e: ("e", str(e[1]), "0" + str(e[0]))))
+    body += draw(st.lists(st.one_of(faults), max_size=2))
+    body = draw(st.permutations(body))
+    m = sum(1 for parts in body if parts[:1] == ("e",) and len(parts) == 3)
+    m += draw(st.sampled_from([0, 0, 0, 0, 1, -1]))
+    header = ("p", "lcol", draw(st.sampled_from([str(n), "0" + str(n)])), str(m))
+    body.insert(draw(st.sampled_from([0, 0, 0, 0, 1, len(body)])) % (len(body) + 1),
+                header)
+    sep = draw(st.sampled_from([" ", "  ", "\t", " \t "]))
+    pad = draw(st.sampled_from(["", " ", "\t"]))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(pad + sep.join(parts) for parts in body) + eol
+
+
+def parse_outcome(parse, text):
+    try:
+        g, masks = parse(text.splitlines())
+    except (cli.ParseError, GraphError) as exc:
+        return type(exc), getattr(exc, "line", None), str(exc)
+    return g.n, g.m, g.adj, g.bits, masks
+
+
+@settings(max_examples=400, deadline=None)
+@given(instance_texts())
+def test_parser_matches_reference_parser(text):
+    assert (parse_outcome(cli._parse_lines, text)
+            == parse_outcome(reference_parse_lines, text))
 
 
 def test_round_trip_generator_outputs():

@@ -600,9 +600,26 @@ def test_dominated_twins_are_dropped_and_take_their_twins_colour(monkeypatch):
 
 
 def test_failed_final_recheck_raises(monkeypatch):
-    monkeypatch.setattr(engine, "verify_colouring", lambda *args: False)
+    monkeypatch.setattr(engine, "_colouring_fits", lambda *args: False)
     with pytest.raises(InternalError):
         solve(cycle_graph(5))
+
+
+def test_sat_solve_normalises_the_lists_once(monkeypatch):
+    # The final re-check reads the masks solve normalised on entry.
+    calls = []
+    real = engine.normalize_lists
+
+    def counting(n, lists):
+        calls.append(n)
+        return real(n, lists)
+
+    monkeypatch.setattr(engine, "normalize_lists", counting)
+    g, masks = generate(GenSpec("skeleton_built", seed=7, scale=20,
+                                lists="random"))
+    out = solve(g, masks)
+    assert out.is_sat
+    assert calls == [g.n]
 
 
 def _raises_internal_error_under_optimisation(setup, call):
@@ -624,7 +641,7 @@ def _raises_internal_error_under_optimisation(setup, call):
 
 def test_failed_final_recheck_raises_under_optimisation():
     _raises_internal_error_under_optimisation(
-        "engine.verify_colouring = lambda *args: False",
+        "engine._colouring_fits = lambda *args: False",
         "engine.solve(cycle_graph(5))")
 
 

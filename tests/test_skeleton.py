@@ -1,4 +1,4 @@
-from conftest import check_witness
+from conftest import check_witness, reference_anchor_classes
 from lcol3 import build_chain, build_graph, build_skeleton, check_promise, wd_components
 from lcol3.graph import Bipartition, bipartite_check, induced_subgraph
 from lcol3.recognition import PromiseViolation, shortest_odd_cycle
@@ -201,6 +201,38 @@ def test_generated_instances_build_cleanly():
                     assert a <= b
                     assert a == b or a < b
     assert seen_component
+
+
+def test_anchor_classes_match_reference():
+    # Generated skeletons, anchored in two vertex orders, and triangles
+    # planted in them: D_i vertices joined to the next anchor, one at a time
+    # and all at once; T_i vertices joined to anchor i; the first and last
+    # vertex of a T_i joined.  The rest of build_skeleton reads only the T
+    # and D sets, so equal sets give an equal Skeleton.
+    planted = 0
+    for seed in range(30):
+        g, _ = generate(GenSpec("skeleton_built", seed=seed, scale=25))
+        cyc = shortest_odd_cycle(g)
+        sk = build_skeleton(g, cyc)
+        edges = list(g.edges())
+        joins = [[(v, cyc[(i + 1) % 5])] for i in range(5) for v in sk.d[i]]
+        joins.append([e for join in joins for e in join])
+        joins += [[(v, cyc[i])] for i in range(5) for v in sk.t[i]]
+        joins += [[(sk.t[i].to_list()[0], sk.t[i].to_list()[-1])]
+                  for i in range(5) if len(sk.t[i]) >= 2]
+        cases = [g] + [build_graph(g.n, edges + join) for join in joins]
+        for anchors in (cyc, (cyc[3], cyc[2], cyc[1], cyc[0], cyc[4])):
+            for h in cases:
+                want = reference_anchor_classes(h, anchors)
+                got = build_skeleton(h, anchors)
+                if isinstance(want, PromiseViolation):
+                    assert got == want, seed
+                    planted += 1
+                else:
+                    assert isinstance(got, Skeleton), seed
+                    assert [s.mask for s in got.t] == want[0], seed
+                    assert [s.mask for s in got.d] == want[1], seed
+    assert planted >= 500
 
 
 def test_component_sides_match_bipartite_check():
