@@ -208,6 +208,8 @@ def _stats_fields(stats):
             "propagations": stats.propagations,
             "sat_instances": stats.sat_instances,
             "fallback_used": stats.fallback_used,
+            "fallback_nodes": stats.fallback_nodes,
+            "peeled": stats.peeled,
             "millis": round(stats.millis, 3)}
 
 
@@ -449,13 +451,13 @@ def _build_parser():
     p = sub.add_parser("generate", help="emit a generated instance")
     p.add_argument("--kind", required=True,
                    choices=("blownup_c5", "blownup_c7", "skeleton_built",
-                            "random_rejection"))
+                            "random_rejection", "spider"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--classes", help="comma-separated class sizes for blow-ups")
     p.add_argument("--n", type=int, help="vertex count for random_rejection")
     p.add_argument("--edges", type=int, help="edge target for random_rejection")
     p.add_argument("--scale", type=int, default=20,
-                   help="size hint for skeleton_built")
+                   help="size hint for skeleton_built; leg count for spider")
     p.add_argument("--lists", choices=("full", "random"), default="full")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_generate)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .errors import InternalError
 from .graph import (Bipartition, VertexSet, bipartite_check,
-                    connected_components, induced_subgraph, iter_bits)
+                    components_within, induced_subgraph, iter_bits)
 from .recognition import (STRUCTURE_BREACH, PromiseViolation, check_promise,
                           p7_witness, recognize_blownup_c7, shortest_odd_cycle,
                           triangle_witness)
@@ -68,6 +68,8 @@ class SolveStats:
     propagations: int = 0
     sat_instances: int = 0
     fallback_used: int = 0
+    fallback_nodes: int = 0
+    peeled: int = 0
     millis: float = 0.0
 
 
@@ -467,13 +469,15 @@ def case_seeds(sk, chains, palette, case):
 # blown-up C7
 
 
-def colour_blownup_c7(dec, lists):
+def colour_blownup_c7(dec, masks):
     """List-colour a blown-up C7 by dynamic programming over per-class
     colour subsets; consecutive classes must use disjoint subsets and every
-    member's list must meet its class subset.  None iff infeasible."""
+    member's list must meet its class subset.  `masks` are colour masks, or
+    None for full lists.  None iff infeasible."""
     classes = dec.classes
     n = sum(len(cl) for cl in classes)
-    masks = normalize_lists(n, lists)
+    if masks is None:
+        masks = [FULL_MASK] * n
     feasible = []
     for cl in classes:
         ok = [m for m in range(1, 8)
@@ -533,11 +537,24 @@ def solve(graph, lists=None, mode="trust"):
     L(v).  Every triangle and every induced P7 holds at most one vertex of
     each false-twin class, and the reduced graph keeps at least one vertex
     of each class, so it is in the promise class exactly when the input is;
-    witnesses found on it are vertices of the input in its own labels.  Each
-    component of the reduced graph, in order of smallest vertex, is copied
-    once from the input (a connected input with nothing to drop is solved
-    on the graph object itself).  Every SAT answer is re-checked on the
-    input graph and lists.
+    witnesses found on it are vertices of the input in its own labels.
+
+    Layer 0 then peels the kept set to its fixpoint: while some kept vertex
+    v has more colours in L(v) than kept, unpeeled neighbours, v is peeled.
+    Only the rest is solved, one component at a time in order of smallest
+    vertex, each copied once from the input (a connected input with
+    nothing dropped or peeled is solved on the graph object itself).  The
+    peeled vertices are then coloured in reverse order of peeling, each
+    with the smallest colour of its list that no coloured neighbour uses.
+    Such a colour exists: the kept neighbours coloured before v are those
+    that were unpeeled when v was peeled, fewer than |L(v)|, and dropped
+    twins are not coloured yet.  So a colouring of the rest extends to the
+    kept set, and the rest, an induced subgraph, is colourable whenever
+    the input is; it also stays in the promise class.  A failure of that
+    step is a solver fault and raises InternalError.  In trust mode a
+    violation that peels away (a triangle of full-list vertices, say) is
+    off the solving path and is not reported.  Every SAT answer is
+    re-checked on the input graph and lists.
     """
     if mode not in ("trust", "verify"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -553,11 +570,10 @@ def solve(graph, lists=None, mode="trust"):
 
     rep = _twin_representatives(graph, masks)
     kept = sum(1 << v for v, u in enumerate(rep) if u == v)
-    # A dropped vertex sees what its kept twin sees, so the components of
-    # the kept subgraph are the input's components cut to kept vertices.
-    comps = [c.mask & kept for c in connected_components(graph)]
+    rest, peeled = _peel(graph, masks, kept)
+    stats.peeled = len(peeled)
     colouring = [0] * graph.n
-    for comp in sorted(filter(None, comps), key=lambda c: c & -c):
+    for comp in components_within(graph, rest):
         sub, ids = induced_subgraph(graph, VertexSet(comp))
         result = _solve_component(sub, [masks[v] for v in ids], stats)
         if isinstance(result, PromiseViolation):
@@ -569,11 +585,51 @@ def solve(graph, lists=None, mode="trust"):
         for local, v in enumerate(ids):
             colouring[v] = result[local]
 
+    _colour_peeled(graph, masks, rest, peeled, colouring)
     colouring = [colouring[u] for u in rep]
     if not _colouring_fits(graph, masks, colouring):
         raise InternalError("SAT colouring failed the final re-check")
     stats.millis = (time.perf_counter() - t0) * 1000.0
     return Outcome("sat", colouring, None, stats)
+
+
+def _peel(graph, masks, kept):
+    """Degree peeling of the vertex bitmask `kept`: (rest, peeled), where
+    peeled lists the removed vertices in order of removal and rest is the
+    bitmask left.  A vertex is removed once it has fewer kept, unremoved
+    neighbours than colours.  Degrees only fall, so a vertex qualifies for
+    good; it is queued when it first does, and the queue is the removal
+    order.  The fixpoint does not depend on that order."""
+    bits = graph.bits
+    deg = [(row & kept).bit_count() for row in bits]
+    peeled = [v for v in iter_bits(kept) if _SIZE[masks[v]] > deg[v]]
+    rest = kept
+    # peeled grows while it is walked: each removal may queue a neighbour
+    for v in peeled:
+        rest ^= 1 << v
+        for u in iter_bits(bits[v] & rest):
+            d = deg[u] - 1
+            deg[u] = d
+            if d == _SIZE[masks[u]] - 1:
+                peeled.append(u)
+    return rest, peeled
+
+
+def _colour_peeled(graph, masks, rest, peeled, colouring):
+    """Colour the peeled vertices in reverse order of removal, each with the
+    smallest colour of its list that its coloured neighbours leave free;
+    the vertices of the bitmask rest are coloured already."""
+    bits = graph.bits
+    done = rest
+    for v in reversed(peeled):
+        used = 0
+        for u in iter_bits(bits[v] & done):
+            used |= 1 << (colouring[u] - 1)
+        free = masks[v] & ~used
+        if not free:
+            raise InternalError(f"peeled vertex {v} has no free colour")
+        colouring[v] = _COLOUR_OF[free & -free]
+        done |= 1 << v
 
 
 def _twin_representatives(graph, masks):
@@ -642,7 +698,7 @@ def _bipartite_fallback(g, st, stats):
     """Depth-first branching over colours 1, 2, 3 of the first full-list
     vertex, propagating at each node and handing each node without a
     full-list vertex to 2-SAT; counts in stats.fallback_used when it
-    branches at all.
+    branches at all, and each node it branches on in stats.fallback_nodes.
 
     Exponential worst case; only reachable for bipartite components with
     constrained lists, outside the polynomial solving path.  The depth can
@@ -667,6 +723,7 @@ def _bipartite_fallback(g, st, stats):
                     return result
             else:
                 stack.append([node, cursor, 1])
+                stats.fallback_nodes += 1
         if not stack:
             return None
         frame = stack[-1]

@@ -8,7 +8,8 @@ import random
 import sys
 from dataclasses import dataclass
 
-from .engine import FULL_MASK, colours_of, normalize_lists, verify_colouring
+from .engine import (FULL_MASK, colours_of, mask_of, normalize_lists,
+                     verify_colouring)
 from .errors import InternalError
 from .graph import build_graph
 from .recognition import check_promise, find_induced_p7
@@ -33,12 +34,13 @@ class GenSpec:
     """Reproducible instance request; identical specs generate identical
     graphs and lists bit for bit."""
 
-    kind: str  # blownup_c5 | blownup_c7 | skeleton_built | random_rejection
+    # blownup_c5 | blownup_c7 | skeleton_built | random_rejection | spider
+    kind: str
     seed: int = 0
     class_sizes: tuple | None = None
     n: int | None = None
     target_edges: int | None = None
-    scale: int = 20
+    scale: int = 20  # skeleton_built's size hint; the spider's leg count k
     lists: str = "full"  # "full" | "random"
     rejection_budget: int = 10_000
 
@@ -179,8 +181,13 @@ def generate(spec):
 
     Constructive kinds always land in the promise class (validated);
     random_rejection resamples until the induced-P7 test passes or the
-    attempt budget runs out.
+    attempt budget runs out.  The spider's lists are part of its
+    construction, so it rejects any lists mode but the default.
     """
+    if spec.kind == "spider":
+        if spec.lists != "full":
+            raise ValueError("the spider carries its own lists")
+        return _spider(spec.scale)
     rng = random.Random(spec.seed)
     if spec.kind == "blownup_c5":
         sizes = spec.class_sizes or tuple(rng.randint(1, 4) for _ in range(5))
@@ -238,6 +245,27 @@ def _blowup(base_len, sizes):
             for v in range(offsets[j], offsets[j + 1]):
                 edges.append((u, v))
     return build_graph(offsets[-1], edges)
+
+
+def _spider(k):
+    """The spider S_k: legs x_i - p_i - q for i < k, with L(x_i) = {1,2,3}
+    and L(p_i) = {1,3}, and two 4-cycles q-a-b-c-q and q-d-e-f-q on the hub
+    q, with L(q) = {1,2}.  The lists of the 4-cycles, a {1,3}, b {2,3},
+    c {1,2}, d {2,3}, e {1,3}, f {1,2}, leave b no colour when q = 1 and e
+    none when q = 2, so S_k is UNSAT.  It is bipartite and in the promise
+    class (its longest induced path has five vertices), and no two false
+    twins have comparable lists.  Vertices: x_i = i, p_i = k + i, q = 2k,
+    then a..f."""
+    if k < 0:
+        raise ValueError("the spider needs a leg count k >= 0")
+    q = 2 * k
+    a, b, c, d, e, f = range(q + 1, q + 7)
+    edges = [(i, k + i) for i in range(k)] + [(k + i, q) for i in range(k)]
+    edges += [(q, a), (a, b), (b, c), (c, q), (q, d), (d, e), (e, f), (f, q)]
+    core = [(1, 2), (1, 3), (2, 3), (1, 2), (2, 3), (1, 3), (1, 2)]  # q, a..f
+    masks = ([FULL_MASK] * k + [mask_of((1, 3))] * k
+             + [mask_of(colours) for colours in core])
+    return build_graph(q + 7, edges), masks
 
 
 _COMPONENT_SHAPES = {

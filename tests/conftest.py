@@ -167,6 +167,24 @@ def reference_anchor_classes(graph, c5):
     return t_sets, d_sets
 
 
+def reference_peel(graph, masks, kept):
+    """The set of vertices of the bitmask `kept` that the naive peeling loop
+    leaves: sweep the vertices left, remove each one with more colours than
+    neighbours left, and sweep again until a sweep removes none.  The
+    fixpoint does not depend on the order of removal, so layer 0's queue
+    must leave the same set."""
+    left = set(iter_bits(kept))
+    changed = True
+    while changed:
+        changed = False
+        for v in sorted(left):
+            colours = bin(masks[v]).count("1")
+            if colours > sum(1 for u in graph.adj[v] if u in left):
+                left.discard(v)
+                changed = True
+    return left
+
+
 def reference_parse_lines(lines):
     """The instance parser as it stood before its lookup tables, kept
     verbatim: int() on every vertex token and a loop over every list's

@@ -169,8 +169,9 @@ def test_round_trip_generator_outputs():
 
 
 def test_emit_result_sat_text():
+    # both ends are peeled, and vertex 2, peeled last, is coloured first
     out = solve(parse_instance("p lcol 2 1\ne 1 2\n")[0])
-    assert emit_result(out) == "SAT\nv 1 1\nv 2 2\n"
+    assert emit_result(out) == "SAT\nv 1 2\nv 2 1\n"
 
 
 def test_emit_result_unsat_text():
@@ -192,7 +193,8 @@ def test_emit_result_json_schema():
     assert doc["colouring"]["1"] in (1, 2, 3)
     assert set(doc["stats"]) == {"branches", "branches_survived",
                                  "propagations", "sat_instances",
-                                 "fallback_used", "millis"}
+                                 "fallback_used", "fallback_nodes", "peeled",
+                                 "millis"}
 
 
 def test_emit_result_stats_text_and_json_agree():
@@ -200,7 +202,8 @@ def test_emit_result_stats_text_and_json_agree():
     out = solve(g, masks)
     # distinct values, so a key printed with another counter's value shows
     want = {"branches": 11, "branches_survived": 7, "propagations": 13,
-            "sat_instances": 5, "fallback_used": 3, "millis": 2.5}
+            "sat_instances": 5, "fallback_used": 3, "fallback_nodes": 17,
+            "peeled": 19, "millis": 2.5}
     for key, value in want.items():
         setattr(out.stats, key, value)
     text = emit_result(out, include_stats=True)

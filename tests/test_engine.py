@@ -10,17 +10,19 @@ import types
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
-from conftest import seeds_of_branch
-from lcol3 import (build_chain, build_graph, build_skeleton, choice_lists,
-                   colour_blownup_c7, eliminate_safe, enumerate_c5_colourings,
-                   palette_analysis, propagate, residual_to_2sat, solve,
-                   verify_colouring)
+from conftest import graphs, reference_peel, seeds_of_branch
+from lcol3 import (build_chain, build_graph, build_skeleton, check_promise,
+                   choice_lists, colour_blownup_c7, eliminate_safe,
+                   enumerate_c5_colourings, palette_analysis, propagate,
+                   residual_to_2sat, solve, verify_colouring)
 import lcol3
 from lcol3 import engine
 from lcol3.engine import (FULL_MASK, InternalError, ListState,
                           PreconditionBreach, mask_of)
-from lcol3.graph import VertexSet
+from lcol3.graph import VertexSet, iter_bits
 from lcol3.recognition import false_twin_classes
 from lcol3.recognition import recognize_blownup_c7, shortest_odd_cycle
 from lcol3.sat2 import solve_2sat
@@ -374,22 +376,26 @@ def test_solve_walks_components_by_smallest_kept_vertex():
     # 0 is a dropped twin of 5 (both see only 6).  Walked by smallest input
     # vertex, {0, 5, 6} would come first and answer unsat, since 5 and 6
     # both need colour 1; by smallest kept vertex the triangle comes first.
+    # The triangle's 2-lists keep it from being peeled.
     g = build_graph(7, [(0, 6), (5, 6), (1, 2), (2, 3), (1, 3)])
     lists = [FULL_MASK] * 7
     lists[5] = lists[6] = mask_of([1])
+    lists[1] = lists[2] = lists[3] = mask_of([1, 2])
     out = solve(g, lists, mode="trust")
     assert out.is_invalid and out.violation.kind == "triangle"
     assert tuple(out.violation.vertices) == (1, 2, 3)
 
 
 def test_solve_trust_mode_detects_triangle_on_path():
+    # 2-lists, so layer 0 does not peel the triangle away
     g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
-    out = solve(g, mode="trust")
+    out = solve(g, [mask_of([1, 2]), mask_of([2, 3]), mask_of([1, 3])],
+                mode="trust")
     assert out.is_invalid and out.violation.kind == "triangle"
 
 
 def test_solve_long_odd_girth_invalid():
-    out = solve(cycle_graph(9), mode="trust")
+    out = solve(cycle_graph(9), [mask_of([1, 2])] * 9, mode="trust")
     assert out.is_invalid and out.violation.kind == "induced_p7"
 
 
@@ -406,11 +412,15 @@ def test_solve_bipartite_full_lists_two_colours():
 
 
 def test_solve_bipartite_lists_uses_fallback_when_needed():
-    g = path_graph(4)
-    masks = [FULL_MASK, mask_of([1, 2]), FULL_MASK, mask_of([2, 3])]
+    # The cube: bipartite, twin-free and 3-regular, so full lists stay
+    # after peeling and the fallback branches on one of them.
+    g = build_graph(8, [(u, u ^ b) for u in range(8) for b in (1, 2, 4)
+                        if u < u ^ b])
+    masks = [mask_of([1, 2])] + [FULL_MASK] * 7
     out = solve(g, masks)
     assert out.is_sat and verify_colouring(g, masks, out.colouring)
-    assert out.stats.fallback_used >= 1
+    assert out.stats.peeled == 0
+    assert out.stats.fallback_used >= 1 and out.stats.fallback_nodes >= 1
 
 
 def test_branch_completeness_small_instances():
@@ -488,13 +498,13 @@ def test_branches_count_every_branch_on_unsat_twin_free_instances():
     # building their choice lists; on an UNSAT input every branch of every
     # anchor colouring is counted exactly once.
     instances = [(groetzsch_graph(), [FULL_MASK] * 11)]
-    for seed in (486, 1295):
+    for seed in (917, 3476):
         instances.append(generate(GenSpec("skeleton_built", seed=seed,
                                           scale=16, lists="random")))
     for g, masks in instances:
         assert len(false_twin_classes(g)) == g.n
         out = solve(g, masks)
-        assert out.is_unsat
+        assert out.is_unsat and out.stats.peeled == 0
         sk = build_skeleton(g, shortest_odd_cycle(g))
         chains = {i: build_chain(g, sk, i) for i in range(5) if sk.t[i]}
         total = sum(len(_branches(sk, chains, col))
@@ -507,17 +517,18 @@ def test_branches_count_every_branch_on_unsat_twin_free_instances():
 # a fresh list state for each anchor colouring gave them.  Each instance has
 # a dead anchor colouring before its 2-SAT leaf, so seeding or propagating
 # in another order, or propagating the shared state before the anchors are
-# seeded, shows in `propagations`.
+# seeded, shows in `propagations`.  Layer 0 peels no vertex of any of them,
+# so the whole instance reaches the anchored-C5 search.
 PINNED_SKELETON_SOLVES = [
-    ((25, 34), [3, 1, 2, 1, 2, 2, 2, 1, 2, 3, 2, 1, 1, 2, 2, 1, 1],
-     dict(branches=81, branches_survived=1, propagations=158,
-          sat_instances=1, fallback_used=0)),
-    ((12, 18), [1, 3, 1, 2, 3, 1, 1, 3, 1, 2, 2, 1, 1],
-     dict(branches=49, branches_survived=1, propagations=31,
-          sat_instances=1, fallback_used=0)),
-    ((25, 49), [3, 2, 3, 2, 1, 3, 3, 3, 3, 3, 1, 1, 1, 1, 2, 2],
-     dict(branches=69, branches_survived=1, propagations=41,
-          sat_instances=1, fallback_used=0)),
+    ((12, 399), [3, 1, 3, 2, 1, 2, 3, 2, 1, 2, 2],
+     dict(branches=47, branches_survived=1, propagations=67,
+          sat_instances=1, fallback_used=0, fallback_nodes=0, peeled=0)),
+    ((12, 351), [1, 3, 2, 3, 2, 1, 1, 3, 3, 2],
+     dict(branches=13, branches_survived=1, propagations=53,
+          sat_instances=1, fallback_used=0, fallback_nodes=0, peeled=0)),
+    ((25, 278), [2, 3, 1, 2, 3, 2, 2, 1, 1, 1, 3],
+     dict(branches=9, branches_survived=1, propagations=18,
+          sat_instances=1, fallback_used=0, fallback_nodes=0, peeled=0)),
 ]
 
 
@@ -564,6 +575,7 @@ def test_bipartite_fallback_depth_beyond_recursion_limit():
         sys.setrecursionlimit(limit)
     assert out.is_sat and verify_colouring(g, masks, out.colouring)
     assert out.stats.fallback_used == 1
+    assert out.stats.peeled == 3 and out.stats.fallback_nodes == 298
 
 
 def test_twin_free_input_solves_on_the_graph_itself(monkeypatch):
@@ -594,8 +606,12 @@ def test_dominated_twins_are_dropped_and_take_their_twins_colour(monkeypatch):
     masks = [FULL_MASK] * g.n
     masks[1] = mask_of([2, 3])  # incomparable with its twin 2's {1, 3}
     masks[2] = mask_of([1, 3])
+    # the classes of 4 and 6 keep two kept neighbours each: 2-lists keep
+    # them from being peeled
+    masks[4] = masks[5] = mask_of([1, 2])
+    masks[6] = mask_of([2, 3])
     out = solve(g, masks)
-    assert seen == [6]
+    assert seen == [6] and out.stats.peeled == 0
     assert out.is_sat and verify_colouring(g, masks, out.colouring)
 
 
@@ -620,6 +636,80 @@ def test_sat_solve_normalises_the_lists_once(monkeypatch):
     out = solve(g, masks)
     assert out.is_sat
     assert calls == [g.n]
+
+
+def test_blownup_c7_solve_normalises_the_lists_once(monkeypatch):
+    # The twin pass leaves a C7, each vertex of degree 2, whose 2-lists keep
+    # it from being peeled, so the solve reaches colour_blownup_c7.
+    calls = []
+    decompositions = []
+    real = engine.normalize_lists
+    dp = engine.colour_blownup_c7
+
+    def counting(n, lists):
+        calls.append(n)
+        return real(n, lists)
+
+    def spy(dec, masks):
+        decompositions.append(dec)
+        return dp(dec, masks)
+
+    monkeypatch.setattr(engine, "normalize_lists", counting)
+    monkeypatch.setattr(engine, "colour_blownup_c7", spy)
+    g, _ = generate(GenSpec("blownup_c7", seed=2, class_sizes=(2,) * 7))
+    masks = [mask_of([1, 2])] * 12 + [mask_of([1, 3])] * 2
+    out = solve(g, masks)
+    assert out.is_sat and out.stats.peeled == 0
+    assert len(decompositions) == 1
+    assert calls == [g.n]
+
+
+def _kept_mask(g, masks):
+    rep = engine._twin_representatives(g, masks)
+    return sum(1 << v for v, u in enumerate(rep) if u == v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hst.data())
+def test_peeling_reaches_the_naive_fixpoint_and_keeps_answers(data):
+    g = data.draw(graphs(max_n=10))
+    masks = data.draw(hst.lists(hst.integers(1, FULL_MASK), min_size=g.n,
+                                max_size=g.n))
+    kept = _kept_mask(g, masks)
+    rest, peeled = engine._peel(g, masks, kept)
+    assert set(iter_bits(rest)) == reference_peel(g, masks, kept)
+    assert len(set(peeled)) == len(peeled)
+    assert rest | sum(1 << v for v in peeled) == kept
+    out = solve(g, masks, mode="trust")
+    assert out.stats.peeled == len(peeled)
+    if out.is_sat:
+        assert verify_colouring(g, masks, out.colouring)
+    if check_promise(g) is None:
+        want = oracle_solve(g, masks)
+        for mode in ("trust", "verify"):
+            got = solve(g, masks, mode=mode)
+            assert got.kind == ("sat" if want is not None else "unsat"), mode
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_spider_answers_agree_with_the_oracle(k):
+    g, masks = generate(GenSpec("spider", scale=k))
+    assert oracle_solve(g, masks) is None
+    for mode in ("trust", "verify"):
+        assert solve(g, masks, mode=mode).is_unsat
+
+
+def test_spider_s40_is_answered_by_one_2sat_leaf():
+    # Peeling removes every leg, x_i and then p_i; 2-SAT answers the
+    # seven-vertex core at the root.
+    g, masks = generate(GenSpec("spider", scale=40))
+    assert g.n == 87
+    for mode in ("trust", "verify"):
+        out = solve(g, masks, mode=mode)
+        assert out.is_unsat, mode
+        assert out.stats.peeled == 80
+        assert out.stats.sat_instances == 1
+        assert out.stats.fallback_used == 0
 
 
 def _raises_internal_error_under_optimisation(setup, call):
@@ -717,6 +807,8 @@ def test_solves_leave_no_reference_cycles():
 def test_residual_with_unpropagated_assignment_raises(monkeypatch):
     # Without propagation the precoloured end's colour stays admissible at
     # its neighbour, which the residual encoding assumes never happens.
+    # A 4-cycle keeps every vertex through layer 0.
     monkeypatch.setattr(engine, "propagate", lambda st: st)
     with pytest.raises(InternalError):
-        solve(path_graph(3), [mask_of([1]), mask_of([1, 2]), mask_of([2, 3])])
+        solve(cycle_graph(4), [mask_of([1]), mask_of([1, 2]), mask_of([2, 3]),
+                               mask_of([2, 3])])

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from lcol3 import build_graph, check_promise, solve, verify_colouring
+from lcol3 import (Bipartition, bipartite_check, build_graph, check_promise,
+                   solve, verify_colouring)
 from lcol3.engine import FULL_MASK, mask_of
 from lcol3.testkit import (GenSpec, RejectionBudgetExceeded, SizeGuardError,
                            cycle_graph, enumerate_colourings, generate,
@@ -140,3 +141,19 @@ def test_named_graphs():
     g = groetzsch_graph()
     assert g.n == 11 and g.m == 20
     assert mycielski(path_graph(2)).n == 5
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_spider_is_in_class_and_bipartite(k):
+    g, masks = generate(GenSpec("spider", scale=k))
+    assert g.n == 2 * k + 7 and g.m == 2 * k + 8
+    assert check_promise(g) is None
+    assert isinstance(bipartite_check(g), Bipartition)
+    assert len(masks) == g.n and masks[:k] == [FULL_MASK] * k
+
+
+def test_spider_rejects_other_lists_and_negative_legs():
+    with pytest.raises(ValueError):
+        generate(GenSpec("spider", scale=3, lists="random"))
+    with pytest.raises(ValueError):
+        generate(GenSpec("spider", scale=-1))
