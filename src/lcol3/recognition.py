@@ -114,12 +114,21 @@ def find_induced_p7(graph):
     centre's two path neighbours as a1, gives the path or its reverse, and
     each of its vertices passes the filter of its step.  Taking a1 < b1
     picks one of the two orientations, so each induced P5 a2 a1 c b1 b2 is
-    visited at most once (a second vertex that leaves no third one is
-    dropped before the join), at a cost of O(1 + |A3|) n-bit mask
-    operations; each (c, a1, b1) adds O(deg(a1) + deg(b1)) to build the two
-    sides.  A search grown from one end would instead meet every induced
-    path on up to six vertices, from both of its ends.  The search is
-    iterative, so its depth does not grow with n.
+    visited at most once, at a cost of O(1 + |A3|) n-bit mask operations.
+
+    Cost before any P5 is built.  For each centre c one mask, ext, holds
+    the vertices outside N(c) that have a neighbour in N(c) and one outside
+    it.  Every a2 and b2 lies in ext, since it sees a1 or b1 and its third
+    vertex avoids N(c); ext is a superset of the second vertices that can
+    start a side, on any graph.  Each neighbour x of c keeps
+    D(x) = N(x) & ext, and one with D(x) empty is dropped.  A pair a1 < b1
+    then costs O(1) mask operations: the candidate a2s are D(a1) - N(b1)
+    and the candidate b2s D(b1) - N(a1), and the pair goes on to the join
+    only when both are non-empty.  Each centre costs O(deg(c) + |ext|)
+    mask operations to set up.  The visiting order (c ascending, a1 < b1
+    in adjacency order, a2 and b2 ascending) does not depend on the masks,
+    which only drop candidates that could not lead to a path.  The search
+    is iterative, so its depth does not grow with n.
     """
     n = graph.n
     if n < 7:
@@ -128,27 +137,39 @@ def find_induced_p7(graph):
     bits = graph.bits
     for c in range(n):
         row_c = bits[c]
-        around = adj[c]
-        for i, a1 in enumerate(around):
-            row_a1 = bits[a1]
-            for b1 in around[i + 1:]:
+        reach = 0
+        for x in adj[c]:
+            reach |= bits[x]
+        ext = 0
+        outside = ~row_c
+        # c has no neighbour outside N(c), so it never enters ext
+        for v in iter_bits(reach & outside):
+            if bits[v] & outside:
+                ext |= 1 << v
+        if not ext:
+            continue
+        around = []
+        for x in adj[c]:
+            d_x = bits[x] & ext
+            if d_x:
+                around.append((x, bits[x], d_x))
+        for i, (a1, row_a1, d_a1) in enumerate(around):
+            for b1, row_b1, d_b1 in around[i + 1:]:
                 if row_a1 >> b1 & 1:
                     continue
-                row_b1 = bits[b1]
-                common = row_c | row_a1 | row_b1
-                # each side's second vertices that leave a third one open
-                off_a2 = row_c | row_b1
-                a_side = [(a2, bits[a2]) for a2 in adj[a1]
-                          if not off_a2 >> a2 & 1 and bits[a2] & ~common]
-                if not a_side:
+                a2s = d_a1 & ~row_b1
+                if not a2s:
                     continue
-                off_b2 = row_c | row_a1
-                b_side = [(b2, bits[b2]) for b2 in adj[b1]
-                          if not off_b2 >> b2 & 1 and bits[b2] & ~common]
-                for a2, row_a2 in a_side:
-                    for b2, row_b2 in b_side:
-                        if row_a2 >> b2 & 1:
-                            continue
+                b2s = d_b1 & ~row_a1
+                if not b2s:
+                    continue
+                common = row_c | row_a1 | row_b1
+                for a2 in iter_bits(a2s):
+                    row_a2 = bits[a2]
+                    if not row_a2 & ~common:
+                        continue
+                    for b2 in iter_bits(b2s & ~row_a2):
+                        row_b2 = bits[b2]
                         a3s = row_a2 & ~(common | row_b2)
                         b3s = row_b2 & ~(common | row_a2)
                         while a3s and b3s:
@@ -259,14 +280,13 @@ def _extract_odd_cycle(graph, s, a, b, depth):
 
 
 def false_twin_classes(graph):
-    """Partition of the vertices into classes of equal neighbourhood."""
+    """Partition of the vertices into classes of equal neighbourhood, in
+    order of smallest member."""
     bits = graph.bits
     groups = {}
     for v in range(graph.n):
         groups.setdefault(bits[v], []).append(v)
-    classes = [VertexSet.from_iterable(vs) for vs in groups.values()]
-    classes.sort(key=lambda c: c.min())
-    return classes
+    return [VertexSet.from_iterable(vs) for vs in groups.values()]
 
 
 def check_promise(graph):
@@ -277,15 +297,18 @@ def check_promise(graph):
     non-adjacent with the same neighbours, and no two vertices of an induced
     path on four or more vertices have the same neighbours on the path, so an
     induced P7 holds at most one vertex of each class and maps onto class
-    representatives; conversely the quotient is an induced subgraph.  The
-    representatives are vertices of the graph, so a path found there is
-    checked against the graph in its own labels.
+    representatives; conversely the quotient is an induced subgraph.  Each
+    class is represented by its smallest vertex, the first one met with its
+    bit row.  The representatives are vertices of the graph, so a path found
+    there is checked against the graph in its own labels.
     """
     tri = find_triangle(graph)
     if tri is not None:
         return triangle_witness(graph, *tri)
-    quotient, ids = induced_subgraph(
-        graph, [cl.min() for cl in false_twin_classes(graph)])
+    first = {}
+    for v, row in enumerate(graph.bits):
+        first.setdefault(row, v)
+    quotient, ids = induced_subgraph(graph, list(first.values()))
     p7 = find_induced_p7(quotient)
     if p7 is not None:
         return p7_witness(graph, [ids[v] for v in p7])

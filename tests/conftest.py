@@ -86,6 +86,52 @@ def reference_induced_p7(graph):
     return None
 
 
+def reference_find_induced_p7(graph):
+    """The induced-P7 search as it stood before its per-centre masks, kept
+    verbatim: it rebuilds both side lists for every centre and every
+    non-adjacent pair of its neighbours.  find_induced_p7 must return the
+    same value, path or None, on every graph."""
+    n = graph.n
+    if n < 7:
+        return None
+    adj = graph.adj
+    bits = graph.bits
+    for c in range(n):
+        row_c = bits[c]
+        around = adj[c]
+        for i, a1 in enumerate(around):
+            row_a1 = bits[a1]
+            for b1 in around[i + 1:]:
+                if row_a1 >> b1 & 1:
+                    continue
+                row_b1 = bits[b1]
+                common = row_c | row_a1 | row_b1
+                # each side's second vertices that leave a third one open
+                off_a2 = row_c | row_b1
+                a_side = [(a2, bits[a2]) for a2 in adj[a1]
+                          if not off_a2 >> a2 & 1 and bits[a2] & ~common]
+                if not a_side:
+                    continue
+                off_b2 = row_c | row_a1
+                b_side = [(b2, bits[b2]) for b2 in adj[b1]
+                          if not off_b2 >> b2 & 1 and bits[b2] & ~common]
+                for a2, row_a2 in a_side:
+                    for b2, row_b2 in b_side:
+                        if row_a2 >> b2 & 1:
+                            continue
+                        a3s = row_a2 & ~(common | row_b2)
+                        b3s = row_b2 & ~(common | row_a2)
+                        while a3s and b3s:
+                            low = a3s & -a3s
+                            a3 = low.bit_length() - 1
+                            free = b3s & ~bits[a3]
+                            if free:
+                                b3 = (free & -free).bit_length() - 1
+                                return (a3, a2, a1, c, b1, b2, b3)
+                            a3s ^= low
+    return None
+
+
 def reference_shortest_odd_cycle(graph):
     """A minimum-length odd cycle, or None, by the full parity BFS: roots
     ascending, each BFS stopped only when it can no longer beat the best

@@ -6,14 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (brute_has_induced_p7, brute_triangle_free, check_witness,
-                      graphs, reference_induced_p7, reference_shortest_odd_cycle,
-                      subset_induces_path)
+                      graphs, reference_find_induced_p7, reference_induced_p7,
+                      reference_shortest_odd_cycle, subset_induces_path)
 from lcol3 import (build_graph, check_promise, false_twin_classes,
                    find_induced_p7, find_triangle, recognize_blownup_c7,
                    shortest_odd_cycle)
 from lcol3.graph import induced_subgraph
 from lcol3.recognition import (PromiseViolation, TwinDecomposition,
-                               is_induced_path, is_triangle)
+                               is_induced_path, is_triangle, p7_witness,
+                               triangle_witness)
 from lcol3.testkit import (GenSpec, cycle_graph, generate, groetzsch_graph,
                            path_graph, petersen_graph)
 from test_properties import twin_expand
@@ -312,6 +313,59 @@ def test_recognize_far_vertex_is_p7():
     out = recognize_blownup_c7(g, list(range(7)))
     assert isinstance(out, PromiseViolation) and out.kind == "induced_p7"
     assert check_witness(g, out)
+
+
+@st.composite
+def density_graphs(draw, max_n=16):
+    # G(n, p) at a drawn density, triangles included
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    density = draw(st.sampled_from((0.15, 0.25, 0.35, 0.5, 0.7)))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                           if rng.random() < density])
+
+
+@settings(max_examples=300, deadline=None)
+@given(density_graphs())
+def test_find_induced_p7_returns_the_reference_path(g):
+    assert find_induced_p7(g) == reference_find_induced_p7(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6),
+       st.integers(min_value=0, max_value=2**32))
+def test_find_induced_p7_returns_the_reference_path_on_skeleton_quotients(seed, salt):
+    # the quotient itself is P7-free; a pendant P6 and a flipped vertex
+    # pair give it paths to find
+    g, _ = generate(GenSpec("skeleton_built", seed=seed, scale=60))
+    q = _twin_quotient(g)
+    rng = random.Random(salt)
+    u, v = rng.sample(range(q.n), 2)
+    edges = {(a, b) for a in range(q.n) for b in q.adj[a] if a < b}
+    edges ^= {(min(u, v), max(u, v))}
+    flipped = build_graph(q.n, sorted(edges))
+    for h in (q, _with_pendant_p6(q, rng.randrange(q.n)), flipped):
+        assert find_induced_p7(h) == reference_find_induced_p7(h)
+
+
+def _reference_check_promise(g):
+    # check_promise as composed before its representatives came from a
+    # dict of bit rows
+    tri = find_triangle(g)
+    if tri is not None:
+        return triangle_witness(g, *tri)
+    quotient, ids = induced_subgraph(g, [cl.min() for cl in false_twin_classes(g)])
+    p7 = reference_find_induced_p7(quotient)
+    return None if p7 is None else p7_witness(g, [ids[v] for v in p7])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(density_graphs(max_n=12), triangle_free_graphs()),
+       st.integers(min_value=0, max_value=2**16))
+def test_check_promise_matches_the_reference_on_twin_expansions(g, seed):
+    rng = random.Random(seed)
+    expanded = twin_expand(g, rng, rng.randint(0, 6))
+    assert check_promise(expanded) == _reference_check_promise(expanded)
 
 
 def test_recognize_reconstructs_generator_classes():
