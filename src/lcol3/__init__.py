@@ -1,11 +1,12 @@
 """Exact list 3-colouring of graphs without triangles or induced 7-vertex
 paths, with promise verification, witnesses, generators and a CLI."""
 
-from .engine import (InternalError, ListState, Outcome, Palette, SolveStats,
+from .engine import (ListState, Outcome, Palette, SolveStats,
                      anchor_seeds, case_seeds, choice_lists,
                      colour_blownup_c7, eliminate_safe,
                      enumerate_c5_colourings, palette_analysis, propagate,
                      residual_to_2sat, solve, verify_colouring)
+from .errors import InternalError, PreconditionBreach
 from .graph import (Bipartition, Graph, VertexSet, bipartite_check,
                     build_graph, connected_components)
 from .recognition import (PromiseViolation, TwinDecomposition, check_promise,
@@ -17,7 +18,7 @@ from .skeleton import (Chain, ComponentInfo, Skeleton, build_chain,
 from .testkit import GenSpec, enumerate_colourings, generate, oracle_solve
 
 __all__ = [
-    "InternalError", "ListState", "Outcome", "Palette", "SolveStats",
+    "InternalError", "PreconditionBreach", "ListState", "Outcome", "Palette", "SolveStats",
     "anchor_seeds", "case_seeds", "choice_lists", "colour_blownup_c7",
     "eliminate_safe", "enumerate_c5_colourings", "palette_analysis",
     "propagate", "residual_to_2sat", "solve", "verify_colouring",

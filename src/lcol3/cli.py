@@ -18,13 +18,13 @@ import json
 import sys
 import time
 
-from .engine import (FULL_MASK, InternalError, colours_of, solve,
-                     verify_colouring)
+from .engine import FULL_MASK, colours_of, solve, verify_colouring
+from .errors import InternalError, PreconditionBreach
 from .graph import DuplicateEdgeError as GraphDuplicateEdgeError
 from .graph import (Bipartition, GraphError, _graph_from_rows,
                     bipartite_check, connected_components, induced_subgraph)
-from .recognition import (PromiseViolation, check_promise,
-                          recognize_blownup_c7, shortest_odd_cycle)
+from .recognition import (check_promise, recognize_blownup_c7,
+                          shortest_odd_cycle)
 from .skeleton import build_skeleton, skeleton_report
 from .testkit import GenSpec, generate, oracle_solve
 
@@ -193,12 +193,9 @@ def emit_instance(graph, masks=None):
     return "\n".join(lines) + "\n"
 
 
-def _witness_lines(violation):
+def _witness_line(violation):
     verts = " ".join(str(v + 1) for v in violation.vertices)
-    lines = [f"witness {violation.kind} {verts}".rstrip()]
-    if violation.note:
-        lines.append(f"note {violation.note}")
-    return lines
+    return f"witness {violation.kind} {verts}"
 
 
 def _stats_fields(stats):
@@ -223,7 +220,7 @@ def emit_result(outcome, fmt="text", include_stats=False):
         elif outcome.is_unsat:
             lines = ["UNSAT"]
         else:
-            lines = ["INVALID"] + _witness_lines(outcome.violation)
+            lines = ["INVALID", _witness_line(outcome.violation)]
         if include_stats:
             lines.extend(f"s {key} {value}"
                          for key, value in _stats_fields(outcome.stats).items())
@@ -236,11 +233,8 @@ def emit_result(outcome, fmt="text", include_stats=False):
             doc["colouring"] = {str(v + 1): c
                                 for v, c in enumerate(outcome.colouring)}
         if outcome.is_invalid:
-            witness = {"kind": outcome.violation.kind,
-                       "vertices": [v + 1 for v in outcome.violation.vertices]}
-            if outcome.violation.note:
-                witness["note"] = outcome.violation.note
-            doc["witness"] = witness
+            doc["witness"] = {"kind": outcome.violation.kind,
+                              "vertices": [v + 1 for v in outcome.violation.vertices]}
         if include_stats:
             doc["stats"] = _stats_fields(outcome.stats)
         return json.dumps(doc) + "\n"
@@ -309,22 +303,19 @@ def _explain_report(graph):
         else:
             cycle = shortest_odd_cycle(sub)
             entry["odd_girth"] = len(cycle)
-            if len(cycle) == 5:
-                sk = build_skeleton(sub, cycle)
-                if isinstance(sk, PromiseViolation):
-                    entry["type"] = "breach"
-                else:
+            try:
+                if len(cycle) == 5:
+                    report_sk = skeleton_report(sub, build_skeleton(sub, cycle),
+                                                relabel=lambda v: ids[v] + 1)
                     entry["type"] = "c5_skeleton"
-                    entry["skeleton"] = skeleton_report(
-                        sub, sk, relabel=lambda v: ids[v] + 1)
-            elif len(cycle) == 7:
-                dec = recognize_blownup_c7(sub, cycle)
-                if isinstance(dec, PromiseViolation):
-                    entry["type"] = "breach"
-                else:
+                    entry["skeleton"] = report_sk
+                elif len(cycle) == 7:
+                    dec = recognize_blownup_c7(sub, cycle)
                     entry["type"] = "blownup_c7"
                     entry["classes"] = [[ids[v] + 1 for v in cl]
                                        for cl in dec.classes]
+            except PreconditionBreach:
+                entry["type"] = "breach"
         report["components"].append(entry)
     return report
 
@@ -355,12 +346,14 @@ def _dot_dump(graph, report):
 
 
 def _cmd_check_promise(args):
+    if args.dot and not args.explain:
+        print("error: --dot needs --explain", file=sys.stderr)
+        return 1
     graph, _ = parse_instance(_read(args.file))
     violation = check_promise(graph)
     if violation is not None:
         print("INVALID")
-        for line in _witness_lines(violation):
-            print(line)
+        print(_witness_line(violation))
         return 2
     if args.explain:
         report = _explain_report(graph)

@@ -9,12 +9,11 @@ import time
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import InternalError
+from .errors import InternalError, PreconditionBreach
 from .graph import (Bipartition, VertexSet, bipartite_check,
                     components_within, induced_subgraph, iter_bits)
-from .recognition import (STRUCTURE_BREACH, PromiseViolation, check_promise,
-                          p7_witness, recognize_blownup_c7, shortest_odd_cycle,
-                          triangle_witness)
+from .recognition import (PromiseViolation, check_promise,
+                          recognize_blownup_c7, shortest_odd_cycle)
 from .sat2 import TwoSatInstance, add_clause, neg, pos, solve_2sat
 from .skeleton import build_chain, build_skeleton
 
@@ -54,11 +53,6 @@ def normalize_lists(n, lists):
                 raise ValueError(f"empty colour list at vertex {v}")
         out.append(m)
     return out
-
-
-class PreconditionBreach(RuntimeError):
-    """A vertex kept all three colours where the structure guarantees it
-    cannot; signals a promise violation (or an internal bug)."""
 
 
 @dataclass
@@ -527,7 +521,13 @@ def solve(graph, lists=None, mode="trust"):
 
     In "verify" mode the promise (no triangles, no induced P7) is checked
     up front; in "trust" mode only violations met on the solving path are
-    reported.  Identical inputs give identical outputs.
+    reported.  Each structural check on that path raises PreconditionBreach
+    when it fails, which shows the component is outside the class or the
+    solver has a gap.  solve then runs check_promise on that component: it
+    returns the verified witness, relabelled to the input, or raises
+    InternalError when there is none.  So every INVALID answer carries a
+    triangle or an induced P7, and the check costs time only on that
+    failure path.  Identical inputs give identical outputs.
 
     Layer 0 drops dominated false twins: a vertex v is dropped when a kept
     vertex u has the same neighbourhood (so u and v are not adjacent) and
@@ -575,10 +575,15 @@ def solve(graph, lists=None, mode="trust"):
     colouring = [0] * graph.n
     for comp in components_within(graph, rest):
         sub, ids = induced_subgraph(graph, VertexSet(comp))
-        result = _solve_component(sub, [masks[v] for v in ids], stats)
-        if isinstance(result, PromiseViolation):
+        try:
+            result = _solve_component(sub, [masks[v] for v in ids], stats)
+        except PreconditionBreach as exc:
+            violation = check_promise(sub)
+            if violation is None:
+                raise InternalError(
+                    f"structural check failed on an in-class component: {exc}") from exc
             stats.millis = (time.perf_counter() - t0) * 1000.0
-            return Outcome("invalid", None, result.relabel(ids), stats)
+            return Outcome("invalid", None, violation.relabel(ids), stats)
         if result is None:
             stats.millis = (time.perf_counter() - t0) * 1000.0
             return Outcome("unsat", None, None, stats)
@@ -660,20 +665,13 @@ def _solve_component(g, masks, stats):
         return _solve_bipartite(g, masks, bip, stats)
 
     cycle = shortest_odd_cycle(g)
-    length = len(cycle)
-    if length == 3:
-        return triangle_witness(g, *cycle)
-    if length >= 9:
-        return p7_witness(g, cycle[:7], "odd girth at least nine")
-    if length == 7:
-        dec = recognize_blownup_c7(g, cycle)
-        if isinstance(dec, PromiseViolation):
-            return dec
-        return colour_blownup_c7(dec, masks)
-    sk = build_skeleton(g, cycle)
-    if isinstance(sk, PromiseViolation):
-        return sk
-    return _solve_skeleton(g, masks, sk, stats)
+    if len(cycle) == 7:
+        return colour_blownup_c7(recognize_blownup_c7(g, cycle), masks)
+    if len(cycle) != 5:
+        # a triangle, or a chordless odd cycle whose first seven vertices
+        # induce a P7
+        raise PreconditionBreach(f"odd girth {len(cycle)}")
+    return _solve_skeleton(g, masks, build_skeleton(g, cycle), stats)
 
 
 def _solve_bipartite(g, masks, bip, stats):
@@ -757,18 +755,14 @@ def _two_sat_leaf(g, st, stats):
 
 
 def _finish_branch(g, st, stats):
-    """Finish one branch: safe elimination, propagation, the no-full-mask
-    check and the 2-SAT tail.  A colouring, a violation, or None."""
+    """Finish one branch: safe elimination, propagation and the 2-SAT tail,
+    which raises PreconditionBreach on a vertex that kept all three
+    colours.  A colouring, or None."""
     eliminate_safe(st, g)
     ok = propagate(st) is not None
     stats.propagations += st.removals
     if not ok:
         return None
-    full = st.full_mask_vertices()
-    if full:
-        return PromiseViolation(
-            STRUCTURE_BREACH, tuple(full),
-            "vertex kept all three colours after safe elimination")
     stats.branches_survived += 1
     return _two_sat_leaf(g, st, stats)
 
@@ -785,10 +779,7 @@ def _solve_skeleton(g, masks, sk, stats):
     for palette in _anchor_palettes([masks[c] for c in sk.c]):
         for i in palette.undetermined:
             if sk.t[i] and i not in chains:
-                chain = build_chain(g, sk, i)
-                if isinstance(chain, PromiseViolation):
-                    return chain
-                chains[i] = chain
+                chains[i] = build_chain(g, sk, i)
 
         base = root.fork()
         ok = (base.assign_all(anchor_seeds(sk, palette))

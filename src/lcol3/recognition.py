@@ -1,9 +1,10 @@
 """Structure recognition: triangles, induced 7-vertex paths, shortest odd
 cycles, false-twin classes, and the blown-up-C7 decomposition.
 
-Every triangle / induced-path witness emitted from here is verified against
-the graph before it is returned; when a contradiction cannot be turned into a
-checkable witness the violation is reported as a structure breach instead.
+check_promise is the only producer of promise-violation witnesses, and every
+witness it returns is verified against the graph first.
+recognize_blownup_c7 raises PreconditionBreach when the graph is not a
+blown-up C7; it builds no witness of its own.
 """
 
 from __future__ import annotations
@@ -11,30 +12,26 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import InternalError
+from .errors import InternalError, PreconditionBreach
 from .graph import VertexSet, induced_subgraph, iter_bits
 
 TRIANGLE = "triangle"
 INDUCED_P7 = "induced_p7"
-STRUCTURE_BREACH = "structure_breach"
 
 
 @dataclass(frozen=True)
 class PromiseViolation:
     """Witness that the input graph is outside the promise class.
 
-    kind is one of "triangle" (3 mutually adjacent vertices), "induced_p7"
-    (7 vertices inducing a path, in path order) or "structure_breach" (a
-    structural check failed without a directly constructible witness; the
-    note names the failed condition).
+    kind is "triangle" (3 mutually adjacent vertices) or "induced_p7"
+    (7 vertices inducing a path, in path order).
     """
 
     kind: str
     vertices: tuple
-    note: str = ""
 
     def relabel(self, mapping):
-        return PromiseViolation(self.kind, tuple(mapping[v] for v in self.vertices), self.note)
+        return PromiseViolation(self.kind, tuple(mapping[v] for v in self.vertices))
 
 
 @dataclass(frozen=True)
@@ -66,19 +63,17 @@ def is_induced_path(graph, vertices):
     return True
 
 
-def triangle_witness(graph, a, b, c, note=""):
-    if is_triangle(graph, (a, b, c)):
-        return PromiseViolation(TRIANGLE, tuple(sorted((a, b, c))))
-    return PromiseViolation(STRUCTURE_BREACH, tuple(sorted((a, b, c))),
-                            note or "expected triangle did not verify")
+def triangle_witness(graph, a, b, c):
+    if not is_triangle(graph, (a, b, c)):
+        raise InternalError(f"triangle witness {(a, b, c)} did not verify")
+    return PromiseViolation(TRIANGLE, tuple(sorted((a, b, c))))
 
 
-def p7_witness(graph, vertices, note=""):
+def p7_witness(graph, vertices):
     vertices = tuple(vertices)
-    if len(vertices) == 7 and is_induced_path(graph, vertices):
-        return PromiseViolation(INDUCED_P7, vertices)
-    return PromiseViolation(STRUCTURE_BREACH, vertices,
-                            note or "expected induced P7 did not verify")
+    if len(vertices) != 7 or not is_induced_path(graph, vertices):
+        raise InternalError(f"induced-P7 witness {vertices} did not verify")
+    return PromiseViolation(INDUCED_P7, vertices)
 
 
 def find_triangle(graph):
@@ -317,102 +312,33 @@ def check_promise(graph):
 
 def recognize_blownup_c7(graph, c7):
     """Classify every vertex against an induced 7-cycle of a connected,
-    C5-free graph, returning the twin classes or a violation.
+    C5-free graph and return the twin classes.
 
-    Off-cycle vertices must see exactly two cycle vertices at distance two;
-    the classes must be stable, completely adjacent consecutively and
-    anticomplete otherwise.  A vertex pattern implying a C5 contradicts the
-    odd-girth-7 precondition and is reported as a structure breach.
+    Every off-cycle vertex must see exactly two cycle vertices, at distance
+    two, and joins the class of the cycle vertex between them; every vertex
+    must then see exactly the two classes beside its own, which makes the
+    classes stable, consecutive ones complete to each other and the rest
+    anticomplete.  Raises PreconditionBreach when any of this fails.
     """
-    n = graph.n
     c7 = tuple(c7)
     pos = {v: i for i, v in enumerate(c7)}
     class_members = [[c7[i]] for i in range(7)]
-
-    for v in range(n):
+    for v in range(graph.n):
         if v in pos:
             continue
         hits = sorted(pos[u] for u in graph.adj[v] if u in pos)
-        if not hits:
-            continue  # coverage handled after classification
-        for idx in range(len(hits)):
-            i, j = hits[idx], hits[(idx + 1) % len(hits)]
-            if (j - i) % 7 == 1 or (i - j) % 7 == 1:
-                lo = i if (j - i) % 7 == 1 else j
-                return triangle_witness(graph, v, c7[lo], c7[(lo + 1) % 7])
-        if len(hits) == 1:
-            i = hits[0]
-            path = (v,) + tuple(c7[(i + k) % 7] for k in range(6))
-            return p7_witness(graph, path, "single cycle neighbour")
-        dist2 = None
-        for i in hits:
-            for j in hits:
-                if (j - i) % 7 == 3:
-                    return PromiseViolation(
-                        STRUCTURE_BREACH, (v, c7[i], c7[j]),
-                        "cycle neighbours at distance 3 imply a C5, "
-                        "contradicting odd girth 7")
-                if (j - i) % 7 == 2:
-                    dist2 = (i, j)
-        if len(hits) != 2 or dist2 is None:
-            return PromiseViolation(STRUCTURE_BREACH, (v,) + tuple(c7[i] for i in hits),
-                                    "unclassifiable neighbourhood pattern on C7")
-        class_members[(dist2[0] + 1) % 7].append(v)
+        if len(hits) != 2 or hits[1] - hits[0] not in (2, 5):
+            raise PreconditionBreach(f"vertex {v} sees 7-cycle positions {hits}")
+        i, j = hits
+        class_members[(i + 1) % 7 if j - i == 2 else (j + 1) % 7].append(v)
 
     classes = [VertexSet.from_iterable(ms) for ms in class_members]
-    covered = 0
-    for cl in classes:
-        covered |= cl.mask
-    if covered != (1 << n) - 1:
-        return _uncovered_witness(graph, c7, classes, covered)
-
     bits = graph.bits
     for i in range(7):
-        # stability: two class members sharing the next cycle vertex
+        beside = classes[(i - 1) % 7].mask | classes[(i + 1) % 7].mask
         for v in classes[i]:
-            inside = bits[v] & classes[i].mask
-            if inside:
-                u = (inside & -inside).bit_length() - 1
-                return triangle_witness(graph, v, u, c7[(i + 1) % 7])
-        nxt = classes[(i + 1) % 7]
-        for v in classes[i]:
-            missing = nxt.mask & ~bits[v]
-            if missing:
-                u = (missing & -missing).bit_length() - 1
-                path = (u, c7[(i + 2) % 7], c7[(i + 3) % 7], c7[(i + 4) % 7],
-                        c7[(i + 5) % 7], c7[(i + 6) % 7], v)
-                return p7_witness(graph, path, "missing consecutive-class edge")
-        for j in range(7):
-            if j in ((i + 1) % 7, (i - 1) % 7, i):
-                continue
-            for v in classes[i]:
-                cross = bits[v] & classes[j].mask
-                if cross:
-                    u = (cross & -cross).bit_length() - 1
-                    if (j - i) % 7 in (2, 5):
-                        mid = (i + 1) % 7 if (j - i) % 7 == 2 else (j + 1) % 7
-                        return triangle_witness(graph, v, u, c7[mid])
-                    return PromiseViolation(
-                        STRUCTURE_BREACH, (v, u),
-                        "distance-3 class edge implies a C5, "
-                        "contradicting odd girth 7")
+            if bits[v] != beside:
+                raise PreconditionBreach(
+                    f"vertex {v} of class {i} does not see exactly the two "
+                    "classes beside it")
     return TwinDecomposition(tuple(classes), c7)
-
-
-def _uncovered_witness(graph, c7, classes, covered):
-    # Some vertex has no cycle neighbour; a shortest connection into the
-    # cycle through a classified vertex yields an induced P7.
-    class_of = {}
-    for i, cl in enumerate(classes):
-        for v in cl:
-            class_of[v] = i
-    for x in range(graph.n):
-        if (covered >> x) & 1:
-            continue
-        for y in graph.adj[x]:
-            j = class_of.get(y)
-            if j is not None:
-                path = (x, y) + tuple(c7[(j + 1 + k) % 7] for k in range(5))
-                return p7_witness(graph, path, "vertex beyond distance 1 from C7")
-    return PromiseViolation(STRUCTURE_BREACH, tuple(iter_bits(~covered & ((1 << graph.n) - 1))),
-                            "vertices unreachable from the 7-cycle classes")

@@ -5,20 +5,19 @@ sets T_i (seeing exactly the two anchors around position i), the sets D_i
 (seeing only anchor i), the isolated remainder W, and the non-trivial
 components of the remainder.  The builders validate the structural facts the
 solver relies on (stability, bipartiteness, uniform neighbourhoods, nested
-T_i-neighbourhoods) and turn any failure into an explicit promise-violation
-witness where one is directly constructible.
+T_i-neighbourhoods) and raise PreconditionBreach at the first that fails.
+Each fact holds on every triangle-free, P7-free graph anchored on an induced
+C5, so a failure shows the graph is outside the class, and check_promise
+names the witness.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graph import (VertexSet, bipartite_check, components_within,
-                    induced_subgraph, iter_bits)
-from .recognition import (STRUCTURE_BREACH, PromiseViolation, p7_witness,
-                          triangle_witness)
+from .errors import PreconditionBreach
+from .graph import VertexSet, components_within, iter_bits
 
 
 @dataclass(frozen=True)
@@ -95,10 +94,10 @@ def _induces_c5(graph, c5):
 
 def build_skeleton(graph, c5):
     """Classify every neighbour of the anchor cycle and validate the
-    decomposition; returns a Skeleton or a PromiseViolation."""
+    decomposition; returns a Skeleton or raises PreconditionBreach."""
     c5 = tuple(c5)
     if not _induces_c5(graph, c5):
-        return PromiseViolation(STRUCTURE_BREACH, c5, "anchor vertices do not induce a C5")
+        raise PreconditionBreach(f"anchor vertices {c5} do not induce a C5")
     bits = graph.bits
     pos = {v: i for i, v in enumerate(c5)}
     c_mask = sum(1 << v for v in c5)
@@ -110,11 +109,8 @@ def build_skeleton(graph, c5):
     d_sets = [0] * 5
     for v in iter_bits(near & ~c_mask):
         hits = sorted(pos[u] for u in iter_bits(bits[v] & c_mask))
-        for idx in range(len(hits)):
-            i, j = hits[idx], hits[(idx + 1) % len(hits)]
-            if i != j and ((j - i) % 5 == 1 or (i - j) % 5 == 1):
-                lo = i if (j - i) % 5 == 1 else j
-                return triangle_witness(graph, v, c5[lo], c5[(lo + 1) % 5])
+        if len(hits) > 2 or (len(hits) == 2 and hits[1] - hits[0] in (1, 4)):
+            raise PreconditionBreach(f"vertex {v} sees two consecutive anchors")
         if len(hits) == 1:
             d_sets[hits[0]] |= 1 << v
         else:
@@ -122,40 +118,25 @@ def build_skeleton(graph, c5):
             mid = (p + 1) % 5 if (q - p) % 5 == 2 else (q + 1) % 5
             t_sets[mid] |= 1 << v
 
-    for i in range(5):
-        for v in iter_bits(t_sets[i]):
-            inside = bits[v] & t_sets[i]
-            if inside:
-                u = (inside & -inside).bit_length() - 1
-                return triangle_witness(graph, v, u, c5[(i + 1) % 5])
-        for v in iter_bits(d_sets[i]):
-            inside = bits[v] & d_sets[i]
-            if inside:
-                u = (inside & -inside).bit_length() - 1
-                return triangle_witness(graph, v, u, c5[i])
+    for stable in t_sets + d_sets:
+        for v in iter_bits(stable):
+            if bits[v] & stable:
+                raise PreconditionBreach(f"edge inside a T or D set at vertex {v}")
 
     s_mask = c_mask
-    for m in t_sets:
-        s_mask |= m
-    for m in d_sets:
-        s_mask |= m
     d_all = 0
-    for m in d_sets:
-        d_all |= m
+    for i in range(5):
+        s_mask |= t_sets[i] | d_sets[i]
+        d_all |= d_sets[i]
 
     rest = ((1 << graph.n) - 1) & ~s_mask
-    comps = components_within(graph, rest)
     w_mask = 0
     infos = []
-    for comp in comps:
+    for comp in components_within(graph, rest):
         if comp.bit_count() == 1:
             w_mask |= comp
-            continue
-        result = _validate_gs_component(graph, bits, c5, t_sets, d_sets, d_all,
-                                        s_mask, comp)
-        if isinstance(result, PromiseViolation):
-            return result
-        infos.append(result)
+        else:
+            infos.append(_validate_gs_component(bits, t_sets, d_all, s_mask, comp))
 
     return Skeleton(
         c=c5,
@@ -167,66 +148,24 @@ def build_skeleton(graph, c5):
     )
 
 
-def _index_of(sets, u):
-    """The position i with u in sets[i] (five disjoint int masks), or None."""
-    for i in range(5):
-        if (sets[i] >> u) & 1:
-            return i
-    return None
-
-
-def _validate_gs_component(graph, bits, c5, t_sets, d_sets, d_all, s_mask, comp):
+def _validate_gs_component(bits, t_sets, d_all, s_mask, comp):
     # No vertex of a non-trivial component may see any D set: an edge plus a
     # D-neighbour stretches into an induced P7 through four anchors.
     for x in iter_bits(comp):
-        hit = bits[x] & d_all
-        if hit:
-            u = (hit & -hit).bit_length() - 1
-            i = _index_of(d_sets, u)
-            y = ((bits[x] & comp) & -(bits[x] & comp)).bit_length() - 1
-            if graph.has_edge(y, u):
-                return triangle_witness(graph, x, y, u)
-            return p7_witness(
-                graph,
-                (y, x, u, c5[i], c5[(i + 1) % 5], c5[(i + 2) % 5], c5[(i + 3) % 5]),
-                "component vertex with a D-neighbour")
-
+        if bits[x] & d_all:
+            raise PreconditionBreach(f"component vertex {x} sees a D set")
     sides = _bfs_sides(bits, comp)
     if sides is None:
-        sub, ids = induced_subgraph(graph, VertexSet(comp))
-        cycle = [ids[v] for v in bipartite_check(sub)]
-        return _odd_cycle_escape_witness(graph, bits, c5, t_sets, d_sets,
-                                         s_mask, comp, cycle)
+        raise PreconditionBreach("odd cycle off the anchored sets")
     side_a, side_b = sides
-
-    mismatch = _side_mismatch(graph, bits, comp, s_mask)
-    if mismatch is not None:
-        x, y, z, u = mismatch
-        if graph.has_edge(y, u):
-            return triangle_witness(graph, x, y, u)
-        ti = _index_of(t_sets, u)
-        if ti is None:
-            return PromiseViolation(STRUCTURE_BREACH, (x, y, z, u),
-                                    "non-uniform S-neighbourhood outside the T sets")
-        return p7_witness(
-            graph,
-            (z, y, x, u, c5[(ti + 1) % 5], c5[(ti + 2) % 5], c5[(ti + 3) % 5]),
-            "component side with non-uniform T-neighbourhood")
-
-    n1 = bits[(side_a & -side_a).bit_length() - 1] & s_mask
-    n2 = bits[(side_b & -side_b).bit_length() - 1] & s_mask
-
-    common = n1 & n2
-    if common:
-        u = (common & -common).bit_length() - 1
-        for x in iter_bits(side_a):
-            cross = bits[x] & side_b
-            if cross:
-                y = (cross & -cross).bit_length() - 1
-                return triangle_witness(graph, x, y, u)
+    n1 = _uniform_nbhd(bits, side_a, s_mask)
+    n2 = _uniform_nbhd(bits, side_b, s_mask)
+    if n1 is None or n2 is None:
+        raise PreconditionBreach("component side with non-uniform S-neighbourhood")
+    if n1 & n2:
+        raise PreconditionBreach("component sides share an S-neighbour")
     if not n1 and not n2:
-        return PromiseViolation(STRUCTURE_BREACH, tuple(iter_bits(comp)),
-                                "component with no neighbours in S")
+        raise PreconditionBreach("component with no neighbours in S")
 
     nbhd = n1 | n2
     return ComponentInfo(
@@ -265,145 +204,41 @@ def _bfs_sides(bits, comp):
     return sides[0], sides[1]
 
 
-def _side_mismatch(graph, bits, comp, ref_mask):
-    """Find (x, y, z, u): x,z are neighbours of y inside comp whose
-    neighbourhoods in ref_mask differ, u witnessing the difference on x."""
-    for y in iter_bits(comp):
-        nbrs = bits[y] & comp
-        if not nbrs:
-            continue
-        first = (nbrs & -nbrs).bit_length() - 1
-        ref = bits[first] & ref_mask
-        for z in iter_bits(nbrs ^ (1 << first)):
-            other = bits[z] & ref_mask
-            if other != ref:
-                diff = ref ^ other
-                u = (diff & -diff).bit_length() - 1
-                if (ref >> u) & 1:
-                    return (first, y, z, u)
-                return (z, y, first, u)
-    return None
-
-
-def _odd_cycle_escape_witness(graph, bits, c5, t_sets, d_sets, s_mask, comp, cycle):
-    """An odd cycle off S stretches into a long induced path ending in S and
-    three anchors; returns its first seven vertices (or a triangle met on
-    the way)."""
-    n = graph.n
-    dist = [-1] * n
-    parent = [-1] * n
-    queue = deque()
-    for v in cycle:
-        if dist[v] == -1:
-            dist[v] = 0
-            queue.append(v)
-    target = None
-    while queue:
-        x = queue.popleft()
-        if (s_mask >> x) & 1:
-            target = x
-            break
-        for y in graph.adj[x]:
-            if dist[y] == -1:
-                dist[y] = dist[x] + 1
-                parent[y] = x
-                queue.append(y)
-    if target is None:
-        return PromiseViolation(STRUCTURE_BREACH, tuple(cycle),
-                                "odd component cycle with no path to S")
-
-    path = [target]
-    while parent[path[-1]] != -1:
-        path.append(parent[path[-1]])
-    path.reverse()  # cycle vertex .. target in S
-
-    q = path[1] if len(path) > 1 else path[0]
-    length = len(cycle)
-    cyc_pos = {v: i for i, v in enumerate(cycle)}
-    hits = sorted(cyc_pos[u] for u in graph.adj[q] if u in cyc_pos)
-    if not hits:
-        return PromiseViolation(STRUCTURE_BREACH, tuple(cycle) + (q,),
-                                "path vertex lost contact with the odd cycle")
-    hitset = set(hits)
-    for j in hits:
-        if (j + 1) % length in hitset:
-            return triangle_witness(graph, q, cycle[j], cycle[(j + 1) % length])
-    entry = None
-    for j in hits:
-        if (j - 2) % length not in hitset:
-            entry = j
-            break
-    if entry is None:
-        return PromiseViolation(STRUCTURE_BREACH, (q,) + tuple(cycle),
-                                "cycle neighbourhood closed under two-steps")
-    c3, c2, c1 = cycle[entry], cycle[(entry - 1) % length], cycle[(entry - 2) % length]
-    if graph.has_edge(c1, c3):
-        return triangle_witness(graph, c1, c2, c3)
-
-    s_vertex = path[-1]
-    ti = _index_of(t_sets, s_vertex)
-    if ti is not None:
-        ext = (c5[(ti + 1) % 5], c5[(ti + 2) % 5], c5[(ti + 3) % 5])
-    else:
-        di = _index_of(d_sets, s_vertex)
-        if di is None:
-            return PromiseViolation(STRUCTURE_BREACH, (s_vertex,),
-                                    "escape path ended on the anchor cycle")
-        ext = (c5[di], c5[(di + 1) % 5], c5[(di + 2) % 5])
-    long_path = (c1, c2, c3) + tuple(path[1:]) + ext
-    return p7_witness(graph, long_path[:7], "odd cycle off the anchored sets")
+def _uniform_nbhd(bits, side, ref_mask):
+    """The neighbourhood in ref_mask that every vertex of the non-empty
+    vertex set `side` has, or None if two of them differ there."""
+    nbhd = bits[(side & -side).bit_length() - 1] & ref_mask
+    for x in iter_bits(side):
+        if bits[x] & ref_mask != nbhd:
+            return None
+    return nbhd
 
 
 def wd_components(graph, sk, i):
     """Non-trivial components of G[W ∪ D_i] with per-side uniform
-    T_i-neighbourhoods; returns a list of WDComponent or a PromiseViolation."""
+    T_i-neighbourhoods, as a list of WDComponent; raises PreconditionBreach
+    if one breaks a fact of the class.  Each such component has one side in
+    W and one in D_i, since W has no edges inside W and D_i is stable."""
     bits = graph.bits
-    c5 = sk.c
     ti_mask = sk.t[i].mask
     d_masks = [s.mask for s in sk.d]
-    verts = sk.w.mask | d_masks[i]
     out = []
-    for comp in components_within(graph, verts):
+    for comp in components_within(graph, sk.w.mask | d_masks[i]):
         if comp.bit_count() == 1:
             continue
         w_side = comp & sk.w.mask
         d_side = comp & d_masks[i]
-
         for w in iter_bits(w_side):
             for j in range(5):
-                a = bits[w] & d_masks[j]
-                b = bits[w] & d_masks[(j + 1) % 5]
-                if a and b:
-                    d1 = (a & -a).bit_length() - 1
-                    d2 = (b & -b).bit_length() - 1
-                    if graph.has_edge(d1, d2):
-                        return triangle_witness(graph, w, d1, d2)
-                    return p7_witness(
-                        graph,
-                        (d1, w, d2, c5[(j + 1) % 5], c5[(j + 2) % 5],
-                         c5[(j + 3) % 5], c5[(j + 4) % 5]),
-                        "W vertex seeing two consecutive D sets")
-
-        mismatch = _side_mismatch(graph, bits, comp, ti_mask)
-        if mismatch is not None:
-            x, y, z, u = mismatch
-            if graph.has_edge(y, u):
-                return triangle_witness(graph, x, y, u)
-            return p7_witness(
-                graph,
-                (z, y, x, u, c5[(i + 1) % 5], c5[(i + 2) % 5], c5[(i + 3) % 5]),
-                "non-uniform T-neighbourhood inside a W/D component")
-
-        w_nt = bits[VertexSet(w_side).min()] & ti_mask if w_side else 0
-        d_nt = bits[VertexSet(d_side).min()] & ti_mask if d_side else 0
-        common = w_nt & d_nt
-        if common:
-            t = (common & -common).bit_length() - 1
-            for w in iter_bits(w_side):
-                cross = bits[w] & d_side
-                if cross:
-                    d = (cross & -cross).bit_length() - 1
-                    return triangle_witness(graph, w, d, t)
+                if bits[w] & d_masks[j] and bits[w] & d_masks[(j + 1) % 5]:
+                    raise PreconditionBreach(
+                        f"W vertex {w} sees two consecutive D sets")
+        w_nt = _uniform_nbhd(bits, w_side, ti_mask)
+        d_nt = _uniform_nbhd(bits, d_side, ti_mask)
+        if w_nt is None or d_nt is None:
+            raise PreconditionBreach("non-uniform T-neighbourhood inside a W/D component")
+        if w_nt & d_nt:
+            raise PreconditionBreach("W/D component sides share a T-neighbour")
         out.append(WDComponent(
             index=i,
             vertices=VertexSet(comp),
@@ -416,36 +251,23 @@ def wd_components(graph, sk, i):
 
 
 def build_chain(graph, sk, i):
-    """Nested chain of component neighbourhoods inside T_i, or a violation.
+    """Nested chain of component neighbourhoods inside T_i.
 
     Collects the T_i-neighbourhoods of the non-trivial components of both
-    the S-remainder and G[W ∪ D_i], deduplicates, and verifies they are
-    totally ordered by inclusion; an incomparable pair yields the 2K2-based
-    induced-P7 witness.
+    the S-remainder and G[W ∪ D_i], deduplicates, and checks that they are
+    totally ordered by inclusion; an incomparable pair, which with T_i
+    holds an induced P7, raises PreconditionBreach.
     """
     ti_mask = sk.t[i].mask
     if not ti_mask:
         raise ValueError(f"chain requested for empty T_{i}")
-    owners = []
-    for info in sk.components:
-        m = info.t_nbhd[i].mask
-        if m:
-            owners.append((m, info.vertices.mask))
-    wds = wd_components(graph, sk, i)
-    if isinstance(wds, PromiseViolation):
-        return wds
-    for comp in wds:
-        m = comp.t_nbhd.mask
-        if m:
-            owners.append((m, comp.vertices.mask))
-
-    by_mask = {}
-    for m, vertices in owners:
-        by_mask.setdefault(m, vertices)
-    ordered = sorted(by_mask, key=lambda m: (m.bit_count(), m))
+    nbhds = {info.t_nbhd[i].mask for info in sk.components}
+    nbhds.update(comp.t_nbhd.mask for comp in wd_components(graph, sk, i))
+    nbhds.discard(0)
+    ordered = sorted(nbhds, key=lambda m: (m.bit_count(), m))
     for a, b in zip(ordered, ordered[1:]):
         if a & ~b:
-            return _chain_order_witness(graph, sk, i, a, by_mask[a], b, by_mask[b])
+            raise PreconditionBreach(f"incomparable component neighbourhoods in T_{i}")
     levels = [m for m in ordered if m != ti_mask]
 
     v0 = VertexSet(levels[0]).min() if levels else VertexSet(ti_mask).min()
@@ -454,30 +276,10 @@ def build_chain(graph, sk, i):
     return Chain(index=i, v0=v0, levels=chain_levels, r=len(levels))
 
 
-def _chain_order_witness(graph, sk, i, mask_a, comp_a, mask_b, comp_b):
-    bits = graph.bits
-    u = ((mask_a & ~mask_b) & -(mask_a & ~mask_b)).bit_length() - 1
-    z = ((mask_b & ~mask_a) & -(mask_b & ~mask_a)).bit_length() - 1
-    va = bits[u] & comp_a
-    vb = bits[z] & comp_b
-    if not va or not vb:
-        return PromiseViolation(STRUCTURE_BREACH, (u, z),
-                                "chain neighbourhood without an attached vertex")
-    v = (va & -va).bit_length() - 1
-    w = ((bits[v] & comp_a) & -(bits[v] & comp_a)).bit_length() - 1
-    if graph.has_edge(w, u):
-        return triangle_witness(graph, v, w, u)
-    y = (vb & -vb).bit_length() - 1
-    x = ((bits[y] & comp_b) & -(bits[y] & comp_b)).bit_length() - 1
-    if graph.has_edge(x, z):
-        return triangle_witness(graph, y, x, z)
-    return p7_witness(graph, (x, y, z, sk.c[(i + 1) % 5], u, v, w),
-                      "incomparable component neighbourhoods in T")
-
-
 def skeleton_report(graph, sk, relabel=None):
     """Structured diagnostic view of the decomposition; relabel maps internal
-    vertex ids to display ids (identity by default)."""
+    vertex ids to display ids (identity by default).  Raises
+    PreconditionBreach where wd_components or build_chain does."""
     if relabel is None:
         def relabel(v):
             return v
@@ -506,8 +308,6 @@ def skeleton_report(graph, sk, relabel=None):
     }
     for i in range(5):
         wds = wd_components(graph, sk, i)
-        if isinstance(wds, PromiseViolation):
-            continue
         entries = [
             {
                 "vertices": vs(c.vertices),
@@ -521,10 +321,9 @@ def skeleton_report(graph, sk, relabel=None):
             report["wd_components"][str(i + 1)] = entries
         if sk.t[i]:
             chain = build_chain(graph, sk, i)
-            if not isinstance(chain, PromiseViolation):
-                report["chains"][str(i + 1)] = {
-                    "v0": relabel(chain.v0),
-                    "r": chain.r,
-                    "levels": [vs(level) for level in chain.levels],
-                }
+            report["chains"][str(i + 1)] = {
+                "v0": relabel(chain.v0),
+                "r": chain.r,
+                "levels": [vs(level) for level in chain.levels],
+            }
     return report

@@ -2,14 +2,16 @@
 
 from itertools import combinations
 
+import pytest
 from hypothesis import strategies as st
 
-from lcol3 import anchor_seeds, build_graph, case_seeds
+from lcol3 import anchor_seeds, build_graph, case_seeds, check_promise
 from lcol3.cli import (DuplicateListLineError, EmptyListError,
                        InstanceSyntaxError, OutOfRangeError)
 from lcol3.engine import FULL_MASK
+from lcol3.errors import PreconditionBreach
 from lcol3.graph import _graph_from_rows, iter_bits
-from lcol3.recognition import _extract_odd_cycle, triangle_witness
+from lcol3.recognition import _extract_odd_cycle
 
 
 def brute_triangle_free(graph):
@@ -173,11 +175,11 @@ def reference_shortest_odd_cycle(graph):
 
 
 def reference_anchor_classes(graph, c5):
-    """The T and D sets of an anchored C5 as five int masks each, or the
-    triangle witness build_skeleton reports while classifying: a vertex
-    seeing two consecutive anchors, else an edge inside a T or D set.  Walks
-    every vertex's neighbour tuple, in the way build_skeleton once did; its
-    walk over the anchors' bit rows must give the same."""
+    """The T and D sets of an anchored C5 as five int masks each, or None
+    where build_skeleton must raise while classifying: a vertex seeing two
+    consecutive anchors, or an edge inside a T or D set.  Walks every
+    vertex's neighbour tuple, in the way build_skeleton once did; its walk
+    over the anchors' bit rows must give the same."""
     bits = graph.bits
     pos = {v: i for i, v in enumerate(c5)}
     t_sets = [0] * 5
@@ -191,8 +193,7 @@ def reference_anchor_classes(graph, c5):
         for idx in range(len(hits)):
             i, j = hits[idx], hits[(idx + 1) % len(hits)]
             if i != j and ((j - i) % 5 == 1 or (i - j) % 5 == 1):
-                lo = i if (j - i) % 5 == 1 else j
-                return triangle_witness(graph, v, c5[lo], c5[(lo + 1) % 5])
+                return None
         if len(hits) == 1:
             d_sets[hits[0]] |= 1 << v
         else:
@@ -201,15 +202,11 @@ def reference_anchor_classes(graph, c5):
             t_sets[mid] |= 1 << v
     for i in range(5):
         for v in iter_bits(t_sets[i]):
-            inside = bits[v] & t_sets[i]
-            if inside:
-                u = (inside & -inside).bit_length() - 1
-                return triangle_witness(graph, v, u, c5[(i + 1) % 5])
+            if bits[v] & t_sets[i]:
+                return None
         for v in iter_bits(d_sets[i]):
-            inside = bits[v] & d_sets[i]
-            if inside:
-                u = (inside & -inside).bit_length() - 1
-                return triangle_witness(graph, v, u, c5[i])
+            if bits[v] & d_sets[i]:
+                return None
     return t_sets, d_sets
 
 
@@ -334,6 +331,17 @@ def check_witness(graph, violation):
                     return False
         return True
     return False
+
+
+def breach_witness(graph, build, *args):
+    """Check that build(graph, *args) raises PreconditionBreach and that
+    check_promise names a witness on the graph that check_witness accepts;
+    returns that witness."""
+    with pytest.raises(PreconditionBreach):
+        build(graph, *args)
+    violation = check_promise(graph)
+    assert violation is not None and check_witness(graph, violation)
+    return violation
 
 
 @st.composite

@@ -282,6 +282,14 @@ def test_check_promise_explain_dot(capsys):
     assert "graph skeleton {" in out
 
 
+def test_check_promise_dot_without_explain_is_a_usage_error(capsys):
+    assert dispatch(["check-promise", "--dot", str(INSTANCES / "c5.lcol")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "--dot needs --explain" in lines[0]
+
+
 def test_verify_subcommand(tmp_path, capsys):
     inst = INSTANCES / "c5.lcol"
     col = tmp_path / "col.txt"

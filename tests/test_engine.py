@@ -13,15 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from conftest import graphs, reference_peel, seeds_of_branch
+from conftest import check_witness, graphs, reference_peel, seeds_of_branch
 from lcol3 import (build_chain, build_graph, build_skeleton, check_promise,
                    choice_lists, colour_blownup_c7, eliminate_safe,
                    enumerate_c5_colourings, palette_analysis, propagate,
                    residual_to_2sat, solve, verify_colouring)
 import lcol3
 from lcol3 import engine
-from lcol3.engine import (FULL_MASK, InternalError, ListState,
-                          PreconditionBreach, mask_of)
+from lcol3.cli import dispatch, emit_instance
+from lcol3.engine import FULL_MASK, InternalError, ListState, mask_of
+from lcol3.errors import PreconditionBreach
 from lcol3.graph import VertexSet, iter_bits
 from lcol3.recognition import false_twin_classes
 from lcol3.recognition import recognize_blownup_c7, shortest_odd_cycle
@@ -459,7 +460,8 @@ def test_branch_completeness_small_instances():
 
 
 def test_claims_leave_no_full_masks_on_promise_instances():
-    # a breach would surface as an "invalid" outcome with a structure note
+    # a vertex left with all three colours raises PreconditionBreach, which
+    # solve turns into an InternalError on these in-class instances
     for seed in range(80):
         g, masks = generate(GenSpec("skeleton_built", seed=seed, scale=25,
                                     lists="random" if seed % 2 else "full"))
@@ -812,3 +814,64 @@ def test_residual_with_unpropagated_assignment_raises(monkeypatch):
     with pytest.raises(InternalError):
         solve(cycle_graph(4), [mask_of([1]), mask_of([1, 2]), mask_of([2, 3]),
                                mask_of([2, 3])])
+
+
+@hst.composite
+def listed_graphs(draw):
+    # mostly triangle-free graphs (an edge that would close a triangle is
+    # left out), some with triangles, and lists of every size
+    n = draw(hst.integers(min_value=1, max_value=24))
+    with_triangles = draw(hst.sampled_from((False, False, False, True)))
+    density = draw(hst.sampled_from((0.1, 0.2, 0.3, 0.45)))
+    rng = random.Random(draw(hst.integers(min_value=0, max_value=2**32)))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(pairs)
+    rows = [0] * n
+    edges = []
+    for u, v in pairs:
+        if rng.random() < density and (with_triangles or not rows[u] & rows[v]):
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+            edges.append((u, v))
+    masks = [rng.choice((7, 7, 7, 3, 5, 6, 1, 2, 4)) for _ in range(n)]
+    return build_graph(n, edges), masks
+
+
+@settings(max_examples=300, deadline=None)
+@given(listed_graphs())
+def test_trust_mode_invalid_answers_carry_verified_witnesses(case):
+    # every structural check that fails on the solving path ends in
+    # check_promise's witness, and none raises out of solve
+    g, masks = case
+    out = solve(g, masks, mode="trust")
+    if out.is_invalid:
+        assert out.violation.kind in ("triangle", "induced_p7")
+        assert check_witness(g, out.violation)
+
+
+@pytest.mark.parametrize("mode", ["trust", "verify"])
+def test_breach_on_an_in_class_component_is_an_internal_error(
+        monkeypatch, tmp_path, capsys, mode):
+    # A failed structural check on a component that check_promise accepts
+    # is a gap in the solver, never an INVALID answer.  The instance keeps
+    # every vertex through layer 0, so its component reaches build_skeleton.
+    g, masks = generate(GenSpec("skeleton_built", seed=399, scale=12,
+                                lists="random"))
+    assert check_promise(g) is None
+    calls = []
+
+    def breach(*args):
+        calls.append(args)
+        raise PreconditionBreach("planted breach")
+
+    monkeypatch.setattr(engine, "build_skeleton", breach)
+    with pytest.raises(InternalError, match="planted breach"):
+        solve(g, masks, mode=mode)
+    assert calls
+    path = tmp_path / "in_class.lcol"
+    path.write_text(emit_instance(g, masks))
+    assert dispatch(["solve", "--mode", mode, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("internal error")

@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (brute_has_induced_p7, brute_triangle_free, check_witness,
-                      graphs, reference_find_induced_p7, reference_induced_p7,
-                      reference_shortest_odd_cycle, subset_induces_path)
+from conftest import (breach_witness, brute_has_induced_p7, brute_triangle_free,
+                      check_witness, graphs, reference_find_induced_p7,
+                      reference_induced_p7, reference_shortest_odd_cycle,
+                      subset_induces_path)
 from lcol3 import (build_graph, check_promise, false_twin_classes,
                    find_induced_p7, find_triangle, recognize_blownup_c7,
                    shortest_odd_cycle)
+from lcol3.errors import PreconditionBreach
 from lcol3.graph import induced_subgraph
-from lcol3.recognition import (PromiseViolation, TwinDecomposition,
-                               is_induced_path, is_triangle, p7_witness,
-                               triangle_witness)
+from lcol3.recognition import (TwinDecomposition, is_induced_path, is_triangle,
+                               p7_witness, triangle_witness)
 from lcol3.testkit import (GenSpec, cycle_graph, generate, groetzsch_graph,
                            path_graph, petersen_graph)
 from test_properties import twin_expand
@@ -287,32 +288,42 @@ def test_recognize_doubled_c7():
 def test_recognize_consecutive_neighbours_is_triangle():
     edges = [(i, (i + 1) % 7) for i in range(7)] + [(7, 1), (7, 2)]
     g = build_graph(8, edges)
-    out = recognize_blownup_c7(g, list(range(7)))
-    assert isinstance(out, PromiseViolation) and out.kind == "triangle"
-    assert check_witness(g, out)
+    assert breach_witness(g, recognize_blownup_c7, list(range(7))).kind == "triangle"
 
 
 def test_recognize_single_neighbour_is_p7():
     edges = [(i, (i + 1) % 7) for i in range(7)] + [(7, 3)]
     g = build_graph(8, edges)
-    out = recognize_blownup_c7(g, list(range(7)))
-    assert isinstance(out, PromiseViolation) and out.kind == "induced_p7"
-    assert check_witness(g, out)
+    assert breach_witness(g, recognize_blownup_c7, list(range(7))).kind == "induced_p7"
 
 
-def test_recognize_distance_three_is_structure_breach():
+def test_recognize_distance_three_raises_on_a_graph_with_a_c5():
+    # 7 closes the 5-cycle 7-0-1-2-3: the graph has odd girth 5, so
+    # recognize_blownup_c7 is called outside its precondition, yet the graph
+    # is in the class
     edges = [(i, (i + 1) % 7) for i in range(7)] + [(7, 0), (7, 3)]
     g = build_graph(8, edges)
-    out = recognize_blownup_c7(g, list(range(7)))
-    assert isinstance(out, PromiseViolation) and out.kind == "structure_breach"
+    with pytest.raises(PreconditionBreach):
+        recognize_blownup_c7(g, list(range(7)))
+    assert check_promise(g) is None
 
 
 def test_recognize_far_vertex_is_p7():
     edges = [(i, (i + 1) % 7) for i in range(7)] + [(7, 6), (7, 1), (8, 7), (9, 8)]
     g = build_graph(10, edges)
-    out = recognize_blownup_c7(g, list(range(7)))
-    assert isinstance(out, PromiseViolation) and out.kind == "induced_p7"
-    assert check_witness(g, out)
+    assert breach_witness(g, recognize_blownup_c7, list(range(7))).kind == "induced_p7"
+
+
+@pytest.mark.parametrize("extra,kind", [
+    # 7 is a twin of 0 and 8 a twin of 2, joined: a triangle with 1
+    ([(7, 6), (7, 1), (8, 1), (8, 3), (7, 8)], "triangle"),
+    # 7 is a twin of 0 and 8 a twin of 1, not joined: 7 6 5 4 3 2 8 is an
+    # induced P7
+    ([(7, 6), (7, 1), (8, 0), (8, 2)], "induced_p7"),
+], ids=["class_edge", "missing_consecutive_edge"])
+def test_recognize_class_adjacency_raises(extra, kind):
+    g = build_graph(9, [(i, (i + 1) % 7) for i in range(7)] + extra)
+    assert breach_witness(g, recognize_blownup_c7, list(range(7))).kind == kind
 
 
 @st.composite

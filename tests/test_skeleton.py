@@ -1,7 +1,10 @@
-from conftest import check_witness, reference_anchor_classes
+import pytest
+
+from conftest import breach_witness, reference_anchor_classes
 from lcol3 import build_chain, build_graph, build_skeleton, check_promise, wd_components
+from lcol3.errors import PreconditionBreach
 from lcol3.graph import Bipartition, bipartite_check, induced_subgraph
-from lcol3.recognition import PromiseViolation, shortest_odd_cycle
+from lcol3.recognition import shortest_odd_cycle
 from lcol3.skeleton import Chain, Skeleton, skeleton_report
 from lcol3.testkit import GenSpec, generate
 
@@ -29,42 +32,37 @@ def test_classify_d_set():
 
 def test_consecutive_anchor_neighbours_is_triangle():
     g = mk([(5, 0), (5, 1)], 6)
-    out = build_skeleton(g, ANCHORS)
-    assert isinstance(out, PromiseViolation) and out.kind == "triangle"
-    assert check_witness(g, out)
+    assert breach_witness(g, build_skeleton, ANCHORS).kind == "triangle"
 
 
 def test_intra_t_edge_is_triangle():
     g = mk([(5, 1), (5, 3), (6, 1), (6, 3), (5, 6)], 7)
-    out = build_skeleton(g, ANCHORS)
-    assert isinstance(out, PromiseViolation) and out.kind == "triangle"
-    assert check_witness(g, out)
+    assert breach_witness(g, build_skeleton, ANCHORS).kind == "triangle"
 
 
 def test_component_with_d_neighbour_yields_p7():
-    # edge (6,7) off S, 6 adjacent to a D_0 vertex: claim breach witness
+    # edge (6,7) off S, 6 adjacent to a D_0 vertex
     g = mk([(5, 0), (6, 5), (6, 7)], 8)
-    out = build_skeleton(g, ANCHORS)
-    assert isinstance(out, PromiseViolation) and out.kind == "induced_p7"
-    assert check_witness(g, out)
+    assert breach_witness(g, build_skeleton, ANCHORS).kind == "induced_p7"
 
 
 def test_odd_component_cycle_yields_witness():
     # 5-cycle hanging off T_2 makes the remainder non-bipartite
     comp = [(6, 7), (7, 8), (8, 9), (9, 10), (10, 6), (6, 5)]
     g = mk([(5, 1), (5, 3)] + comp, 11)
-    out = build_skeleton(g, ANCHORS)
-    assert isinstance(out, PromiseViolation)
-    assert out.kind in ("induced_p7", "triangle")
-    assert check_witness(g, out)
+    breach_witness(g, build_skeleton, ANCHORS)
 
 
 def test_nonuniform_side_neighbourhood_yields_p7():
     # path 6-7-8 with only one endpoint seeing T_2
     g = mk([(5, 1), (5, 3), (6, 5), (6, 7), (7, 8)], 9)
-    out = build_skeleton(g, ANCHORS)
-    assert isinstance(out, PromiseViolation) and out.kind == "induced_p7"
-    assert check_witness(g, out)
+    assert breach_witness(g, build_skeleton, ANCHORS).kind == "induced_p7"
+
+
+def test_component_sides_sharing_an_s_neighbour_raise_on_a_triangle():
+    # edge 6-7 off S with both ends seeing 5 in T_2
+    g = mk([(5, 1), (5, 3), (6, 5), (7, 5), (6, 7)], 8)
+    assert breach_witness(g, build_skeleton, ANCHORS).kind == "triangle"
 
 
 def test_component_info_fields():
@@ -95,10 +93,14 @@ def test_wd_single_component():
 def test_wd_consecutive_d_neighbours_yields_p7():
     g = mk([(5, 0), (6, 1), (7, 5), (7, 6)], 8)
     sk = build_skeleton(g, ANCHORS)
-    assert isinstance(sk, Skeleton)
-    out = wd_components(g, sk, 0)
-    assert isinstance(out, PromiseViolation) and out.kind == "induced_p7"
-    assert check_witness(g, out)
+    assert breach_witness(g, wd_components, sk, 0).kind == "induced_p7"
+
+
+def test_wd_sides_sharing_a_t_neighbour_raise_on_a_triangle():
+    # d(5) in D_0 and w(6) in W both see t(7) in T_0
+    g = mk([(7, 4), (7, 1), (5, 0), (6, 5), (5, 7), (6, 7)], 8)
+    sk = build_skeleton(g, ANCHORS)
+    assert breach_witness(g, wd_components, sk, 0).kind == "triangle"
 
 
 def test_wd_no_w_vertices_empty():
@@ -111,10 +113,7 @@ def test_wd_nonuniform_t_neighbourhood_yields_p7():
     # P3 d'(6)-w(7)-d(5) in G[W ∪ D_0] where only d sees t ∈ T_0
     g = mk([(8, 4), (8, 1), (5, 0), (6, 0), (7, 5), (7, 6), (5, 8)], 9)
     sk = build_skeleton(g, ANCHORS)
-    assert isinstance(sk, Skeleton)
-    out = wd_components(g, sk, 0)
-    assert isinstance(out, PromiseViolation) and out.kind == "induced_p7"
-    assert check_witness(g, out)
+    assert breach_witness(g, wd_components, sk, 0).kind == "induced_p7"
 
 
 def test_chain_nested_levels():
@@ -148,18 +147,13 @@ def test_chain_level_equal_to_t_merges_with_sentinel():
 
 
 def test_chain_crossing_neighbourhoods_violate():
-    # two components seeing incomparable subsets {5} and {6} of T_2
+    # two components seeing incomparable subsets {5} and {6} of T_2; such
+    # an instance cannot be in the promise class at all
     extra = [(5, 1), (5, 3), (6, 1), (6, 3),
              (8, 5), (8, 9), (10, 6), (10, 11)]
     g = mk(extra, 12)
     sk = build_skeleton(g, ANCHORS)
-    assert isinstance(sk, Skeleton)
-    out = build_chain(g, sk, 2)
-    assert isinstance(out, PromiseViolation)
-    assert out.kind in ("induced_p7", "triangle")
-    assert check_witness(g, out)
-    # such an instance cannot be in the promise class at all
-    assert check_promise(g) is not None
+    assert breach_witness(g, build_chain, sk, 2).kind == "induced_p7"
 
 
 def test_chain_includes_wd_component_neighbourhoods():
@@ -224,11 +218,12 @@ def test_anchor_classes_match_reference():
         for anchors in (cyc, (cyc[3], cyc[2], cyc[1], cyc[0], cyc[4])):
             for h in cases:
                 want = reference_anchor_classes(h, anchors)
-                got = build_skeleton(h, anchors)
-                if isinstance(want, PromiseViolation):
-                    assert got == want, seed
+                if want is None:
+                    with pytest.raises(PreconditionBreach):
+                        build_skeleton(h, anchors)
                     planted += 1
                 else:
+                    got = build_skeleton(h, anchors)
                     assert isinstance(got, Skeleton), seed
                     assert [s.mask for s in got.t] == want[0], seed
                     assert [s.mask for s in got.d] == want[1], seed
