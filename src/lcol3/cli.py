@@ -55,6 +55,14 @@ class EmptyListError(ParseError):
     pass
 
 
+# The largest vertex count a problem line may declare, ten times the
+# n = 2 000 blow-up of the acceptance tests.  The problem line alone
+# allocates a neighbour list, a mask and an id-table entry per vertex (about
+# 180 bytes each, 3.6 MB here) before any edge is read.  Each vertex then
+# keeps an int bit row of up to n bits: n * (n / 8 + 28) bytes when dense,
+# 50 MB at this limit and 0.5 MB at n = 2 000.
+MAX_VERTICES = 20_000
+
 # The seven valid colour lists, as their ascending digit strings.
 _LIST_MASKS = {"".join(map(str, colours_of(m))): m for m in range(1, FULL_MASK + 1)}
 
@@ -62,9 +70,13 @@ _LIST_MASKS = {"".join(map(str, colours_of(m))): m for m in range(1, FULL_MASK +
 def parse_instance(text):
     """Parse an instance file into a Graph and per-vertex colour masks.
 
-    Errors are reported at the first offending line.  Repeated edges are
-    found by the graph constructor once every line has been read, so on any
-    error the lines before it are searched again for the first repeat.
+    An edge line of two different canonical vertex tokens (`1`..`n`, looked
+    up in a table built at the problem line) is read by one split and two
+    lookups; every other line goes through the full checks.  The problem
+    line may declare at most MAX_VERTICES vertices.  Errors are reported at
+    the first offending line.  Repeated edges are found by the graph
+    constructor once every line has been read, so on any error the lines
+    before it are searched again for the first repeat.
     """
     lines = text.splitlines()
     try:
@@ -81,13 +93,22 @@ def parse_instance(text):
 def _parse_lines(lines):
     n = None
     m_declared = None
-    edge_count = 0
     rows = None
     masks = None
-    ids = None
+    # Canonical vertex tokens "1".."n"; empty until the problem line, so an
+    # edge line before it misses and reaches its error below.
+    ids = {}
+    get = ids.get
     listed = set()
     for lineno, raw in enumerate(lines, start=1):
         parts = raw.split()
+        if len(parts) == 3 and parts[0] == "e":
+            u = get(parts[1])
+            v = get(parts[2])
+            if u is not None and v is not None and u != v:
+                rows[u].append(v)
+                rows[v].append(u)
+                continue
         if not parts:
             continue
         kind = parts[0]
@@ -109,7 +130,6 @@ def _parse_lines(lines):
                 raise InstanceSyntaxError(lineno, "self-loop")
             rows[u].append(v)
             rows[v].append(u)
-            edge_count += 1
         elif kind.startswith("c"):
             continue
         elif kind == "p":
@@ -123,10 +143,13 @@ def _parse_lines(lines):
                 raise InstanceSyntaxError(lineno, "non-integer problem sizes") from None
             if n < 0 or m_declared < 0:
                 raise InstanceSyntaxError(lineno, "negative problem sizes")
+            if n > MAX_VERTICES:
+                raise OutOfRangeError(lineno, f"{n} vertices, more than the "
+                                              f"limit of {MAX_VERTICES}")
             rows = [[] for _ in range(n)]
             masks = [FULL_MASK] * n
-            # Canonical vertex tokens; any other spelling takes int() below.
-            ids = {str(i + 1): i for i in range(n)}
+            # Any other spelling of a vertex takes int() below.
+            ids.update({str(i + 1): i for i in range(n)})
         elif kind == "l":
             if n is None:
                 raise InstanceSyntaxError(lineno, "list before problem line")
@@ -160,6 +183,7 @@ def _parse_lines(lines):
             raise InstanceSyntaxError(lineno, f"unknown line type '{kind}'")
     if n is None:
         raise InstanceSyntaxError(0, "missing problem line")
+    edge_count = sum(map(len, rows)) // 2
     if edge_count != m_declared:
         raise InstanceSyntaxError(0, f"problem line declares {m_declared} edges, "
                                      f"found {edge_count}")
@@ -256,6 +280,9 @@ def _cmd_solve(args):
 
 def _parse_colouring_file(text, n):
     colouring = [0] * n
+    # Seen apart from the colour, which is any integer here: verify_colouring
+    # judges the values, this parser only that each vertex has one.
+    seen = [False] * n
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c") or line in ("SAT", "UNSAT"):
@@ -271,10 +298,11 @@ def _parse_colouring_file(text, n):
             raise InstanceSyntaxError(lineno, "non-integer fields") from None
         if not 1 <= v <= n:
             raise OutOfRangeError(lineno, f"vertex outside 1..{n}")
-        if colouring[v - 1] != 0:
+        if seen[v - 1]:
             raise DuplicateListLineError(lineno, f"vertex {v} coloured twice")
+        seen[v - 1] = True
         colouring[v - 1] = c
-    missing = [v + 1 for v, c in enumerate(colouring) if c == 0]
+    missing = [v + 1 for v in range(n) if not seen[v]]
     if missing:
         raise InstanceSyntaxError(0, f"vertices without colour: {missing[:5]}")
     return colouring

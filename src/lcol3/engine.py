@@ -256,18 +256,20 @@ def verify_colouring(graph, lists, colouring):
 
 
 def _colouring_fits(graph, masks, colouring):
-    """verify_colouring on lists already normalised to masks."""
+    """verify_colouring on lists already normalised to masks.  Each colour
+    class is gathered into one bit mask; the colouring is proper iff no
+    vertex's bit row meets its own class."""
     if len(colouring) != graph.n:
         return False
-    for v in range(graph.n):
-        c = colouring[v]
+    classes = [0, 0, 0, 0]  # indexed by colour; entry 0 stays unused
+    for v, c in enumerate(colouring):
         if c not in (1, 2, 3) or not masks[v] & (1 << (c - 1)):
             return False
-    for u in range(graph.n):
-        cu = colouring[u]
-        for v in graph.adj[u]:
-            if v > u and colouring[v] == cu:
-                return False
+        classes[c] |= 1 << v
+    bits = graph.bits
+    for v, c in enumerate(colouring):
+        if bits[v] & classes[c]:
+            return False
     return True
 
 
@@ -647,6 +649,12 @@ def _twin_representatives(graph, masks):
         classes.setdefault(row, []).append(v)
     for cl in classes.values():
         if len(cl) == 1:
+            continue
+        u = cl[0]
+        m = masks[u]
+        if all(masks[v] == m for v in cl):
+            for v in cl:
+                rep[v] = u
             continue
         first = {}
         for v in cl:

@@ -159,6 +159,8 @@ def _graph_from_rows(n, rows):
     have checked ranges and loops.  A neighbour listed twice in a row is a
     duplicate edge, seen as a bit row whose popcount falls short of the
     row's length, and raises DuplicateEdgeError naming the pair with u < v.
+    Each distinct neighbour tuple is summed into a bit row once, through a
+    table local to the call, so false twins (equal tuples) share one int.
     """
     for row in rows:
         row.sort()
@@ -168,7 +170,13 @@ def _graph_from_rows(n, rows):
     adj = list(map(tuple, rows))
     lengths = list(map(len, rows))
     power = [1 << v for v in range(n)].__getitem__
-    bits = [sum(map(power, row)) for row in rows]
+    row_bits = {}
+    bits = []
+    for row in adj:
+        b = row_bits.get(row)
+        if b is None:
+            b = row_bits[row] = sum(map(power, row))
+        bits.append(b)
     sizes = list(map(int.bit_count, bits))
     if sizes != lengths:
         u = next(u for u in range(n) if sizes[u] != lengths[u])

@@ -228,6 +228,45 @@ def reference_peel(graph, masks, kept):
     return left
 
 
+def reference_colouring_fits(graph, masks, colouring):
+    """engine._colouring_fits as it stood before its colour-class masks,
+    kept verbatim: a list check per vertex, then a walk over every edge."""
+    if len(colouring) != graph.n:
+        return False
+    for v in range(graph.n):
+        c = colouring[v]
+        if c not in (1, 2, 3) or not masks[v] & (1 << (c - 1)):
+            return False
+    for u in range(graph.n):
+        cu = colouring[u]
+        for v in graph.adj[u]:
+            if v > u and colouring[v] == cu:
+                return False
+    return True
+
+
+def reference_twin_representatives(graph, masks):
+    """engine._twin_representatives as it stood before its one-mask
+    shortcut, kept verbatim: every class of two or more vertices goes
+    through the minimal-mask search."""
+    rep = list(range(graph.n))
+    classes = {}  # bit row -> its vertices ascending: the false-twin classes
+    for v, row in enumerate(graph.bits):
+        classes.setdefault(row, []).append(v)
+    for cl in classes.values():
+        if len(cl) == 1:
+            continue
+        first = {}
+        for v in cl:
+            first.setdefault(masks[v], v)
+        kept = sorted(u for m, u in first.items()
+                      if not any(o != m and o & ~m == 0 for o in first))
+        pick = {m: next(u for u in kept if masks[u] & ~m == 0) for m in first}
+        for v in cl:
+            rep[v] = pick[masks[v]]
+    return rep
+
+
 def reference_parse_lines(lines):
     """The instance parser as it stood before its lookup tables, kept
     verbatim: int() on every vertex token and a loop over every list's

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import reference_parse_lines
 from lcol3 import cli
-from lcol3.cli import (DuplicateEdgeError, DuplicateListLineError,
+from lcol3.cli import (MAX_VERTICES, DuplicateEdgeError, DuplicateListLineError,
                        InstanceSyntaxError, OutOfRangeError, dispatch,
                        emit_instance, emit_result, parse_instance)
 from lcol3.engine import FULL_MASK, InternalError, mask_of, solve
@@ -76,11 +76,43 @@ def test_parse_reports_line_numbers():
         ("p lcol 3 3\ne 1 2\ne 2 1\ne 2 4\n", DuplicateEdgeError, 3),
         ("p lcol 3 5\ne 1 2\ne 2 3\ne 2 1\n", DuplicateEdgeError, 4),
         ("p lcol 3 1\ne 1 2\ne 2 1\n", DuplicateEdgeError, 3),
+        # canonical tokens that the one-split edge route must pass on
+        ("p lcol 3 2\ne 1 2\ne 3 3\n", InstanceSyntaxError, 3),
+        ("c x\ne 1 2\np lcol 2 1\n", InstanceSyntaxError, 2),
     ]
     for text, error, line in cases:
         with pytest.raises(error) as exc:
             parse_instance(text)
         assert type(exc.value) is error and exc.value.line == line, text
+
+
+def test_parse_errors_after_canonical_edges_keep_their_lines():
+    # A path's canonical edge lines take the one-split route; the faulty
+    # line after them is still reported at its own line.
+    edges = "".join(f"e {v} {v + 1}\n" for v in range(1, 40))
+    cases = [("e 1 x\n", InstanceSyntaxError, "non-integer endpoints"),
+             ("e 1 41\n", OutOfRangeError, "vertex outside 1..40"),
+             ("e 2 1\n", DuplicateEdgeError, "duplicate edge 2 1"),
+             ("l 1 4\n", InstanceSyntaxError, "colour '4' outside"),
+             ("e 1\n", InstanceSyntaxError, "expected 'e <u> <v>'")]
+    for fault, error, message in cases:
+        text = "p lcol 40 40\n" + edges + fault
+        with pytest.raises(error) as exc:
+            parse_instance(text)
+        assert type(exc.value) is error, fault
+        assert exc.value.line == 41 and message in str(exc.value), fault
+    with pytest.raises(InstanceSyntaxError) as exc:
+        parse_instance("p lcol 40 40\n" + edges)
+    assert exc.value.line == 0 and "declares 40 edges, found 39" in str(exc.value)
+
+
+def test_parse_rejects_more_vertices_than_the_limit():
+    assert MAX_VERTICES >= 2_000  # the acceptance tests' n = 2 000 blow-up
+    with pytest.raises(OutOfRangeError) as exc:
+        parse_instance(f"c big\np lcol {MAX_VERTICES + 1} 0\n")
+    assert exc.value.line == 2 and str(MAX_VERTICES) in str(exc.value)
+    g, masks = parse_instance(f"p lcol {MAX_VERTICES} 0\n")
+    assert g.n == len(masks) == MAX_VERTICES
 
 
 VALID_DIGITS = ["1", "2", "3", "12", "13", "23", "123"]
@@ -299,6 +331,24 @@ def test_verify_subcommand(tmp_path, capsys):
     assert capsys.readouterr().out == "OK\n"
     col.write_text("v 1 1\nv 2 1\nv 3 1\nv 4 2\nv 5 3\n")
     assert dispatch(["verify", str(inst), str(col)]) == 1
+
+
+@pytest.mark.parametrize("text, code, out, err", [
+    ("v 1 0\nv 1 2\nv 2 1\n", 1, "", "line 2: vertex 1 coloured twice"),
+    ("v 1 0\nv 2 1\n", 1, "BAD", ""),
+    ("v 1 4\nv 2 1\n", 1, "BAD", ""),
+    ("v 1 1\n", 1, "", "vertices without colour: [2]"),
+    ("SAT\nv 2 1\nv 1 2\ns peeled 0\n", 0, "OK", ""),
+])
+def test_verify_reads_each_vertex_once(tmp_path, capsys, text, code, out, err):
+    inst = tmp_path / "k2.lcol"
+    inst.write_text("p lcol 2 1\ne 1 2\n")
+    col = tmp_path / "col.txt"
+    col.write_text(text)
+    assert dispatch(["verify", str(inst), str(col)]) == code
+    captured = capsys.readouterr()
+    assert captured.out.startswith(out) and (out or not captured.out)
+    assert err in captured.err and (err or not captured.err)
 
 
 def test_generate_subcommand(tmp_path, capsys):

@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from conftest import check_witness, graphs, reference_peel, seeds_of_branch
+from conftest import (check_witness, graphs, reference_colouring_fits,
+                      reference_peel, reference_twin_representatives,
+                      seeds_of_branch)
 from lcol3 import (build_chain, build_graph, build_skeleton, check_promise,
                    choice_lists, colour_blownup_c7, eliminate_safe,
                    enumerate_c5_colourings, palette_analysis, propagate,
@@ -364,6 +366,55 @@ def test_verify_colouring_examples():
     assert not verify_colouring(g, None, [1, 1, 2, 1, 2])
     lists = [mask_of([2, 3])] + [FULL_MASK] * 4
     assert not verify_colouring(g, lists, [1, 2, 1, 2, 3])
+
+
+@settings(max_examples=400, deadline=None)
+@given(hst.data())
+def test_colouring_fits_matches_the_edge_walk(data):
+    # A colouring the oracle found (when there is one) or a random one, then
+    # maybe spoilt: a vertex recoloured (improper or out of its list), a
+    # colour 0 or 4, or a colouring one vertex short or long.
+    g = data.draw(graphs(max_n=8))
+    masks = data.draw(hst.lists(hst.sampled_from([FULL_MASK, FULL_MASK, 3, 6, 5]),
+                                min_size=g.n, max_size=g.n))
+    colouring = oracle_solve(g, masks)
+    if colouring is None:
+        colouring = data.draw(hst.lists(hst.integers(1, 3), min_size=g.n,
+                                        max_size=g.n))
+    spoil = data.draw(hst.sampled_from(["none", "recolour", "recolour", "0", "4",
+                                        "short", "long"]))
+    v = data.draw(hst.integers(0, g.n - 1))
+    if spoil == "recolour":
+        colouring[v] = data.draw(hst.integers(1, 3))
+    elif spoil in ("0", "4"):
+        colouring[v] = int(spoil)
+    elif spoil == "short":
+        colouring.pop()
+    elif spoil == "long":
+        colouring.append(1)
+    assert (engine._colouring_fits(g, masks, colouring)
+            == reference_colouring_fits(g, masks, colouring))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hst.data())
+def test_twin_representatives_match_the_reference(data):
+    # Each vertex of a small base graph becomes a class of one to three
+    # false twins; a narrow palette makes classes of one mask common.
+    base = data.draw(graphs(max_n=6))
+    sizes = data.draw(hst.lists(hst.integers(1, 3), min_size=base.n,
+                                max_size=base.n))
+    starts = [sum(sizes[:i]) for i in range(base.n + 1)]
+    edges = [(a, b) for u, v in base.edges()
+             for a in range(starts[u], starts[u + 1])
+             for b in range(starts[v], starts[v + 1])]
+    g = build_graph(starts[-1], edges)
+    palette = data.draw(hst.sampled_from([[FULL_MASK], [FULL_MASK, 3],
+                                          list(range(1, FULL_MASK + 1))]))
+    masks = data.draw(hst.lists(hst.sampled_from(palette), min_size=g.n,
+                                max_size=g.n))
+    assert (engine._twin_representatives(g, masks)
+            == reference_twin_representatives(g, masks))
 
 
 def test_solve_disconnected_components():
