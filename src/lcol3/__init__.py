@@ -7,8 +7,8 @@ from .engine import (ListState, Outcome, Palette, SolveStats,
                      enumerate_c5_colourings, palette_analysis, propagate,
                      residual_to_2sat, solve, verify_colouring)
 from .errors import InternalError, PreconditionBreach
-from .graph import (Bipartition, Graph, VertexSet, bipartite_check,
-                    build_graph, connected_components)
+from .graph import (Graph, bipartite_check, build_graph, components_within,
+                    iter_bits)
 from .recognition import (PromiseViolation, TwinDecomposition, check_promise,
                           false_twin_classes, find_induced_p7, find_triangle,
                           recognize_blownup_c7, shortest_odd_cycle)
@@ -22,8 +22,8 @@ __all__ = [
     "anchor_seeds", "case_seeds", "choice_lists", "colour_blownup_c7",
     "eliminate_safe", "enumerate_c5_colourings", "palette_analysis",
     "propagate", "residual_to_2sat", "solve", "verify_colouring",
-    "Bipartition", "Graph", "VertexSet", "bipartite_check",
-    "build_graph", "connected_components",
+    "Graph", "bipartite_check", "build_graph", "components_within",
+    "iter_bits",
     "PromiseViolation", "TwinDecomposition", "check_promise",
     "false_twin_classes", "find_induced_p7", "find_triangle",
     "recognize_blownup_c7", "shortest_odd_cycle",

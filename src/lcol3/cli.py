@@ -1,5 +1,5 @@
 """Command-line front end: instance file parsing, result emission, and the
-solve / verify / check-promise / generate / oracle / bench subcommands.
+solve / verify / check-promise / generate / oracle subcommands.
 
 Instance grammar (one item per line, `c` lines are comments)::
 
@@ -14,15 +14,15 @@ Exit codes: 0 = decided (SAT or UNSAT), 2 = promise violation (INVALID),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-import time
 
 from .engine import FULL_MASK, colours_of, solve, verify_colouring
 from .errors import InternalError, PreconditionBreach
 from .graph import DuplicateEdgeError as GraphDuplicateEdgeError
-from .graph import (Bipartition, GraphError, _graph_from_rows,
-                    bipartite_check, connected_components, induced_subgraph)
+from .graph import (GraphError, _graph_from_rows, bipartite_check,
+                    components_within, induced_subgraph, iter_bits)
 from .recognition import (check_promise, recognize_blownup_c7,
                           shortest_odd_cycle)
 from .skeleton import build_skeleton, skeleton_report
@@ -223,15 +223,11 @@ def _witness_line(violation):
 
 
 def _stats_fields(stats):
-    """The --stats counters, one dict for the text and the JSON output."""
-    return {"branches": stats.branches,
-            "branches_survived": stats.branches_survived,
-            "propagations": stats.propagations,
-            "sat_instances": stats.sat_instances,
-            "fallback_used": stats.fallback_used,
-            "fallback_nodes": stats.fallback_nodes,
-            "peeled": stats.peeled,
-            "millis": round(stats.millis, 3)}
+    """Every SolveStats field in declaration order, millis rounded to three
+    places: one dict for the --stats text and JSON output."""
+    fields = {f.name: getattr(stats, f.name) for f in dataclasses.fields(stats)}
+    fields["millis"] = round(stats.millis, 3)
+    return fields
 
 
 def emit_result(outcome, fmt="text", include_stats=False):
@@ -320,15 +316,14 @@ def _cmd_verify(args):
 
 def _explain_report(graph):
     report = {"promise": "ok", "components": []}
-    for comp in connected_components(graph):
-        sub, ids = induced_subgraph(graph, comp)
-        entry = {"vertices": [v + 1 for v in ids]}
-        bip = bipartite_check(sub)
-        if isinstance(bip, Bipartition):
+    for comp in components_within(graph, (1 << graph.n) - 1):
+        entry = {"vertices": [v + 1 for v in iter_bits(comp)]}
+        sides = bipartite_check(graph, comp)
+        if sides is not None:
             entry["type"] = "bipartite"
-            entry["sides"] = [[ids[v] + 1 for v in bip.a],
-                              [ids[v] + 1 for v in bip.b]]
+            entry["sides"] = [[v + 1 for v in iter_bits(side)] for side in sides]
         else:
+            sub, ids = induced_subgraph(graph, comp)
             cycle = shortest_odd_cycle(sub)
             entry["odd_girth"] = len(cycle)
             try:
@@ -340,7 +335,7 @@ def _explain_report(graph):
                 elif len(cycle) == 7:
                     dec = recognize_blownup_c7(sub, cycle)
                     entry["type"] = "blownup_c7"
-                    entry["classes"] = [[ids[v] + 1 for v in cl]
+                    entry["classes"] = [[ids[v] + 1 for v in iter_bits(cl)]
                                        for cl in dec.classes]
             except PreconditionBreach:
                 entry["type"] = "breach"
@@ -420,31 +415,6 @@ def _cmd_oracle(args):
     return 0
 
 
-def _cmd_bench(args):
-    if args.suite == "scale":
-        cases = [("blownup_c5_n2000", GenSpec("blownup_c5", seed=7,
-                                              class_sizes=(400,) * 5))]
-    else:
-        cases = [
-            ("blownup_c5_small", GenSpec("blownup_c5", seed=1, class_sizes=(3,) * 5)),
-            ("blownup_c7_small", GenSpec("blownup_c7", seed=2, class_sizes=(2,) * 7)),
-            ("skeleton_mid", GenSpec("skeleton_built", seed=3, scale=30)),
-            ("skeleton_lists", GenSpec("skeleton_built", seed=4, scale=30,
-                                       lists="random")),
-        ]
-    for name, spec in cases:
-        graph, masks = generate(spec)
-        t0 = time.perf_counter()
-        outcome = solve(graph, masks, mode="trust")
-        elapsed = (time.perf_counter() - t0) * 1000.0
-        status = "SAT" if outcome.is_sat else "UNSAT" if outcome.is_unsat else "INVALID"
-        s = outcome.stats
-        print(f"{name} n={graph.n} m={graph.m} {status} {elapsed:.1f}ms "
-              f"branches={s.branches} propagations={s.propagations} "
-              f"sat_instances={s.sat_instances} fallback={s.fallback_used}")
-    return 0
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(prog="lcol3", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -487,9 +457,6 @@ def _build_parser():
     p.add_argument("file")
     p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("bench", help="timing suites")
-    p.add_argument("--suite", choices=("smoke", "scale"), default="smoke")
-    p.set_defaults(func=_cmd_bench)
     return parser
 
 

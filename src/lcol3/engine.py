@@ -10,8 +10,8 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import InternalError, PreconditionBreach
-from .graph import (Bipartition, VertexSet, bipartite_check,
-                    components_within, induced_subgraph, iter_bits)
+from .graph import (bipartite_check, components_within, induced_subgraph,
+                    iter_bits)
 from .recognition import (PromiseViolation, check_promise,
                           recognize_blownup_c7, shortest_odd_cycle)
 from .sat2 import TwoSatInstance, add_clause, neg, pos, solve_2sat
@@ -88,22 +88,21 @@ class Outcome:
 
 
 class ListState:
-    """Mutable per-branch colouring state: masks, assignments and a pending
-    queue of freshly forced vertices awaiting propagation."""
+    """Mutable per-branch colouring state: colour masks and a pending queue
+    of freshly forced vertices awaiting propagation.  A vertex is assigned
+    when its mask is a singleton; it is queued when its mask becomes one."""
 
-    __slots__ = ("graph", "masks", "assigned", "pending", "removals")
+    __slots__ = ("graph", "masks", "pending", "removals")
 
     def __init__(self, graph, masks):
         self.graph = graph
         self.masks = list(masks)
-        self.assigned = [0] * graph.n
         self.pending = deque()
         self.removals = 0
         for v, m in enumerate(self.masks):
             if not 0 < m <= FULL_MASK:
                 raise ValueError(f"bad colour mask {m} at vertex {v}")
             if _SIZE[m] == 1:
-                self.assigned[v] = _COLOUR_OF[m]
                 self.pending.append(v)
 
     def copy(self):
@@ -118,7 +117,6 @@ class ListState:
         new = object.__new__(ListState)
         new.graph = self.graph
         new.masks = self.masks.copy()
-        new.assigned = self.assigned.copy()
         new.pending = self.pending.copy()
         new.removals = 0
         return new
@@ -132,8 +130,6 @@ class ListState:
         if m != cbit:
             self.removals += _SIZE[m] - 1
             self.masks[v] = cbit
-        if self.assigned[v] == 0:
-            self.assigned[v] = colour
             self.pending.append(v)
         return True
 
@@ -146,15 +142,13 @@ class ListState:
         return True
 
     def full_mask_vertices(self):
-        return [v for v in range(self.graph.n)
-                if self.assigned[v] == 0 and self.masks[v] == FULL_MASK]
+        return [v for v, m in enumerate(self.masks) if m == FULL_MASK]
 
 
 def propagate(st):
     """Run singleton propagation to a fixpoint; None on an emptied mask or
     two adjacent vertices forced to the same colour."""
     masks = st.masks
-    assigned = st.assigned
     pending = st.pending
     adj = st.graph.adj
     while pending:
@@ -169,7 +163,6 @@ def propagate(st):
                 masks[u] = mu
                 st.removals += 1
                 if _SIZE[mu] == 1:
-                    assigned[u] = _COLOUR_OF[mu]
                     pending.append(u)
     return st
 
@@ -184,7 +177,7 @@ def eliminate_safe(st, graph):
     masks = st.masks
     out = []
     for v in range(graph.n):
-        if st.assigned[v] != 0 or masks[v] != FULL_MASK:
+        if masks[v] != FULL_MASK:
             continue
         nbrs = graph.adj[v]
         if not nbrs:
@@ -214,9 +207,9 @@ def residual_to_2sat(st, graph):
     var_of = {}
     var_info = []
     for v in range(graph.n):
-        if st.assigned[v] != 0:
-            continue
         m = masks[v]
+        if _SIZE[m] == 1:
+            continue
         if _SIZE[m] == 3:
             raise PreconditionBreach(f"vertex {v} still has all three colours")
         lo, hi = colours_of(m)
@@ -391,11 +384,11 @@ def t_case_choices(palette, chains, i):
     choices = [TCase(i, "c"), TCase(i, "d")]
     levels = chain.levels
     for k in range(chain.r + 1):
-        fresh = levels[k + 1].mask & ~levels[k].mask
+        fresh = levels[k + 1] & ~levels[k]
         for w in iter_bits(fresh):
             choices.append(TCase(i, "a", k, w))
     for k in range(chain.r + 1):
-        fresh = levels[k + 1].mask & ~levels[k].mask
+        fresh = levels[k + 1] & ~levels[k]
         for w in iter_bits(fresh):
             choices.append(TCase(i, "b", k, w))
     return choices
@@ -406,9 +399,10 @@ def d_case_choices(sk, palette, i):
     if not d_set:
         return [None]
     a, b = palette.d_options[i]
-    v = d_set.min()
+    low = d_set & -d_set
+    v = low.bit_length() - 1
     choices = [DCase(i, "g", a, b, v), DCase(i, "h", a, b, v)]
-    rest = [u for u in d_set if u != v]
+    rest = list(iter_bits(d_set ^ low))
     for u in rest:
         choices.append(DCase(i, "e", a, b, v, u))
     for u in rest:
@@ -442,21 +436,21 @@ def case_seeds(sk, chains, palette, case):
     i = case.index
     if isinstance(case, DCase):
         if case.tag == "g":
-            return [(v, case.a) for v in sk.d[i]]
+            return [(v, case.a) for v in iter_bits(sk.d[i])]
         if case.tag == "h":
-            return [(v, case.b) for v in sk.d[i]]
+            return [(v, case.b) for v in iter_bits(sk.d[i])]
         if case.tag == "e":
             return [(case.v, case.a), (case.vprime, case.b)]
         return [(case.v, case.b), (case.vprime, case.a)]
     q = palette.q
     other = palette.options[i][1]
     if case.tag == "c":
-        return [(v, other) for v in sk.t[i]]
+        return [(v, other) for v in sk.t_lists[i]]
     if case.tag == "d":
-        return [(v, q) for v in sk.t[i]]
+        return [(v, q) for v in sk.t_lists[i]]
     first = other if case.tag == "a" else q
     second = q if case.tag == "a" else other
-    seeds = [(v, first) for v in chains[i].levels[case.k]]
+    seeds = [(v, first) for v in iter_bits(chains[i].levels[case.k])]
     seeds.append((case.w, second))
     return seeds
 
@@ -470,8 +464,8 @@ def colour_blownup_c7(dec, masks):
     colour subsets; consecutive classes must use disjoint subsets and every
     member's list must meet its class subset.  `masks` are colour masks, or
     None for full lists.  None iff infeasible."""
-    classes = dec.classes
-    n = sum(len(cl) for cl in classes)
+    classes = [list(iter_bits(cl)) for cl in dec.classes]
+    n = sum(map(len, classes))
     if masks is None:
         masks = [FULL_MASK] * n
     feasible = []
@@ -576,7 +570,7 @@ def solve(graph, lists=None, mode="trust"):
     stats.peeled = len(peeled)
     colouring = [0] * graph.n
     for comp in components_within(graph, rest):
-        sub, ids = induced_subgraph(graph, VertexSet(comp))
+        sub, ids = induced_subgraph(graph, comp)
         try:
             result = _solve_component(sub, [masks[v] for v in ids], stats)
         except PreconditionBreach as exc:
@@ -668,9 +662,9 @@ def _twin_representatives(graph, masks):
 
 
 def _solve_component(g, masks, stats):
-    bip = bipartite_check(g)
-    if isinstance(bip, Bipartition):
-        return _solve_bipartite(g, masks, bip, stats)
+    sides = bipartite_check(g, (1 << g.n) - 1)
+    if sides is not None:
+        return _solve_bipartite(g, masks, sides[0], stats)
 
     cycle = shortest_odd_cycle(g)
     if len(cycle) == 7:
@@ -682,13 +676,14 @@ def _solve_component(g, masks, stats):
     return _solve_skeleton(g, masks, build_skeleton(g, cycle), stats)
 
 
-def _solve_bipartite(g, masks, bip, stats):
+def _solve_bipartite(g, masks, side_a, stats):
+    """Colour a bipartite component, one side of which is the bitmask
+    side_a: with full lists that side takes colour 1 and the other side 2,
+    otherwise propagation and the fallback search decide."""
     if all(m == FULL_MASK for m in masks):
-        colouring = [0] * g.n
-        for v in bip.a:
+        colouring = [2] * g.n
+        for v in iter_bits(side_a):
             colouring[v] = 1
-        for v in bip.b:
-            colouring[v] = 2
         return colouring
 
     st = ListState(g, masks)
@@ -756,7 +751,7 @@ def _two_sat_leaf(g, st, stats):
     solution = solve_2sat(inst)
     if solution is None:
         return None
-    colouring = list(st.assigned)
+    colouring = [_COLOUR_OF[m] for m in st.masks]
     for idx, (v, lo, hi) in enumerate(var_info):
         colouring[v] = lo if solution[idx] else hi
     return colouring
@@ -817,11 +812,11 @@ def _branch_count(sk, chains, palette):
         chain = chains.get(i)
         if chain is not None:
             levels = chain.levels
-            count *= 2 + 2 * sum(len(levels[k + 1] - levels[k])
+            count *= 2 + 2 * sum((levels[k + 1] & ~levels[k]).bit_count()
                                  for k in range(chain.r + 1))
     for i in palette.free_d:
         if sk.d[i]:
-            count *= 2 + 2 * (len(sk.d[i]) - 1)
+            count *= 2 + 2 * (sk.d[i].bit_count() - 1)
     return count
 
 

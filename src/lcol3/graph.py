@@ -1,13 +1,9 @@
 """Immutable simple-graph core: dense integer vertices, each with a sorted
-neighbour tuple and an int bit row of its neighbours; bitset vertex sets,
-components and bipartiteness."""
+neighbour tuple and an int bit row of its neighbours.  A vertex set is an
+int bitmask, bit v standing for vertex v; components and bipartiteness are
+computed on such masks."""
 
 from __future__ import annotations
-
-from collections import deque
-from dataclasses import dataclass
-
-from .errors import InternalError
 
 
 class GraphError(ValueError):
@@ -40,76 +36,14 @@ def iter_bits(mask):
         mask ^= low
 
 
-class VertexSet:
-    """Immutable vertex subset backed by an int bitmask.
-
-    Cardinality is the popcount of the mask; iteration is ascending.
-    """
-
-    __slots__ = ("mask",)
-
-    def __init__(self, mask=0):
-        self.mask = mask
-
-    @classmethod
-    def from_iterable(cls, vertices):
-        m = 0
-        for v in vertices:
-            m |= 1 << v
-        return cls(m)
-
-    def __contains__(self, v):
-        return (self.mask >> v) & 1 == 1
-
-    def __iter__(self):
-        return iter_bits(self.mask)
-
-    def __len__(self):
-        return self.mask.bit_count()
-
-    def __bool__(self):
-        return self.mask != 0
-
-    def __eq__(self, other):
-        return isinstance(other, VertexSet) and self.mask == other.mask
-
-    def __hash__(self):
-        return hash(self.mask)
-
-    def __and__(self, other):
-        return VertexSet(self.mask & other.mask)
-
-    def __or__(self, other):
-        return VertexSet(self.mask | other.mask)
-
-    def __sub__(self, other):
-        return VertexSet(self.mask & ~other.mask)
-
-    def __le__(self, other):
-        return self.mask & ~other.mask == 0
-
-    def __lt__(self, other):
-        return self.mask != other.mask and self.mask & ~other.mask == 0
-
-    def min(self):
-        if not self.mask:
-            raise ValueError("empty vertex set")
-        return (self.mask & -self.mask).bit_length() - 1
-
-    def to_list(self):
-        return list(self)
-
-    def __repr__(self):
-        return f"VertexSet({self.to_list()})"
-
-
 class Graph:
     """Immutable undirected simple graph on vertices 0..n-1, made by
     `_graph_from_rows` (through `build_graph`, `induced_subgraph` or the
     instance parser).
 
     `adj[u]` is the sorted tuple of u's neighbours and `bits[u]` the int
-    bitmask of the same set; edge queries read the bit row.
+    bitmask of the same set; edge queries read the bit row, and vertex sets
+    are int bitmasks over 0..n-1.
     """
 
     __slots__ = ("n", "m", "adj", "bits")
@@ -208,78 +142,42 @@ def components_within(graph, mask):
     return out
 
 
-def connected_components(graph):
-    """Partition of the vertices into components, ordered by smallest member."""
-    return [VertexSet(c) for c in components_within(graph, (1 << graph.n) - 1)]
+def bipartite_check(graph, mask):
+    """The two sides (a, b) of the subgraph induced by the vertex bitmask
+    `mask`, as int masks with each component's smallest vertex in a, or None
+    if that subgraph holds an odd cycle.
+
+    BFS layers from each component's smallest vertex, each the union of its
+    predecessor's bit rows cut to unreached vertices, alternate between the
+    sides; an edge joins two vertices of one layer or of consecutive layers,
+    so the subgraph is bipartite iff no layer holds an edge."""
+    bits = graph.bits
+    sides = [0, 0]
+    while mask:
+        frontier = mask & -mask
+        parity = 0
+        while frontier:
+            mask ^= frontier
+            sides[parity] |= frontier
+            reach = 0
+            for x in iter_bits(frontier):
+                row = bits[x]
+                if row & frontier:
+                    return None
+                reach |= row
+            frontier = reach & mask
+            parity ^= 1
+    return sides[0], sides[1]
 
 
-@dataclass(frozen=True)
-class Bipartition:
-    """Two stable sides covering all vertices; every edge crosses them."""
+def induced_subgraph(graph, mask):
+    """Subgraph induced by the vertex bitmask `mask`, plus the ascending
+    original ids of its vertices.
 
-    a: VertexSet
-    b: VertexSet
-
-
-def bipartite_check(graph):
-    """Return a Bipartition, or an odd cycle (vertex list) if none exists.
-
-    The cycle has odd length with consecutive vertices adjacent; it is not
-    necessarily shortest or induced.
-    """
-    side = [-1] * graph.n
-    parent = [-1] * graph.n
-    for root in range(graph.n):
-        if side[root] != -1:
-            continue
-        side[root] = 0
-        queue = deque([root])
-        while queue:
-            x = queue.popleft()
-            for y in graph.adj[x]:
-                if side[y] == -1:
-                    side[y] = side[x] ^ 1
-                    parent[y] = x
-                    queue.append(y)
-                elif side[y] == side[x]:
-                    return _odd_cycle_from_conflict(parent, x, y)
-    a = 0
-    b = 0
-    for v in range(graph.n):
-        if side[v] == 0:
-            a |= 1 << v
-        else:
-            b |= 1 << v
-    return Bipartition(VertexSet(a), VertexSet(b))
-
-
-def _odd_cycle_from_conflict(parent, u, v):
-    # u and v are adjacent and sit at equal BFS parity; walking both parent
-    # chains to their first common ancestor closes an odd cycle.
-    path_u = [u]
-    while parent[path_u[-1]] != -1:
-        path_u.append(parent[path_u[-1]])
-    pos_u = {x: i for i, x in enumerate(path_u)}
-    path_v = [v]
-    while path_v[-1] not in pos_u:
-        path_v.append(parent[path_v[-1]])
-    lca = path_v[-1]
-    cycle = path_u[: pos_u[lca] + 1] + path_v[-2::-1]
-    if len(cycle) % 2 != 1:
-        raise InternalError(f"bipartite conflict closed an even cycle {cycle}")
-    return cycle
-
-
-def induced_subgraph(graph, vertices):
-    """Induced subgraph plus the sorted original ids of its vertices.
-
-    Vertices covering the whole graph give back the graph object itself
+    A mask covering the whole graph gives back the graph object itself
     (graphs are immutable, so it is shared rather than copied).
     """
-    if isinstance(vertices, VertexSet):
-        old_ids = vertices.to_list()
-    else:
-        old_ids = sorted(vertices)
+    old_ids = list(iter_bits(mask))
     if len(old_ids) == graph.n:
         return graph, old_ids
     index = {old: new for new, old in enumerate(old_ids)}

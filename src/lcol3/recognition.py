@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import InternalError, PreconditionBreach
-from .graph import VertexSet, induced_subgraph, iter_bits
+from .graph import induced_subgraph, iter_bits
 
 TRIANGLE = "triangle"
 INDUCED_P7 = "induced_p7"
@@ -37,7 +37,8 @@ class PromiseViolation:
 @dataclass(frozen=True)
 class TwinDecomposition:
     """Partition of a C5-free graph into the seven stable classes of a
-    blown-up C7, cyclically ordered; representatives lie on the base cycle."""
+    blown-up C7, as int bitmasks in cyclic order; representatives lie on the
+    base cycle."""
 
     classes: tuple
     representatives: tuple
@@ -275,13 +276,12 @@ def _extract_odd_cycle(graph, s, a, b, depth):
 
 
 def false_twin_classes(graph):
-    """Partition of the vertices into classes of equal neighbourhood, in
-    order of smallest member."""
-    bits = graph.bits
+    """Partition of the vertices into classes of equal neighbourhood, as int
+    bitmasks in order of smallest member."""
     groups = {}
-    for v in range(graph.n):
-        groups.setdefault(bits[v], []).append(v)
-    return [VertexSet.from_iterable(vs) for vs in groups.values()]
+    for v, row in enumerate(graph.bits):
+        groups[row] = groups.get(row, 0) | 1 << v
+    return list(groups.values())
 
 
 def check_promise(graph):
@@ -303,7 +303,7 @@ def check_promise(graph):
     first = {}
     for v, row in enumerate(graph.bits):
         first.setdefault(row, v)
-    quotient, ids = induced_subgraph(graph, list(first.values()))
+    quotient, ids = induced_subgraph(graph, sum(1 << v for v in first.values()))
     p7 = find_induced_p7(quotient)
     if p7 is not None:
         return p7_witness(graph, [ids[v] for v in p7])
@@ -322,7 +322,7 @@ def recognize_blownup_c7(graph, c7):
     """
     c7 = tuple(c7)
     pos = {v: i for i, v in enumerate(c7)}
-    class_members = [[c7[i]] for i in range(7)]
+    classes = [1 << v for v in c7]
     for v in range(graph.n):
         if v in pos:
             continue
@@ -330,13 +330,12 @@ def recognize_blownup_c7(graph, c7):
         if len(hits) != 2 or hits[1] - hits[0] not in (2, 5):
             raise PreconditionBreach(f"vertex {v} sees 7-cycle positions {hits}")
         i, j = hits
-        class_members[(i + 1) % 7 if j - i == 2 else (j + 1) % 7].append(v)
+        classes[(i + 1) % 7 if j - i == 2 else (j + 1) % 7] |= 1 << v
 
-    classes = [VertexSet.from_iterable(ms) for ms in class_members]
     bits = graph.bits
     for i in range(7):
-        beside = classes[(i - 1) % 7].mask | classes[(i + 1) % 7].mask
-        for v in classes[i]:
+        beside = classes[(i - 1) % 7] | classes[(i + 1) % 7]
+        for v in iter_bits(classes[i]):
             if bits[v] != beside:
                 raise PreconditionBreach(
                     f"vertex {v} of class {i} does not see exactly the two "

@@ -17,19 +17,21 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import PreconditionBreach
-from .graph import VertexSet, components_within, iter_bits
+from .graph import bipartite_check, components_within, iter_bits
 
 
 @dataclass(frozen=True)
 class ComponentInfo:
     """A non-trivial component of the graph minus the anchored sets.
 
-    The two stable sides each share one neighbourhood in S (disjoint between
-    sides, at least one non-empty, never touching any D set); t_nbhd[i] is
-    the component's neighbourhood inside T_i.
+    Every vertex set here is an int bitmask.  The two stable sides (the side
+    of the smallest vertex first) each share one neighbourhood in S
+    (side_nbhd: disjoint between sides, at least one non-empty, never
+    touching any D set); t_nbhd[i] is the component's neighbourhood inside
+    T_i.
     """
 
-    vertices: VertexSet
+    vertices: int
     sides: tuple
     side_nbhd: tuple
     t_nbhd: tuple
@@ -37,15 +39,16 @@ class ComponentInfo:
 
 @dataclass(frozen=True)
 class WDComponent:
-    """A non-trivial component of G[W ∪ D_i]; both sides have uniform
+    """A non-trivial component of G[W ∪ D_i], its W and D_i sides and their
+    neighbourhoods inside T_i, all as int bitmasks; both sides have uniform
     neighbourhoods inside T_i and those neighbourhoods are disjoint."""
 
     index: int
-    vertices: VertexSet
-    w_side: VertexSet
-    d_side: VertexSet
-    w_t_nbhd: VertexSet
-    d_t_nbhd: VertexSet
+    vertices: int
+    w_side: int
+    d_side: int
+    w_t_nbhd: int
+    d_t_nbhd: int
 
     @property
     def t_nbhd(self):
@@ -54,22 +57,29 @@ class WDComponent:
 
 @dataclass(frozen=True)
 class Skeleton:
+    """The anchored decomposition.  c is the anchor cycle, five vertices in
+    cycle order; t[i] and d[i] are the sets T_i and D_i of anchor position
+    i, s is S (the cycle with every T and D set) and w the isolated
+    remainder W, all int bitmasks; components holds the ComponentInfo of
+    each non-trivial remainder component."""
+
     c: tuple
     t: tuple
     d: tuple
-    s: VertexSet
-    w: VertexSet
+    s: int
+    w: int
     components: tuple
 
     @cached_property
     def t_lists(self):
         """The vertices of each T set as an ascending list."""
-        return tuple(t.to_list() for t in self.t)
+        return tuple(list(iter_bits(t)) for t in self.t)
 
 
 @dataclass(frozen=True)
 class Chain:
-    """Nested T_i-neighbourhood levels with a one-vertex base and T_i sentinel.
+    """Nested T_i-neighbourhood levels, as int bitmasks, with a one-vertex
+    base and T_i sentinel.
 
     levels[0] = {v0} ⊆ levels[1] ⊊ ... ⊊ levels[r+1] = T_i; levels 1..r are
     the distinct proper component neighbourhoods in T_i.
@@ -136,25 +146,26 @@ def build_skeleton(graph, c5):
         if comp.bit_count() == 1:
             w_mask |= comp
         else:
-            infos.append(_validate_gs_component(bits, t_sets, d_all, s_mask, comp))
+            infos.append(_validate_gs_component(graph, t_sets, d_all, s_mask, comp))
 
     return Skeleton(
         c=c5,
-        t=tuple(VertexSet(m) for m in t_sets),
-        d=tuple(VertexSet(m) for m in d_sets),
-        s=VertexSet(s_mask),
-        w=VertexSet(w_mask),
+        t=tuple(t_sets),
+        d=tuple(d_sets),
+        s=s_mask,
+        w=w_mask,
         components=tuple(infos),
     )
 
 
-def _validate_gs_component(bits, t_sets, d_all, s_mask, comp):
+def _validate_gs_component(graph, t_sets, d_all, s_mask, comp):
     # No vertex of a non-trivial component may see any D set: an edge plus a
     # D-neighbour stretches into an induced P7 through four anchors.
+    bits = graph.bits
     for x in iter_bits(comp):
         if bits[x] & d_all:
             raise PreconditionBreach(f"component vertex {x} sees a D set")
-    sides = _bfs_sides(bits, comp)
+    sides = bipartite_check(graph, comp)
     if sides is None:
         raise PreconditionBreach("odd cycle off the anchored sets")
     side_a, side_b = sides
@@ -169,39 +180,11 @@ def _validate_gs_component(bits, t_sets, d_all, s_mask, comp):
 
     nbhd = n1 | n2
     return ComponentInfo(
-        vertices=VertexSet(comp),
-        sides=(VertexSet(side_a), VertexSet(side_b)),
-        side_nbhd=(VertexSet(n1), VertexSet(n2)),
-        t_nbhd=tuple(VertexSet(nbhd & t_sets[i]) for i in range(5)),
+        vertices=comp,
+        sides=sides,
+        side_nbhd=(n1, n2),
+        t_nbhd=tuple(nbhd & t_sets[i] for i in range(5)),
     )
-
-
-def _bfs_sides(bits, comp):
-    """The two sides of the connected vertex set `comp` (at least two
-    vertices) as int masks, the side of its smallest vertex first, or None
-    if it induces an odd cycle.
-
-    BFS layers from the smallest vertex, each the union of its
-    predecessor's bit rows cut to unreached vertices, alternate between
-    the sides; an edge joins two vertices of one layer or of consecutive
-    layers, so the set is bipartite iff no layer holds an edge.  These are
-    the sides bipartite_check gives on the induced subgraph."""
-    frontier = comp & -comp
-    rest = comp ^ frontier
-    sides = [0, 0]
-    parity = 0
-    while frontier:
-        sides[parity] |= frontier
-        reach = 0
-        for x in iter_bits(frontier):
-            row = bits[x]
-            if row & frontier:
-                return None
-            reach |= row
-        frontier = reach & rest
-        rest ^= frontier
-        parity ^= 1
-    return sides[0], sides[1]
 
 
 def _uniform_nbhd(bits, side, ref_mask):
@@ -220,13 +203,13 @@ def wd_components(graph, sk, i):
     if one breaks a fact of the class.  Each such component has one side in
     W and one in D_i, since W has no edges inside W and D_i is stable."""
     bits = graph.bits
-    ti_mask = sk.t[i].mask
-    d_masks = [s.mask for s in sk.d]
+    ti_mask = sk.t[i]
+    d_masks = sk.d
     out = []
-    for comp in components_within(graph, sk.w.mask | d_masks[i]):
+    for comp in components_within(graph, sk.w | d_masks[i]):
         if comp.bit_count() == 1:
             continue
-        w_side = comp & sk.w.mask
+        w_side = comp & sk.w
         d_side = comp & d_masks[i]
         for w in iter_bits(w_side):
             for j in range(5):
@@ -241,11 +224,11 @@ def wd_components(graph, sk, i):
             raise PreconditionBreach("W/D component sides share a T-neighbour")
         out.append(WDComponent(
             index=i,
-            vertices=VertexSet(comp),
-            w_side=VertexSet(w_side),
-            d_side=VertexSet(d_side),
-            w_t_nbhd=VertexSet(w_nt),
-            d_t_nbhd=VertexSet(d_nt),
+            vertices=comp,
+            w_side=w_side,
+            d_side=d_side,
+            w_t_nbhd=w_nt,
+            d_t_nbhd=d_nt,
         ))
     return out
 
@@ -258,11 +241,11 @@ def build_chain(graph, sk, i):
     totally ordered by inclusion; an incomparable pair, which with T_i
     holds an induced P7, raises PreconditionBreach.
     """
-    ti_mask = sk.t[i].mask
+    ti_mask = sk.t[i]
     if not ti_mask:
         raise ValueError(f"chain requested for empty T_{i}")
-    nbhds = {info.t_nbhd[i].mask for info in sk.components}
-    nbhds.update(comp.t_nbhd.mask for comp in wd_components(graph, sk, i))
+    nbhds = {info.t_nbhd[i] for info in sk.components}
+    nbhds.update(comp.t_nbhd for comp in wd_components(graph, sk, i))
     nbhds.discard(0)
     ordered = sorted(nbhds, key=lambda m: (m.bit_count(), m))
     for a, b in zip(ordered, ordered[1:]):
@@ -270,10 +253,10 @@ def build_chain(graph, sk, i):
             raise PreconditionBreach(f"incomparable component neighbourhoods in T_{i}")
     levels = [m for m in ordered if m != ti_mask]
 
-    v0 = VertexSet(levels[0]).min() if levels else VertexSet(ti_mask).min()
-    chain_levels = (VertexSet(1 << v0),) + tuple(VertexSet(m) for m in levels) \
-        + (VertexSet(ti_mask),)
-    return Chain(index=i, v0=v0, levels=chain_levels, r=len(levels))
+    base = levels[0] if levels else ti_mask
+    v0 = (base & -base).bit_length() - 1
+    return Chain(index=i, v0=v0, levels=(1 << v0, *levels, ti_mask),
+                 r=len(levels))
 
 
 def skeleton_report(graph, sk, relabel=None):
@@ -284,11 +267,11 @@ def skeleton_report(graph, sk, relabel=None):
         def relabel(v):
             return v
 
-    def vs(x):
-        return [relabel(v) for v in x]
+    def vs(mask):
+        return [relabel(v) for v in iter_bits(mask)]
 
     report = {
-        "anchors": vs(sk.c),
+        "anchors": [relabel(v) for v in sk.c],
         "t": {str(i + 1): vs(sk.t[i]) for i in range(5)},
         "d": {str(i + 1): vs(sk.d[i]) for i in range(5)},
         "s": vs(sk.s),

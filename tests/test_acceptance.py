@@ -11,7 +11,7 @@ from lcol3 import (build_chain, build_graph, build_skeleton, check_promise,
                    choice_lists, colour_blownup_c7, enumerate_c5_colourings,
                    palette_analysis, solve, verify_colouring)
 from lcol3.engine import FULL_MASK, DCase, TCase
-from lcol3.graph import Bipartition, bipartite_check
+from lcol3.graph import bipartite_check, iter_bits
 from lcol3.recognition import recognize_blownup_c7, shortest_odd_cycle
 from lcol3.sat2 import TwoSatInstance, add_clause, solve_2sat
 from lcol3.skeleton import Skeleton
@@ -87,21 +87,22 @@ def _agreeing_branch(sk, chains, palette, colouring):
         q = palette.q
         other = palette.options[i][1]
         levels = chain.levels
-        if all(colouring[v] == other for v in sk.t[i]):
+        if all(colouring[v] == other for v in iter_bits(sk.t[i])):
             t_cases.append(TCase(i, "c"))
             continue
-        if all(colouring[v] == q for v in sk.t[i]):
+        if all(colouring[v] == q for v in iter_bits(sk.t[i])):
             t_cases.append(TCase(i, "d"))
             continue
         if colouring[chain.v0] == other:
             k = max(k for k in range(chain.r + 1)
-                    if all(colouring[v] == other for v in levels[k]))
-            w = min(v for v in levels[k + 1] - levels[k] if colouring[v] == q)
+                    if all(colouring[v] == other for v in iter_bits(levels[k])))
+            w = min(v for v in iter_bits(levels[k + 1] & ~levels[k])
+                    if colouring[v] == q)
             t_cases.append(TCase(i, "a", k, w))
         else:
             k = max(k for k in range(chain.r + 1)
-                    if all(colouring[v] == q for v in levels[k]))
-            w = min(v for v in levels[k + 1] - levels[k]
+                    if all(colouring[v] == q for v in iter_bits(levels[k])))
+            w = min(v for v in iter_bits(levels[k + 1] & ~levels[k])
                     if colouring[v] == other)
             t_cases.append(TCase(i, "b", k, w))
     d_cases = []
@@ -110,16 +111,17 @@ def _agreeing_branch(sk, chains, palette, colouring):
             d_cases.append(None)
             continue
         a, b = palette.d_options[i]
-        v = sk.d[i].min()
-        if all(colouring[u] == a for u in sk.d[i]):
+        members = list(iter_bits(sk.d[i]))
+        v = members[0]
+        if all(colouring[u] == a for u in members):
             d_cases.append(DCase(i, "g", a, b, v))
-        elif all(colouring[u] == b for u in sk.d[i]):
+        elif all(colouring[u] == b for u in members):
             d_cases.append(DCase(i, "h", a, b, v))
         elif colouring[v] == a:
-            vp = min(u for u in sk.d[i] if colouring[u] == b)
+            vp = min(u for u in members if colouring[u] == b)
             d_cases.append(DCase(i, "e", a, b, v, vp))
         else:
-            vp = min(u for u in sk.d[i] if colouring[u] == a)
+            vp = min(u for u in members if colouring[u] == a)
             d_cases.append(DCase(i, "f", a, b, v, vp))
     return tuple(t_cases + d_cases)
 
@@ -144,7 +146,7 @@ def test_criterion_2_branch_completeness():
                            scale=rng.randint(8, 12),
                            lists="random" if seed % 4 else "full")
         graph, masks = generate(spec)
-        if graph.n > 14 or isinstance(bipartite_check(graph), Bipartition):
+        if graph.n > 14 or bipartite_check(graph, (1 << graph.n) - 1) is not None:
             continue
         cycle = shortest_odd_cycle(graph)
         if len(cycle) != 5:
@@ -196,7 +198,7 @@ def test_criterion_4_exact_branch_count():
         assert isinstance(sk, Skeleton)
         chains = {i: build_chain(graph, sk, i) for i in range(5) if sk.t[i]}
         chain = chains[1]
-        assert chain.r == 2 and len(sk.t[1]) == 3
+        assert chain.r == 2 and sk.t[1].bit_count() == 3
 
         for col in enumerate_c5_colourings([FULL_MASK] * 5):
             palette = palette_analysis(col)
@@ -204,18 +206,19 @@ def test_criterion_4_exact_branch_count():
             formula = 1
             for i in palette.undetermined:
                 if sk.t[i]:
-                    pairs = sum(len(chains[i].levels[k + 1] - chains[i].levels[k])
+                    levels = chains[i].levels
+                    pairs = sum((levels[k + 1] & ~levels[k]).bit_count()
                                 for k in range(chains[i].r + 1))
                     formula *= 2 + 2 * pairs
             for i in palette.free_d:
                 if sk.d[i]:
-                    formula *= 2 + 2 * (len(sk.d[i]) - 1)
+                    formula *= 2 + 2 * (sk.d[i].bit_count() - 1)
             assert count == formula, (d_sizes, col)
             bound = 32
             for i in palette.undetermined:
-                bound *= max(1, len(sk.t[i]))
+                bound *= max(1, sk.t[i].bit_count())
             for i in palette.free_d:
-                bound *= max(1, len(sk.d[i]))
+                bound *= max(1, sk.d[i].bit_count())
             assert count <= bound
             checked += 1
     print(f"\nACCEPTANCE 4: PASS exact branch counts on {checked} "

@@ -2,7 +2,7 @@ import json
 import pathlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_parse_lines
@@ -184,6 +184,9 @@ def parse_outcome(parse, text):
 
 @settings(max_examples=400, deadline=None)
 @given(instance_texts())
+# a self-loop of two canonical tokens, which the one-split edge route must
+# send on to the full checks
+@example("p lcol 3 0\ne 3 3\n")
 def test_parser_matches_reference_parser(text):
     assert (parse_outcome(cli._parse_lines, text)
             == parse_outcome(reference_parse_lines, text))
@@ -223,10 +226,10 @@ def test_emit_result_json_schema():
                                  include_stats=True))
     assert doc["status"] == "SAT"
     assert doc["colouring"]["1"] in (1, 2, 3)
-    assert set(doc["stats"]) == {"branches", "branches_survived",
-                                 "propagations", "sat_instances",
-                                 "fallback_used", "fallback_nodes", "peeled",
-                                 "millis"}
+    assert list(doc["stats"]) == ["branches", "branches_survived",
+                                  "propagations", "sat_instances",
+                                  "fallback_used", "fallback_nodes", "peeled",
+                                  "millis"]
 
 
 def test_emit_result_stats_text_and_json_agree():
@@ -391,9 +394,3 @@ def test_output_byte_determinism_across_runs(capsys):
         assert dispatch(args) == 0
         outputs_json.append(capsys.readouterr().out)
     assert outputs_json[0] == outputs_json[1]
-
-
-def test_bench_smoke(capsys):
-    assert dispatch(["bench", "--suite", "smoke"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert len(lines) == 4 and all("branches=" in line for line in lines)

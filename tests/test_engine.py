@@ -25,11 +25,11 @@ from lcol3 import engine
 from lcol3.cli import dispatch, emit_instance
 from lcol3.engine import FULL_MASK, InternalError, ListState, mask_of
 from lcol3.errors import PreconditionBreach
-from lcol3.graph import VertexSet, iter_bits
+from lcol3.graph import bipartite_check, iter_bits
 from lcol3.recognition import false_twin_classes
 from lcol3.recognition import recognize_blownup_c7, shortest_odd_cycle
 from lcol3.sat2 import solve_2sat
-from lcol3.skeleton import Skeleton
+from lcol3.skeleton import Chain, Skeleton
 from lcol3.testkit import (GenSpec, cycle_graph, enumerate_colourings,
                            generate, groetzsch_graph, oracle_solve, path_graph)
 
@@ -121,8 +121,7 @@ def test_enumerate_branches_count_formula():
     rng = random.Random(5)
     for seed in range(25):
         g, masks = generate(GenSpec("skeleton_built", seed=seed, scale=25))
-        from lcol3.graph import Bipartition, bipartite_check
-        if isinstance(bipartite_check(g), Bipartition):
+        if bipartite_check(g, (1 << g.n) - 1) is not None:
             continue
         cyc = shortest_odd_cycle(g)
         if len(cyc) != 5:
@@ -135,20 +134,20 @@ def test_enumerate_branches_count_formula():
         formula = 1
         for i in pal.undetermined:
             if sk.t[i]:
-                total = sum(
-                    len(chains[i].levels[k + 1] - chains[i].levels[k])
-                    for k in range(chains[i].r + 1))
-                assert total == len(sk.t[i]) - 1
+                levels = chains[i].levels
+                total = sum((levels[k + 1] & ~levels[k]).bit_count()
+                            for k in range(chains[i].r + 1))
+                assert total == sk.t[i].bit_count() - 1
                 formula *= 2 + 2 * total
         for i in pal.free_d:
             if sk.d[i]:
-                formula *= 2 + 2 * (len(sk.d[i]) - 1)
+                formula *= 2 + 2 * (sk.d[i].bit_count() - 1)
         assert count == formula
         bound = 32
         for i in pal.undetermined:
-            bound *= max(1, len(sk.t[i]))
+            bound *= max(1, sk.t[i].bit_count())
         for i in pal.free_d:
-            bound *= max(1, len(sk.d[i]))
+            bound *= max(1, sk.d[i].bit_count())
         assert count <= bound
 
 
@@ -203,8 +202,7 @@ def test_propagate_removes_colour():
     g = build_graph(2, [(0, 1)])
     st = ListState(g, [mask_of([1]), mask_of([1, 2])])
     assert propagate(st) is st
-    assert st.masks[1] == mask_of([2])
-    assert st.assigned == [1, 2]
+    assert st.masks == [mask_of([1]), mask_of([2])]
 
 
 def test_propagate_conflict():
@@ -304,7 +302,7 @@ def test_colour_blownup_c7_forced_class_matches_oracle():
     g, dec = _c7_decomposition((1, 1, 1, 1, 1, 1, 1))
     for cls in range(7):
         masks = [FULL_MASK] * g.n
-        for v in dec.classes[cls]:
+        for v in iter_bits(dec.classes[cls]):
             masks[v] = mask_of([3])
         got = colour_blownup_c7(dec, masks)
         want = oracle_solve(g, masks)
@@ -316,8 +314,8 @@ def test_colour_blownup_c7_forced_class_matches_oracle():
 def test_colour_blownup_c7_adjacent_singletons_infeasible():
     g, dec = _c7_decomposition((1, 1, 1, 1, 1, 1, 1))
     masks = [FULL_MASK] * g.n
-    a = dec.classes[0].min()
-    b = dec.classes[1].min()
+    a = next(iter_bits(dec.classes[0]))
+    b = next(iter_bits(dec.classes[1]))
     masks[a] = masks[b] = mask_of([1])
     assert colour_blownup_c7(dec, masks) is None
     assert oracle_solve(g, masks) is None
@@ -476,15 +474,13 @@ def test_solve_bipartite_lists_uses_fallback_when_needed():
 
 
 def test_branch_completeness_small_instances():
-    from lcol3.graph import Bipartition, bipartite_check
-
     checked = 0
     for seed in range(60):
         kind = "blownup_c5" if seed % 2 else "skeleton_built"
         g, masks = generate(GenSpec(kind, seed=seed, scale=12,
                                     class_sizes=(1, 1, 2, 1, 2) if kind == "blownup_c5" else None,
                                     lists="random" if seed % 3 else "full"))
-        if g.n > 14 or isinstance(bipartite_check(g), Bipartition):
+        if g.n > 14 or bipartite_check(g, (1 << g.n) - 1) is not None:
             continue
         cyc = shortest_odd_cycle(g)
         if len(cyc) != 5:
@@ -802,8 +798,6 @@ def test_failed_2sat_self_check_raises_under_optimisation():
     ("", "engine.palette_analysis((1, 1, 2, 2, 3))"),
     # vertex 0's singleton list is still queued for propagation
     ("st = engine.ListState(cycle_graph(5), [1] + [7] * 4)", "st.copy()"),
-    # parent chains 2-1-0 and 3-0 close the even cycle 2-1-0-3
-    ("from lcol3 import graph", "graph._odd_cycle_from_conflict([-1, 0, 1, 0], 2, 3)"),
     # the C5's same-level edge 2-3 sits at depth 2, not 3
     ("from lcol3 import recognition",
      "recognition._extract_odd_cycle(cycle_graph(5), 0, 2, 3, 3)"),
@@ -835,7 +829,7 @@ def test_solves_leave_no_reference_cycles():
     sk_graph, sk_masks = generate(GenSpec("skeleton_built", seed=6, scale=25,
                                           lists="random"))
     verify_graph, _ = generate(GenSpec("blownup_c7", seed=4))
-    kept = (Skeleton, engine.TCase, engine.DCase, VertexSet)
+    kept = (Skeleton, Chain, engine.TCase, engine.DCase)
     flags = gc.get_debug()
     gc.collect()
     start = len(gc.garbage)

@@ -5,10 +5,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import graphs
-from lcol3 import (Bipartition, VertexSet, bipartite_check, build_graph,
-                   connected_components)
+from lcol3 import bipartite_check, build_graph, components_within
 from lcol3.graph import (DuplicateEdgeError, LoopEdgeError, VertexRangeError,
                          induced_subgraph)
+from lcol3.recognition import shortest_odd_cycle
 from lcol3.testkit import cycle_graph
 
 
@@ -91,7 +91,7 @@ def test_induced_subgraph_matches_build_graph_on_induced_edges(case, data):
     g = build_graph(n, edges)
     candidates = sorted({x for e in edges for x in e} | {0, n - 1})
     keep = data.draw(st.lists(st.sampled_from(candidates), unique=True))
-    sub, ids = induced_subgraph(g, keep)
+    sub, ids = induced_subgraph(g, sum(1 << v for v in keep))
     assert ids == sorted(keep)
     index = {old: new for new, old in enumerate(ids)}
     expected = build_graph(len(ids), [(index[u], index[v]) for u, v in edges
@@ -119,77 +119,61 @@ def test_adjacency_query_symmetric_exhaustive():
 
 def test_components_c5_plus_k2():
     g = build_graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 6)])
-    comps = connected_components(g)
-    assert [len(c) for c in comps] == [5, 2]
-    assert comps[0].min() == 0 and comps[1].min() == 5
+    assert components_within(g, (1 << 7) - 1) == [0b11111, 0b1100000]
 
 
 def test_components_connected():
-    assert len(connected_components(cycle_graph(6))) == 1
+    assert len(components_within(cycle_graph(6), (1 << 6) - 1)) == 1
 
 
 def test_components_edgeless():
-    comps = connected_components(build_graph(3, []))
-    assert [c.to_list() for c in comps] == [[0], [1], [2]]
+    assert components_within(build_graph(3, []), 0b111) == [0b1, 0b10, 0b100]
 
 
 def test_bipartite_c4():
-    res = bipartite_check(cycle_graph(4))
-    assert isinstance(res, Bipartition)
-    assert res.a.to_list() == [0, 2] and res.b.to_list() == [1, 3]
+    assert bipartite_check(cycle_graph(4), 0b1111) == (0b0101, 0b1010)
 
 
 def test_bipartite_c5_odd_cycle():
-    res = bipartite_check(cycle_graph(5))
-    assert not isinstance(res, Bipartition)
-    assert len(res) == 5
+    assert bipartite_check(cycle_graph(5), 0b11111) is None
 
 
 def test_bipartite_single_vertex():
-    res = bipartite_check(build_graph(1, []))
-    assert isinstance(res, Bipartition)
-    assert res.a.to_list() == [0] and res.b.to_list() == []
-
-
-def test_vertexset_operations():
-    a = VertexSet.from_iterable([1, 3, 5])
-    b = VertexSet.from_iterable([3, 4])
-    assert len(a) == 3 and 3 in a and 2 not in a
-    assert (a & b).to_list() == [3]
-    assert (a | b).to_list() == [1, 3, 4, 5]
-    assert (a - b).to_list() == [1, 5]
-    assert VertexSet.from_iterable([3]) <= a
-    assert a.min() == 1
+    assert bipartite_check(build_graph(1, []), 0b1) == (0b1, 0)
 
 
 def test_induced_subgraph_maps_ids():
     g = cycle_graph(6)
-    sub, ids = induced_subgraph(g, [1, 2, 3])
+    sub, ids = induced_subgraph(g, 0b1110)
     assert ids == [1, 2, 3]
     assert sub.m == 2 and sub.has_edge(0, 1) and sub.has_edge(1, 2)
 
 
 def test_induced_subgraph_on_every_vertex_shares_the_graph():
     g = cycle_graph(6)
-    sub, ids = induced_subgraph(g, [5, 3, 1, 0, 2, 4])
-    assert sub is g and ids == list(range(6))
-    sub, ids = induced_subgraph(g, VertexSet.from_iterable(range(6)))
+    sub, ids = induced_subgraph(g, (1 << 6) - 1)
     assert sub is g and ids == list(range(6))
 
 
-@given(graphs())
-def test_bipartite_xor_odd_cycle(g):
-    res = bipartite_check(g)
-    if isinstance(res, Bipartition):
-        assert res.a.mask & res.b.mask == 0
-        assert res.a.mask | res.b.mask == (1 << g.n) - 1
+@given(graphs(), st.data())
+def test_bipartite_xor_odd_cycle(g, data):
+    # On the whole graph and on a drawn vertex subset: None exactly when the
+    # induced subgraph has an odd cycle, else two sides that every edge
+    # crosses, with each component's smallest vertex on side a.
+    full = (1 << g.n) - 1
+    for mask in (full, data.draw(st.integers(0, full))):
+        res = bipartite_check(g, mask)
+        if shortest_odd_cycle(induced_subgraph(g, mask)[0]) is not None:
+            assert res is None
+            continue
+        assert res is not None
+        a, b = res
+        assert a & b == 0 and a | b == mask
         for u, v in g.edges():
-            assert (u in res.a) != (v in res.a)
-    else:
-        assert len(res) % 2 == 1
-        assert len(set(res)) == len(res)
-        for i, u in enumerate(res):
-            assert g.has_edge(u, res[(i + 1) % len(res)])
+            if mask >> u & mask >> v & 1:
+                assert (a >> u & 1) != (a >> v & 1)
+        for comp in components_within(g, mask):
+            assert comp & -comp & a
 
 
 @given(graphs())
@@ -199,11 +183,11 @@ def test_degree_sum_is_twice_edge_count(g):
 
 @given(graphs())
 def test_components_partition(g):
-    comps = connected_components(g)
+    comps = components_within(g, (1 << g.n) - 1)
     union = 0
     for c in comps:
-        assert union & c.mask == 0
-        union |= c.mask
+        assert union & c == 0
+        union |= c
     assert union == (1 << g.n) - 1
     for u, v in g.edges():
-        assert any(u in c and v in c for c in comps)
+        assert any(c >> u & c >> v & 1 for c in comps)

@@ -3,7 +3,7 @@ import pytest
 from conftest import breach_witness, reference_anchor_classes
 from lcol3 import build_chain, build_graph, build_skeleton, check_promise, wd_components
 from lcol3.errors import PreconditionBreach
-from lcol3.graph import Bipartition, bipartite_check, induced_subgraph
+from lcol3.graph import bipartite_check, iter_bits
 from lcol3.recognition import shortest_odd_cycle
 from lcol3.skeleton import Chain, Skeleton, skeleton_report
 from lcol3.testkit import GenSpec, generate
@@ -20,14 +20,14 @@ def test_classify_t_set():
     # neighbour of c1 and c3 sits in T_2 (0-based)
     sk = build_skeleton(mk([(5, 1), (5, 3)], 6), ANCHORS)
     assert isinstance(sk, Skeleton)
-    assert sk.t[2].to_list() == [5]
+    assert sk.t[2] == 1 << 5
     assert all(not sk.d[i] for i in range(5))
 
 
 def test_classify_d_set():
     sk = build_skeleton(mk([(5, 0)], 6), ANCHORS)
     assert isinstance(sk, Skeleton)
-    assert sk.d[0].to_list() == [5]
+    assert sk.d[0] == 1 << 5
 
 
 def test_consecutive_anchor_neighbours_is_triangle():
@@ -71,11 +71,10 @@ def test_component_info_fields():
     assert isinstance(sk, Skeleton)
     assert len(sk.components) == 1
     info = sk.components[0]
-    assert info.vertices.to_list() == [6, 7]
-    assert info.sides[0].to_list() == [6] and info.sides[1].to_list() == [7]
-    assert info.side_nbhd[0].to_list() == [5]
-    assert not info.side_nbhd[1]
-    assert info.t_nbhd[2].to_list() == [5]
+    assert info.vertices == 1 << 6 | 1 << 7
+    assert info.sides == (1 << 6, 1 << 7)
+    assert info.side_nbhd == (1 << 5, 0)
+    assert info.t_nbhd[2] == 1 << 5
     assert not sk.w
 
 
@@ -85,8 +84,8 @@ def test_wd_single_component():
     comps = wd_components(g, sk, 0)
     assert len(comps) == 1
     comp = comps[0]
-    assert comp.vertices.to_list() == [5, 6]
-    assert comp.d_side.to_list() == [5] and comp.w_side.to_list() == [6]
+    assert comp.vertices == 1 << 5 | 1 << 6
+    assert comp.d_side == 1 << 5 and comp.w_side == 1 << 6
     assert wd_components(g, sk, 1) == []
 
 
@@ -126,8 +125,7 @@ def test_chain_nested_levels():
     chain = build_chain(g, sk, 2)
     assert isinstance(chain, Chain)
     assert chain.v0 == 5 and chain.r == 2
-    assert [level.to_list() for level in chain.levels] == \
-        [[5], [5], [5, 6], [5, 6, 7]]
+    assert chain.levels == (0b100000, 0b100000, 0b1100000, 0b11100000)
 
 
 def test_chain_degenerate():
@@ -135,7 +133,7 @@ def test_chain_degenerate():
     sk = build_skeleton(g, ANCHORS)
     chain = build_chain(g, sk, 2)
     assert chain.r == 0 and chain.v0 == 5
-    assert [level.to_list() for level in chain.levels] == [[5], [5, 6]]
+    assert chain.levels == (0b100000, 0b1100000)
 
 
 def test_chain_level_equal_to_t_merges_with_sentinel():
@@ -143,7 +141,7 @@ def test_chain_level_equal_to_t_merges_with_sentinel():
     sk = build_skeleton(g, ANCHORS)
     chain = build_chain(g, sk, 2)
     assert chain.r == 0
-    assert [level.to_list() for level in chain.levels] == [[5], [5]]
+    assert chain.levels == (0b100000, 0b100000)
 
 
 def test_chain_crossing_neighbourhoods_violate():
@@ -163,26 +161,23 @@ def test_chain_includes_wd_component_neighbourhoods():
     sk = build_skeleton(g, ANCHORS)
     chain = build_chain(g, sk, 0)
     assert chain.r == 1
-    assert [level.to_list() for level in chain.levels] == [[5], [5], [5, 6]]
+    assert chain.levels == (0b100000, 0b100000, 0b1100000)
 
 
 def test_generated_instances_build_cleanly():
-    from lcol3.graph import Bipartition, bipartite_check
-    from lcol3.recognition import shortest_odd_cycle
-
     seen_component = False
     for seed in range(40):
         g, _ = generate(GenSpec("skeleton_built", seed=seed, scale=25))
-        if isinstance(bipartite_check(g), Bipartition):
+        if bipartite_check(g, (1 << g.n) - 1) is not None:
             continue
         cyc = shortest_odd_cycle(g)
         if len(cyc) != 5:
             continue
         sk = build_skeleton(g, cyc)
         assert isinstance(sk, Skeleton), seed
-        covered = sk.s.mask | sk.w.mask
+        covered = sk.s | sk.w
         for info in sk.components:
-            covered |= info.vertices.mask
+            covered |= info.vertices
             seen_component = True
         assert covered == (1 << g.n) - 1
         for i in range(5):
@@ -192,8 +187,7 @@ def test_generated_instances_build_cleanly():
                 levels = chain.levels
                 assert levels[-1] == sk.t[i]
                 for a, b in zip(levels, levels[1:]):
-                    assert a <= b
-                    assert a == b or a < b
+                    assert a & ~b == 0
     assert seen_component
 
 
@@ -209,11 +203,12 @@ def test_anchor_classes_match_reference():
         cyc = shortest_odd_cycle(g)
         sk = build_skeleton(g, cyc)
         edges = list(g.edges())
-        joins = [[(v, cyc[(i + 1) % 5])] for i in range(5) for v in sk.d[i]]
+        joins = [[(v, cyc[(i + 1) % 5])] for i in range(5)
+                 for v in iter_bits(sk.d[i])]
         joins.append([e for join in joins for e in join])
-        joins += [[(v, cyc[i])] for i in range(5) for v in sk.t[i]]
-        joins += [[(sk.t[i].to_list()[0], sk.t[i].to_list()[-1])]
-                  for i in range(5) if len(sk.t[i]) >= 2]
+        joins += [[(v, cyc[i])] for i in range(5) for v in sk.t_lists[i]]
+        joins += [[(sk.t_lists[i][0], sk.t_lists[i][-1])]
+                  for i in range(5) if len(sk.t_lists[i]) >= 2]
         cases = [g] + [build_graph(g.n, edges + join) for join in joins]
         for anchors in (cyc, (cyc[3], cyc[2], cyc[1], cyc[0], cyc[4])):
             for h in cases:
@@ -225,15 +220,15 @@ def test_anchor_classes_match_reference():
                 else:
                     got = build_skeleton(h, anchors)
                     assert isinstance(got, Skeleton), seed
-                    assert [s.mask for s in got.t] == want[0], seed
-                    assert [s.mask for s in got.d] == want[1], seed
+                    assert list(got.t) == want[0], seed
+                    assert list(got.d) == want[1], seed
     assert planted >= 500
 
 
 def test_component_sides_match_bipartite_check():
-    # The sides found from BFS layers are the ones bipartite_check gives on
-    # the component's induced subgraph, the side of its smallest vertex
-    # first.
+    # Each component's sides are its 2-colouring by a plain BFS over the
+    # neighbour tuples, the side of its smallest vertex first; every edge
+    # of the component crosses them.
     checked = 0
     for seed in range(30):
         g, _ = generate(GenSpec("skeleton_built", seed=seed, scale=25))
@@ -243,11 +238,22 @@ def test_component_sides_match_bipartite_check():
         sk = build_skeleton(g, cyc)
         assert isinstance(sk, Skeleton), seed
         for info in sk.components:
-            sub, ids = induced_subgraph(g, info.vertices)
-            bip = bipartite_check(sub)
-            assert isinstance(bip, Bipartition)
-            sides = sorted(([ids[v] for v in bip.a], [ids[v] for v in bip.b]))
-            assert [side.to_list() for side in info.sides] == sides
+            comp = info.vertices
+            start = (comp & -comp).bit_length() - 1
+            side = {start: 0}
+            queue = [start]
+            for x in queue:
+                for y in g.adj[x]:
+                    if comp >> y & 1:
+                        if y not in side:
+                            side[y] = side[x] ^ 1
+                            queue.append(y)
+                        assert side[y] != side[x], seed
+            sides = [0, 0]
+            for v, s in side.items():
+                sides[s] |= 1 << v
+            assert sides[0] | sides[1] == comp
+            assert info.sides == tuple(sides), seed
             checked += 1
     assert checked > 0
 
@@ -255,13 +261,10 @@ def test_component_sides_match_bipartite_check():
 def test_component_edge_t_neighbourhood_union_property():
     # union of T_i-neighbourhoods over any component edge equals the
     # component's T_i-neighbourhood
-    from lcol3.graph import Bipartition, bipartite_check
-    from lcol3.recognition import shortest_odd_cycle
-
     checked = 0
     for seed in range(60):
         g, _ = generate(GenSpec("skeleton_built", seed=seed, scale=25))
-        if isinstance(bipartite_check(g), Bipartition):
+        if bipartite_check(g, (1 << g.n) - 1) is not None:
             continue
         cyc = shortest_odd_cycle(g)
         if len(cyc) != 5:
@@ -271,14 +274,14 @@ def test_component_edge_t_neighbourhood_union_property():
             continue
         bits = g.bits
         for info in sk.components:
-            mask = info.vertices.mask
-            for u in info.vertices:
+            mask = info.vertices
+            for u in iter_bits(mask):
                 for v in g.adj[u]:
                     if v < u or not (mask >> v) & 1:
                         continue
                     for i in range(5):
-                        union = (bits[u] | bits[v]) & sk.t[i].mask
-                        assert union == info.t_nbhd[i].mask
+                        union = (bits[u] | bits[v]) & sk.t[i]
+                        assert union == info.t_nbhd[i]
                         checked += 1
     assert checked
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from lcol3 import (Bipartition, bipartite_check, build_graph, check_promise,
+from lcol3 import (bipartite_check, build_graph, check_promise, iter_bits,
                    solve, verify_colouring)
 from lcol3.engine import FULL_MASK, mask_of
 from lcol3.testkit import (GenSpec, RejectionBudgetExceeded, SizeGuardError,
@@ -103,14 +103,13 @@ def test_blownup_c7_doubled():
 
 def test_type2_w_pattern_reachable():
     # some seed yields a W vertex adjacent to two non-consecutive D sets
-    from lcol3.graph import Bipartition, bipartite_check
     from lcol3.recognition import shortest_odd_cycle
     from lcol3.skeleton import Skeleton, build_skeleton
 
     found = False
     for seed in range(400):
         g, _ = generate(GenSpec("skeleton_built", seed=seed, scale=25))
-        if isinstance(bipartite_check(g), Bipartition):
+        if bipartite_check(g, (1 << g.n) - 1) is not None:
             continue
         cyc = shortest_odd_cycle(g)
         if len(cyc) != 5:
@@ -118,9 +117,8 @@ def test_type2_w_pattern_reachable():
         sk = build_skeleton(g, cyc)
         if not isinstance(sk, Skeleton):
             continue
-        for w in sk.w:
-            hit = {i for i in range(5)
-                   if any(g.has_edge(w, d) for d in sk.d[i])}
+        for w in iter_bits(sk.w):
+            hit = {i for i in range(5) if g.bits[w] & sk.d[i]}
             if len(hit) == 2:
                 found = True
                 break
@@ -148,7 +146,7 @@ def test_spider_is_in_class_and_bipartite(k):
     g, masks = generate(GenSpec("spider", scale=k))
     assert g.n == 2 * k + 7 and g.m == 2 * k + 8
     assert check_promise(g) is None
-    assert isinstance(bipartite_check(g), Bipartition)
+    assert bipartite_check(g, (1 << g.n) - 1) is not None
     assert len(masks) == g.n and masks[:k] == [FULL_MASK] * k
 
 
