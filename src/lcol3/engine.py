@@ -64,6 +64,7 @@ class SolveStats:
     fallback_used: int = 0
     fallback_nodes: int = 0
     peeled: int = 0
+    dominated: int = 0
     millis: float = 0.0
 
 
@@ -535,22 +536,27 @@ def solve(graph, lists=None, mode="trust"):
     of each class, so it is in the promise class exactly when the input is;
     witnesses found on it are vertices of the input in its own labels.
 
-    Layer 0 then peels the kept set to its fixpoint: while some kept vertex
-    v has more colours in L(v) than kept, unpeeled neighbours, v is peeled.
-    Only the rest is solved, one component at a time in order of smallest
-    vertex, each copied once from the input (a connected input with
-    nothing dropped or peeled is solved on the graph object itself).  The
-    peeled vertices are then coloured in reverse order of peeling, each
-    with the smallest colour of its list that no coloured neighbour uses.
-    Such a colour exists: the kept neighbours coloured before v are those
-    that were unpeeled when v was peeled, fewer than |L(v)|, and dropped
-    twins are not coloured yet.  So a colouring of the rest extends to the
-    kept set, and the rest, an induced subgraph, is colourable whenever
-    the input is; it also stays in the promise class.  A failure of that
-    step is a solver fault and raises InternalError.  In trust mode a
-    violation that peels away (a triangle of full-list vertices, say) is
-    off the solving path and is not reported.  Every SAT answer is
-    re-checked on the input graph and lists.
+    Layer 0 then sweeps the kept set to one fixpoint of two rules, with
+    neighbourhoods taken among the vertices not yet removed: v is peeled
+    when L(v) has more colours than v has neighbours, and v is dominated
+    when another vertex u has N(v) ⊆ N(u) and L(u) ⊆ L(v) (so u and v are
+    not adjacent).  Only the rest is solved, one component at a time in
+    order of smallest vertex, each copied once from the input (a connected
+    input with nothing dropped or removed is solved on the graph object
+    itself).  The removed vertices are then coloured in reverse order of
+    removal, each with the smallest colour of its list that no coloured
+    neighbour uses.  Such a colour exists.  The neighbours coloured before
+    v are those still there when v was removed; dropped twins are not
+    coloured yet.  A peeled v has fewer of them than |L(v)|.  A dominated
+    v's dominator u was coloured before v, and each of those neighbours is
+    a neighbour of u, so none of them has u's colour, which is in L(v).
+    So a colouring of the rest extends to the kept set, and the rest, an
+    induced subgraph, stays in the promise class and is colourable
+    whenever the input is.  A failure of that step is a solver fault and
+    raises InternalError.  In trust mode a violation that is peeled or
+    dominated away (a triangle of full-list vertices, say) is off the
+    solving path and is not reported.  Every SAT answer is re-checked on
+    the input graph and lists.
     """
     if mode not in ("trust", "verify"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -566,8 +572,8 @@ def solve(graph, lists=None, mode="trust"):
 
     rep = _twin_representatives(graph, masks)
     kept = sum(1 << v for v, u in enumerate(rep) if u == v)
-    rest, peeled = _peel(graph, masks, kept)
-    stats.peeled = len(peeled)
+    rest, removed, stats.dominated = _peel(graph, masks, kept)
+    stats.peeled = len(removed) - stats.dominated
     colouring = [0] * graph.n
     for comp in components_within(graph, rest):
         sub, ids = induced_subgraph(graph, comp)
@@ -586,7 +592,7 @@ def solve(graph, lists=None, mode="trust"):
         for local, v in enumerate(ids):
             colouring[v] = result[local]
 
-    _colour_peeled(graph, masks, rest, peeled, colouring)
+    _colour_peeled(graph, masks, rest, removed, colouring)
     colouring = [colouring[u] for u in rep]
     if not _colouring_fits(graph, masks, colouring):
         raise InternalError("SAT colouring failed the final re-check")
@@ -595,40 +601,66 @@ def solve(graph, lists=None, mode="trust"):
 
 
 def _peel(graph, masks, kept):
-    """Degree peeling of the vertex bitmask `kept`: (rest, peeled), where
-    peeled lists the removed vertices in order of removal and rest is the
-    bitmask left.  A vertex is removed once it has fewer kept, unremoved
-    neighbours than colours.  Degrees only fall, so a vertex qualifies for
-    good; it is queued when it first does, and the queue is the removal
-    order.  The fixpoint does not depend on that order."""
+    """Layer 0's joint sweep of the vertex bitmask `kept`: (rest, removed,
+    dominated), where removed lists the removed vertices in order of
+    removal, rest is the bitmask left and dominated counts the removals by
+    domination.  Within the unremoved set, a vertex v is removed when it
+    has fewer neighbours than colours (it is peeled), or when another u has
+    N(v) ⊆ N(u) and L(u) ⊆ L(v) (it is dominated).
+
+    `due` holds the vertices to test, lowest first: all of kept at the
+    start, then the unremoved neighbours of each removed vertex.  A tested
+    vertex that stays can only become removable when its neighbourhood
+    shrinks, since the other neighbourhoods and the set of possible
+    dominators only shrink too.  So rest is a fixpoint of both rules."""
     bits = graph.bits
-    deg = [(row & kept).bit_count() for row in bits]
-    peeled = [v for v in iter_bits(kept) if _SIZE[masks[v]] > deg[v]]
-    rest = kept
-    # peeled grows while it is walked: each removal may queue a neighbour
-    for v in peeled:
-        rest ^= 1 << v
-        for u in iter_bits(bits[v] & rest):
-            d = deg[u] - 1
-            deg[u] = d
-            if d == _SIZE[masks[u]] - 1:
-                peeled.append(u)
-    return rest, peeled
+    inside = [0] * 7 + [-1]  # inside[m]: the vertices whose list lies inside m
+    for v, m in enumerate(masks):
+        if m != FULL_MASK:
+            inside[m] |= 1 << v
+    for m in (3, 5, 6):  # a two-colour list holds its two one-colour lists
+        inside[m] |= inside[m & -m] | inside[m & (m - 1)]
+    removed = []
+    rest = due = kept
+    dominated = 0
+    while due:
+        low = due & -due
+        due ^= low
+        v = low.bit_length() - 1
+        row = bits[v] & rest
+        m = masks[v]
+        if row.bit_count() >= _SIZE[m]:
+            # row is not empty: a dominator of v is adjacent to its lowest
+            # and its highest neighbour
+            cand = (inside[m] & rest & bits[(row & -row).bit_length() - 1]
+                    & bits[row.bit_length() - 1]) ^ low
+            while cand:
+                u = cand.bit_length() - 1
+                if not row & ~bits[u]:
+                    break
+                cand ^= 1 << u
+            else:
+                continue
+            dominated += 1
+        removed.append(v)
+        rest ^= low
+        due |= row
+    return rest, removed, dominated
 
 
-def _colour_peeled(graph, masks, rest, peeled, colouring):
-    """Colour the peeled vertices in reverse order of removal, each with the
-    smallest colour of its list that its coloured neighbours leave free;
-    the vertices of the bitmask rest are coloured already."""
+def _colour_peeled(graph, masks, rest, removed, colouring):
+    """Colour the vertices layer 0 removed, in reverse order of removal,
+    each with the smallest colour of its list that its coloured neighbours
+    leave free; the vertices of the bitmask rest are coloured already."""
     bits = graph.bits
     done = rest
-    for v in reversed(peeled):
+    for v in reversed(removed):
         used = 0
         for u in iter_bits(bits[v] & done):
             used |= 1 << (colouring[u] - 1)
         free = masks[v] & ~used
         if not free:
-            raise InternalError(f"peeled vertex {v} has no free colour")
+            raise InternalError(f"removed vertex {v} has no free colour")
         colouring[v] = _COLOUR_OF[free & -free]
         done |= 1 << v
 

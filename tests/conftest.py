@@ -228,6 +228,21 @@ def reference_peel(graph, masks, kept):
     return left
 
 
+def reference_removable(graph, masks, left):
+    """(peelable, dominated) within the vertex set `left`, by brute force:
+    v in left is peelable when it has fewer neighbours in left than colours,
+    and dominated when some other u in left has every neighbour of v in left
+    as a neighbour and a list inside v's.  The layer-0 sweep must remove
+    only such vertices, one at a time, and stop where both sets are
+    empty."""
+    nbrs = {v: {u for u in graph.adj[v] if u in left} for v in left}
+    peelable = {v for v in left if bin(masks[v]).count("1") > len(nbrs[v])}
+    dominated = {v for v in left
+                 if any(u != v and nbrs[v] <= nbrs[u] and masks[u] & ~masks[v] == 0
+                        for u in left)}
+    return peelable, dominated
+
+
 def reference_colouring_fits(graph, masks, colouring):
     """engine._colouring_fits as it stood before its colour-class masks,
     kept verbatim: a list check per vertex, then a walk over every edge."""

@@ -229,7 +229,7 @@ def test_emit_result_json_schema():
     assert list(doc["stats"]) == ["branches", "branches_survived",
                                   "propagations", "sat_instances",
                                   "fallback_used", "fallback_nodes", "peeled",
-                                  "millis"]
+                                  "dominated", "millis"]
 
 
 def test_emit_result_stats_text_and_json_agree():
@@ -238,7 +238,7 @@ def test_emit_result_stats_text_and_json_agree():
     # distinct values, so a key printed with another counter's value shows
     want = {"branches": 11, "branches_survived": 7, "propagations": 13,
             "sat_instances": 5, "fallback_used": 3, "fallback_nodes": 17,
-            "peeled": 19, "millis": 2.5}
+            "peeled": 19, "dominated": 23, "millis": 2.5}
     for key, value in want.items():
         setattr(out.stats, key, value)
     text = emit_result(out, include_stats=True)

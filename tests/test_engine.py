@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from conftest import (check_witness, graphs, reference_colouring_fits,
-                      reference_peel, reference_twin_representatives,
-                      seeds_of_branch)
+                      reference_peel, reference_removable,
+                      reference_twin_representatives, seeds_of_branch)
 from lcol3 import (build_chain, build_graph, build_skeleton, check_promise,
                    choice_lists, colour_blownup_c7, eliminate_safe,
                    enumerate_c5_colourings, palette_analysis, propagate,
@@ -23,7 +23,8 @@ from lcol3 import (build_chain, build_graph, build_skeleton, check_promise,
 import lcol3
 from lcol3 import engine
 from lcol3.cli import dispatch, emit_instance
-from lcol3.engine import FULL_MASK, InternalError, ListState, mask_of
+from lcol3.engine import (FULL_MASK, InternalError, ListState, SolveStats,
+                          mask_of)
 from lcol3.errors import PreconditionBreach
 from lcol3.graph import bipartite_check, iter_bits
 from lcol3.recognition import false_twin_classes
@@ -462,14 +463,15 @@ def test_solve_bipartite_full_lists_two_colours():
 
 
 def test_solve_bipartite_lists_uses_fallback_when_needed():
-    # The cube: bipartite, twin-free and 3-regular, so full lists stay
-    # after peeling and the fallback branches on one of them.
+    # The cube: bipartite, twin-free and 3-regular, so no neighbourhood
+    # holds another and full lists stay after layer 0; the fallback
+    # branches on one of them.
     g = build_graph(8, [(u, u ^ b) for u in range(8) for b in (1, 2, 4)
                         if u < u ^ b])
     masks = [mask_of([1, 2])] + [FULL_MASK] * 7
     out = solve(g, masks)
     assert out.is_sat and verify_colouring(g, masks, out.colouring)
-    assert out.stats.peeled == 0
+    assert out.stats.peeled == 0 and out.stats.dominated == 0
     assert out.stats.fallback_used >= 1 and out.stats.fallback_nodes >= 1
 
 
@@ -545,20 +547,23 @@ def test_oracle_equivalence_random_sample():
 def test_branches_count_every_branch_on_unsat_twin_free_instances():
     # Anchor colourings that base propagation kills are counted without
     # building their choice lists; on an UNSAT input every branch of every
-    # anchor colouring is counted exactly once.
+    # anchor colouring is counted exactly once.  Layer 0 removes three
+    # vertices of seed 3476, so the test hands each whole graph to the
+    # component solver.
     instances = [(groetzsch_graph(), [FULL_MASK] * 11)]
     for seed in (917, 3476):
         instances.append(generate(GenSpec("skeleton_built", seed=seed,
                                           scale=16, lists="random")))
     for g, masks in instances:
         assert len(false_twin_classes(g)) == g.n
-        out = solve(g, masks)
-        assert out.is_unsat and out.stats.peeled == 0
+        assert solve(g, masks).is_unsat
+        stats = SolveStats()
+        assert engine._solve_component(g, masks, stats) is None
         sk = build_skeleton(g, shortest_odd_cycle(g))
         chains = {i: build_chain(g, sk, i) for i in range(5) if sk.t[i]}
         total = sum(len(_branches(sk, chains, col))
                     for col in enumerate_c5_colourings([masks[c] for c in sk.c]))
-        assert total > 0 and out.stats.branches == total
+        assert total > 0 and stats.branches == total
 
 
 # (scale, seed) of a skeleton_built instance with random lists, its
@@ -566,18 +571,21 @@ def test_branches_count_every_branch_on_unsat_twin_free_instances():
 # a fresh list state for each anchor colouring gave them.  Each instance has
 # a dead anchor colouring before its 2-SAT leaf, so seeding or propagating
 # in another order, or propagating the shared state before the anchors are
-# seeded, shows in `propagations`.  Layer 0 peels no vertex of any of them,
-# so the whole instance reaches the anchored-C5 search.
+# seeded, shows in `propagations`.  Layer 0 removes no vertex of any of
+# them, so the whole instance reaches the anchored-C5 search.
 PINNED_SKELETON_SOLVES = [
     ((12, 399), [3, 1, 3, 2, 1, 2, 3, 2, 1, 2, 2],
      dict(branches=47, branches_survived=1, propagations=67,
-          sat_instances=1, fallback_used=0, fallback_nodes=0, peeled=0)),
+          sat_instances=1, fallback_used=0, fallback_nodes=0, peeled=0,
+          dominated=0)),
     ((12, 351), [1, 3, 2, 3, 2, 1, 1, 3, 3, 2],
      dict(branches=13, branches_survived=1, propagations=53,
-          sat_instances=1, fallback_used=0, fallback_nodes=0, peeled=0)),
+          sat_instances=1, fallback_used=0, fallback_nodes=0, peeled=0,
+          dominated=0)),
     ((25, 278), [2, 3, 1, 2, 3, 2, 2, 1, 1, 1, 3],
      dict(branches=9, branches_survived=1, propagations=18,
-          sat_instances=1, fallback_used=0, fallback_nodes=0, peeled=0)),
+          sat_instances=1, fallback_used=0, fallback_nodes=0, peeled=0,
+          dominated=0)),
 ]
 
 
@@ -611,20 +619,27 @@ def test_anchor_palettes_follow_enumeration_order():
 def test_bipartite_fallback_depth_beyond_recursion_limit():
     # Half graph a_i ~ b_j for j <= i: twin-free and 2K2-free (so P7-free);
     # with a_0 precoloured the fallback branches about 300 levels deep.
+    # N(a_i) ⊆ N(a_{i+1}), so layer 0 removes the whole graph, and the
+    # fallback is driven on it directly.
     half = 300
     edges = [(i, half + j) for i in range(half) for j in range(i + 1)]
     g = build_graph(2 * half, edges)
     assert len(false_twin_classes(g)) == g.n
     masks = [mask_of([1])] + [FULL_MASK] * (2 * half - 1)
+    out = solve(g, masks)
+    assert out.is_sat and verify_colouring(g, masks, out.colouring)
+    assert out.stats.peeled + out.stats.dominated == g.n
+    st = ListState(g, masks)
+    assert propagate(st) is not None
+    stats = SolveStats()
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(200)
     try:
-        out = solve(g, masks)
+        colouring = engine._bipartite_fallback(g, st, stats)
     finally:
         sys.setrecursionlimit(limit)
-    assert out.is_sat and verify_colouring(g, masks, out.colouring)
-    assert out.stats.fallback_used == 1
-    assert out.stats.peeled == 3 and out.stats.fallback_nodes == 298
+    assert verify_colouring(g, masks, colouring)
+    assert stats.fallback_used == 1 and stats.fallback_nodes == 299
 
 
 def test_twin_free_input_solves_on_the_graph_itself(monkeypatch):
@@ -720,17 +735,32 @@ def _kept_mask(g, masks):
 
 @settings(max_examples=300, deadline=None)
 @given(hst.data())
-def test_peeling_reaches_the_naive_fixpoint_and_keeps_answers(data):
+def test_layer0_sweep_reaches_the_joint_fixpoint_and_keeps_answers(data):
     g = data.draw(graphs(max_n=10))
     masks = data.draw(hst.lists(hst.integers(1, FULL_MASK), min_size=g.n,
                                 max_size=g.n))
     kept = _kept_mask(g, masks)
-    rest, peeled = engine._peel(g, masks, kept)
-    assert set(iter_bits(rest)) == reference_peel(g, masks, kept)
-    assert len(set(peeled)) == len(peeled)
-    assert rest | sum(1 << v for v in peeled) == kept
+    rest, removed, dominated = engine._peel(g, masks, kept)
+    assert engine._peel(g, masks, kept) == (rest, removed, dominated)
+    assert len(set(removed)) == len(removed)
+    assert not rest & sum(1 << v for v in removed)
+    assert rest | sum(1 << v for v in removed) == kept
+    # replay the removals: each is peelable or dominated when it happens,
+    # and a domination is counted only where peeling does not apply
+    left = set(iter_bits(kept))
+    by_domination = 0
+    for v in removed:
+        peelable, dominated_now = reference_removable(g, masks, left)
+        assert v in peelable | dominated_now
+        by_domination += v not in peelable
+        left.discard(v)
+    assert by_domination == dominated
+    assert left == set(iter_bits(rest))
+    assert reference_removable(g, masks, left) == (set(), set())
+    assert left <= reference_peel(g, masks, kept)
     out = solve(g, masks, mode="trust")
-    assert out.stats.peeled == len(peeled)
+    assert (out.stats.peeled, out.stats.dominated) == (len(removed) - dominated,
+                                                       dominated)
     if out.is_sat:
         assert verify_colouring(g, masks, out.colouring)
     if check_promise(g) is None:
