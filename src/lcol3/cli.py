@@ -11,10 +11,6 @@ Exit codes: 0 = decided (SAT or UNSAT), 2 = promise violation (INVALID),
 1 = usage, parse, or internal error.
 """
 
-from __future__ import annotations
-
-import argparse
-import dataclasses
 import json
 import sys
 
@@ -225,7 +221,7 @@ def _witness_line(violation):
 def _stats_fields(stats):
     """Every SolveStats field in declaration order, millis rounded to three
     places: one dict for the --stats text and JSON output."""
-    fields = {f.name: getattr(stats, f.name) for f in dataclasses.fields(stats)}
+    fields = {name: getattr(stats, name) for name in stats._fields}
     fields["millis"] = round(stats.millis, 3)
     return fields
 
@@ -416,6 +412,9 @@ def _cmd_oracle(args):
 
 
 def _build_parser():
+    # Imported here, so that importing the package does not pay for it.
+    import argparse
+
     parser = argparse.ArgumentParser(prog="lcol3", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

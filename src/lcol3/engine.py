@@ -3,17 +3,14 @@ colouring branches, list propagation, safe-vertex elimination, 2-SAT
 residuals, the blown-up-C7 path, and top-level orchestration.
 """
 
-from __future__ import annotations
-
 import time
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 
 from .errors import InternalError, PreconditionBreach
 from .graph import (bipartite_check, components_within, induced_subgraph,
                     iter_bits)
-from .recognition import (PromiseViolation, check_promise,
-                          recognize_blownup_c7, shortest_odd_cycle)
+from .recognition import (check_promise, recognize_blownup_c7,
+                          shortest_odd_cycle)
 from .sat2 import TwoSatInstance, add_clause, neg, pos, solve_2sat
 from .skeleton import build_chain, build_skeleton
 
@@ -55,25 +52,39 @@ def normalize_lists(n, lists):
     return out
 
 
-@dataclass
 class SolveStats:
-    branches: int = 0
-    branches_survived: int = 0
-    propagations: int = 0
-    sat_instances: int = 0
-    fallback_used: int = 0
-    fallback_nodes: int = 0
-    peeled: int = 0
-    dominated: int = 0
-    millis: float = 0.0
+    """The counters of one solve, all starting at 0, and its wall-clock
+    time in millis.  _fields lists them in declaration order; two stats
+    are equal when every field is."""
+
+    __slots__ = _fields = ("branches", "branches_survived", "propagations",
+                           "sat_instances", "fallback_used", "fallback_nodes",
+                           "peeled", "dominated", "millis")
+
+    def __init__(self):
+        for name in self._fields:
+            setattr(self, name, 0)
+        self.millis = 0.0
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not SolveStats:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        return "SolveStats(%s)" % ", ".join(
+            f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
 
 
-@dataclass
-class Outcome:
-    kind: str  # "sat" | "unsat" | "invalid"
-    colouring: list | None
-    violation: PromiseViolation | None
-    stats: SolveStats
+class Outcome(namedtuple("Outcome", "kind colouring violation stats")):
+    """A solve's answer.  kind is "sat", "unsat" or "invalid"; colouring
+    (SAT) and violation (INVALID, a PromiseViolation) are None otherwise;
+    stats is the SolveStats of the run."""
+
+    __slots__ = ()
 
     @property
     def is_sat(self):
@@ -295,23 +306,19 @@ def enumerate_c5_colourings(anchor_masks):
     return out
 
 
-@dataclass(frozen=True)
-class Palette:
-    """Colour consequences of one anchor-cycle colouring.
+class Palette(namedtuple("Palette", "c5_colouring forced options undetermined "
+                                    "q d_options free_d")):
+    """Colour consequences of one anchor-cycle colouring c5_colouring.
 
-    Three T sets are forced, the two consecutive ones flanking the once-used
-    colour q keep two options {q, other}; every D set keeps the two colours
-    its anchor does not use; the three free D indices around q's position
-    get the (e)-(h) case treatment.
+    Three T sets are forced (forced: T index -> colour); the two consecutive
+    ones flanking the once-used colour q, the undetermined indices, keep
+    two options (options: T index -> (q, other)); every D set keeps the two
+    colours its anchor does not use (d_options: D index -> pair); the three
+    free D indices free_d around q's position get the (e)-(h) case
+    treatment.
     """
 
-    c5_colouring: tuple
-    forced: dict
-    options: dict
-    undetermined: tuple
-    q: int
-    d_options: dict
-    free_d: tuple
+    __slots__ = ()
 
 
 def palette_analysis(c5col):
@@ -351,31 +358,23 @@ def _anchor_palettes(anchor_masks):
     return [_PALETTES[col] for col in enumerate_c5_colourings(anchor_masks)]
 
 
-@dataclass(frozen=True)
-class TCase:
-    """One of the cases (a)-(d) on an undetermined T index.
+class TCase(namedtuple("TCase", "index tag k w", defaults=(None, None))):
+    """One of the cases (a)-(d), tag "a".."d", on the undetermined T index.
 
     (a): the level-k prefix takes the non-shared colour and witness w takes
     q; (b): the same swapped; (c)/(d): all of T_i takes the non-shared
-    colour / q.  Tags c and d carry no (k, w)."""
+    colour / q.  Tags c and d carry no (k, w), which stay None."""
 
-    index: int
-    tag: str
-    k: int | None = None
-    w: int | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DCase:
-    """One of the cases (e)-(h) on a free D index with options {a, b}:
-    (e) v_i -> a with witness v' -> b, (f) swapped, (g)/(h) whole-set."""
+class DCase(namedtuple("DCase", "index tag a b v vprime", defaults=(None,))):
+    """One of the cases (e)-(h), tag "e".."h", on the free D index with
+    options {a, b} and lowest vertex v of D_i: (e) v -> a with witness
+    vprime -> b, (f) swapped, (g)/(h) the whole set takes a / b.  Tags g
+    and h carry no vprime, which stays None."""
 
-    index: int
-    tag: str
-    a: int
-    b: int
-    v: int
-    vprime: int | None = None
+    __slots__ = ()
 
 
 def t_case_choices(palette, chains, i):
@@ -651,18 +650,25 @@ def _peel(graph, masks, kept):
 def _colour_peeled(graph, masks, rest, removed, colouring):
     """Colour the vertices layer 0 removed, in reverse order of removal,
     each with the smallest colour of its list that its coloured neighbours
-    leave free; the vertices of the bitmask rest are coloured already."""
+    leave free; the vertices of the bitmask rest are coloured already.
+    Each colour class is kept as one bit mask, so a vertex's used colours
+    cost three ANDs of its bit row."""
     bits = graph.bits
-    done = rest
+    classes = [0, 0, 0, 0]  # classes[c]: the coloured vertices of colour c
+    for v in iter_bits(rest):
+        classes[colouring[v]] |= 1 << v
     for v in reversed(removed):
+        row = bits[v]
         used = 0
-        for u in iter_bits(bits[v] & done):
-            used |= 1 << (colouring[u] - 1)
+        for c in (1, 2, 3):
+            if row & classes[c]:
+                used |= 1 << (c - 1)
         free = masks[v] & ~used
         if not free:
             raise InternalError(f"removed vertex {v} has no free colour")
-        colouring[v] = _COLOUR_OF[free & -free]
-        done |= 1 << v
+        c = _COLOUR_OF[free & -free]
+        colouring[v] = c
+        classes[c] |= 1 << v
 
 
 def _twin_representatives(graph, masks):

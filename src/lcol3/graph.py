@@ -3,8 +3,6 @@ neighbour tuple and an int bit row of its neighbours.  A vertex set is an
 int bitmask, bit v standing for vertex v; components and bipartiteness are
 computed on such masks."""
 
-from __future__ import annotations
-
 
 class GraphError(ValueError):
     """Malformed graph input."""

@@ -7,10 +7,7 @@ recognize_blownup_c7 raises PreconditionBreach when the graph is not a
 blown-up C7; it builds no witness of its own.
 """
 
-from __future__ import annotations
-
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 
 from .errors import InternalError, PreconditionBreach
 from .graph import induced_subgraph, iter_bits
@@ -19,29 +16,26 @@ TRIANGLE = "triangle"
 INDUCED_P7 = "induced_p7"
 
 
-@dataclass(frozen=True)
-class PromiseViolation:
+class PromiseViolation(namedtuple("PromiseViolation", "kind vertices")):
     """Witness that the input graph is outside the promise class.
 
     kind is "triangle" (3 mutually adjacent vertices) or "induced_p7"
     (7 vertices inducing a path, in path order).
     """
 
-    kind: str
-    vertices: tuple
+    __slots__ = ()
 
     def relabel(self, mapping):
         return PromiseViolation(self.kind, tuple(mapping[v] for v in self.vertices))
 
 
-@dataclass(frozen=True)
-class TwinDecomposition:
+class TwinDecomposition(namedtuple("TwinDecomposition",
+                                    "classes representatives")):
     """Partition of a C5-free graph into the seven stable classes of a
     blown-up C7, as int bitmasks in cyclic order; representatives lie on the
     base cycle."""
 
-    classes: tuple
-    representatives: tuple
+    __slots__ = ()
 
 
 def is_triangle(graph, vertices):

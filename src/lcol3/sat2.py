@@ -6,10 +6,6 @@ negation.  The SCC computation is iterative so deep implication chains do
 not hit the recursion limit.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
-
 from .errors import InternalError
 
 
@@ -29,10 +25,15 @@ def negate(lit):
     return lit ^ 1
 
 
-@dataclass
 class TwoSatInstance:
-    var_count: int
-    clauses: list = field(default_factory=list)
+    """var_count variables and a list of clauses, each a pair of literals;
+    add_clause appends to it."""
+
+    __slots__ = ("var_count", "clauses")
+
+    def __init__(self, var_count):
+        self.var_count = var_count
+        self.clauses = []
 
 
 def add_clause(inst, lit1, lit2):

@@ -11,17 +11,14 @@ C5, so a failure shows the graph is outside the class, and check_promise
 names the witness.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-from functools import cached_property
+from collections import namedtuple
 
 from .errors import PreconditionBreach
 from .graph import bipartite_check, components_within, iter_bits
 
 
-@dataclass(frozen=True)
-class ComponentInfo:
+class ComponentInfo(namedtuple("ComponentInfo",
+                                "vertices sides side_nbhd t_nbhd")):
     """A non-trivial component of the graph minus the anchored sets.
 
     Every vertex set here is an int bitmask.  The two stable sides (the side
@@ -31,64 +28,43 @@ class ComponentInfo:
     T_i.
     """
 
-    vertices: int
-    sides: tuple
-    side_nbhd: tuple
-    t_nbhd: tuple
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class WDComponent:
-    """A non-trivial component of G[W ∪ D_i], its W and D_i sides and their
-    neighbourhoods inside T_i, all as int bitmasks; both sides have uniform
-    neighbourhoods inside T_i and those neighbourhoods are disjoint."""
+class WDComponent(namedtuple("WDComponent", "index vertices w_side d_side "
+                                            "w_t_nbhd d_t_nbhd")):
+    """A non-trivial component of G[W ∪ D_i] (i = index), its W and D_i
+    sides and their neighbourhoods inside T_i, all as int bitmasks; both
+    sides have uniform neighbourhoods inside T_i and those neighbourhoods
+    are disjoint."""
 
-    index: int
-    vertices: int
-    w_side: int
-    d_side: int
-    w_t_nbhd: int
-    d_t_nbhd: int
+    __slots__ = ()
 
     @property
     def t_nbhd(self):
         return self.w_t_nbhd | self.d_t_nbhd
 
 
-@dataclass(frozen=True)
-class Skeleton:
+class Skeleton(namedtuple("Skeleton", "c t d s w components t_lists")):
     """The anchored decomposition.  c is the anchor cycle, five vertices in
     cycle order; t[i] and d[i] are the sets T_i and D_i of anchor position
     i, s is S (the cycle with every T and D set) and w the isolated
     remainder W, all int bitmasks; components holds the ComponentInfo of
-    each non-trivial remainder component."""
+    each non-trivial remainder component, and t_lists[i] the vertices of
+    T_i as an ascending list."""
 
-    c: tuple
-    t: tuple
-    d: tuple
-    s: int
-    w: int
-    components: tuple
-
-    @cached_property
-    def t_lists(self):
-        """The vertices of each T set as an ascending list."""
-        return tuple(list(iter_bits(t)) for t in self.t)
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Chain:
-    """Nested T_i-neighbourhood levels, as int bitmasks, with a one-vertex
-    base and T_i sentinel.
+class Chain(namedtuple("Chain", "index v0 levels r")):
+    """Nested T_i-neighbourhood levels (i = index), as int bitmasks, with a
+    one-vertex base and T_i sentinel.
 
     levels[0] = {v0} ⊆ levels[1] ⊊ ... ⊊ levels[r+1] = T_i; levels 1..r are
     the distinct proper component neighbourhoods in T_i.
     """
 
-    index: int
-    v0: int
-    levels: tuple
-    r: int
+    __slots__ = ()
 
 
 def _induces_c5(graph, c5):
@@ -155,6 +131,7 @@ def build_skeleton(graph, c5):
         s=s_mask,
         w=w_mask,
         components=tuple(infos),
+        t_lists=tuple(list(iter_bits(t)) for t in t_sets),
     )
 
 

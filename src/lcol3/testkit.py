@@ -2,11 +2,9 @@
 enumeration, seeded instance generators for the promise class, and a few
 named graphs."""
 
-from __future__ import annotations
-
 import random
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .engine import (FULL_MASK, colours_of, mask_of, normalize_lists,
                      verify_colouring)
@@ -29,20 +27,19 @@ class GenerationError(RuntimeError):
     """A constructive generator produced a non-promise graph (recipe bug)."""
 
 
-@dataclass(frozen=True)
-class GenSpec:
+class GenSpec(namedtuple("GenSpec", "kind seed class_sizes n target_edges "
+                                    "scale lists rejection_budget",
+                         defaults=(0, None, None, None, 20, "full", 10_000))):
     """Reproducible instance request; identical specs generate identical
-    graphs and lists bit for bit."""
+    graphs and lists bit for bit.
 
-    # blownup_c5 | blownup_c7 | skeleton_built | random_rejection | spider
-    kind: str
-    seed: int = 0
-    class_sizes: tuple | None = None
-    n: int | None = None
-    target_edges: int | None = None
-    scale: int = 20  # skeleton_built's size hint; the spider's leg count k
-    lists: str = "full"  # "full" | "random"
-    rejection_budget: int = 10_000
+    kind is blownup_c5, blownup_c7, skeleton_built, random_rejection or
+    spider; class_sizes sizes a blow-up's classes; n and target_edges size
+    random_rejection; scale is skeleton_built's size hint and the spider's
+    leg count k; lists is "full" or "random"; rejection_budget bounds
+    random_rejection's tries."""
+
+    __slots__ = ()
 
 
 def oracle_solve(graph, lists=None):

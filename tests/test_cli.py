@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -394,3 +397,24 @@ def test_output_byte_determinism_across_runs(capsys):
         assert dispatch(args) == 0
         outputs_json.append(capsys.readouterr().out)
     assert outputs_json[0] == outputs_json[1]
+
+
+def _python(*args):
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    return subprocess.run([sys.executable, *args],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_import_loads_no_heavy_stdlib_modules():
+    # Module bodies generate no code, and argparse waits for the parser.
+    proc = _python("-c", "import sys, lcol3, lcol3.cli; print(sorted("
+                   "{'dataclasses', 'inspect', 'argparse'} & set(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_module_help_exits_zero():
+    proc = _python("-m", "lcol3.cli", "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: lcol3")

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import gc
 import glob
 import os
@@ -27,10 +26,11 @@ from lcol3.engine import (FULL_MASK, InternalError, ListState, SolveStats,
                           mask_of)
 from lcol3.errors import PreconditionBreach
 from lcol3.graph import bipartite_check, iter_bits
-from lcol3.recognition import false_twin_classes
-from lcol3.recognition import recognize_blownup_c7, shortest_odd_cycle
+from lcol3.recognition import (PromiseViolation, TwinDecomposition,
+                               false_twin_classes, recognize_blownup_c7,
+                               shortest_odd_cycle)
 from lcol3.sat2 import solve_2sat
-from lcol3.skeleton import Chain, Skeleton
+from lcol3.skeleton import Chain, ComponentInfo, Skeleton, WDComponent
 from lcol3.testkit import (GenSpec, cycle_graph, enumerate_colourings,
                            generate, groetzsch_graph, oracle_solve, path_graph)
 
@@ -602,7 +602,7 @@ def test_skeleton_solves_keep_pinned_answers_and_counters(monkeypatch, spec,
     out = solve(g, masks)
     assert dead
     assert out.is_sat and out.colouring == colouring
-    got = dataclasses.asdict(out.stats)
+    got = {name: getattr(out.stats, name) for name in out.stats._fields}
     del got["millis"]
     assert got == counters
     assert got["sat_instances"] >= 1 and got["branches_survived"] >= 1
@@ -950,3 +950,33 @@ def test_breach_on_an_in_class_component_is_an_internal_error(
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("internal error")
+
+
+def test_case_records_keep_field_order_and_defaults():
+    assert engine.TCase._fields == ("index", "tag", "k", "w")
+    assert engine.TCase(1, "c") == engine.TCase(1, "c", None, None)
+    assert engine.DCase._fields == ("index", "tag", "a", "b", "v", "vprime")
+    assert engine.DCase(0, "g", 1, 2, 7) == engine.DCase(0, "g", 1, 2, 7, None)
+
+
+@pytest.mark.parametrize("record", [
+    engine.Outcome, engine.Palette, engine.TCase, engine.DCase,
+    PromiseViolation, TwinDecomposition, ComponentInfo, WDComponent, Skeleton,
+    Chain, GenSpec])
+def test_frozen_records_reject_assignment(record):
+    rec = record._make(range(len(record._fields)))
+    with pytest.raises(AttributeError):
+        setattr(rec, record._fields[0], -1)
+    with pytest.raises(AttributeError):
+        rec.extra = -1  # no instance dict either
+
+
+def test_solve_stats_compare_by_value():
+    a, b = SolveStats(), SolveStats()
+    assert a == b
+    a.branches = 3
+    assert a != b
+    b.branches = 3
+    assert a == b
+    assert SolveStats._fields[0] == "branches"
+    assert SolveStats._fields[-1] == "millis"

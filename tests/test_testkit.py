@@ -155,3 +155,12 @@ def test_spider_rejects_other_lists_and_negative_legs():
         generate(GenSpec("spider", scale=3, lists="random"))
     with pytest.raises(ValueError):
         generate(GenSpec("spider", scale=-1))
+
+
+def test_genspec_keeps_field_order_and_defaults():
+    assert GenSpec._fields == ("kind", "seed", "class_sizes", "n",
+                               "target_edges", "scale", "lists",
+                               "rejection_budget")
+    spec = GenSpec("spider")
+    assert spec == GenSpec("spider", 0, None, None, None, 20, "full", 10_000)
+    assert spec.scale == 20
