@@ -15,7 +15,6 @@ from .recognition import (PromiseViolation, TwinDecomposition, check_promise,
 from .sat2 import TwoSatInstance, add_clause, solve_2sat
 from .skeleton import (Chain, ComponentInfo, Skeleton, build_chain,
                        build_skeleton, wd_components)
-from .testkit import GenSpec, enumerate_colourings, generate, oracle_solve
 
 __all__ = [
     "InternalError", "PreconditionBreach", "ListState", "Outcome", "Palette", "SolveStats",
@@ -32,3 +31,12 @@ __all__ = [
     "wd_components",
     "GenSpec", "enumerate_colourings", "generate", "oracle_solve",
 ]
+
+
+def __getattr__(name):
+    # The test kit (generators, oracle, enumeration, and `random`) loads on
+    # first use, so that importing the package does not pay for it.
+    if name in ("GenSpec", "enumerate_colourings", "generate", "oracle_solve"):
+        from . import testkit
+        return getattr(testkit, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -22,7 +22,6 @@ from .graph import (GraphError, _graph_from_rows, bipartite_check,
 from .recognition import (check_promise, recognize_blownup_c7,
                           shortest_odd_cycle)
 from .skeleton import build_skeleton, skeleton_report
-from .testkit import GenSpec, generate, oracle_solve
 
 
 class ParseError(ValueError):
@@ -385,6 +384,8 @@ def _cmd_check_promise(args):
 
 
 def _cmd_generate(args):
+    from .testkit import GenSpec, generate
+
     sizes = tuple(int(x) for x in args.classes.split(",")) if args.classes else None
     spec = GenSpec(kind=args.kind, seed=args.seed, class_sizes=sizes,
                    n=args.n, target_edges=args.edges, scale=args.scale,
@@ -400,6 +401,8 @@ def _cmd_generate(args):
 
 
 def _cmd_oracle(args):
+    from .testkit import oracle_solve
+
     graph, masks = parse_instance(_read(args.file))
     colouring = oracle_solve(graph, masks)
     if colouring is None:

@@ -106,17 +106,22 @@ def find_induced_p7(graph):
     picks one of the two orientations, so each induced P5 a2 a1 c b1 b2 is
     visited at most once, at a cost of O(1 + |A3|) n-bit mask operations.
 
-    Cost before any P5 is built.  For each centre c one mask, ext, holds
+    Cost before any P5 is built.  One table per graph, dom[c], holds the
+    vertices v with N(v) a subset of N(c), c itself included: for each
+    non-isolated v the AND of its neighbours' bit rows is exactly the set
+    of such c, so the table costs O(m + sum of |dom[c]|) mask operations.
+    For each centre c one mask, ext = N(N(c)) - N(c) - dom[c], then holds
     the vertices outside N(c) that have a neighbour in N(c) and one outside
     it.  Every a2 and b2 lies in ext, since it sees a1 or b1 and its third
     vertex avoids N(c); ext is a superset of the second vertices that can
     start a side, on any graph.  Each neighbour x of c keeps
-    D(x) = N(x) & ext, and one with D(x) empty is dropped.  A pair a1 < b1
+    D(x) = N(x) & ext, and one with D(x) empty is dropped; a centre with
+    fewer than two neighbours has no pair and is skipped.  A pair a1 < b1
     then costs O(1) mask operations: the candidate a2s are D(a1) - N(b1)
     and the candidate b2s D(b1) - N(a1), and the pair goes on to the join
-    only when both are non-empty.  Each centre costs O(deg(c) + |ext|)
-    mask operations to set up.  The visiting order (c ascending, a1 < b1
-    in adjacency order, a2 and b2 ascending) does not depend on the masks,
+    only when both are non-empty.  Each centre costs O(deg(c)) mask
+    operations to set up.  The visiting order (c ascending, a1 < b1 in
+    adjacency order, a2 and b2 ascending) does not depend on the masks,
     which only drop candidates that could not lead to a path.  The search
     is iterative, so its depth does not grow with n.
     """
@@ -125,24 +130,31 @@ def find_induced_p7(graph):
         return None
     adj = graph.adj
     bits = graph.bits
+    # dom[c]: the non-isolated v with N(v) inside N(c); c is one of them
+    # whenever it has a neighbour, and isolated vertices never reach ext
+    dom = [0] * n
+    for v in range(n):
+        nbrs = adj[v]
+        if nbrs:
+            above = bits[nbrs[0]]
+            for x in nbrs[1:]:
+                above &= bits[x]
+            bit_v = 1 << v
+            for c in iter_bits(above):
+                dom[c] |= bit_v
     for c in range(n):
+        nbrs = adj[c]
+        if len(nbrs) < 2:
+            continue
         row_c = bits[c]
         reach = 0
-        for x in adj[c]:
+        for x in nbrs:
             reach |= bits[x]
-        ext = 0
-        outside = ~row_c
-        # c has no neighbour outside N(c), so it never enters ext
-        for v in iter_bits(reach & outside):
-            if bits[v] & outside:
-                ext |= 1 << v
+        ext = reach & ~row_c & ~dom[c]
         if not ext:
             continue
-        around = []
-        for x in adj[c]:
-            d_x = bits[x] & ext
-            if d_x:
-                around.append((x, bits[x], d_x))
+        around = [(x, row_x, d_x) for x in nbrs
+                  if (d_x := (row_x := bits[x]) & ext)]
         for i, (a1, row_a1, d_a1) in enumerate(around):
             for b1, row_b1, d_b1 in around[i + 1:]:
                 if row_a1 >> b1 & 1:
@@ -281,23 +293,33 @@ def false_twin_classes(graph):
 def check_promise(graph):
     """None if the graph is triangle-free and P7-free, else a verified witness.
 
-    The triangle search runs on the graph itself.  The induced-P7 search runs
-    on the false-twin quotient, which answers the same: two false twins are
-    non-adjacent with the same neighbours, and no two vertices of an induced
-    path on four or more vertices have the same neighbours on the path, so an
-    induced P7 holds at most one vertex of each class and maps onto class
-    representatives; conversely the quotient is an induced subgraph.  Each
-    class is represented by its smallest vertex, the first one met with its
-    bit row.  The representatives are vertices of the graph, so a path found
-    there is checked against the graph in its own labels.
+    Both searches run on the false-twin quotient, one vertex per class of
+    equal neighbourhood, which answers the same as the graph: two false
+    twins are non-adjacent with the same neighbours, so a triangle holds at
+    most one vertex of each class, and no two vertices of an induced path
+    on four or more vertices have the same neighbours on the path; either
+    structure maps onto class representatives, and conversely the quotient
+    is an induced subgraph.  Each class is represented by its smallest
+    vertex, the first one met with its bit row, and the quotient keeps the
+    graph's vertex order.
+
+    The triangle is the one find_triangle would return on the graph: the
+    first in edge order, (u, v, w) with u the smallest vertex on any
+    triangle, v the smallest neighbour of u on a triangle with u, and w the
+    smallest common neighbour of u and v.  A twin u' < u would lie on the
+    triangle u' v w, so u is its class's minimum; by the same argument so
+    are v and w.  All three are therefore in the quotient, whose monotone
+    relabelling makes them its first triangle too.  The representatives
+    are vertices of the graph, so either witness is checked against the
+    graph in its own labels.
     """
-    tri = find_triangle(graph)
-    if tri is not None:
-        return triangle_witness(graph, *tri)
     first = {}
     for v, row in enumerate(graph.bits):
         first.setdefault(row, v)
     quotient, ids = induced_subgraph(graph, sum(1 << v for v in first.values()))
+    tri = find_triangle(quotient)
+    if tri is not None:
+        return triangle_witness(graph, *(ids[v] for v in tri))
     p7 = find_induced_p7(quotient)
     if p7 is not None:
         return p7_witness(graph, [ids[v] for v in p7])

@@ -407,9 +407,12 @@ def _python(*args):
 
 
 def test_import_loads_no_heavy_stdlib_modules():
-    # Module bodies generate no code, and argparse waits for the parser.
-    proc = _python("-c", "import sys, lcol3, lcol3.cli; print(sorted("
-                   "{'dataclasses', 'inspect', 'argparse'} & set(sys.modules)))")
+    # Module bodies generate no code, argparse waits for the parser and the
+    # test kit for its first use. -S keeps the site hooks of the host
+    # interpreter, which may import random themselves, out of the count.
+    proc = _python("-S", "-c", "import sys, lcol3, lcol3.cli; print(sorted("
+                   "{'dataclasses', 'inspect', 'argparse', 'lcol3.testkit', "
+                   "'random'} & set(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 

@@ -359,9 +359,51 @@ def test_find_induced_p7_returns_the_reference_path_on_skeleton_quotients(seed, 
         assert find_induced_p7(h) == reference_find_induced_p7(h)
 
 
+def _shuffled(g, rng):
+    # the same graph with vertex v renamed perm[v], for a random perm
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return build_graph(g.n, sorted((min(perm[u], perm[v]), max(perm[u], perm[v]))
+                                   for u in range(g.n) for v in g.adj[u] if u < v))
+
+
+def _with_shadows(g, rng, shadows, isolated):
+    # each shadow sees a non-empty part of one vertex's neighbourhood, so
+    # that vertex's neighbourhood holds the shadow's; isolated vertices last
+    edges = [(u, v) for u in range(g.n) for v in g.adj[u] if u < v]
+    n = g.n
+    for _ in range(shadows):
+        nbrs = g.adj[rng.randrange(g.n)]
+        if nbrs:
+            edges += [(u, n) for u in rng.sample(nbrs, rng.randint(1, len(nbrs)))]
+            n += 1
+    return build_graph(n + isolated, edges)
+
+
+def test_find_induced_p7_returns_the_reference_path_on_dominated_and_sparse_vertices():
+    # isolated vertices, centres of degree one and vertices whose
+    # neighbourhood lies inside another's, each under shuffled labels
+    pendants = build_graph(16, [(i, i + 1) for i in range(7)]
+                           + [(i, i + 8) for i in range(8)])
+    bases = [path_graph(8), pendants, path_graph(9), cycle_graph(7),
+             cycle_graph(8), cycle_graph(9), petersen_graph(),
+             groetzsch_graph(), build_graph(9, [])]
+    rng = random.Random(18)
+    outcomes = []
+    for base in bases:
+        for k in range(15):
+            g = _with_shadows(base, rng, k % 5, k % 3)
+            for h in (g, _shuffled(g, rng)):
+                path = find_induced_p7(h)
+                assert path == reference_find_induced_p7(h)
+                outcomes.append(path is None)
+    assert find_induced_p7(pendants) == (8, 0, 1, 2, 3, 4, 5)
+    assert 0 < sum(outcomes) < len(outcomes)
+
+
 def _reference_check_promise(g):
     # check_promise as composed before its representatives came from a
-    # dict of bit rows
+    # dict of bit rows and its triangle search moved to the quotient
     tri = find_triangle(g)
     if tri is not None:
         return triangle_witness(g, *tri)
@@ -375,7 +417,9 @@ def _reference_check_promise(g):
        st.integers(min_value=0, max_value=2**16))
 def test_check_promise_matches_the_reference_on_twin_expansions(g, seed):
     rng = random.Random(seed)
-    expanded = twin_expand(g, rng, rng.randint(0, 6))
+    # twin_expand appends each twin after the vertex it copies; shuffling
+    # the labels lets a twin come first and represent its class
+    expanded = _shuffled(twin_expand(g, rng, rng.randint(0, 6)), rng)
     assert check_promise(expanded) == _reference_check_promise(expanded)
 
 
