@@ -59,7 +59,7 @@ class SolveStats:
 
     __slots__ = _fields = ("branches", "branches_survived", "propagations",
                            "sat_instances", "fallback_used", "fallback_nodes",
-                           "peeled", "dominated", "millis")
+                           "peeled", "dominated", "settled", "millis")
 
     def __init__(self):
         for name in self._fields:
@@ -525,37 +525,40 @@ def solve(graph, lists=None, mode="trust"):
     triangle or an induced P7, and the check costs time only on that
     failure path.  Identical inputs give identical outputs.
 
-    Layer 0 drops dominated false twins: a vertex v is dropped when a kept
-    vertex u has the same neighbourhood (so u and v are not adjacent) and
-    L(u) ⊆ L(v), and v takes u's colour at the end.  The answer is
-    unchanged: the reduced graph is an induced subgraph, and a colouring of
-    it extends, since v sees exactly u's neighbours and u's colour is in
-    L(v).  Every triangle and every induced P7 holds at most one vertex of
-    each false-twin class, and the reduced graph keeps at least one vertex
-    of each class, so it is in the promise class exactly when the input is;
-    witnesses found on it are vertices of the input in its own labels.
+    Layer 0 first propagates every singleton list over the whole input
+    (an input without one skips this).  A list that empties refutes the
+    input on any graph, so solve answers UNSAT at once; in trust mode a
+    violation inside such an input is not reported.  Otherwise the
+    propagated lists replace the input's for the rest of the solve, which
+    keeps the answer: a removed colour is that of a neighbour forced to it.
+    A vertex left with one colour is settled: no neighbour still admits
+    that colour, so it leaves the kept set and is coloured last with it.
 
-    Layer 0 then sweeps the kept set to one fixpoint of two rules, with
+    Layer 0 then keeps one vertex of each class of exact twins, vertices
+    with the same neighbourhood (so they are not adjacent) and the same
+    list; a dropped twin takes its kept twin's colour at the end.  The
+    kept vertices are swept to one fixpoint of two rules, with
     neighbourhoods taken among the vertices not yet removed: v is peeled
     when L(v) has more colours than v has neighbours, and v is dominated
     when another vertex u has N(v) ⊆ N(u) and L(u) ⊆ L(v) (so u and v are
-    not adjacent).  Only the rest is solved, one component at a time in
-    order of smallest vertex, each copied once from the input (a connected
-    input with nothing dropped or removed is solved on the graph object
-    itself).  The removed vertices are then coloured in reverse order of
-    removal, each with the smallest colour of its list that no coloured
-    neighbour uses.  Such a colour exists.  The neighbours coloured before
-    v are those still there when v was removed; dropped twins are not
-    coloured yet.  A peeled v has fewer of them than |L(v)|.  A dominated
-    v's dominator u was coloured before v, and each of those neighbours is
-    a neighbour of u, so none of them has u's colour, which is in L(v).
-    So a colouring of the rest extends to the kept set, and the rest, an
-    induced subgraph, stays in the promise class and is colourable
-    whenever the input is.  A failure of that step is a solver fault and
-    raises InternalError.  In trust mode a violation that is peeled or
-    dominated away (a triangle of full-list vertices, say) is off the
-    solving path and is not reported.  Every SAT answer is re-checked on
-    the input graph and lists.
+    not adjacent; a twin with a smaller list is such a u).  Only the rest
+    is solved, one component at a time in order of smallest vertex, each
+    copied once from the input (a connected input with nothing dropped or
+    removed is solved on the graph object itself).  The removed vertices
+    are then coloured in reverse order of removal, settled ones last, each
+    with the smallest colour of its list that no coloured neighbour uses.
+    Such a colour exists.  The neighbours coloured before v are those
+    still there when v was removed; dropped twins are not coloured yet.  A
+    peeled v has fewer of them than |L(v)|.  A dominated v's dominator u
+    was coloured before v, and each of those neighbours is a neighbour of
+    u, so none of them has u's colour, which is in L(v).  So a colouring
+    of the rest extends to the input, and the rest, an induced subgraph,
+    stays in the promise class and is colourable whenever the input is; a
+    witness found on it is one of the input.  A failure of the extension
+    is a solver fault and raises InternalError.  In trust mode a violation that is settled,
+    peeled or dominated away (a triangle of full-list vertices, say) is
+    off the solving path and is not reported.  Every SAT answer is
+    re-checked on the input graph and its own lists.
     """
     if mode not in ("trust", "verify"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -569,15 +572,28 @@ def solve(graph, lists=None, mode="trust"):
             stats.millis = (time.perf_counter() - t0) * 1000.0
             return Outcome("invalid", None, violation, stats)
 
-    rep = _twin_representatives(graph, masks)
-    kept = sum(1 << v for v, u in enumerate(rep) if u == v)
-    rest, removed, stats.dominated = _peel(graph, masks, kept)
+    fixed = masks  # the lists after layer-0 propagation
+    if 1 in masks or 2 in masks or 4 in masks:
+        st = ListState(graph, masks)
+        refuted = propagate(st) is None
+        stats.propagations = st.removals
+        if refuted:
+            stats.millis = (time.perf_counter() - t0) * 1000.0
+            return Outcome("unsat", None, None, stats)
+        fixed = st.masks
+
+    first = {}  # (bit row, list) -> smallest vertex: the exact twin classes
+    rep = list(map(first.setdefault, zip(graph.bits, fixed), range(graph.n)))
+    settled = [v for v in first.values() if _SIZE[fixed[v]] == 1]
+    kept = sum(1 << v for v in first.values()) ^ sum(1 << v for v in settled)
+    stats.settled = len(settled)
+    rest, removed, stats.dominated = _peel(graph, fixed, kept)
     stats.peeled = len(removed) - stats.dominated
     colouring = [0] * graph.n
     for comp in components_within(graph, rest):
         sub, ids = induced_subgraph(graph, comp)
         try:
-            result = _solve_component(sub, [masks[v] for v in ids], stats)
+            result = _solve_component(sub, [fixed[v] for v in ids], stats)
         except PreconditionBreach as exc:
             violation = check_promise(sub)
             if violation is None:
@@ -591,7 +607,7 @@ def solve(graph, lists=None, mode="trust"):
         for local, v in enumerate(ids):
             colouring[v] = result[local]
 
-    _colour_peeled(graph, masks, rest, removed, colouring)
+    _colour_peeled(graph, fixed, rest, settled + removed, colouring)
     colouring = [colouring[u] for u in rep]
     if not _colouring_fits(graph, masks, colouring):
         raise InternalError("SAT colouring failed the final re-check")
@@ -669,34 +685,6 @@ def _colour_peeled(graph, masks, rest, removed, colouring):
         c = _COLOUR_OF[free & -free]
         colouring[v] = c
         classes[c] |= 1 << v
-
-
-def _twin_representatives(graph, masks):
-    """rep[v] = v for a kept vertex, else a kept false twin u of v with
-    masks[u] ⊆ masks[v].  Each class keeps, for every mask that is minimal
-    among its members' masks, the smallest vertex with that mask."""
-    rep = list(range(graph.n))
-    classes = {}  # bit row -> its vertices ascending: the false-twin classes
-    for v, row in enumerate(graph.bits):
-        classes.setdefault(row, []).append(v)
-    for cl in classes.values():
-        if len(cl) == 1:
-            continue
-        u = cl[0]
-        m = masks[u]
-        if all(masks[v] == m for v in cl):
-            for v in cl:
-                rep[v] = u
-            continue
-        first = {}
-        for v in cl:
-            first.setdefault(masks[v], v)
-        kept = sorted(u for m, u in first.items()
-                      if not any(o != m and o & ~m == 0 for o in first))
-        pick = {m: next(u for u in kept if masks[u] & ~m == 0) for m in first}
-        for v in cl:
-            rep[v] = pick[masks[v]]
-    return rep
 
 
 def _solve_component(g, masks, stats):

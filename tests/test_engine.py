@@ -22,8 +22,8 @@ from lcol3 import (build_chain, build_graph, build_skeleton, check_promise,
 import lcol3
 from lcol3 import engine
 from lcol3.cli import dispatch, emit_instance
-from lcol3.engine import (FULL_MASK, InternalError, ListState, SolveStats,
-                          mask_of)
+from lcol3.engine import (_SIZE, FULL_MASK, InternalError, ListState,
+                          SolveStats, mask_of)
 from lcol3.errors import PreconditionBreach
 from lcol3.graph import bipartite_check, iter_bits
 from lcol3.recognition import (PromiseViolation, TwinDecomposition,
@@ -397,9 +397,14 @@ def test_colouring_fits_matches_the_edge_walk(data):
 
 @settings(max_examples=300, deadline=None)
 @given(hst.data())
-def test_twin_representatives_match_the_reference(data):
+def test_layer0_removes_every_twin_the_reference_twin_pass_drops(data):
     # Each vertex of a small base graph becomes a class of one to three
     # false twins; a narrow palette makes classes of one mask common.
+    # Layer 0 keeps one vertex of each class of exact twins and leaves
+    # twins with different lists to the domination rule of its sweep, so
+    # on the propagated lists it removes every vertex the old twin pass
+    # dropped, except a twin of a settled vertex (a settled vertex leaves
+    # before the sweep and dominates nothing there).
     base = data.draw(graphs(max_n=6))
     sizes = data.draw(hst.lists(hst.integers(1, 3), min_size=base.n,
                                 max_size=base.n))
@@ -412,8 +417,18 @@ def test_twin_representatives_match_the_reference(data):
                                           list(range(1, FULL_MASK + 1))]))
     masks = data.draw(hst.lists(hst.sampled_from(palette), min_size=g.n,
                                 max_size=g.n))
-    assert (engine._twin_representatives(g, masks)
-            == reference_twin_representatives(g, masks))
+    fixed = _propagated(g, masks)
+    out = solve(g, masks)
+    if fixed is None:
+        assert out.is_unsat
+        return
+    rest = engine._peel(g, fixed, _kept_mask(g, fixed))[0]
+    rep = reference_twin_representatives(g, fixed)
+    for v, u in enumerate(rep):
+        if u != v and _SIZE[fixed[u]] > 1:
+            assert not rest >> v & 1, v
+    if out.is_sat:
+        assert verify_colouring(g, masks, out.colouring)
 
 
 def test_solve_disconnected_components():
@@ -424,14 +439,17 @@ def test_solve_disconnected_components():
 
 
 def test_solve_walks_components_by_smallest_kept_vertex():
-    # 0 is a dropped twin of 5 (both see only 6).  Walked by smallest input
-    # vertex, {0, 5, 6} would come first and answer unsat, since 5 and 6
-    # both need colour 1; by smallest kept vertex the triangle comes first.
-    # The triangle's 2-lists keep it from being peeled.
-    g = build_graph(7, [(0, 6), (5, 6), (1, 2), (2, 3), (1, 3)])
-    lists = [FULL_MASK] * 7
-    lists[5] = lists[6] = mask_of([1])
-    lists[1] = lists[2] = lists[3] = mask_of([1, 2])
+    # A K_{3,3} on 4, 5, 6 and 7, 8, 9 whose sides carry the lists {1, 2},
+    # {1, 3} and {2, 3} is not colourable, and no list is a singleton, so
+    # propagation leaves it to its component.  0 sees 7, 8 and 9 too and is
+    # a dominated twin of 4, 5 and 6.  Walked by smallest input vertex,
+    # {0, 4, ..., 9} would come first and answer unsat; by smallest kept
+    # vertex the triangle comes first.  The triangle's 2-lists keep it
+    # from being peeled.
+    g = build_graph(10, [(a, b) for a in (0, 4, 5, 6) for b in (7, 8, 9)]
+                    + [(1, 2), (2, 3), (1, 3)])
+    pairs = [mask_of([1, 2]), mask_of([1, 3]), mask_of([2, 3])]
+    lists = [FULL_MASK] + [mask_of([1, 2])] * 3 + pairs + pairs
     out = solve(g, lists, mode="trust")
     assert out.is_invalid and out.violation.kind == "triangle"
     assert tuple(out.violation.vertices) == (1, 2, 3)
@@ -566,26 +584,27 @@ def test_branches_count_every_branch_on_unsat_twin_free_instances():
         assert total > 0 and stats.branches == total
 
 
-# (scale, seed) of a skeleton_built instance with random lists, its
-# colouring and every SolveStats counter but millis, as a solver that built
-# a fresh list state for each anchor colouring gave them.  Each instance has
-# a dead anchor colouring before its 2-SAT leaf, so seeding or propagating
-# in another order, or propagating the shared state before the anchors are
-# seeded, shows in `propagations`.  Layer 0 removes no vertex of any of
-# them, so the whole instance reaches the anchored-C5 search.
+# (scale, seed) of a skeleton_built instance with random lists, none of
+# them a singleton, so layer 0 does not propagate; its colouring and every
+# SolveStats counter but millis, as the solver without layer-0 propagation
+# gave them.  Each instance has a dead anchor colouring before its 2-SAT
+# leaf, so seeding or propagating in another order, or propagating the
+# shared state before the anchors are seeded, shows in `propagations`.
+# Layer 0 leaves one component, which reaches the anchored-C5 search.
 PINNED_SKELETON_SOLVES = [
-    ((12, 399), [3, 1, 3, 2, 1, 2, 3, 2, 1, 2, 2],
-     dict(branches=47, branches_survived=1, propagations=67,
+    ((12, 2914), [2, 3, 1, 3, 1, 1, 2, 2, 3],
+     dict(branches=2, branches_survived=1, propagations=20,
           sat_instances=1, fallback_used=0, fallback_nodes=0, peeled=0,
-          dominated=0)),
-    ((12, 351), [1, 3, 2, 3, 2, 1, 1, 3, 3, 2],
-     dict(branches=13, branches_survived=1, propagations=53,
-          sat_instances=1, fallback_used=0, fallback_nodes=0, peeled=0,
-          dominated=0)),
-    ((25, 278), [2, 3, 1, 2, 3, 2, 2, 1, 1, 1, 3],
-     dict(branches=9, branches_survived=1, propagations=18,
-          sat_instances=1, fallback_used=0, fallback_nodes=0, peeled=0,
-          dominated=0)),
+          dominated=0, settled=0)),
+    ((12, 499), [3, 1, 3, 1, 2, 3, 2, 2, 2, 1, 2, 2, 3, 3],
+     dict(branches=8, branches_survived=1, propagations=15,
+          sat_instances=1, fallback_used=0, fallback_nodes=0, peeled=5,
+          dominated=0, settled=0)),
+    ((25, 763), [3, 1, 2, 1, 2, 1, 1, 2, 1, 2, 1, 2, 2, 3, 3, 1, 3, 2,
+                  1],
+     dict(branches=13, branches_survived=1, propagations=46,
+          sat_instances=1, fallback_used=0, fallback_nodes=0, peeled=6,
+          dominated=1, settled=0)),
 ]
 
 
@@ -619,8 +638,8 @@ def test_anchor_palettes_follow_enumeration_order():
 def test_bipartite_fallback_depth_beyond_recursion_limit():
     # Half graph a_i ~ b_j for j <= i: twin-free and 2K2-free (so P7-free);
     # with a_0 precoloured the fallback branches about 300 levels deep.
-    # N(a_i) ⊆ N(a_{i+1}), so layer 0 removes the whole graph, and the
-    # fallback is driven on it directly.
+    # Propagation settles a_0, N(a_i) ⊆ N(a_{i+1}), so layer 0 removes the
+    # whole graph, and the fallback is driven on it directly.
     half = 300
     edges = [(i, half + j) for i in range(half) for j in range(i + 1)]
     g = build_graph(2 * half, edges)
@@ -628,7 +647,8 @@ def test_bipartite_fallback_depth_beyond_recursion_limit():
     masks = [mask_of([1])] + [FULL_MASK] * (2 * half - 1)
     out = solve(g, masks)
     assert out.is_sat and verify_colouring(g, masks, out.colouring)
-    assert out.stats.peeled + out.stats.dominated == g.n
+    assert out.stats.peeled + out.stats.dominated + out.stats.settled == g.n
+    assert out.stats.settled == 1
     st = ListState(g, masks)
     assert propagate(st) is not None
     stats = SolveStats()
@@ -674,8 +694,13 @@ def test_dominated_twins_are_dropped_and_take_their_twins_colour(monkeypatch):
     # them from being peeled
     masks[4] = masks[5] = mask_of([1, 2])
     masks[6] = mask_of([2, 3])
+    # 8 keeps its exact twins 9 and 10 out and gives the full-list 0 a
+    # third kept neighbour, so the sweep finds 0 dominated by its twins 1
+    # and 2 rather than peelable; then 7's smaller list dominates 8
+    masks[7] = mask_of([1, 2])
     out = solve(g, masks)
     assert seen == [6] and out.stats.peeled == 0
+    assert out.stats.dominated == 2
     assert out.is_sat and verify_colouring(g, masks, out.colouring)
 
 
@@ -702,9 +727,25 @@ def test_sat_solve_normalises_the_lists_once(monkeypatch):
     assert calls == [g.n]
 
 
+def test_final_recheck_reads_the_input_lists(monkeypatch):
+    # Layer-0 propagation narrows the lists the solve works on (vertex 0's
+    # colour leaves 1 and 4); the re-check holds the colouring to the
+    # input's own lists.
+    seen = []
+    real = engine._colouring_fits
+    monkeypatch.setattr(
+        engine, "_colouring_fits",
+        lambda g, masks, colouring: seen.append(list(masks)) or real(g, masks, colouring))
+    masks = [mask_of([1])] + [FULL_MASK] * 4
+    out = solve(cycle_graph(5), masks)
+    assert out.is_sat and out.stats.propagations == 2
+    assert seen == [masks]
+
+
 def test_blownup_c7_solve_normalises_the_lists_once(monkeypatch):
-    # The twin pass leaves a C7, each vertex of degree 2, whose 2-lists keep
-    # it from being peeled, so the solve reaches colour_blownup_c7.
+    # Grouping exact twins leaves a C7, each vertex of degree 2, whose
+    # 2-lists keep it from being peeled, so the solve reaches
+    # colour_blownup_c7.
     calls = []
     decompositions = []
     real = engine.normalize_lists
@@ -728,9 +769,19 @@ def test_blownup_c7_solve_normalises_the_lists_once(monkeypatch):
     assert calls == [g.n]
 
 
-def _kept_mask(g, masks):
-    rep = engine._twin_representatives(g, masks)
-    return sum(1 << v for v, u in enumerate(rep) if u == v)
+def _propagated(g, masks):
+    """The lists after layer-0 propagation, or None when it empties one."""
+    st = ListState(g, masks)
+    return None if propagate(st) is None else st.masks
+
+
+def _kept_mask(g, fixed):
+    """The vertices layer 0 hands to its sweep: the smallest of each class
+    of equal neighbourhood and equal list, unless its list has one colour."""
+    first = {}
+    for v in range(g.n):
+        first.setdefault((g.bits[v], fixed[v]), v)
+    return sum(1 << v for v in first.values() if _SIZE[fixed[v]] > 1)
 
 
 @settings(max_examples=300, deadline=None)
@@ -739,28 +790,36 @@ def test_layer0_sweep_reaches_the_joint_fixpoint_and_keeps_answers(data):
     g = data.draw(graphs(max_n=10))
     masks = data.draw(hst.lists(hst.integers(1, FULL_MASK), min_size=g.n,
                                 max_size=g.n))
-    kept = _kept_mask(g, masks)
-    rest, removed, dominated = engine._peel(g, masks, kept)
-    assert engine._peel(g, masks, kept) == (rest, removed, dominated)
-    assert len(set(removed)) == len(removed)
-    assert not rest & sum(1 << v for v in removed)
-    assert rest | sum(1 << v for v in removed) == kept
-    # replay the removals: each is peelable or dominated when it happens,
-    # and a domination is counted only where peeling does not apply
-    left = set(iter_bits(kept))
-    by_domination = 0
-    for v in removed:
-        peelable, dominated_now = reference_removable(g, masks, left)
-        assert v in peelable | dominated_now
-        by_domination += v not in peelable
-        left.discard(v)
-    assert by_domination == dominated
-    assert left == set(iter_bits(rest))
-    assert reference_removable(g, masks, left) == (set(), set())
-    assert left <= reference_peel(g, masks, kept)
     out = solve(g, masks, mode="trust")
-    assert (out.stats.peeled, out.stats.dominated) == (len(removed) - dominated,
-                                                       dominated)
+    # the sweep runs on the propagated lists
+    fixed = _propagated(g, masks)
+    if fixed is None:
+        assert out.is_unsat
+    else:
+        kept = _kept_mask(g, fixed)
+        rest, removed, dominated = engine._peel(g, fixed, kept)
+        assert engine._peel(g, fixed, kept) == (rest, removed, dominated)
+        assert len(set(removed)) == len(removed)
+        assert not rest & sum(1 << v for v in removed)
+        assert rest | sum(1 << v for v in removed) == kept
+        # replay the removals: each is peelable or dominated when it
+        # happens, and a domination is counted only where peeling does not
+        # apply
+        left = set(iter_bits(kept))
+        by_domination = 0
+        for v in removed:
+            peelable, dominated_now = reference_removable(g, fixed, left)
+            assert v in peelable | dominated_now
+            by_domination += v not in peelable
+            left.discard(v)
+        assert by_domination == dominated
+        assert left == set(iter_bits(rest))
+        assert reference_removable(g, fixed, left) == (set(), set())
+        assert left <= reference_peel(g, fixed, kept)
+        settled = len({(g.bits[v], fixed[v]) for v in range(g.n)
+                       if _SIZE[fixed[v]] == 1})
+        assert ((out.stats.peeled, out.stats.dominated, out.stats.settled)
+                == (len(removed) - dominated, dominated, settled))
     if out.is_sat:
         assert verify_colouring(g, masks, out.colouring)
     if check_promise(g) is None:
@@ -768,6 +827,32 @@ def test_layer0_sweep_reaches_the_joint_fixpoint_and_keeps_answers(data):
         for mode in ("trust", "verify"):
             got = solve(g, masks, mode=mode)
             assert got.kind == ("sat" if want is not None else "unsat"), mode
+
+
+def test_layer0_refutation_is_exact_on_any_graph(monkeypatch):
+    # Random graphs of up to ten vertices, triangles allowed, with many
+    # singleton lists: whenever propagation empties a list, solve answers
+    # UNSAT before any component is solved, and the oracle agrees.
+    component = engine._solve_component
+    calls = []
+    monkeypatch.setattr(engine, "_solve_component",
+                        lambda *args: calls.append(args) or component(*args))
+    rng = random.Random(19)
+    refuted = 0
+    for _ in range(1500):
+        n = rng.randint(1, 10)
+        density = rng.random()
+        g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                            if rng.random() < density])
+        masks = [rng.choice((1, 2, 4, 3, 5, 6, 7)) for _ in range(n)]
+        if _propagated(g, masks) is not None:
+            continue
+        refuted += 1
+        del calls[:]
+        out = solve(g, masks, mode="trust")
+        assert out.is_unsat and calls == [], (g.n, list(g.edges()), masks)
+        assert oracle_solve(g, masks) is None
+    assert refuted > 500
 
 
 @pytest.mark.parametrize("k", range(9))
@@ -856,8 +941,8 @@ def test_solves_leave_no_reference_cycles():
     # The skeleton solve runs _leaf_stream; verify mode on a blown-up C7 runs
     # find_induced_p7 and colour_blownup_c7; the oracle and the enumerator
     # are the test kit's recursive searches.
-    sk_graph, sk_masks = generate(GenSpec("skeleton_built", seed=6, scale=25,
-                                          lists="random"))
+    sk_graph, sk_masks = generate(GenSpec("skeleton_built", seed=763,
+                                          scale=25, lists="random"))
     verify_graph, _ = generate(GenSpec("blownup_c7", seed=4))
     kept = (Skeleton, Chain, engine.TCase, engine.DCase)
     flags = gc.get_debug()
@@ -928,9 +1013,10 @@ def test_trust_mode_invalid_answers_carry_verified_witnesses(case):
 def test_breach_on_an_in_class_component_is_an_internal_error(
         monkeypatch, tmp_path, capsys, mode):
     # A failed structural check on a component that check_promise accepts
-    # is a gap in the solver, never an INVALID answer.  The instance keeps
-    # every vertex through layer 0, so its component reaches build_skeleton.
-    g, masks = generate(GenSpec("skeleton_built", seed=399, scale=12,
+    # is a gap in the solver, never an INVALID answer.  The instance has no
+    # singleton list, and layer 0 leaves one component of eight of its nine
+    # vertices, which reaches build_skeleton.
+    g, masks = generate(GenSpec("skeleton_built", seed=2914, scale=12,
                                 lists="random"))
     assert check_promise(g) is None
     calls = []
