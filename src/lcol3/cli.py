@@ -62,17 +62,31 @@ MAX_VERTICES = 20_000
 _LIST_MASKS = {"".join(map(str, colours_of(m))): m for m in range(1, FULL_MASK + 1)}
 
 
+# Token-stream blocks: about this many characters, ending at a line end.
+_BLOCK = 1 << 16
+
+# The ASCII characters other than "\n" at which str.splitlines breaks.
+_LINE_BREAKS = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
+
+
 def parse_instance(text):
     """Parse an instance file into a Graph and per-vertex colour masks.
 
-    An edge line of two different canonical vertex tokens (`1`..`n`, looked
-    up in a table built at the problem line) is read by one split and two
-    lookups; every other line goes through the full checks.  The problem
-    line may declare at most MAX_VERTICES vertices.  Errors are reported at
-    the first offending line.  Repeated edges are found by the graph
+    A text in the canonical layout (the one emit_instance writes) is read
+    as one token stream by _parse_tokens; any other text, and every text
+    with an error, goes to the line parser.  There an edge line of two
+    different canonical vertex tokens (`1`..`n`, looked up in a table
+    built at the problem line) is read by one split and two lookups, and
+    every other line goes through the full checks.  The problem line may
+    declare at most MAX_VERTICES vertices.  Errors are reported at the
+    first offending line.  Repeated edges are found by the graph
     constructor once every line has been read, so on any error the lines
-    before it are searched again for the first repeat.
+    before it are searched again for the first repeat.  Both paths give
+    the same graph and lists on every text the token path accepts.
     """
+    parsed = _parse_tokens(text)
+    if parsed is not None:
+        return parsed
     lines = text.splitlines()
     try:
         return _parse_lines(lines)
@@ -83,6 +97,84 @@ def parse_instance(text):
     except GraphDuplicateEdgeError:
         _raise_first_repeated_edge(lines, len(lines) + 1)
         raise
+
+
+def _parse_tokens(text):
+    """(Graph, masks) of a text in the canonical layout, or None.
+
+    The text is accepted when it is ASCII, ends in a line end and holds no
+    other character at which splitlines breaks; its first line is exactly
+    `p lcol N M` with N and M decimal and N at most MAX_VERTICES; every
+    other line starts with `e ` or `l `, M of them `e ` and all before
+    the first `l `; and every line holds three tokens: a kind, a vertex
+    found in the table of canonical spellings `1`..`N`, and a second,
+    different vertex (after `e`) or one of the seven list strings (after
+    `l`).  No vertex may be listed twice and no edge repeated; a self-loop
+    puts its vertex twice in its own row, so the graph constructor finds
+    it with the repeated edges.  The line parser reads each such text
+    without error through its canonical lookups, to the same graph and
+    lists.
+
+    The line layout is checked by whole-text scans, not line by line: the
+    counts of `\\ne ` and `\\nl ` against the count of line ends, and the
+    last `\\ne ` before the first `\\nl `.  The body is then split in
+    blocks of about _BLOCK characters, each ending at a line end, and a
+    block of k lines must split into 3k tokens, read as triples.  Every
+    line starts with a token `e` or `l`, and a token read as a triple's
+    second or third fails its lookup when it is `e` or `l`.  So once the
+    lookups pass, the block holds exactly k such tokens, all in the
+    triples' first places: they are the k line starts, so line i of the
+    block starts at token 3i and holds three tokens.  A failed lookup or
+    check gives None, and the line parser then reads the text and reports
+    its first error.
+    """
+    if (not text.isascii() or not text.endswith("\n")
+            or any(map(text.__contains__, _LINE_BREAKS))):
+        return None
+    end = text.index("\n")
+    head = text[:end].split(" ")
+    if (len(head) != 4 or head[0] != "p" or head[1] != "lcol"
+            or not head[2].isdigit() or not head[3].isdigit()):
+        return None
+    try:
+        n, m = int(head[2]), int(head[3])
+    except ValueError:  # more digits than int() reads
+        return None
+    body_lines = text.count("\n") - 1
+    if (n > MAX_VERTICES or text.count("\ne ", end) != m
+            or text.count("\nl ", end) != body_lines - m
+            or 0 < m < body_lines
+            and text.rfind("\ne ") > text.find("\nl ", end)):
+        return None
+    vertex = dict(zip(map(str, range(1, n + 1)), range(n))).__getitem__
+    rows = [[] for _ in range(n)]
+    masks = [FULL_MASK] * n
+    listed = []
+    start = end + 1
+    try:
+        while start < len(text):
+            stop = text.find("\n", start + _BLOCK) + 1 or len(text)
+            tokens = text[start:stop].split()
+            if len(tokens) != 3 * text.count("\n", start, stop):
+                return None
+            start = stop
+            k = tokens[::3].count("e")
+            for u, v in zip(map(vertex, tokens[1:3 * k:3]),
+                            map(vertex, tokens[2:3 * k:3])):
+                rows[u].append(v)
+                rows[v].append(u)
+            vs = list(map(vertex, tokens[3 * k + 1::3]))
+            for v, digits in zip(vs, tokens[3 * k + 2::3]):
+                masks[v] = _LIST_MASKS[digits]
+            listed += vs
+    except KeyError:  # a token missing from its table
+        return None
+    if len(set(listed)) != len(listed):
+        return None
+    try:
+        return _graph_from_rows(n, rows), masks
+    except GraphDuplicateEdgeError:
+        return None
 
 
 def _parse_lines(lines):
@@ -472,6 +564,9 @@ def dispatch(argv):
         return args.func(args)
     except (ParseError, OSError, GraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except UnicodeDecodeError as exc:
+        print(f"error: input is not UTF-8 text ({exc})", file=sys.stderr)
         return 1
     except RecursionError as exc:
         print(f"error: recursion limit reached ({exc})", file=sys.stderr)

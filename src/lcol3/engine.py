@@ -540,22 +540,26 @@ def solve(graph, lists=None, mode="trust"):
     kept vertices are swept to one fixpoint of two rules, with
     neighbourhoods taken among the vertices not yet removed: v is peeled
     when L(v) has more colours than v has neighbours, and v is dominated
-    when another vertex u has N(v) ⊆ N(u) and L(u) ⊆ L(v) (so u and v are
-    not adjacent; a twin with a smaller list is such a u).  Only the rest
-    is solved, one component at a time in order of smallest vertex, each
-    copied once from the input (a connected input with nothing dropped or
-    removed is solved on the graph object itself).  The removed vertices
-    are then coloured in reverse order of removal, settled ones last, each
-    with the smallest colour of its list that no coloured neighbour uses.
-    Such a colour exists.  The neighbours coloured before v are those
-    still there when v was removed; dropped twins are not coloured yet.  A
-    peeled v has fewer of them than |L(v)|.  A dominated v's dominator u
-    was coloured before v, and each of those neighbours is a neighbour of
-    u, so none of them has u's colour, which is in L(v).  So a colouring
-    of the rest extends to the input, and the rest, an induced subgraph,
-    stays in the promise class and is colourable whenever the input is; a
-    witness found on it is one of the input.  A failure of the extension
-    is a solver fault and raises InternalError.  In trust mode a violation that is settled,
+    when another vertex u, not yet removed or settled, has N(v) ⊆ N(u)
+    and L(u) ⊆ L(v).  So u and v are not adjacent: u is not in N(u), and
+    a settled u's colour lies in L(v) while no neighbour of u admits it.
+    A twin with a smaller list is such a u.  Only the rest is solved, one
+    component at a time in order of smallest vertex, each copied once
+    from the input (a connected input with nothing dropped or removed is
+    solved on the graph object itself).  The removed vertices are then
+    coloured in reverse order of removal, settled ones last, each with the
+    smallest colour of its list that no coloured neighbour uses.  Such a
+    colour exists.  The neighbours coloured before v are those still there
+    when v was removed; dropped twins are not coloured yet.  A peeled v
+    has fewer of them than |L(v)|.  For a dominated v, each of them is a
+    neighbour of v's dominator u, so none has u's colour, which is in
+    L(v): an unremoved u was coloured before v and the colouring so far
+    is proper, and no neighbour of a settled u admits u's colour at all,
+    whatever the order of colouring.  So a colouring of the rest extends
+    to the input, and the rest, an induced subgraph, stays in the promise
+    class and is colourable whenever the input is; a witness found on it
+    is one of the input.  A failure of the extension is a solver fault and
+    raises InternalError.  In trust mode a violation that is settled,
     peeled or dominated away (a triangle of full-list vertices, say) is
     off the solving path and is not reported.  Every SAT answer is
     re-checked on the input graph and its own lists.
@@ -585,9 +589,10 @@ def solve(graph, lists=None, mode="trust"):
     first = {}  # (bit row, list) -> smallest vertex: the exact twin classes
     rep = list(map(first.setdefault, zip(graph.bits, fixed), range(graph.n)))
     settled = [v for v in first.values() if _SIZE[fixed[v]] == 1]
-    kept = sum(1 << v for v in first.values()) ^ sum(1 << v for v in settled)
+    settled_mask = sum(1 << v for v in settled)
+    kept = sum(1 << v for v in first.values()) ^ settled_mask
     stats.settled = len(settled)
-    rest, removed, stats.dominated = _peel(graph, fixed, kept)
+    rest, removed, stats.dominated = _peel(graph, fixed, kept, settled_mask)
     stats.peeled = len(removed) - stats.dominated
     colouring = [0] * graph.n
     for comp in components_within(graph, rest):
@@ -615,19 +620,21 @@ def solve(graph, lists=None, mode="trust"):
     return Outcome("sat", colouring, None, stats)
 
 
-def _peel(graph, masks, kept):
+def _peel(graph, masks, kept, settled):
     """Layer 0's joint sweep of the vertex bitmask `kept`: (rest, removed,
     dominated), where removed lists the removed vertices in order of
     removal, rest is the bitmask left and dominated counts the removals by
     domination.  Within the unremoved set, a vertex v is removed when it
-    has fewer neighbours than colours (it is peeled), or when another u has
-    N(v) ⊆ N(u) and L(u) ⊆ L(v) (it is dominated).
+    has fewer neighbours than colours (it is peeled), or when another u,
+    unremoved or in the bitmask `settled`, has N(v) ⊆ N(u) and
+    L(u) ⊆ L(v) (it is dominated); neighbourhoods are taken among the
+    unremoved vertices.
 
     `due` holds the vertices to test, lowest first: all of kept at the
     start, then the unremoved neighbours of each removed vertex.  A tested
     vertex that stays can only become removable when its neighbourhood
     shrinks, since the other neighbourhoods and the set of possible
-    dominators only shrink too.  So rest is a fixpoint of both rules."""
+    dominators never grow.  So rest is a fixpoint of both rules."""
     bits = graph.bits
     inside = [0] * 7 + [-1]  # inside[m]: the vertices whose list lies inside m
     for v, m in enumerate(masks):
@@ -647,7 +654,8 @@ def _peel(graph, masks, kept):
         if row.bit_count() >= _SIZE[m]:
             # row is not empty: a dominator of v is adjacent to its lowest
             # and its highest neighbour
-            cand = (inside[m] & rest & bits[(row & -row).bit_length() - 1]
+            cand = (inside[m] & (rest | settled)
+                    & bits[(row & -row).bit_length() - 1]
                     & bits[row.bit_length() - 1]) ^ low
             while cand:
                 u = cand.bit_length() - 1

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import strategies as st
 
 from lcol3 import anchor_seeds, build_graph, case_seeds, check_promise
-from lcol3.cli import (DuplicateListLineError, EmptyListError,
-                       InstanceSyntaxError, OutOfRangeError)
+from lcol3.cli import (DuplicateEdgeError, DuplicateListLineError,
+                       EmptyListError, InstanceSyntaxError, OutOfRangeError,
+                       ParseError)
 from lcol3.engine import FULL_MASK
 from lcol3.errors import PreconditionBreach
+from lcol3.graph import DuplicateEdgeError as GraphDuplicateEdgeError
 from lcol3.graph import _graph_from_rows, iter_bits
 from lcol3.recognition import _extract_odd_cycle
 
@@ -228,18 +230,19 @@ def reference_peel(graph, masks, kept):
     return left
 
 
-def reference_removable(graph, masks, left):
+def reference_removable(graph, masks, left, settled=frozenset()):
     """(peelable, dominated) within the vertex set `left`, by brute force:
     v in left is peelable when it has fewer neighbours in left than colours,
-    and dominated when some other u in left has every neighbour of v in left
-    as a neighbour and a list inside v's.  The layer-0 sweep must remove
-    only such vertices, one at a time, and stop where both sets are
-    empty."""
+    and dominated when some other u in left or in `settled` has every
+    neighbour of v in left as a neighbour and a list inside v's.  The
+    layer-0 sweep must remove only such vertices, one at a time, and stop
+    where both sets are empty."""
     nbrs = {v: {u for u in graph.adj[v] if u in left} for v in left}
     peelable = {v for v in left if bin(masks[v]).count("1") > len(nbrs[v])}
     dominated = {v for v in left
-                 if any(u != v and nbrs[v] <= nbrs[u] and masks[u] & ~masks[v] == 0
-                        for u in left)}
+                 if any(u != v and nbrs[v] <= set(graph.adj[u])
+                        and masks[u] & ~masks[v] == 0
+                        for u in left | settled)}
     return peelable, dominated
 
 
@@ -366,6 +369,29 @@ def reference_parse_lines(lines):
         raise InstanceSyntaxError(0, f"problem line declares {m_declared} edges, "
                                      f"found {edge_count}")
     return _graph_from_rows(n, rows), masks
+
+
+def reference_parse_instance(text):
+    """reference_parse_lines on the lines of `text`, with the rule that
+    cli.parse_instance adds: the first error in line order wins, a repeated
+    edge included, although the graph constructor finds repeats only after
+    the last line.  So on any error (line 0: after the last line) the edge
+    lines before it are searched for the first one that repeats an earlier
+    edge, reading every vertex with int()."""
+    lines = text.splitlines()
+    try:
+        return reference_parse_lines(lines)
+    except (ParseError, GraphDuplicateEdgeError) as exc:
+        stop = getattr(exc, "line", 0) or len(lines) + 1
+        seen = set()
+        for lineno, raw in enumerate(lines[:stop - 1], start=1):
+            parts = raw.split()
+            if parts[:1] == ["e"]:
+                u, v = int(parts[1]), int(parts[2])
+                if frozenset((u, v)) in seen:
+                    raise DuplicateEdgeError(lineno, f"duplicate edge {u} {v}") from None
+                seen.add(frozenset((u, v)))
+        raise
 
 
 

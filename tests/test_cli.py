@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_parse_lines
+from conftest import reference_parse_instance, reference_parse_lines
 from lcol3 import cli
 from lcol3.cli import (MAX_VERTICES, DuplicateEdgeError, DuplicateListLineError,
                        InstanceSyntaxError, OutOfRangeError, dispatch,
@@ -114,6 +115,7 @@ def test_parse_rejects_more_vertices_than_the_limit():
     with pytest.raises(OutOfRangeError) as exc:
         parse_instance(f"c big\np lcol {MAX_VERTICES + 1} 0\n")
     assert exc.value.line == 2 and str(MAX_VERTICES) in str(exc.value)
+    assert cli._parse_tokens(f"p lcol {MAX_VERTICES + 1} 0\n") is None
     g, masks = parse_instance(f"p lcol {MAX_VERTICES} 0\n")
     assert g.n == len(masks) == MAX_VERTICES
 
@@ -177,9 +179,11 @@ def instance_texts(draw):
     return eol.join(pad + sep.join(parts) for parts in body) + eol
 
 
-def parse_outcome(parse, text):
+def parse_outcome(parse, source):
+    """What parse(source) gives: the graph's n, m, adj and bits and the
+    masks, or the error's type, line and message."""
     try:
-        g, masks = parse(text.splitlines())
+        g, masks = parse(source)
     except (cli.ParseError, GraphError) as exc:
         return type(exc), getattr(exc, "line", None), str(exc)
     return g.n, g.m, g.adj, g.bits, masks
@@ -191,8 +195,181 @@ def parse_outcome(parse, text):
 # send on to the full checks
 @example("p lcol 3 0\ne 3 3\n")
 def test_parser_matches_reference_parser(text):
-    assert (parse_outcome(cli._parse_lines, text)
-            == parse_outcome(reference_parse_lines, text))
+    assert (parse_outcome(cli._parse_lines, text.splitlines())
+            == parse_outcome(reference_parse_lines, text.splitlines()))
+    assert (parse_outcome(parse_instance, text)
+            == parse_outcome(reference_parse_instance, text))
+
+
+def _respell(rng, lines):
+    """Write one token after a kind another way: leading zeros, a plus
+    sign, another script's digits, a token outside 1..n or a kind."""
+    i = rng.randrange(len(lines))
+    parts = lines[i].split(" ")
+    if len(parts) < 2:
+        return
+    j = rng.randrange(1, len(parts))
+    tok = parts[j]
+    parts[j] = rng.choice(["0" + tok, "00" + tok, "+" + tok, "0", "x", "e",
+                           "l", "".join(chr(0x660 + int(d)) for d in tok
+                                        if d.isdigit())])
+    lines[i] = " ".join(parts)
+
+
+def _self_loop(rng, lines):
+    i = rng.randrange(len(lines))
+    parts = lines[i].split(" ")
+    if parts[0] == "e":
+        lines[i] = f"e {parts[1]} {parts[1]}"
+
+
+def _repeat_line(rng, lines):
+    lines.insert(rng.randrange(1, len(lines) + 1), rng.choice(lines[1:]))
+
+
+def _move_line(rng, lines):
+    lines.insert(rng.randrange(1, len(lines) + 1),
+                 lines.pop(rng.randrange(1, len(lines))))
+
+
+def _regroup_tokens(rng, lines):
+    """Two lines of three tokens become lines of two and four, or of four
+    and two: three tokens a line on average, line starts kept."""
+    i = rng.randrange(1, len(lines) - 1)
+    tokens = (lines[i] + " " + lines[i + 1]).split(" ")
+    cut = rng.choice([2, 4])
+    lines[i:i + 2] = [" ".join(tokens[:cut]), " ".join(tokens[cut:])]
+
+
+def _whitespace(rng, lines):
+    i = rng.randrange(len(lines))
+    space = rng.choice(["\t", "\x0b", "\x0c", "\x1c", "\x1f", "  ", "\r",
+                        "\x85", "\xa0", "\u2028"])
+    parts = lines[i].split(" ")
+    if rng.random() < 0.3 or len(parts) < 2:
+        lines[i] = lines[i] + rng.choice([" ", "\t"])
+    else:
+        j = rng.randrange(1, len(parts))
+        lines[i] = " ".join(parts[:j]) + space + " ".join(parts[j:])
+
+
+def _bad_digits(rng, lines):
+    i = rng.randrange(len(lines))
+    if lines[i].startswith("l "):
+        lines[i] = lines[i][:lines[i].rindex(" ") + 1] + rng.choice(BAD_DIGITS)
+
+
+def _head(rng, lines):
+    parts = lines[0].split(" ")
+    if len(parts) != 4 or not parts[3].isdigit():
+        return
+    n, m = parts[2:]
+    lines[0] = rng.choice([f"p lcol {n} {int(m) + 1}", f"p lcol {n} {int(m) - 1}",
+                           f"p lcol 0{n} {m}", f"p  lcol {n} {m}",
+                           f"p lcol {n} {m} ", f"p lcol {n}"])
+
+
+def _extra_line(rng, lines):
+    lines.insert(rng.randrange(len(lines) + 1),
+                 rng.choice(["", "c note", "x 1 2", "p lcol 2 1", "e 1 2"]))
+
+
+LAYOUT_FAULTS = [_respell, _self_loop, _repeat_line, _move_line,
+                 _regroup_tokens, _whitespace, _bad_digits, _head, _extra_line]
+
+
+def canonical_text(rng):
+    """A text in the canonical layout (edges in any order, then lists), as
+    emit_instance would write it, and then, in most draws, one or two
+    faults of layout or content from LAYOUT_FAULTS, other line ends or no
+    final line end."""
+    n = rng.randint(0, 8)
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    edges = rng.sample(pairs, rng.randint(0, min(10, len(pairs))))
+    lines = [f"p lcol {n} {len(edges)}"]
+    lines += ["e %d %d" % tuple(rng.sample(e, 2)) for e in edges]
+    lines += [f"l {v} {rng.choice(VALID_DIGITS)}"
+              for v in rng.sample(range(1, n + 1), rng.randint(0, n))]
+    for _ in range(rng.choice([0, 0, 1, 1, 2])):
+        if len(lines) > 2:
+            rng.choice(LAYOUT_FAULTS)(rng, lines)
+    eol = rng.choice(["\n"] * 8 + ["\r\n"])
+    return eol.join(lines) + rng.choice([eol] * 9 + [""])
+
+
+@pytest.mark.parametrize("block", [cli._BLOCK, 1, 10])
+def test_token_path_matches_the_reference_parser(monkeypatch, block):
+    # Small blocks make every text a stream of many blocks.
+    monkeypatch.setattr(cli, "_BLOCK", block)
+    rng = random.Random(block)
+    accepted = 0
+    for _ in range(3_000):
+        text = canonical_text(rng)
+        want = parse_outcome(reference_parse_instance, text)
+        assert parse_outcome(parse_instance, text) == want, repr(text)
+        if cli._parse_tokens(text) is not None:
+            assert parse_outcome(cli._parse_tokens, text) == want, repr(text)
+            accepted += 1
+    # both paths carry a real share of the texts
+    assert 900 <= accepted <= 2_100, accepted
+
+
+# Texts the token path must leave to the line parser, one per layout rule.
+REJECTED_LAYOUTS = {
+    "two_and_four_tokens": "p lcol 3 2\ne 1\ne 2 3 1\n",
+    "four_and_two_tokens": "p lcol 3 2\ne 1 2 e\n2 3\n",
+    "list_before_edge": "p lcol 3 1\nl 1 12\ne 1 2\n",
+    "tab_after_kind": "p lcol 3 1\ne\t1 2\n",
+    "vertical_tab_inside": "p lcol 3 1\ne 1\x0b2\n",
+    "leading_zeros": "p lcol 8 1\ne 007 2\n",
+    "self_loop": "p lcol 3 1\ne 3 3\n",
+    "repeated_edge": "p lcol 3 2\ne 1 2\ne 2 1\n",
+    "repeated_list": "p lcol 2 1\ne 1 2\nl 1 12\nl 1 13\n",
+    "wrong_m": "p lcol 3 2\ne 1 2\n",
+    "crlf": "p lcol 2 1\r\ne 1 2\r\n",
+    "comment": "p lcol 2 1\nc note\ne 1 2\n",
+    "blank_line": "p lcol 2 1\n\ne 1 2\n",
+    "no_final_line_end": "p lcol 2 1\ne 1 2",
+    "non_ascii_digit": "p lcol 2 1\ne 1 \u0662\n",
+    "line_separator_inside": "p lcol 2 1\ne 1\u20282\n",
+    "head_spacing": "p  lcol 2 1\ne 1 2\n",
+    "size_beyond_int": "p lcol 2 " + "9" * 5_000 + "\ne 1 2\n",
+}
+
+
+@pytest.mark.parametrize("text", REJECTED_LAYOUTS.values(), ids=REJECTED_LAYOUTS)
+def test_token_path_leaves_other_layouts_to_the_line_parser(text):
+    assert cli._parse_tokens(text) is None
+    assert (parse_outcome(parse_instance, text)
+            == parse_outcome(reference_parse_instance, text))
+
+
+def test_token_path_reads_texts_of_many_blocks():
+    g, _ = generate(GenSpec("blownup_c5", seed=3, class_sizes=(60,) * 5))
+    masks = [mask_of([1 + v % 3, 1 + (v + 1) % 3]) if v % 4 else FULL_MASK
+             for v in range(g.n)]
+    text = emit_instance(g, masks)
+    assert text.count("\n") > 10_000 and len(text) > 2 * cli._BLOCK
+    want = parse_outcome(reference_parse_instance, text)
+    assert parse_outcome(cli._parse_tokens, text) == want
+    assert want[:2] == (g.n, g.m) and want[4] == masks
+    # one four-token line in the last block sends the text to the line
+    # parser, which reports it at its line
+    cut = text.rindex("\ne ") + 1
+    bad = text[:cut] + "e 1 2 3\n" + text[cut:]
+    assert cli._parse_tokens(bad) is None
+    assert parse_outcome(parse_instance, bad)[:2] == (
+        InstanceSyntaxError, text.count("\n", 0, cut) + 1)
+
+
+def test_commented_c5_instance_reads_like_c5():
+    raw = (INSTANCES / "c5_commented.lcol").read_bytes().decode("utf-8")
+    assert "\r\n" in raw and "\nc " in raw and " 005" in raw
+    assert raw.index("\nl ") < raw.index("\ne ")
+    assert cli._parse_tokens(raw) is None
+    plain = (INSTANCES / "c5.lcol").read_text()
+    assert cli._parse_tokens(plain) is not None
+    assert parse_outcome(parse_instance, raw) == parse_outcome(parse_instance, plain)
 
 
 def test_round_trip_generator_outputs():
@@ -277,6 +454,22 @@ def test_dispatch_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.lcol"
     bad.write_text("p lcol 2 1\ne 1 5\n")
     assert dispatch(["solve", str(bad)]) == 1
+
+
+@pytest.mark.parametrize("args", [["solve", "BAD"], ["check-promise", "BAD"],
+                                  ["oracle", "BAD"], ["verify", "BAD", "C5"],
+                                  ["verify", "C5", "BAD"]],
+                         ids=["solve", "check-promise", "oracle", "verify",
+                              "verify-colouring-file"])
+def test_dispatch_non_utf8_file_exits_1_with_one_line(tmp_path, capsys, args):
+    bad = tmp_path / "latin1.lcol"
+    bad.write_bytes(b"c caf\xe9\n" + (INSTANCES / "c5.lcol").read_bytes())
+    paths = {"BAD": str(bad), "C5": str(INSTANCES / "c5.lcol")}
+    assert dispatch([paths.get(arg, arg) for arg in args]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "UTF-8" in lines[0]
 
 
 @pytest.mark.parametrize("error", [GraphError("bad graph"),

@@ -403,8 +403,8 @@ def test_layer0_removes_every_twin_the_reference_twin_pass_drops(data):
     # Layer 0 keeps one vertex of each class of exact twins and leaves
     # twins with different lists to the domination rule of its sweep, so
     # on the propagated lists it removes every vertex the old twin pass
-    # dropped, except a twin of a settled vertex (a settled vertex leaves
-    # before the sweep and dominates nothing there).
+    # dropped, a twin of a settled vertex included (settled vertices leave
+    # before the sweep but still serve there as dominators).
     base = data.draw(graphs(max_n=6))
     sizes = data.draw(hst.lists(hst.integers(1, 3), min_size=base.n,
                                 max_size=base.n))
@@ -422,10 +422,10 @@ def test_layer0_removes_every_twin_the_reference_twin_pass_drops(data):
     if fixed is None:
         assert out.is_unsat
         return
-    rest = engine._peel(g, fixed, _kept_mask(g, fixed))[0]
+    rest = engine._peel(g, fixed, *_sweep_masks(g, fixed))[0]
     rep = reference_twin_representatives(g, fixed)
     for v, u in enumerate(rep):
-        if u != v and _SIZE[fixed[u]] > 1:
+        if u != v:
             assert not rest >> v & 1, v
     if out.is_sat:
         assert verify_colouring(g, masks, out.colouring)
@@ -704,6 +704,26 @@ def test_dominated_twins_are_dropped_and_take_their_twins_colour(monkeypatch):
     assert out.is_sat and verify_colouring(g, masks, out.colouring)
 
 
+def test_a_settled_vertex_dominates_its_twin_with_a_larger_list():
+    # 0 and 1 are twins with lists {1} and {1, 2}, both adjacent to 2 and
+    # 3, which have the pendants 4 and 5.  Propagation settles 0 and takes
+    # colour 1 from 2 and 3, so no neighbour of 0 admits it.  The sweep
+    # tests 1 first: it has two kept neighbours, too many to peel, and the
+    # settled 0 dominates it.  Then the rest peels.
+    g = build_graph(6, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 5)])
+    masks = [mask_of([1]), mask_of([1, 2])] + [FULL_MASK] * 4
+    out = solve(g, masks)
+    stats = out.stats
+    assert (stats.settled, stats.dominated, stats.peeled) == (1, 1, 4)
+    assert out.is_sat and verify_colouring(g, masks, out.colouring)
+    assert out.colouring[:2] == [1, 1]
+    fixed = _propagated(g, masks)
+    assert _sweep_masks(g, fixed) == (0b111110, 0b1)
+    assert engine._peel(g, fixed, 0b111110, 0b1) == (0, [1, 2, 3, 4, 5], 1)
+    # without 0 as a dominator, 1 stays until its neighbours peel
+    assert engine._peel(g, fixed, 0b111110, 0)[1:] == ([4, 2, 1, 3, 5], 0)
+
+
 def test_failed_final_recheck_raises(monkeypatch):
     monkeypatch.setattr(engine, "_colouring_fits", lambda *args: False)
     with pytest.raises(InternalError):
@@ -775,13 +795,21 @@ def _propagated(g, masks):
     return None if propagate(st) is None else st.masks
 
 
-def _kept_mask(g, fixed):
-    """The vertices layer 0 hands to its sweep: the smallest of each class
-    of equal neighbourhood and equal list, unless its list has one colour."""
+def _sweep_masks(g, fixed):
+    """(kept, settled): the smallest vertex of each class of equal
+    neighbourhood and equal list, as two bitmasks: kept, which layer 0's
+    sweep tests, and settled, those whose list has one colour, which only
+    serve there as dominators."""
     first = {}
     for v in range(g.n):
         first.setdefault((g.bits[v], fixed[v]), v)
-    return sum(1 << v for v in first.values() if _SIZE[fixed[v]] > 1)
+    kept = settled = 0
+    for v in first.values():
+        if _SIZE[fixed[v]] > 1:
+            kept |= 1 << v
+        else:
+            settled |= 1 << v
+    return kept, settled
 
 
 @settings(max_examples=300, deadline=None)
@@ -796,9 +824,9 @@ def test_layer0_sweep_reaches_the_joint_fixpoint_and_keeps_answers(data):
     if fixed is None:
         assert out.is_unsat
     else:
-        kept = _kept_mask(g, fixed)
-        rest, removed, dominated = engine._peel(g, fixed, kept)
-        assert engine._peel(g, fixed, kept) == (rest, removed, dominated)
+        kept, settled = _sweep_masks(g, fixed)
+        rest, removed, dominated = engine._peel(g, fixed, kept, settled)
+        assert engine._peel(g, fixed, kept, settled) == (rest, removed, dominated)
         assert len(set(removed)) == len(removed)
         assert not rest & sum(1 << v for v in removed)
         assert rest | sum(1 << v for v in removed) == kept
@@ -806,20 +834,20 @@ def test_layer0_sweep_reaches_the_joint_fixpoint_and_keeps_answers(data):
         # happens, and a domination is counted only where peeling does not
         # apply
         left = set(iter_bits(kept))
+        dominators = set(iter_bits(settled))
         by_domination = 0
         for v in removed:
-            peelable, dominated_now = reference_removable(g, fixed, left)
+            peelable, dominated_now = reference_removable(g, fixed, left,
+                                                          dominators)
             assert v in peelable | dominated_now
             by_domination += v not in peelable
             left.discard(v)
         assert by_domination == dominated
         assert left == set(iter_bits(rest))
-        assert reference_removable(g, fixed, left) == (set(), set())
+        assert reference_removable(g, fixed, left, dominators) == (set(), set())
         assert left <= reference_peel(g, fixed, kept)
-        settled = len({(g.bits[v], fixed[v]) for v in range(g.n)
-                       if _SIZE[fixed[v]] == 1})
         assert ((out.stats.peeled, out.stats.dominated, out.stats.settled)
-                == (len(removed) - dominated, dominated, settled))
+                == (len(removed) - dominated, dominated, len(dominators)))
     if out.is_sat:
         assert verify_colouring(g, masks, out.colouring)
     if check_promise(g) is None:
