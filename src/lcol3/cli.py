@@ -13,6 +13,7 @@ Exit codes: 0 = decided (SAT or UNSAT), 2 = promise violation (INVALID),
 
 import json
 import sys
+from operator import add, itemgetter
 
 from .engine import FULL_MASK, colours_of, solve, verify_colouring
 from .errors import InternalError, PreconditionBreach
@@ -52,10 +53,11 @@ class EmptyListError(ParseError):
 
 # The largest vertex count a problem line may declare, ten times the
 # n = 2 000 blow-up of the acceptance tests.  The problem line alone
-# allocates a neighbour list, a mask and an id-table entry per vertex (about
-# 180 bytes each, 3.6 MB here) before any edge is read.  Each vertex then
-# keeps an int bit row of up to n bits: n * (n / 8 + 28) bytes when dense,
-# 50 MB at this limit and 0.5 MB at n = 2 000.
+# allocates a neighbour list and a mask per vertex (about 70 bytes each,
+# 1.4 MB here) before any edge is read, and grows the per-process vertex
+# tables below (3.4 MB here, kept).  Each vertex then keeps an int bit row
+# of up to n bits: n * (n / 8 + 28) bytes when dense, 50 MB at this limit
+# and 0.5 MB at n = 2 000.
 MAX_VERTICES = 20_000
 
 # The seven valid colour lists, as their ascending digit strings.
@@ -68,6 +70,39 @@ _BLOCK = 1 << 16
 # The ASCII characters other than "\n" at which str.splitlines breaks.
 _LINE_BREAKS = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
 
+# Tables that depend only on the vertex count, kept for the life of the
+# process and grown to the largest count seen: _IDS maps the canonical
+# vertex token "i" to i - 1, and _PREFIX[i - 1] is "v i ", the start of
+# vertex i's line in a text SAT answer.  _IDS always holds the first
+# len(_PREFIX) tokens: its entries are only added, each with the one value
+# its token has, before _PREFIX is rebound to a longer tuple, so callers
+# in several threads need no lock.
+_IDS = {}
+_PREFIX = ()
+
+# Each colour's text in a `v` line, with the line end.
+_COLOUR_LINE = {c: f"{c}\n" for c in (1, 2, 3)}
+
+
+def _grow_tables(n):
+    """Grow _IDS and _PREFIX to cover vertices 1..n; return the prefixes."""
+    global _PREFIX
+    prefix = _PREFIX
+    have = len(prefix)
+    if have < n:
+        names = tuple(map(str, range(have + 1, n + 1)))
+        _IDS.update(zip(names, range(have, n)))
+        prefix = _PREFIX = prefix + tuple(map("v {} ".format, names))
+    return prefix
+
+
+def _lookup(table, keys):
+    """table[key] for every key of the list `keys`, as a tuple, in one C
+    call; itemgetter of a single key returns the bare value instead."""
+    if len(keys) > 1:
+        return itemgetter(*keys)(table)
+    return tuple(map(table.__getitem__, keys))
+
 
 def parse_instance(text):
     """Parse an instance file into a Graph and per-vertex colour masks.
@@ -75,14 +110,17 @@ def parse_instance(text):
     A text in the canonical layout (the one emit_instance writes) is read
     as one token stream by _parse_tokens; any other text, and every text
     with an error, goes to the line parser.  There an edge line of two
-    different canonical vertex tokens (`1`..`n`, looked up in a table
-    built at the problem line) is read by one split and two lookups, and
-    every other line goes through the full checks.  The problem line may
-    declare at most MAX_VERTICES vertices.  Errors are reported at the
-    first offending line.  Repeated edges are found by the graph
-    constructor once every line has been read, so on any error the lines
-    before it are searched again for the first repeat.  Both paths give
-    the same graph and lists on every text the token path accepts.
+    different canonical vertex tokens below n is read by one split and two
+    lookups, and every other line goes through the full checks.  Both
+    paths look vertex tokens up in _IDS, the table of canonical spellings
+    kept per process and grown to the largest n read, so the table is
+    built once, not per file; the token path looks up each column of a
+    block's tokens in one C call.  The problem line may declare at most
+    MAX_VERTICES vertices.  Errors are reported at the first offending
+    line.  Repeated edges are found by the graph constructor once every
+    line has been read, so on any error the lines before it are searched
+    again for the first repeat.  Both paths give the same graph and lists
+    on every text the token path accepts.
     """
     parsed = _parse_tokens(text)
     if parsed is not None:
@@ -126,7 +164,9 @@ def _parse_tokens(text):
     triples' first places: they are the k line starts, so line i of the
     block starts at token 3i and holds three tokens.  A failed lookup or
     check gives None, and the line parser then reads the text and reports
-    its first error.
+    its first error.  _IDS also holds the tokens above N of any larger n
+    read before; their ids index past the rows and masks, and that
+    IndexError counts as a failed lookup.
     """
     if (not text.isascii() or not text.endswith("\n")
             or any(map(text.__contains__, _LINE_BREAKS))):
@@ -146,7 +186,7 @@ def _parse_tokens(text):
             or 0 < m < body_lines
             and text.rfind("\ne ") > text.find("\nl ", end)):
         return None
-    vertex = dict(zip(map(str, range(1, n + 1)), range(n))).__getitem__
+    _grow_tables(n)
     rows = [[] for _ in range(n)]
     masks = [FULL_MASK] * n
     listed = []
@@ -159,15 +199,15 @@ def _parse_tokens(text):
                 return None
             start = stop
             k = tokens[::3].count("e")
-            for u, v in zip(map(vertex, tokens[1:3 * k:3]),
-                            map(vertex, tokens[2:3 * k:3])):
+            for u, v in zip(_lookup(_IDS, tokens[1:3 * k:3]),
+                            _lookup(_IDS, tokens[2:3 * k:3])):
                 rows[u].append(v)
                 rows[v].append(u)
-            vs = list(map(vertex, tokens[3 * k + 1::3]))
-            for v, digits in zip(vs, tokens[3 * k + 2::3]):
-                masks[v] = _LIST_MASKS[digits]
+            vs = _lookup(_IDS, tokens[3 * k + 1::3])
+            for v, mask in zip(vs, _lookup(_LIST_MASKS, tokens[3 * k + 2::3])):
+                masks[v] = mask
             listed += vs
-    except KeyError:  # a token missing from its table
+    except (KeyError, IndexError):  # a failed lookup, as above
         return None
     if len(set(listed)) != len(listed):
         return None
@@ -182,17 +222,17 @@ def _parse_lines(lines):
     m_declared = None
     rows = None
     masks = None
-    # Canonical vertex tokens "1".."n"; empty until the problem line, so an
-    # edge line before it misses and reaches its error below.
-    ids = {}
-    get = ids.get
+    # Canonical vertex tokens, from _IDS once the problem line is read; an
+    # edge line before it misses and reaches its error below.  _IDS also
+    # holds tokens above n, which the `< n` tests send to the range checks.
+    get = {}.get
     listed = set()
     for lineno, raw in enumerate(lines, start=1):
         parts = raw.split()
         if len(parts) == 3 and parts[0] == "e":
             u = get(parts[1])
             v = get(parts[2])
-            if u is not None and v is not None and u != v:
+            if u is not None and v is not None and u != v and u < n and v < n:
                 rows[u].append(v)
                 rows[v].append(u)
                 continue
@@ -204,15 +244,12 @@ def _parse_lines(lines):
                 raise InstanceSyntaxError(lineno, "edge before problem line")
             if len(parts) != 3:
                 raise InstanceSyntaxError(lineno, "expected 'e <u> <v>'")
-            u = ids.get(parts[1])
-            v = ids.get(parts[2])
-            if u is None or v is None:
-                try:
-                    u, v = int(parts[1]) - 1, int(parts[2]) - 1
-                except ValueError:
-                    raise InstanceSyntaxError(lineno, "non-integer endpoints") from None
-                if not (0 <= u < n) or not (0 <= v < n):
-                    raise OutOfRangeError(lineno, f"vertex outside 1..{n}")
+            try:
+                u, v = int(parts[1]) - 1, int(parts[2]) - 1
+            except ValueError:
+                raise InstanceSyntaxError(lineno, "non-integer endpoints") from None
+            if not (0 <= u < n) or not (0 <= v < n):
+                raise OutOfRangeError(lineno, f"vertex outside 1..{n}")
             if u == v:
                 raise InstanceSyntaxError(lineno, "self-loop")
             rows[u].append(v)
@@ -236,14 +273,15 @@ def _parse_lines(lines):
             rows = [[] for _ in range(n)]
             masks = [FULL_MASK] * n
             # Any other spelling of a vertex takes int() below.
-            ids.update({str(i + 1): i for i in range(n)})
+            _grow_tables(n)
+            get = _IDS.get
         elif kind == "l":
             if n is None:
                 raise InstanceSyntaxError(lineno, "list before problem line")
             if len(parts) != 3:
                 raise InstanceSyntaxError(lineno, "expected 'l <v> <digits>'")
-            v = ids.get(parts[1])
-            if v is None:
+            v = get(parts[1])
+            if v is None or v >= n:
                 try:
                     v = int(parts[1]) - 1
                 except ValueError:
@@ -319,19 +357,25 @@ def _stats_fields(stats):
 
 def emit_result(outcome, fmt="text", include_stats=False):
     """Render an Outcome; byte-deterministic apart from the optional stats
-    (whose millis field is wall-clock time)."""
+    (whose millis field is wall-clock time).
+
+    A text SAT answer's `v <vertex> <colour>` lines are joined from the
+    per-process "v i " prefixes and one text per colour, with no per-vertex
+    formatting.
+    """
     if fmt == "text":
         if outcome.is_sat:
-            lines = ["SAT"]
-            lines.extend(f"v {v + 1} {c}" for v, c in enumerate(outcome.colouring))
+            colouring = outcome.colouring
+            text = "SAT\n" + "".join(map(add, _grow_tables(len(colouring)),
+                                         map(_COLOUR_LINE.__getitem__, colouring)))
         elif outcome.is_unsat:
-            lines = ["UNSAT"]
+            text = "UNSAT\n"
         else:
-            lines = ["INVALID", _witness_line(outcome.violation)]
+            text = f"INVALID\n{_witness_line(outcome.violation)}\n"
         if include_stats:
-            lines.extend(f"s {key} {value}"
-                         for key, value in _stats_fields(outcome.stats).items())
-        return "\n".join(lines) + "\n"
+            text += "".join(f"s {key} {value}\n"
+                            for key, value in _stats_fields(outcome.stats).items())
+        return text
 
     if fmt == "json":
         doc = {"status": "SAT" if outcome.is_sat

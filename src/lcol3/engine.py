@@ -17,6 +17,7 @@ from .skeleton import build_chain, build_skeleton
 FULL_MASK = 0b111
 _COLOUR_OF = [0, 1, 2, 0, 3, 0, 0, 0]  # singleton mask -> colour
 _SIZE = [0, 1, 1, 2, 1, 2, 2, 3]
+_MASKS = frozenset(range(1, FULL_MASK + 1))
 
 
 def mask_of(colours):
@@ -38,6 +39,10 @@ def normalize_lists(n, lists):
         return [FULL_MASK] * n
     if len(lists) != n:
         raise ValueError("list count does not match vertex count")
+    # All int masks in 1..7, checked in C.  The types go first: 1.0 equals
+    # the mask 1 in the set test, but the loop below rejects it.
+    if {int}.issuperset(map(type, lists)) and _MASKS.issuperset(lists):
+        return list(lists)
     out = []
     for v, entry in enumerate(lists):
         if isinstance(entry, int):

@@ -314,8 +314,7 @@ def check_promise(graph):
     graph in its own labels.
     """
     first = {}
-    for v, row in enumerate(graph.bits):
-        first.setdefault(row, v)
+    deque(map(first.setdefault, graph.bits, range(graph.n)), maxlen=0)
     quotient, ids = induced_subgraph(graph, sum(1 << v for v in first.values()))
     tri = find_triangle(quotient)
     if tri is not None:

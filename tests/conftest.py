@@ -9,7 +9,7 @@ from lcol3 import anchor_seeds, build_graph, case_seeds, check_promise
 from lcol3.cli import (DuplicateEdgeError, DuplicateListLineError,
                        EmptyListError, InstanceSyntaxError, OutOfRangeError,
                        ParseError)
-from lcol3.engine import FULL_MASK
+from lcol3.engine import FULL_MASK, mask_of
 from lcol3.errors import PreconditionBreach
 from lcol3.graph import DuplicateEdgeError as GraphDuplicateEdgeError
 from lcol3.graph import _graph_from_rows, iter_bits
@@ -261,6 +261,27 @@ def reference_colouring_fits(graph, masks, colouring):
             if v > u and colouring[v] == cu:
                 return False
     return True
+
+
+def reference_normalize_lists(n, lists):
+    """engine.normalize_lists as it stood before its all-masks fast path,
+    kept verbatim: every entry goes through the per-vertex loop."""
+    if lists is None:
+        return [FULL_MASK] * n
+    if len(lists) != n:
+        raise ValueError("list count does not match vertex count")
+    out = []
+    for v, entry in enumerate(lists):
+        if isinstance(entry, int):
+            m = entry
+            if not 0 < m <= FULL_MASK:
+                raise ValueError(f"bad colour mask {m} at vertex {v}")
+        else:
+            m = mask_of(entry)
+            if m == 0:
+                raise ValueError(f"empty colour list at vertex {v}")
+        out.append(m)
+    return out
 
 
 def reference_twin_representatives(graph, masks):

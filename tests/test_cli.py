@@ -14,7 +14,8 @@ from lcol3 import cli
 from lcol3.cli import (MAX_VERTICES, DuplicateEdgeError, DuplicateListLineError,
                        InstanceSyntaxError, OutOfRangeError, dispatch,
                        emit_instance, emit_result, parse_instance)
-from lcol3.engine import FULL_MASK, InternalError, mask_of, solve
+from lcol3.engine import (FULL_MASK, InternalError, Outcome, SolveStats,
+                          mask_of, solve)
 from lcol3.graph import GraphError
 from lcol3.testkit import GenSpec, generate, oracle_solve
 
@@ -372,6 +373,105 @@ def test_commented_c5_instance_reads_like_c5():
     assert parse_outcome(parse_instance, raw) == parse_outcome(parse_instance, plain)
 
 
+# A token above n is in the per-process id table once a larger n has been
+# read, and must still be an error at its line.
+AFTER_LARGER_N = [
+    ("p lcol 3 1\ne 1 5\n", 2),
+    ("p lcol 3 1\ne 5 1\n", 2),
+    ("p lcol 3 0\nl 7 12\n", 2),
+    ("p lcol 3 2\ne 1 2\ne 2 4\nl 1 12\n", 3),
+    ("p lcol 0 0\nl 1 1\n", 2),
+]
+
+
+@pytest.mark.parametrize("text, line", AFTER_LARGER_N)
+def test_vertices_above_n_stay_out_of_range_after_a_larger_n(text, line):
+    parse_instance(emit_instance(*generate(GenSpec("blownup_c5", seed=1,
+                                                   class_sizes=(2,) * 5))))
+    assert cli._IDS["10"] == 9
+    # the canonical text, then one that only the line parser reads
+    for source, at in ((text, line), ("c note\n" + text, line + 1)):
+        assert cli._parse_tokens(source) is None
+        with pytest.raises(OutOfRangeError) as exc:
+            parse_instance(source)
+        assert exc.value.line == at, source
+        assert (parse_outcome(parse_instance, source)
+                == parse_outcome(reference_parse_instance, source))
+
+
+def test_a_small_text_after_a_large_one_parses_like_the_reference():
+    small = "p lcol 5 4\ne 1 2\ne 2 3\ne 3 4\ne 5 1\nl 4 13\nl 1 2\n"
+    for text in (emit_instance(*generate(GenSpec("blownup_c5", seed=2,
+                                                 class_sizes=(40,) * 5))),
+                 small, "c x\n" + small, "p lcol 0 0\n"):
+        want = parse_outcome(reference_parse_lines, text.splitlines())
+        assert parse_outcome(parse_instance, text) == want
+        assert parse_outcome(cli._parse_lines, text.splitlines()) == want
+        if not text.startswith("c"):
+            assert parse_outcome(cli._parse_tokens, text) == want
+
+
+def test_vertex_tables_are_kept_and_grow_only_past_the_largest_n(monkeypatch):
+    monkeypatch.setattr(cli, "_IDS", {})
+    monkeypatch.setattr(cli, "_PREFIX", ())
+
+    def tables(n):
+        return ({str(i): i - 1 for i in range(1, n + 1)},
+                tuple(f"v {i} " for i in range(1, n + 1)))
+
+    parse_instance("p lcol 10 0\n")
+    prefix = cli._PREFIX
+    assert (cli._IDS, prefix) == tables(10)
+    parse_instance("p lcol 3 0\n")
+    parse_instance("c x\np lcol 3 0\n")
+    emit_result(Outcome("sat", [1, 2, 3], None, SolveStats()))
+    assert cli._PREFIX is prefix
+    # each path grows them: the line parser, the token path and emit_result
+    parse_instance("c x\np lcol 12 0\n")
+    assert (cli._IDS, cli._PREFIX) == tables(12)
+    parse_instance("p lcol 13 0\n")
+    assert (cli._IDS, cli._PREFIX) == tables(13)
+    emit_result(Outcome("sat", [1] * 15, None, SolveStats()))
+    assert (cli._IDS, cli._PREFIX) == tables(15)
+
+
+def test_lookup_returns_a_tuple_for_any_number_of_keys():
+    table = {"a": 1, "b": 2}
+    assert cli._lookup(table, []) == ()
+    assert cli._lookup(table, ["b"]) == (2,)
+    assert cli._lookup(table, ["b", "a"]) == (2, 1)
+    for keys in (["c"], ["a", "c"]):
+        with pytest.raises(KeyError):
+            cli._lookup(table, keys)
+
+
+@pytest.mark.parametrize("block", [1, 7, 13])
+def test_token_path_reads_blocks_of_zero_one_and_two_edges(monkeypatch, block):
+    # Lines of six characters: a block is one line at _BLOCK = 1, two at 7
+    # and three at 13, so blocks hold from 0 to 3 edges and lists, and
+    # _lookup gets columns of 0, 1 and 2 tokens.
+    monkeypatch.setattr(cli, "_BLOCK", block)
+    sizes = []
+    real = cli._lookup
+    monkeypatch.setattr(cli, "_lookup",
+                        lambda table, keys: sizes.append(len(keys)) or real(table, keys))
+    text = ("p lcol 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 5 1\n"
+            "l 1 12\nl 2 13\nl 3 23\nl 4 1\n")
+    want = parse_outcome(reference_parse_instance, text)
+    assert parse_outcome(cli._parse_tokens, text) == want
+    if block == 1:
+        assert set(sizes) == {0, 1}
+    else:
+        assert {0, 1, 2} <= set(sizes)
+    # an unknown or out-of-range token in any place of a block
+    for old, new in (("e 5 1", "e 5 6"), ("e 1 2", "e 9 2"), ("l 4 1", "l 6 1"),
+                     ("l 1 12", "l 1 21"), ("e 3 4", "e 3 x")):
+        bad = text.replace(old, new)
+        assert cli._parse_tokens(bad) is None, bad
+        assert (parse_outcome(parse_instance, bad)
+                == parse_outcome(reference_parse_instance, bad))
+
+
 def test_round_trip_generator_outputs():
     for seed in range(20):
         g, masks = generate(GenSpec("skeleton_built", seed=seed, scale=25,
@@ -429,6 +529,51 @@ def test_emit_result_stats_text_and_json_agree():
             _, key, value = line.split()
             from_text[key] = float(value)
     assert from_text == doc["stats"] == want
+
+
+def reference_emit_text(outcome, include_stats=False):
+    """emit_result's text format as it stood before its line-prefix table:
+    one formatted string per line."""
+    if outcome.is_sat:
+        lines = ["SAT"]
+        lines.extend(f"v {v + 1} {c}" for v, c in enumerate(outcome.colouring))
+    elif outcome.is_unsat:
+        lines = ["UNSAT"]
+    else:
+        lines = ["INVALID", cli._witness_line(outcome.violation)]
+    if include_stats:
+        lines.extend(f"s {key} {value}"
+                     for key, value in cli._stats_fields(outcome.stats).items())
+    return "\n".join(lines) + "\n"
+
+
+def test_emit_result_text_matches_the_per_line_form_for_any_size():
+    rng = random.Random(3)
+    colourings = {n: [rng.choice((1, 2, 3)) for _ in range(n)]
+                  for n in (0, 1, 5, 120)}
+    # n = 0, 1 and 5, then each again after the larger n = 120
+    for n in (0, 1, 5, 120, 0, 1, 5):
+        out = Outcome("sat", colourings[n], None, SolveStats())
+        for stats in (False, True):
+            assert (emit_result(out, include_stats=stats)
+                    == reference_emit_text(out, stats)), (n, stats)
+    assert emit_result(Outcome("sat", [], None, SolveStats())) == "SAT\n"
+
+
+def test_emit_result_other_answers_and_json_keep_their_form():
+    stats = SolveStats()
+    stats.branches, stats.millis = 4, 1.23456
+    g, _ = parse_instance((INSTANCES / "p8.lcol").read_text())
+    invalid = solve(g, mode="verify")
+    assert invalid.is_invalid
+    for out in (Outcome("unsat", None, None, stats), invalid._replace(stats=stats)):
+        for flag in (False, True):
+            assert emit_result(out, include_stats=flag) == reference_emit_text(out, flag)
+    sat = Outcome("sat", [2, 1, 3], None, stats)
+    doc = {"status": "SAT", "colouring": {"1": 2, "2": 1, "3": 3},
+           "stats": cli._stats_fields(stats)}
+    assert emit_result(sat, "json", include_stats=True) == json.dumps(doc) + "\n"
+    assert doc["stats"]["millis"] == 1.235
 
 
 def test_dispatch_solve_exit_codes(capsys):

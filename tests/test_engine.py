@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from conftest import (check_witness, graphs, reference_colouring_fits,
-                      reference_peel, reference_removable,
-                      reference_twin_representatives, seeds_of_branch)
+                      reference_normalize_lists, reference_peel,
+                      reference_removable, reference_twin_representatives,
+                      seeds_of_branch)
 from lcol3 import (build_chain, build_graph, build_skeleton, check_promise,
                    choice_lists, colour_blownup_c7, eliminate_safe,
                    enumerate_c5_colourings, palette_analysis, propagate,
@@ -728,6 +729,57 @@ def test_failed_final_recheck_raises(monkeypatch):
     monkeypatch.setattr(engine, "_colouring_fits", lambda *args: False)
     with pytest.raises(InternalError):
         solve(cycle_graph(5))
+
+
+def _normalized(normalize, n, lists):
+    """What normalize(n, lists) gives: the masks with their types, or the
+    error's type and message."""
+    try:
+        out = normalize(n, lists)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    assert out is not lists
+    return out, [type(m) for m in out]
+
+
+@pytest.mark.parametrize("n, lists", [
+    (3, [1, 2, 7]),
+    (3, (7, 4, 3)),
+    (0, []),
+    (2, [0, 1]),
+    (2, [1, 8]),
+    (2, [1, -1]),
+    (2, [1, 2 ** 70]),
+    (2, [1.0, 2]),
+    (2, [True, 2]),
+    (2, [False, 2]),
+    (2, [(1, 2), 3]),
+    (2, [3, (1, 2)]),
+    (2, [[1, 3], {2}]),
+    (2, [(), 1]),
+    (2, [(4,), 1]),
+    (2, [None, 1]),
+    (2, [1, 2, 3]),
+    (3, [1, 2]),
+    (2, None),
+])
+def test_normalize_lists_accepts_and_rejects_as_the_per_vertex_loop(n, lists):
+    # 1.0 and True equal int masks in a set test; the loop rejects 1.0 and
+    # keeps True as it is, and a tuple of colours goes through mask_of.
+    assert (_normalized(engine.normalize_lists, n, lists)
+            == _normalized(reference_normalize_lists, n, lists))
+
+
+def test_normalize_lists_matches_the_per_vertex_loop_on_mixed_entries():
+    rng = random.Random(5)
+    pool = [0, 1, 2, 3, 4, 5, 6, 7, 8, -3, True, False, 1.0, (1, 2), (3,),
+            [2, 3], (), (1, 4)]
+    for _ in range(2_000):
+        n = rng.randrange(6)
+        lists = [rng.choice(pool if rng.random() < 0.3 else range(1, 8))
+                 for _ in range(n)]
+        assert (_normalized(engine.normalize_lists, n, lists)
+                == _normalized(reference_normalize_lists, n, lists)), lists
 
 
 def test_sat_solve_normalises_the_lists_once(monkeypatch):
