@@ -109,13 +109,12 @@ def parse_instance(text):
 
     A text in the canonical layout (the one emit_instance writes) is read
     as one token stream by _parse_tokens; any other text, and every text
-    with an error, goes to the line parser.  There an edge line of two
-    different canonical vertex tokens below n is read by one split and two
-    lookups, and every other line goes through the full checks.  Both
-    paths look vertex tokens up in _IDS, the table of canonical spellings
-    kept per process and grown to the largest n read, so the table is
-    built once, not per file; the token path looks up each column of a
-    block's tokens in one C call.  The problem line may declare at most
+    with an error, goes to the line parser, which reads each kind of line
+    one way, with all its checks.  Both look vertex tokens up in _IDS, the
+    table of canonical spellings kept per process and grown to the largest
+    n read, so the table is built once, not per file: the token path looks
+    up each column of a block's tokens in one C call, the line parser the
+    vertex of each list line.  The problem line may declare at most
     MAX_VERTICES vertices.  Errors are reported at the first offending
     line.  Repeated edges are found by the graph constructor once every
     line has been read, so on any error the lines before it are searched
@@ -222,20 +221,9 @@ def _parse_lines(lines):
     m_declared = None
     rows = None
     masks = None
-    # Canonical vertex tokens, from _IDS once the problem line is read; an
-    # edge line before it misses and reaches its error below.  _IDS also
-    # holds tokens above n, which the `< n` tests send to the range checks.
-    get = {}.get
     listed = set()
     for lineno, raw in enumerate(lines, start=1):
         parts = raw.split()
-        if len(parts) == 3 and parts[0] == "e":
-            u = get(parts[1])
-            v = get(parts[2])
-            if u is not None and v is not None and u != v and u < n and v < n:
-                rows[u].append(v)
-                rows[v].append(u)
-                continue
         if not parts:
             continue
         kind = parts[0]
@@ -272,7 +260,9 @@ def _parse_lines(lines):
                                               f"limit of {MAX_VERTICES}")
             rows = [[] for _ in range(n)]
             masks = [FULL_MASK] * n
-            # Any other spelling of a vertex takes int() below.
+            # Canonical vertex tokens of list lines; _IDS also holds tokens
+            # above n, which the `< n` test sends to int() and its range
+            # check, as any other spelling.
             _grow_tables(n)
             get = _IDS.get
         elif kind == "l":

@@ -158,9 +158,6 @@ class ListState:
                 return False
         return True
 
-    def full_mask_vertices(self):
-        return [v for v, m in enumerate(self.masks) if m == FULL_MASK]
-
 
 def propagate(st):
     """Run singleton propagation to a fixpoint; None on an emptied mask or
@@ -568,6 +565,13 @@ def solve(graph, lists=None, mode="trust"):
     peeled or dominated away (a triangle of full-list vertices, say) is
     off the solving path and is not reported.  Every SAT answer is
     re-checked on the input graph and its own lists.
+
+    So each component handed on has only two- and three-colour lists and
+    sits at a propagation fixpoint: it holds no singleton list, since
+    every vertex left with one colour is settled.  A component with no
+    full list is one 2-SAT instance on any graph and is decided by 2-SAT
+    alone, so in trust mode a violation inside it is not reported either;
+    the answer stays exact.
     """
     if mode not in ("trust", "verify"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -701,9 +705,20 @@ def _colour_peeled(graph, masks, rest, removed, colouring):
 
 
 def _solve_component(g, masks, stats):
+    """Colour one component that layer 0 left: a colouring, or None.  Its
+    lists have two or three colours and sit at a propagation fixpoint (see
+    solve), so a component with no full list is one 2-SAT instance and
+    goes to 2-SAT before any structural check."""
+    if FULL_MASK not in masks:
+        return _two_sat_leaf(g, ListState(g, masks), stats)
     sides = bipartite_check(g, (1 << g.n) - 1)
     if sides is not None:
-        return _solve_bipartite(g, masks, sides[0], stats)
+        if all(m == FULL_MASK for m in masks):
+            colouring = [2] * g.n
+            for v in iter_bits(sides[0]):
+                colouring[v] = 1
+            return colouring
+        return _bipartite_fallback(g, ListState(g, masks), stats)
 
     cycle = shortest_odd_cycle(g)
     if len(cycle) == 7:
@@ -715,30 +730,13 @@ def _solve_component(g, masks, stats):
     return _solve_skeleton(g, masks, build_skeleton(g, cycle), stats)
 
 
-def _solve_bipartite(g, masks, side_a, stats):
-    """Colour a bipartite component, one side of which is the bitmask
-    side_a: with full lists that side takes colour 1 and the other side 2,
-    otherwise propagation and the fallback search decide."""
-    if all(m == FULL_MASK for m in masks):
-        colouring = [2] * g.n
-        for v in iter_bits(side_a):
-            colouring[v] = 1
-        return colouring
-
-    st = ListState(g, masks)
-    if propagate(st) is None:
-        stats.propagations += st.removals
-        return None
-    stats.propagations += st.removals
-    st.removals = 0
-    return _bipartite_fallback(g, st, stats)
-
-
 def _bipartite_fallback(g, st, stats):
     """Depth-first branching over colours 1, 2, 3 of the first full-list
     vertex, propagating at each node and handing each node without a
-    full-list vertex to 2-SAT; counts in stats.fallback_used when it
-    branches at all, and each node it branches on in stats.fallback_nodes.
+    full-list vertex to 2-SAT; counts each call in stats.fallback_used and
+    each node it branches on in stats.fallback_nodes.  The root st is at a
+    propagation fixpoint and has a full-list vertex, so the search always
+    branches.
 
     Exponential worst case; only reachable for bipartite components with
     constrained lists, outside the polynomial solving path.  The depth can
@@ -747,9 +745,8 @@ def _bipartite_fallback(g, st, stats):
     below it: the full vertices of the root, in order, are scanned once per
     path, each node resuming at its parent's cursor.
     """
-    order = st.full_mask_vertices()
-    if order:
-        stats.fallback_used += 1
+    order = [v for v, m in enumerate(st.masks) if m == FULL_MASK]
+    stats.fallback_used += 1
     stack = []  # [state, cursor, next colour] per branching node
     node, cursor = st, 0
     while True:
@@ -797,14 +794,14 @@ def _two_sat_leaf(g, st, stats):
 
 
 def _finish_branch(g, st, stats):
-    """Finish one branch: safe elimination, propagation and the 2-SAT tail,
-    which raises PreconditionBreach on a vertex that kept all three
-    colours.  A colouring, or None."""
+    """Finish one branch, which is at a propagation fixpoint: safe
+    elimination and the 2-SAT tail, which raises PreconditionBreach on a
+    vertex that kept all three colours.  A colouring, or None.  A safe
+    colour is missing from every neighbour already, so propagating the
+    safe vertices would remove nothing; the colours their assignment
+    drops from their own lists count as removals."""
     eliminate_safe(st, g)
-    ok = propagate(st) is not None
     stats.propagations += st.removals
-    if not ok:
-        return None
     stats.branches_survived += 1
     return _two_sat_leaf(g, st, stats)
 

@@ -81,7 +81,7 @@ def test_parse_reports_line_numbers():
         ("p lcol 3 3\ne 1 2\ne 2 1\ne 2 4\n", DuplicateEdgeError, 3),
         ("p lcol 3 5\ne 1 2\ne 2 3\ne 2 1\n", DuplicateEdgeError, 4),
         ("p lcol 3 1\ne 1 2\ne 2 1\n", DuplicateEdgeError, 3),
-        # canonical tokens that the one-split edge route must pass on
+        # a self-loop of canonical tokens, and an edge before the problem line
         ("p lcol 3 2\ne 1 2\ne 3 3\n", InstanceSyntaxError, 3),
         ("c x\ne 1 2\np lcol 2 1\n", InstanceSyntaxError, 2),
     ]
@@ -92,8 +92,8 @@ def test_parse_reports_line_numbers():
 
 
 def test_parse_errors_after_canonical_edges_keep_their_lines():
-    # A path's canonical edge lines take the one-split route; the faulty
-    # line after them is still reported at its own line.
+    # After a path's canonical edge lines, the faulty line is still
+    # reported at its own line.
     edges = "".join(f"e {v} {v + 1}\n" for v in range(1, 40))
     cases = [("e 1 x\n", InstanceSyntaxError, "non-integer endpoints"),
              ("e 1 41\n", OutOfRangeError, "vertex outside 1..40"),
@@ -192,8 +192,7 @@ def parse_outcome(parse, source):
 
 @settings(max_examples=400, deadline=None)
 @given(instance_texts())
-# a self-loop of two canonical tokens, which the one-split edge route must
-# send on to the full checks
+# a self-loop of two canonical tokens
 @example("p lcol 3 0\ne 3 3\n")
 def test_parser_matches_reference_parser(text):
     assert (parse_outcome(cli._parse_lines, text.splitlines())

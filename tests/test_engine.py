@@ -2,6 +2,7 @@ import ast
 import gc
 import glob
 import os
+import pathlib
 import random
 import subprocess
 import sys
@@ -22,7 +23,7 @@ from lcol3 import (build_chain, build_graph, build_skeleton, check_promise,
                    residual_to_2sat, solve, verify_colouring)
 import lcol3
 from lcol3 import engine
-from lcol3.cli import dispatch, emit_instance
+from lcol3.cli import dispatch, emit_instance, parse_instance
 from lcol3.engine import (_SIZE, FULL_MASK, InternalError, ListState,
                           SolveStats, mask_of)
 from lcol3.errors import PreconditionBreach
@@ -37,6 +38,7 @@ from lcol3.testkit import (GenSpec, cycle_graph, enumerate_colourings,
 
 C5 = [(i, (i + 1) % 5) for i in range(5)]
 ANCHORS = (0, 1, 2, 3, 4)
+INSTANCES = pathlib.Path(__file__).resolve().parent.parent / "instances"
 
 
 def test_enumerate_c5_colourings_full():
@@ -252,6 +254,26 @@ def test_eliminate_safe_debug_idempotent():
     assert eliminate_safe(st, g) == []
 
 
+@settings(max_examples=300, deadline=None)
+@given(hst.data())
+def test_propagation_after_safe_elimination_removes_nothing(data):
+    # A branch leaf is at a propagation fixpoint; a safe colour is missing
+    # from every neighbour, so propagating the safe vertices cannot remove
+    # a colour or fail.
+    g = data.draw(graphs(max_n=10))
+    masks = data.draw(hst.lists(hst.sampled_from((3, 5, 6, 7, 7, 1, 2, 4)),
+                                min_size=g.n, max_size=g.n))
+    st = ListState(g, masks)
+    if propagate(st) is None:
+        return
+    safe = eliminate_safe(st, g)
+    assert list(st.pending) == [v for v, _ in safe]
+    after = st.masks.copy()
+    removals = st.removals
+    assert propagate(st) is st
+    assert st.masks == after and st.removals == removals
+
+
 def test_residual_both_masks_equal():
     g = build_graph(2, [(0, 1)])
     st = ListState(g, [mask_of([1, 2]), mask_of([1, 2])])
@@ -445,28 +467,95 @@ def test_solve_walks_components_by_smallest_kept_vertex():
     # propagation leaves it to its component.  0 sees 7, 8 and 9 too and is
     # a dominated twin of 4, 5 and 6.  Walked by smallest input vertex,
     # {0, 4, ..., 9} would come first and answer unsat; by smallest kept
-    # vertex the triangle comes first.  The triangle's 2-lists keep it
-    # from being peeled.
-    g = build_graph(10, [(a, b) for a in (0, 4, 5, 6) for b in (7, 8, 9)]
-                    + [(1, 2), (2, 3), (1, 3)])
+    # vertex the K4 on 1, 2, 3 and 10 comes first.  Each of its vertices
+    # has three neighbours, so none is peeled, and the full lists of the
+    # triangle 1, 2, 3 send it to the structural checks.
+    g = build_graph(11, [(a, b) for a in (0, 4, 5, 6) for b in (7, 8, 9)]
+                    + [(1, 2), (2, 3), (1, 3), (1, 10), (2, 10), (3, 10)])
     pairs = [mask_of([1, 2]), mask_of([1, 3]), mask_of([2, 3])]
-    lists = [FULL_MASK] + [mask_of([1, 2])] * 3 + pairs + pairs
+    lists = [FULL_MASK] * 4 + pairs + pairs + [mask_of([1, 2])]
     out = solve(g, lists, mode="trust")
     assert out.is_invalid and out.violation.kind == "triangle"
     assert tuple(out.violation.vertices) == (1, 2, 3)
 
 
 def test_solve_trust_mode_detects_triangle_on_path():
-    # 2-lists, so layer 0 does not peel the triangle away
-    g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
-    out = solve(g, [mask_of([1, 2]), mask_of([2, 3]), mask_of([1, 3])],
-                mode="trust")
+    # K4: each vertex has three neighbours, so layer 0 peels none, and the
+    # triangle's full lists keep the component off the 2-SAT shortcut
+    g = build_graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+    out = solve(g, [FULL_MASK] * 3 + [mask_of([1, 2])], mode="trust")
     assert out.is_invalid and out.violation.kind == "triangle"
 
 
 def test_solve_long_odd_girth_invalid():
-    out = solve(cycle_graph(9), [mask_of([1, 2])] * 9, mode="trust")
+    # A C9 on 0..8 with a second path 0, 9, 10, 11, 4: its odd cycles have
+    # nine vertices.  0 and 4 have three neighbours each, so their full
+    # lists survive layer 0 and the odd-girth search runs on the component.
+    g = build_graph(12, [(i, (i + 1) % 9) for i in range(9)]
+                    + [(0, 9), (9, 10), (10, 11), (11, 4)])
+    masks = [mask_of([1, 2])] * 12
+    masks[0] = masks[4] = FULL_MASK
+    out = solve(g, masks, mode="trust")
     assert out.is_invalid and out.violation.kind == "induced_p7"
+
+
+@pytest.mark.parametrize("g, masks", [
+    (cycle_graph(3), [mask_of([1, 2]), mask_of([2, 3]), mask_of([1, 3])]),
+    (cycle_graph(3), [mask_of([1, 2])] * 3),
+    (cycle_graph(9), [mask_of([1, 2])] * 9),
+    (cycle_graph(9), [mask_of([1, 2])] * 8 + [mask_of([1, 3])]),
+])
+def test_a_component_of_two_lists_is_decided_by_two_sat_alone(g, masks):
+    # A triangle or a C9 with no full list: trust mode answers exactly,
+    # with one 2-SAT instance and no structural check or search
+    out = solve(g, masks, mode="trust")
+    assert not out.is_invalid
+    assert out.is_sat == (oracle_solve(g, masks) is not None)
+    if out.is_sat:
+        assert verify_colouring(g, masks, out.colouring)
+    stats = out.stats
+    assert (stats.peeled, stats.dominated, stats.settled) == (0, 0, 0)
+    assert (stats.sat_instances, stats.branches, stats.fallback_used) == (1, 0, 0)
+    # verify mode still reports the violation
+    out = solve(g, masks, mode="verify")
+    assert out.is_invalid and check_witness(g, out.violation)
+    assert out.violation.kind == ("triangle" if g.n == 3 else "induced_p7")
+
+
+def test_solve_hands_on_no_singleton_list(monkeypatch):
+    # Layer 0 settles every vertex left with one colour, so each component
+    # _solve_component receives has two- and three-colour lists only, and
+    # propagation on it has nothing to do.
+    seen = []
+    component = engine._solve_component
+
+    def spy(sub, masks, stats):
+        assert all(_SIZE[m] > 1 for m in masks), masks
+        seen.append((kind, FULL_MASK in masks))
+        return component(sub, masks, stats)
+
+    monkeypatch.setattr(engine, "_solve_component", spy)
+    rng = random.Random(22)
+    palette = (7, 7, 3, 5, 6, 3, 5, 6, 3, 5, 6, 1)  # one singleton in 12
+    for seed in range(30):
+        a, b = rng.randint(4, 9), rng.randint(4, 9)
+        inputs = {
+            "skeleton": generate(GenSpec("skeleton_built", seed=seed,
+                                         scale=25))[0],
+            "blow-up": generate(GenSpec(("blownup_c5", "blownup_c7")[seed % 2],
+                                        seed=seed))[0],
+            "bipartite": build_graph(a + b, [(u, a + v) for u in range(a)
+                                             for v in range(b)
+                                             if rng.random() < 0.7]),
+        }
+        for kind, g in inputs.items():
+            masks = [rng.choice(palette) for _ in range(g.n)]
+            out = solve(g, masks)
+            assert not out.is_invalid
+            if out.is_sat:
+                assert verify_colouring(g, masks, out.colouring)
+    # each kind hands on components with and without a full list
+    assert set(seen) == {(kind, full) for kind in inputs for full in (True, False)}
 
 
 def test_solve_verify_mode_reports_p7():
@@ -475,10 +564,17 @@ def test_solve_verify_mode_reports_p7():
 
 
 def test_solve_bipartite_full_lists_two_colours():
-    g = path_graph(6)
-    out = solve(g)
-    assert out.is_sat and set(out.colouring) <= {1, 2}
-    assert out.stats.fallback_used == 0
+    # Layer 0 peels the path away; the cube, 3-regular and twin-free, keeps
+    # all its vertices and reaches the two-side colouring of a bipartite
+    # component with full lists.
+    cube = build_graph(8, [(u, u ^ b) for u in range(8) for b in (1, 2, 4)
+                           if u < u ^ b])
+    for g in (path_graph(6), cube):
+        out = solve(g)
+        assert out.is_sat and set(out.colouring) <= {1, 2}
+        assert verify_colouring(g, None, out.colouring)
+        assert out.stats.fallback_used == 0
+    assert out.stats.peeled == 0 and out.stats.dominated == 0
 
 
 def test_solve_bipartite_lists_uses_fallback_when_needed():
@@ -597,8 +693,8 @@ PINNED_SKELETON_SOLVES = [
      dict(branches=2, branches_survived=1, propagations=20,
           sat_instances=1, fallback_used=0, fallback_nodes=0, peeled=0,
           dominated=0, settled=0)),
-    ((12, 499), [3, 1, 3, 1, 2, 3, 2, 2, 2, 1, 2, 2, 3, 3],
-     dict(branches=8, branches_survived=1, propagations=15,
+    ((12, 2180), [1, 2, 1, 3, 2, 1, 1, 1, 3, 2, 2, 1],
+     dict(branches=7, branches_survived=1, propagations=26,
           sat_instances=1, fallback_used=0, fallback_nodes=0, peeled=5,
           dominated=0, settled=0)),
     ((25, 763), [3, 1, 2, 1, 2, 1, 1, 2, 1, 2, 1, 2, 2, 3, 3, 1, 3, 2,
@@ -815,9 +911,10 @@ def test_final_recheck_reads_the_input_lists(monkeypatch):
 
 
 def test_blownup_c7_solve_normalises_the_lists_once(monkeypatch):
-    # Grouping exact twins leaves a C7, each vertex of degree 2, whose
-    # 2-lists keep it from being peeled, so the solve reaches
-    # colour_blownup_c7.
+    # A blown-up C7 with classes of sizes 1, 2, ..., 2: the lone vertex has
+    # a full list and four neighbours, and each class of two carries two
+    # incomparable 2-lists, so layer 0 removes nothing and the solve
+    # reaches colour_blownup_c7.
     calls = []
     decompositions = []
     real = engine.normalize_lists
@@ -833,8 +930,7 @@ def test_blownup_c7_solve_normalises_the_lists_once(monkeypatch):
 
     monkeypatch.setattr(engine, "normalize_lists", counting)
     monkeypatch.setattr(engine, "colour_blownup_c7", spy)
-    g, _ = generate(GenSpec("blownup_c7", seed=2, class_sizes=(2,) * 7))
-    masks = [mask_of([1, 2])] * 12 + [mask_of([1, 3])] * 2
+    g, masks = parse_instance((INSTANCES / "c7_blowup_lists.lcol").read_text())
     out = solve(g, masks)
     assert out.is_sat and out.stats.peeled == 0
     assert len(decompositions) == 1
