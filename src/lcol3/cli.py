@@ -110,16 +110,16 @@ def parse_instance(text):
     A text in the canonical layout (the one emit_instance writes) is read
     as one token stream by _parse_tokens; any other text, and every text
     with an error, goes to the line parser, which reads each kind of line
-    one way, with all its checks.  Both look vertex tokens up in _IDS, the
-    table of canonical spellings kept per process and grown to the largest
-    n read, so the table is built once, not per file: the token path looks
-    up each column of a block's tokens in one C call, the line parser the
-    vertex of each list line.  The problem line may declare at most
-    MAX_VERTICES vertices.  Errors are reported at the first offending
-    line.  Repeated edges are found by the graph constructor once every
-    line has been read, so on any error the lines before it are searched
-    again for the first repeat.  Both paths give the same graph and lists
-    on every text the token path accepts.
+    one way, with all its checks.  The token path looks vertex tokens up
+    in _IDS, the table of canonical spellings kept per process and grown to
+    the largest n read, so the table is built once, not per file, and each
+    column of a block's tokens is looked up in one C call; the line parser
+    reads every vertex with int() and a range check.  The problem line may
+    declare at most MAX_VERTICES vertices.  Errors are reported at the
+    first offending line.  Repeated edges are found by the graph
+    constructor once every line has been read, so on any error the lines
+    before it are searched again for the first repeat.  Both paths give
+    the same graph and lists on every text the token path accepts.
     """
     parsed = _parse_tokens(text)
     if parsed is not None:
@@ -149,8 +149,7 @@ def _parse_tokens(text):
     `l`).  No vertex may be listed twice and no edge repeated; a self-loop
     puts its vertex twice in its own row, so the graph constructor finds
     it with the repeated edges.  The line parser reads each such text
-    without error through its canonical lookups, to the same graph and
-    lists.
+    without error, to the same graph and lists.
 
     The line layout is checked by whole-text scans, not line by line: the
     counts of `\\ne ` and `\\nl ` against the count of line ends, and the
@@ -260,24 +259,17 @@ def _parse_lines(lines):
                                               f"limit of {MAX_VERTICES}")
             rows = [[] for _ in range(n)]
             masks = [FULL_MASK] * n
-            # Canonical vertex tokens of list lines; _IDS also holds tokens
-            # above n, which the `< n` test sends to int() and its range
-            # check, as any other spelling.
-            _grow_tables(n)
-            get = _IDS.get
         elif kind == "l":
             if n is None:
                 raise InstanceSyntaxError(lineno, "list before problem line")
             if len(parts) != 3:
                 raise InstanceSyntaxError(lineno, "expected 'l <v> <digits>'")
-            v = get(parts[1])
-            if v is None or v >= n:
-                try:
-                    v = int(parts[1]) - 1
-                except ValueError:
-                    raise InstanceSyntaxError(lineno, "non-integer vertex") from None
-                if not 0 <= v < n:
-                    raise OutOfRangeError(lineno, f"vertex outside 1..{n}")
+            try:
+                v = int(parts[1]) - 1
+            except ValueError:
+                raise InstanceSyntaxError(lineno, "non-integer vertex") from None
+            if not 0 <= v < n:
+                raise OutOfRangeError(lineno, f"vertex outside 1..{n}")
             if v in listed:
                 raise DuplicateListLineError(lineno, f"second list for vertex {v + 1}")
             listed.add(v)

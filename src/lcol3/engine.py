@@ -5,6 +5,7 @@ residuals, the blown-up-C7 path, and top-level orchestration.
 
 import time
 from collections import deque, namedtuple
+from math import prod
 
 from .errors import InternalError, PreconditionBreach
 from .graph import (bipartite_check, components_within, induced_subgraph,
@@ -107,15 +108,17 @@ class Outcome(namedtuple("Outcome", "kind colouring violation stats")):
 class ListState:
     """Mutable per-branch colouring state: colour masks and a pending queue
     of freshly forced vertices awaiting propagation.  A vertex is assigned
-    when its mask is a singleton; it is queued when its mask becomes one."""
+    when its mask is a singleton; it is queued when its mask becomes one.
+    Every colour that assign or propagate removes is added to
+    stats.propagations, the SolveStats of the solve, which forks share."""
 
-    __slots__ = ("graph", "masks", "pending", "removals")
+    __slots__ = ("graph", "masks", "pending", "stats")
 
-    def __init__(self, graph, masks):
+    def __init__(self, graph, masks, stats):
         self.graph = graph
         self.masks = list(masks)
         self.pending = deque()
-        self.removals = 0
+        self.stats = stats
         for v, m in enumerate(self.masks):
             if not 0 < m <= FULL_MASK:
                 raise ValueError(f"bad colour mask {m} at vertex {v}")
@@ -129,13 +132,13 @@ class ListState:
         return self.fork()
 
     def fork(self):
-        """An independent copy, the pending queue included, with no removals
-        counted yet."""
+        """An independent copy, the pending queue included, that counts
+        into the same stats."""
         new = object.__new__(ListState)
         new.graph = self.graph
         new.masks = self.masks.copy()
         new.pending = self.pending.copy()
-        new.removals = 0
+        new.stats = self.stats
         return new
 
     def assign(self, v, colour):
@@ -145,7 +148,7 @@ class ListState:
         if not m & cbit:
             return False
         if m != cbit:
-            self.removals += _SIZE[m] - 1
+            self.stats.propagations += _SIZE[m] - 1
             self.masks[v] = cbit
             self.pending.append(v)
         return True
@@ -161,10 +164,12 @@ class ListState:
 
 def propagate(st):
     """Run singleton propagation to a fixpoint; None on an emptied mask or
-    two adjacent vertices forced to the same colour."""
+    two adjacent vertices forced to the same colour.  The colours removed
+    on the way, up to a failure too, are added to st.stats.propagations."""
     masks = st.masks
     pending = st.pending
     adj = st.graph.adj
+    removed = 0
     while pending:
         v = pending.popleft()
         cbit = masks[v]
@@ -172,18 +177,20 @@ def propagate(st):
             mu = masks[u]
             if mu & cbit:
                 if mu == cbit:
+                    st.stats.propagations += removed
                     return None
                 mu &= ~cbit
                 masks[u] = mu
-                st.removals += 1
+                removed += 1
                 if _SIZE[mu] == 1:
                     pending.append(u)
+    st.stats.propagations += removed
     return st
 
 
 def eliminate_safe(st, graph):
     """Assign every full-mask vertex whose neighbours all miss a common
-    colour (the smallest such); isolated full-mask vertices get colour 1.
+    colour (the smallest such), so an isolated one gets colour 1.
 
     Runs in one pass: a safe assignment cannot shrink any neighbour's mask,
     since the neighbours already miss the assigned colour.
@@ -193,13 +200,8 @@ def eliminate_safe(st, graph):
     for v in range(graph.n):
         if masks[v] != FULL_MASK:
             continue
-        nbrs = graph.adj[v]
-        if not nbrs:
-            st.assign(v, 1)
-            out.append((v, 1))
-            continue
         acc = FULL_MASK
-        for u in nbrs:
+        for u in graph.adj[v]:
             acc &= FULL_MASK & ~masks[u]
             if not acc:
                 break
@@ -577,56 +579,52 @@ def solve(graph, lists=None, mode="trust"):
         raise ValueError(f"unknown mode {mode!r}")
     t0 = time.perf_counter()
     stats = SolveStats()
-    masks = normalize_lists(graph.n, lists)
+    try:
+        masks = normalize_lists(graph.n, lists)
 
-    if mode == "verify":
-        violation = check_promise(graph)
-        if violation is not None:
-            stats.millis = (time.perf_counter() - t0) * 1000.0
-            return Outcome("invalid", None, violation, stats)
+        if mode == "verify":
+            violation = check_promise(graph)
+            if violation is not None:
+                return Outcome("invalid", None, violation, stats)
 
-    fixed = masks  # the lists after layer-0 propagation
-    if 1 in masks or 2 in masks or 4 in masks:
-        st = ListState(graph, masks)
-        refuted = propagate(st) is None
-        stats.propagations = st.removals
-        if refuted:
-            stats.millis = (time.perf_counter() - t0) * 1000.0
-            return Outcome("unsat", None, None, stats)
-        fixed = st.masks
+        fixed = masks  # the lists after layer-0 propagation
+        if 1 in masks or 2 in masks or 4 in masks:
+            st = ListState(graph, masks, stats)
+            if propagate(st) is None:
+                return Outcome("unsat", None, None, stats)
+            fixed = st.masks
 
-    first = {}  # (bit row, list) -> smallest vertex: the exact twin classes
-    rep = list(map(first.setdefault, zip(graph.bits, fixed), range(graph.n)))
-    settled = [v for v in first.values() if _SIZE[fixed[v]] == 1]
-    settled_mask = sum(1 << v for v in settled)
-    kept = sum(1 << v for v in first.values()) ^ settled_mask
-    stats.settled = len(settled)
-    rest, removed, stats.dominated = _peel(graph, fixed, kept, settled_mask)
-    stats.peeled = len(removed) - stats.dominated
-    colouring = [0] * graph.n
-    for comp in components_within(graph, rest):
-        sub, ids = induced_subgraph(graph, comp)
-        try:
-            result = _solve_component(sub, [fixed[v] for v in ids], stats)
-        except PreconditionBreach as exc:
-            violation = check_promise(sub)
-            if violation is None:
-                raise InternalError(
-                    f"structural check failed on an in-class component: {exc}") from exc
-            stats.millis = (time.perf_counter() - t0) * 1000.0
-            return Outcome("invalid", None, violation.relabel(ids), stats)
-        if result is None:
-            stats.millis = (time.perf_counter() - t0) * 1000.0
-            return Outcome("unsat", None, None, stats)
-        for local, v in enumerate(ids):
-            colouring[v] = result[local]
+        first = {}  # (bit row, list) -> smallest vertex: the exact twin classes
+        rep = list(map(first.setdefault, zip(graph.bits, fixed), range(graph.n)))
+        settled = [v for v in first.values() if _SIZE[fixed[v]] == 1]
+        settled_mask = sum(1 << v for v in settled)
+        kept = sum(1 << v for v in first.values()) ^ settled_mask
+        stats.settled = len(settled)
+        rest, removed, stats.dominated = _peel(graph, fixed, kept, settled_mask)
+        stats.peeled = len(removed) - stats.dominated
+        colouring = [0] * graph.n
+        for comp in components_within(graph, rest):
+            sub, ids = induced_subgraph(graph, comp)
+            try:
+                result = _solve_component(sub, [fixed[v] for v in ids], stats)
+            except PreconditionBreach as exc:
+                violation = check_promise(sub)
+                if violation is None:
+                    raise InternalError(
+                        f"structural check failed on an in-class component: {exc}") from exc
+                return Outcome("invalid", None, violation.relabel(ids), stats)
+            if result is None:
+                return Outcome("unsat", None, None, stats)
+            for local, v in enumerate(ids):
+                colouring[v] = result[local]
 
-    _colour_peeled(graph, fixed, rest, settled + removed, colouring)
-    colouring = [colouring[u] for u in rep]
-    if not _colouring_fits(graph, masks, colouring):
-        raise InternalError("SAT colouring failed the final re-check")
-    stats.millis = (time.perf_counter() - t0) * 1000.0
-    return Outcome("sat", colouring, None, stats)
+        _colour_peeled(graph, fixed, rest, settled + removed, colouring)
+        colouring = [colouring[u] for u in rep]
+        if not _colouring_fits(graph, masks, colouring):
+            raise InternalError("SAT colouring failed the final re-check")
+        return Outcome("sat", colouring, None, stats)
+    finally:
+        stats.millis = (time.perf_counter() - t0) * 1000.0
 
 
 def _peel(graph, masks, kept, settled):
@@ -710,7 +708,7 @@ def _solve_component(g, masks, stats):
     solve), so a component with no full list is one 2-SAT instance and
     goes to 2-SAT before any structural check."""
     if FULL_MASK not in masks:
-        return _two_sat_leaf(g, ListState(g, masks), stats)
+        return _two_sat_leaf(g, ListState(g, masks, stats), stats)
     sides = bipartite_check(g, (1 << g.n) - 1)
     if sides is not None:
         if all(m == FULL_MASK for m in masks):
@@ -718,7 +716,7 @@ def _solve_component(g, masks, stats):
             for v in iter_bits(sides[0]):
                 colouring[v] = 1
             return colouring
-        return _bipartite_fallback(g, ListState(g, masks), stats)
+        return _bipartite_fallback(g, ListState(g, masks, stats), stats)
 
     cycle = shortest_odd_cycle(g)
     if len(cycle) == 7:
@@ -772,11 +770,7 @@ def _bipartite_fallback(g, st, stats):
         frame[2] = colour + 1
         node = parent.copy()
         node.assign(order[cursor], colour)
-        ok = propagate(node) is not None
-        stats.propagations += node.removals
-        node.removals = 0
-        if not ok:
-            node = None
+        node = propagate(node)
 
 
 def _two_sat_leaf(g, st, stats):
@@ -799,9 +793,8 @@ def _finish_branch(g, st, stats):
     vertex that kept all three colours.  A colouring, or None.  A safe
     colour is missing from every neighbour already, so propagating the
     safe vertices would remove nothing; the colours their assignment
-    drops from their own lists count as removals."""
+    drops from their own lists count in stats.propagations."""
     eliminate_safe(st, g)
-    stats.propagations += st.removals
     stats.branches_survived += 1
     return _two_sat_leaf(g, st, stats)
 
@@ -810,25 +803,23 @@ def _solve_skeleton(g, masks, sk, stats):
     """Search every anchor colouring of the skeleton in order.  The
     component's list state is built once; each anchor colouring seeds and
     propagates a fork of it, so the order of both is that of a fresh state.
-    A dead anchor colouring counts its branches, which depend only on which
-    T and D indices it leaves open."""
+    A dead anchor colouring counts its branches, the product of the lengths
+    of its choice lists; they depend only on which T and D indices it leaves
+    open, so each such pair of index tuples is counted once."""
     chains = {}
     counts = {}
-    root = ListState(g, masks)
+    root = ListState(g, masks, stats)
     for palette in _anchor_palettes([masks[c] for c in sk.c]):
         for i in palette.undetermined:
             if sk.t[i] and i not in chains:
                 chains[i] = build_chain(g, sk, i)
 
         base = root.fork()
-        ok = (base.assign_all(anchor_seeds(sk, palette))
-              and propagate(base) is not None)
-        stats.propagations += base.removals
-        base.removals = 0
-        if not ok:
+        if not (base.assign_all(anchor_seeds(sk, palette))
+                and propagate(base) is not None):
             key = (palette.undetermined, palette.free_d)
             if key not in counts:
-                counts[key] = _branch_count(sk, chains, palette)
+                counts[key] = prod(map(len, choice_lists(sk, chains, palette)))
             stats.branches += counts[key]
             continue
 
@@ -840,28 +831,12 @@ def _solve_skeleton(g, masks, sk, stats):
     return None
 
 
-def _branch_count(sk, chains, palette):
-    """Number of branches of one anchor colouring, without building them:
-    the product of the lengths of the lists choice_lists would return."""
-    count = 1
-    for i in palette.undetermined:
-        chain = chains.get(i)
-        if chain is not None:
-            levels = chain.levels
-            count *= 2 + 2 * sum((levels[k + 1] & ~levels[k]).bit_count()
-                                 for k in range(chain.r + 1))
-    for i in palette.free_d:
-        if sk.d[i]:
-            count *= 2 + 2 * (sk.d[i].bit_count() - 1)
-    return count
-
-
 def _leaf_stream(sk, chains, palette, base, stats):
     """Yield, in search order, the state of every branch of an anchor
     colouring whose seeds survive propagation.  Each choice is seeded and
     propagated once on a copy of its prefix's state; a failed choice prunes
-    every branch below it.  Pruned branches and colour removals are added
-    to stats as they happen."""
+    every branch below it, and the pruned branches are added to
+    stats.branches as they happen."""
     lists = [c for c in choice_lists(sk, chains, palette) if c[0] is not None]
     below = [1] * (len(lists) + 1)  # branches under one choice at each depth
     for idx in range(len(lists) - 1, -1, -1):
@@ -873,11 +848,8 @@ def _leaf_stream(sk, chains, palette, base, stats):
             return
         for choice in lists[idx]:
             st2 = state.copy()
-            ok = (st2.assign_all(case_seeds(sk, chains, palette, choice))
-                  and propagate(st2) is not None)
-            stats.propagations += st2.removals
-            st2.removals = 0
-            if ok:
+            if (st2.assign_all(case_seeds(sk, chains, palette, choice))
+                    and propagate(st2) is not None):
                 yield from rec(st2, idx + 1)
             else:
                 stats.branches += below[idx + 1]

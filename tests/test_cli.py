@@ -425,9 +425,11 @@ def test_vertex_tables_are_kept_and_grow_only_past_the_largest_n(monkeypatch):
     parse_instance("c x\np lcol 3 0\n")
     emit_result(Outcome("sat", [1, 2, 3], None, SolveStats()))
     assert cli._PREFIX is prefix
-    # each path grows them: the line parser, the token path and emit_result
-    parse_instance("c x\np lcol 12 0\n")
-    assert (cli._IDS, cli._PREFIX) == tables(12)
+    # the line parser reads no table: a larger n leaves both unchanged
+    parse_instance("c x\np lcol 12 0\nl 12 1\n")
+    assert (cli._IDS, cli._PREFIX) == tables(10)
+    assert cli._PREFIX is prefix
+    # the token path and emit_result grow them
     parse_instance("p lcol 13 0\n")
     assert (cli._IDS, cli._PREFIX) == tables(13)
     emit_result(Outcome("sat", [1] * 15, None, SolveStats()))
@@ -583,6 +585,51 @@ def test_dispatch_solve_exit_codes(capsys):
     assert dispatch(["solve", "--mode", "verify",
                      str(INSTANCES / "triangle.lcol")]) == 2
     assert capsys.readouterr().out.startswith("INVALID")
+
+
+# (sample, mode): answer and the --stats counters of `lcol3 solve`, millis
+# left out, as recorded before the search counted its colour removals
+# through SolveStats alone.
+SAMPLE_STATS = {
+    ("bipartite_lists.lcol", "trust"): ("SAT", (0, 0, 0, 0, 0, 0, 6, 0, 0)),
+    ("bipartite_lists.lcol", "verify"): ("SAT", (0, 0, 0, 0, 0, 0, 6, 0, 0)),
+    ("c5.lcol", "trust"): ("SAT", (0, 0, 0, 0, 0, 0, 5, 0, 0)),
+    ("c5.lcol", "verify"): ("SAT", (0, 0, 0, 0, 0, 0, 5, 0, 0)),
+    ("c5_commented.lcol", "trust"): ("SAT", (0, 0, 0, 0, 0, 0, 5, 0, 0)),
+    ("c5_commented.lcol", "verify"): ("SAT", (0, 0, 0, 0, 0, 0, 5, 0, 0)),
+    ("c5_unsat.lcol", "trust"): ("UNSAT", (0, 0, 0, 1, 0, 0, 0, 0, 0)),
+    ("c5_unsat.lcol", "verify"): ("UNSAT", (0, 0, 0, 1, 0, 0, 0, 0, 0)),
+    ("c7_blowup.lcol", "trust"): ("SAT", (0, 0, 0, 0, 0, 0, 7, 0, 0)),
+    ("c7_blowup.lcol", "verify"): ("SAT", (0, 0, 0, 0, 0, 0, 7, 0, 0)),
+    ("c7_blowup_lists.lcol", "trust"): ("SAT", (0, 0, 0, 0, 0, 0, 0, 0, 0)),
+    ("c7_blowup_lists.lcol", "verify"): ("SAT", (0, 0, 0, 0, 0, 0, 0, 0, 0)),
+    ("groetzsch.lcol", "trust"): ("UNSAT", (120, 0, 600, 0, 0, 0, 0, 0, 0)),
+    ("groetzsch.lcol", "verify"): ("UNSAT", (120, 0, 600, 0, 0, 0, 0, 0, 0)),
+    ("p8.lcol", "trust"): ("SAT", (0, 0, 0, 0, 0, 0, 8, 0, 0)),
+    ("p8.lcol", "verify"): ("INVALID", (0, 0, 0, 0, 0, 0, 0, 0, 0)),
+    ("skeleton_lists.lcol", "trust"): ("UNSAT", (0, 0, 6, 0, 0, 0, 0, 0, 0)),
+    ("skeleton_lists.lcol", "verify"): ("UNSAT", (0, 0, 6, 0, 0, 0, 0, 0, 0)),
+    ("skeleton_small.lcol", "trust"): ("SAT", (0, 0, 0, 0, 0, 0, 11, 0, 0)),
+    ("skeleton_small.lcol", "verify"): ("SAT", (0, 0, 0, 0, 0, 0, 11, 0, 0)),
+    ("triangle.lcol", "trust"): ("SAT", (0, 0, 0, 0, 0, 0, 3, 0, 0)),
+    ("triangle.lcol", "verify"): ("INVALID", (0, 0, 0, 0, 0, 0, 0, 0, 0)),
+    ("triangle_two_lists.lcol", "trust"): ("SAT", (0, 0, 0, 1, 0, 0, 0, 0, 0)),
+    ("triangle_two_lists.lcol", "verify"): ("INVALID",
+                                            (0, 0, 0, 0, 0, 0, 0, 0, 0)),
+}
+
+
+def test_sample_stats_keep_their_recorded_counters(capsys):
+    names = sorted(path.name for path in INSTANCES.glob("*.lcol"))
+    assert sorted({name for name, _ in SAMPLE_STATS}) == names
+    for (name, mode), (answer, counters) in SAMPLE_STATS.items():
+        dispatch(["solve", "--stats", "--mode", mode, str(INSTANCES / name)])
+        lines = capsys.readouterr().out.splitlines()
+        stats = [line.split() for line in lines if line.startswith("s ")]
+        assert lines[0] == answer, (name, mode)
+        assert [key for _, key, _ in stats] == list(SolveStats._fields)
+        got = tuple(int(value) for _, key, value in stats if key != "millis")
+        assert got == counters, (name, mode)
 
 
 def test_dispatch_unknown_flag():

@@ -161,7 +161,7 @@ def test_apply_branch_case_c():
     col = (1, 2, 1, 2, 3)
     case_c = _branches(sk, chains, col)[0]
     assert case_c[0].tag == "c"
-    st = ListState(g, [FULL_MASK] * g.n)
+    st = ListState(g, [FULL_MASK] * g.n, SolveStats())
     assert st.assign_all(seeds_of_branch(sk, chains, palette_analysis(col),
                                          case_c))
     # palette of T_2 is {2,3}; case (c) forces the non-shared colour 2
@@ -175,7 +175,7 @@ def test_apply_branch_case_a_k0():
     case_a = next(b for b in _branches(sk, chains, col)
                   if b[0] and b[0].tag == "a")
     assert case_a[0].k == 0 and case_a[0].w == 6
-    st = ListState(g, [FULL_MASK] * g.n)
+    st = ListState(g, [FULL_MASK] * g.n, SolveStats())
     st.assign_all(seeds_of_branch(sk, chains, palette_analysis(col), case_a))
     assert st.masks[5] == mask_of([2])  # v0 takes the non-shared colour
     assert st.masks[6] == mask_of([3])  # witness takes q
@@ -188,7 +188,7 @@ def test_apply_branch_case_e():
     case_e = next(b for b in _branches(sk, chains, col)
                   if b[4] and b[4].tag == "e")
     assert (case_e[4].a, case_e[4].b) == (1, 2)
-    st = ListState(g, [FULL_MASK] * g.n)
+    st = ListState(g, [FULL_MASK] * g.n, SolveStats())
     st.assign_all(seeds_of_branch(sk, chains, palette_analysis(col), case_e))
     assert st.masks[5] == mask_of([1]) and st.masks[6] == mask_of([2])
 
@@ -197,27 +197,27 @@ def test_apply_branch_conflict():
     g, sk, chains = _skeleton_instance([], 5)
     col = (1, 2, 1, 2, 3)
     branch = _branches(sk, chains, col)[0]
-    st = ListState(g, [mask_of([2])] + [FULL_MASK] * 4)
+    st = ListState(g, [mask_of([2])] + [FULL_MASK] * 4, SolveStats())
     assert not st.assign_all(seeds_of_branch(sk, chains, palette_analysis(col),
                                              branch))
 
 
 def test_propagate_removes_colour():
     g = build_graph(2, [(0, 1)])
-    st = ListState(g, [mask_of([1]), mask_of([1, 2])])
+    st = ListState(g, [mask_of([1]), mask_of([1, 2])], SolveStats())
     assert propagate(st) is st
     assert st.masks == [mask_of([1]), mask_of([2])]
 
 
 def test_propagate_conflict():
     g = build_graph(2, [(0, 1)])
-    st = ListState(g, [mask_of([1]), mask_of([1])])
+    st = ListState(g, [mask_of([1]), mask_of([1])], SolveStats())
     assert propagate(st) is None
 
 
 def test_propagate_c5_partial():
     g = cycle_graph(5)
-    st = ListState(g, [FULL_MASK] * 4 + [mask_of([3])])
+    st = ListState(g, [FULL_MASK] * 4 + [mask_of([3])], SolveStats())
     assert propagate(st) is st
     assert st.masks[0] == mask_of([1, 2])
     assert st.masks[3] == mask_of([1, 2])
@@ -226,7 +226,8 @@ def test_propagate_c5_partial():
 
 def test_eliminate_safe_common_missing_colour():
     g = path_graph(3)
-    st = ListState(g, [mask_of([1, 2]), FULL_MASK, mask_of([1, 2])])
+    st = ListState(g, [mask_of([1, 2]), FULL_MASK, mask_of([1, 2])],
+                   SolveStats())
     out = eliminate_safe(st, g)
     assert out == [(1, 3)]
     assert st.masks[1] == mask_of([3])
@@ -234,13 +235,14 @@ def test_eliminate_safe_common_missing_colour():
 
 def test_eliminate_safe_isolated_vertex():
     g = build_graph(1, [])
-    st = ListState(g, [FULL_MASK])
+    st = ListState(g, [FULL_MASK], SolveStats())
     assert eliminate_safe(st, g) == [(0, 1)]
 
 
 def test_eliminate_safe_no_common_colour():
     g = path_graph(3)
-    st = ListState(g, [mask_of([1, 2]), FULL_MASK, mask_of([2, 3])])
+    st = ListState(g, [mask_of([1, 2]), FULL_MASK, mask_of([2, 3])],
+                   SolveStats())
     assert eliminate_safe(st, g) == []
     assert st.masks[1] == FULL_MASK
 
@@ -248,7 +250,7 @@ def test_eliminate_safe_no_common_colour():
 def test_eliminate_safe_debug_idempotent():
     g = path_graph(5)
     st = ListState(g, [mask_of([1, 2]), FULL_MASK, mask_of([1, 2]),
-                       FULL_MASK, mask_of([1, 2])])
+                       FULL_MASK, mask_of([1, 2])], SolveStats())
     out = eliminate_safe(st, g)
     assert out == [(1, 3), (3, 3)]
     assert eliminate_safe(st, g) == []
@@ -263,20 +265,46 @@ def test_propagation_after_safe_elimination_removes_nothing(data):
     g = data.draw(graphs(max_n=10))
     masks = data.draw(hst.lists(hst.sampled_from((3, 5, 6, 7, 7, 1, 2, 4)),
                                 min_size=g.n, max_size=g.n))
-    st = ListState(g, masks)
+    st = ListState(g, masks, SolveStats())
     if propagate(st) is None:
         return
     safe = eliminate_safe(st, g)
     assert list(st.pending) == [v for v, _ in safe]
     after = st.masks.copy()
-    removals = st.removals
+    removals = st.stats.propagations
     assert propagate(st) is st
-    assert st.masks == after and st.removals == removals
+    assert st.masks == after and st.stats.propagations == removals
+
+
+@settings(max_examples=300, deadline=None)
+@given(hst.data())
+def test_propagations_count_every_colour_dropped_from_the_lists(data):
+    # assign and propagate add each colour they remove to the state's
+    # stats, failed seeds and failed propagations up to the failure
+    # included, and a fork counts into the same stats.
+    g = data.draw(graphs(max_n=10))
+    masks = data.draw(hst.lists(hst.integers(1, FULL_MASK),
+                                min_size=g.n, max_size=g.n))
+    seeds = hst.lists(hst.tuples(hst.integers(0, g.n - 1), hst.integers(1, 3)),
+                      max_size=4)
+    stats = SolveStats()
+    st = ListState(g, masks, stats)
+    fork = st.fork()
+    assert fork.stats is stats
+    dropped = 0
+    for state in (st, fork):
+        ok = (state.assign_all(data.draw(seeds))
+              and propagate(state) is not None)
+        dropped += sum(map(_SIZE.__getitem__, masks)) - sum(
+            map(_SIZE.__getitem__, state.masks))
+        assert stats.propagations == dropped
+        if not ok:
+            return
 
 
 def test_residual_both_masks_equal():
     g = build_graph(2, [(0, 1)])
-    st = ListState(g, [mask_of([1, 2]), mask_of([1, 2])])
+    st = ListState(g, [mask_of([1, 2]), mask_of([1, 2])], SolveStats())
     inst, var_info = residual_to_2sat(st, g)
     assert inst.var_count == 2
     assert sorted(inst.clauses) == [(1, 3), (2, 0)] or len(inst.clauses) == 2
@@ -287,14 +315,14 @@ def test_residual_both_masks_equal():
 
 def test_residual_single_common_colour():
     g = build_graph(2, [(0, 1)])
-    st = ListState(g, [mask_of([1, 2]), mask_of([2, 3])])
+    st = ListState(g, [mask_of([1, 2]), mask_of([2, 3])], SolveStats())
     inst, _ = residual_to_2sat(st, g)
     assert len(inst.clauses) == 1
 
 
 def test_residual_empty_instance():
     g = build_graph(2, [(0, 1)])
-    st = ListState(g, [mask_of([1]), mask_of([2])])
+    st = ListState(g, [mask_of([1]), mask_of([2])], SolveStats())
     propagate(st)
     inst, var_info = residual_to_2sat(st, g)
     assert inst.var_count == 0 and inst.clauses == []
@@ -303,7 +331,7 @@ def test_residual_empty_instance():
 
 def test_residual_rejects_full_mask():
     g = build_graph(2, [(0, 1)])
-    st = ListState(g, [FULL_MASK, FULL_MASK])
+    st = ListState(g, [FULL_MASK, FULL_MASK], SolveStats())
     with pytest.raises(PreconditionBreach):
         residual_to_2sat(st, g)
 
@@ -660,8 +688,8 @@ def test_oracle_equivalence_random_sample():
 
 
 def test_branches_count_every_branch_on_unsat_twin_free_instances():
-    # Anchor colourings that base propagation kills are counted without
-    # building their choice lists; on an UNSAT input every branch of every
+    # Anchor colourings that base propagation kills are counted by the
+    # lengths of their choice lists; on an UNSAT input every branch of every
     # anchor colouring is counted exactly once.  Layer 0 removes three
     # vertices of seed 3476, so the test hands each whole graph to the
     # component solver.
@@ -711,10 +739,10 @@ def test_skeleton_solves_keep_pinned_answers_and_counters(monkeypatch, spec,
     scale, seed = spec
     g, masks = generate(GenSpec("skeleton_built", seed=seed, scale=scale,
                                 lists="random"))
-    dead = []  # _branch_count runs only for a dead anchor colouring
-    count = engine._branch_count
-    monkeypatch.setattr(engine, "_branch_count",
-                        lambda *args: dead.append(args) or count(*args))
+    dead = []  # prod counts the branches of a dead anchor colouring only
+    count = engine.prod
+    monkeypatch.setattr(engine, "prod",
+                        lambda lengths: dead.append(lengths) or count(lengths))
     out = solve(g, masks)
     assert dead
     assert out.is_sat and out.colouring == colouring
@@ -746,7 +774,7 @@ def test_bipartite_fallback_depth_beyond_recursion_limit():
     assert out.is_sat and verify_colouring(g, masks, out.colouring)
     assert out.stats.peeled + out.stats.dominated + out.stats.settled == g.n
     assert out.stats.settled == 1
-    st = ListState(g, masks)
+    st = ListState(g, masks, SolveStats())
     assert propagate(st) is not None
     stats = SolveStats()
     limit = sys.getrecursionlimit()
@@ -939,7 +967,7 @@ def test_blownup_c7_solve_normalises_the_lists_once(monkeypatch):
 
 def _propagated(g, masks):
     """The lists after layer-0 propagation, or None when it empties one."""
-    st = ListState(g, masks)
+    st = ListState(g, masks, SolveStats())
     return None if propagate(st) is None else st.masks
 
 
@@ -1088,7 +1116,8 @@ def test_failed_2sat_self_check_raises_under_optimisation():
     ("", "engine.palette_analysis((1, 1, 1, 1, 1))"),
     ("", "engine.palette_analysis((1, 1, 2, 2, 3))"),
     # vertex 0's singleton list is still queued for propagation
-    ("st = engine.ListState(cycle_graph(5), [1] + [7] * 4)", "st.copy()"),
+    ("st = engine.ListState(cycle_graph(5), [1] + [7] * 4, "
+     "engine.SolveStats())", "st.copy()"),
     # the C5's same-level edge 2-3 sits at depth 2, not 3
     ("from lcol3 import recognition",
      "recognition._extract_odd_cycle(cycle_graph(5), 0, 2, 3, 3)"),
