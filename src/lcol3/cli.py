@@ -116,24 +116,10 @@ def parse_instance(text):
     column of a block's tokens is looked up in one C call; the line parser
     reads every vertex with int() and a range check.  The problem line may
     declare at most MAX_VERTICES vertices.  Errors are reported at the
-    first offending line.  Repeated edges are found by the graph
-    constructor once every line has been read, so on any error the lines
-    before it are searched again for the first repeat.  Both paths give
-    the same graph and lists on every text the token path accepts.
+    first offending line, a repeated edge included.  Both paths give the
+    same graph and lists on every text the token path accepts.
     """
-    parsed = _parse_tokens(text)
-    if parsed is not None:
-        return parsed
-    lines = text.splitlines()
-    try:
-        return _parse_lines(lines)
-    except ParseError as exc:
-        # Line 0 marks the checks made after the last line.
-        _raise_first_repeated_edge(lines, exc.line or len(lines) + 1)
-        raise
-    except GraphDuplicateEdgeError:
-        _raise_first_repeated_edge(lines, len(lines) + 1)
-        raise
+    return _parse_tokens(text) or _parse_lines(text.splitlines())
 
 
 def _parse_tokens(text):
@@ -221,6 +207,7 @@ def _parse_lines(lines):
     rows = None
     masks = None
     listed = set()
+    edges = set()  # (u, v) with u < v
     for lineno, raw in enumerate(lines, start=1):
         parts = raw.split()
         if not parts:
@@ -239,6 +226,10 @@ def _parse_lines(lines):
                 raise OutOfRangeError(lineno, f"vertex outside 1..{n}")
             if u == v:
                 raise InstanceSyntaxError(lineno, "self-loop")
+            key = (u, v) if u < v else (v, u)
+            if key in edges:
+                raise DuplicateEdgeError(lineno, f"duplicate edge {u + 1} {v + 1}")
+            edges.add(key)
             rows[u].append(v)
             rows[v].append(u)
         elif kind.startswith("c"):
@@ -290,25 +281,10 @@ def _parse_lines(lines):
             raise InstanceSyntaxError(lineno, f"unknown line type '{kind}'")
     if n is None:
         raise InstanceSyntaxError(0, "missing problem line")
-    edge_count = sum(map(len, rows)) // 2
-    if edge_count != m_declared:
+    if len(edges) != m_declared:
         raise InstanceSyntaxError(0, f"problem line declares {m_declared} edges, "
-                                     f"found {edge_count}")
+                                     f"found {len(edges)}")
     return _graph_from_rows(n, rows), masks
-
-
-def _raise_first_repeated_edge(lines, stop):
-    """Raise DuplicateEdgeError at the first edge line before line `stop`
-    that repeats an earlier one; those lines have passed every other check."""
-    seen = set()
-    for lineno, raw in enumerate(lines[:stop - 1], start=1):
-        parts = raw.split()
-        if parts and parts[0] == "e":
-            u, v = int(parts[1]), int(parts[2])
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise DuplicateEdgeError(lineno, f"duplicate edge {u} {v}") from None
-            seen.add(key)
 
 
 def emit_instance(graph, masks=None):

@@ -1,6 +1,6 @@
 """Solver engine: anchor-cycle colouring enumeration, the (a)-(h) partial
-colouring branches, list propagation, safe-vertex elimination, 2-SAT
-residuals, the blown-up-C7 path, and top-level orchestration.
+colouring branches, list propagation, 2-SAT residuals with the
+three-colour rule, the blown-up-C7 path, and top-level orchestration.
 """
 
 import time
@@ -188,53 +188,39 @@ def propagate(st):
     return st
 
 
-def eliminate_safe(st, graph):
-    """Assign every full-mask vertex whose neighbours all miss a common
-    colour (the smallest such), so an isolated one gets colour 1.
+def residual_to_2sat(st):
+    """2-SAT encoding of the state's remaining two-colour choices.
 
-    Runs in one pass: a safe assignment cannot shrink any neighbour's mask,
-    since the neighbours already miss the assigned colour.
+    One scan of the vertices applies the three-colour rule: a vertex that
+    still has all three colours gets, through st.assign, its smallest safe
+    colour, one that no neighbour admits (so an isolated vertex gets colour
+    1), and PreconditionBreach is raised when it has none.  The assignment
+    shrinks no other mask, and the scan sees each earlier safe vertex as
+    assigned.  The same scan gives one variable to each two-colour vertex,
+    true iff it takes the smaller colour of its mask; each edge then
+    contributes one clause per colour admissible at both ends.
     """
     masks = st.masks
-    out = []
-    for v in range(graph.n):
-        if masks[v] != FULL_MASK:
-            continue
-        acc = FULL_MASK
-        for u in graph.adj[v]:
-            acc &= FULL_MASK & ~masks[u]
-            if not acc:
-                break
-        if acc:
-            j = _COLOUR_OF[acc & -acc]
-            st.assign(v, j)
-            out.append((v, j))
-    return out
-
-
-def residual_to_2sat(st, graph):
-    """2-SAT encoding of the remaining two-colour choices.
-
-    One variable per unassigned vertex, true iff it takes the smaller colour
-    of its mask; each edge contributes one clause per colour admissible at
-    both ends.  Raises PreconditionBreach if a three-colour vertex remains.
-    """
-    masks = st.masks
+    adj = st.graph.adj
     var_of = {}
     var_info = []
-    for v in range(graph.n):
-        m = masks[v]
-        if _SIZE[m] == 1:
-            continue
-        if _SIZE[m] == 3:
-            raise PreconditionBreach(f"vertex {v} still has all three colours")
-        lo, hi = colours_of(m)
-        var_of[v] = len(var_info)
-        var_info.append((v, lo, hi))
+    for v, m in enumerate(masks):
+        if m == FULL_MASK:
+            free = FULL_MASK  # the colours no neighbour admits
+            for u in adj[v]:
+                free &= ~masks[u]
+                if not free:
+                    raise PreconditionBreach(
+                        f"vertex {v} still has all three colours")
+            st.assign(v, _COLOUR_OF[free & -free])
+        elif _SIZE[m] == 2:
+            lo, hi = colours_of(m)
+            var_of[v] = len(var_info)
+            var_info.append((v, lo, hi))
 
     inst = TwoSatInstance(len(var_info))
-    for u in range(graph.n):
-        for v in graph.adj[u]:
+    for u, nbrs in enumerate(adj):
+        for v in nbrs:
             if v < u:
                 continue
             iu = var_of.get(u)
@@ -464,9 +450,9 @@ def case_seeds(sk, chains, palette, case):
 
 
 def colour_blownup_c7(dec, masks):
-    """List-colour a blown-up C7 by dynamic programming over per-class
-    colour subsets; consecutive classes must use disjoint subsets and every
-    member's list must meet its class subset.  `masks` are colour masks, or
+    """List-colour a blown-up C7 by a depth-first search over per-class
+    colour subsets, on its own stack; consecutive classes must use disjoint
+    subsets and every member's list must meet its class subset.  `masks` are colour masks, or
     None for full lists.  None iff infeasible."""
     classes = [list(iter_bits(cl)) for cl in dec.classes]
     n = sum(map(len, classes))
@@ -480,28 +466,19 @@ def colour_blownup_c7(dec, masks):
             return None
         feasible.append(ok)
 
-    chosen = [0] * 7
-
-    def rec(idx):
-        for m in feasible[idx]:
-            if idx > 0 and m & chosen[idx - 1]:
-                continue
-            if idx == 6 and m & chosen[0]:
-                continue
+    chosen = [0] * 7  # the subset of each class on the current path
+    tries = [iter(feasible[0])]  # the untried subsets of each class on it
+    while tries:
+        idx = len(tries) - 1
+        m = next(tries[idx], 0)
+        if not m:
+            tries.pop()
+        elif not (idx and m & chosen[idx - 1] or idx == 6 and m & chosen[0]):
             chosen[idx] = m
-            if idx == 6 or rec(idx + 1):
-                return True
-        chosen[idx] = 0
-        return False
-
-    # rec refers to itself through its closure cell; clearing the name
-    # breaks that cycle, which would otherwise keep rec and what it refers
-    # to alive until a full garbage collection.
-    try:
-        found = rec(0)
-    finally:
-        rec = None
-    if not found:
+            if idx == 6:
+                break
+            tries.append(iter(feasible[idx + 1]))
+    if not tries:
         return None
     colouring = [0] * n
     for idx, cl in enumerate(classes):
@@ -706,9 +683,11 @@ def _solve_component(g, masks, stats):
     """Colour one component that layer 0 left: a colouring, or None.  Its
     lists have two or three colours and sit at a propagation fixpoint (see
     solve), so a component with no full list is one 2-SAT instance and
-    goes to 2-SAT before any structural check."""
+    goes to 2-SAT before any structural check.  Its list state is built
+    once, here, for whichever search takes it."""
+    st = ListState(g, masks, stats)
     if FULL_MASK not in masks:
-        return _two_sat_leaf(g, ListState(g, masks, stats), stats)
+        return _two_sat_leaf(st)
     sides = bipartite_check(g, (1 << g.n) - 1)
     if sides is not None:
         if all(m == FULL_MASK for m in masks):
@@ -716,7 +695,7 @@ def _solve_component(g, masks, stats):
             for v in iter_bits(sides[0]):
                 colouring[v] = 1
             return colouring
-        return _bipartite_fallback(g, ListState(g, masks, stats), stats)
+        return _bipartite_fallback(st)
 
     cycle = shortest_odd_cycle(g)
     if len(cycle) == 7:
@@ -725,16 +704,16 @@ def _solve_component(g, masks, stats):
         # a triangle, or a chordless odd cycle whose first seven vertices
         # induce a P7
         raise PreconditionBreach(f"odd girth {len(cycle)}")
-    return _solve_skeleton(g, masks, build_skeleton(g, cycle), stats)
+    return _solve_skeleton(st, build_skeleton(g, cycle))
 
 
-def _bipartite_fallback(g, st, stats):
+def _bipartite_fallback(st):
     """Depth-first branching over colours 1, 2, 3 of the first full-list
     vertex, propagating at each node and handing each node without a
-    full-list vertex to 2-SAT; counts each call in stats.fallback_used and
-    each node it branches on in stats.fallback_nodes.  The root st is at a
-    propagation fixpoint and has a full-list vertex, so the search always
-    branches.
+    full-list vertex to 2-SAT; counts each call in st.stats.fallback_used
+    and each node it branches on in st.stats.fallback_nodes.  The root st
+    is at a propagation fixpoint and has a full-list vertex, so the search
+    always branches.
 
     Exponential worst case; only reachable for bipartite components with
     constrained lists, outside the polynomial solving path.  The depth can
@@ -744,6 +723,7 @@ def _bipartite_fallback(g, st, stats):
     path, each node resuming at its parent's cursor.
     """
     order = [v for v, m in enumerate(st.masks) if m == FULL_MASK]
+    stats = st.stats
     stats.fallback_used += 1
     stack = []  # [state, cursor, next colour] per branching node
     node, cursor = st, 0
@@ -753,7 +733,7 @@ def _bipartite_fallback(g, st, stats):
             while cursor < len(order) and masks[order[cursor]] != FULL_MASK:
                 cursor += 1
             if cursor == len(order):
-                result = _two_sat_leaf(g, node, stats)
+                result = _two_sat_leaf(node)
                 if result is not None:
                     return result
             else:
@@ -773,11 +753,11 @@ def _bipartite_fallback(g, st, stats):
         node = propagate(node)
 
 
-def _two_sat_leaf(g, st, stats):
-    """Finish a state with no full-mask vertex left by 2-SAT: a colouring,
-    or None."""
-    inst, var_info = residual_to_2sat(st, g)
-    stats.sat_instances += 1
+def _two_sat_leaf(st):
+    """Finish a state at a propagation fixpoint by the three-colour rule
+    and 2-SAT (see residual_to_2sat): a colouring, or None."""
+    inst, var_info = residual_to_2sat(st)
+    st.stats.sat_instances += 1
     solution = solve_2sat(inst)
     if solution is None:
         return None
@@ -787,34 +767,24 @@ def _two_sat_leaf(g, st, stats):
     return colouring
 
 
-def _finish_branch(g, st, stats):
-    """Finish one branch, which is at a propagation fixpoint: safe
-    elimination and the 2-SAT tail, which raises PreconditionBreach on a
-    vertex that kept all three colours.  A colouring, or None.  A safe
-    colour is missing from every neighbour already, so propagating the
-    safe vertices would remove nothing; the colours their assignment
-    drops from their own lists count in stats.propagations."""
-    eliminate_safe(st, g)
-    stats.branches_survived += 1
-    return _two_sat_leaf(g, st, stats)
-
-
-def _solve_skeleton(g, masks, sk, stats):
-    """Search every anchor colouring of the skeleton in order.  The
-    component's list state is built once; each anchor colouring seeds and
-    propagates a fork of it, so the order of both is that of a fresh state.
-    A dead anchor colouring counts its branches, the product of the lengths
-    of its choice lists; they depend only on which T and D indices it leaves
-    open, so each such pair of index tuples is counted once."""
+def _solve_skeleton(st, sk):
+    """Search every anchor colouring of the skeleton in order, from the
+    component's list state st.  Each anchor colouring seeds and propagates
+    a fork of it, so the order of both is that of a fresh state.  A dead
+    anchor colouring counts its branches, the product of the lengths of its
+    choice lists; they depend only on which T and D indices it leaves open,
+    so each such pair of index tuples is counted once.  Every branch that
+    survives propagation is counted in stats.branches_survived and ends in
+    _two_sat_leaf."""
+    stats = st.stats
     chains = {}
     counts = {}
-    root = ListState(g, masks, stats)
-    for palette in _anchor_palettes([masks[c] for c in sk.c]):
+    for palette in _anchor_palettes([st.masks[c] for c in sk.c]):
         for i in palette.undetermined:
             if sk.t[i] and i not in chains:
-                chains[i] = build_chain(g, sk, i)
+                chains[i] = build_chain(st.graph, sk, i)
 
-        base = root.fork()
+        base = st.fork()
         if not (base.assign_all(anchor_seeds(sk, palette))
                 and propagate(base) is not None):
             key = (palette.undetermined, palette.free_d)
@@ -823,41 +793,44 @@ def _solve_skeleton(g, masks, sk, stats):
             stats.branches += counts[key]
             continue
 
-        for leaf in _leaf_stream(sk, chains, palette, base, stats):
+        for leaf in _leaf_stream(sk, chains, palette, base):
             stats.branches += 1
-            result = _finish_branch(g, leaf, stats)
+            stats.branches_survived += 1
+            result = _two_sat_leaf(leaf)
             if result is not None:
                 return result
     return None
 
 
-def _leaf_stream(sk, chains, palette, base, stats):
+def _leaf_stream(sk, chains, palette, base):
     """Yield, in search order, the state of every branch of an anchor
     colouring whose seeds survive propagation.  Each choice is seeded and
-    propagated once on a copy of its prefix's state; a failed choice prunes
-    every branch below it, and the pruned branches are added to
-    stats.branches as they happen."""
+    propagated once on a copy of its prefix's state, in this generator's
+    own frame; a failed choice prunes every branch below it, and the pruned
+    branches are added to base.stats.branches as they happen.  The search
+    keeps its own stack: per choice list on the current path, the state of
+    its prefix and the choices not yet tried."""
     lists = [c for c in choice_lists(sk, chains, palette) if c[0] is not None]
+    if not lists:
+        yield base
+        return
     below = [1] * (len(lists) + 1)  # branches under one choice at each depth
     for idx in range(len(lists) - 1, -1, -1):
         below[idx] = below[idx + 1] * len(lists[idx])
-
-    def rec(state, idx):
-        if idx == len(lists):
-            yield state
-            return
-        for choice in lists[idx]:
-            st2 = state.copy()
-            if (st2.assign_all(case_seeds(sk, chains, palette, choice))
-                    and propagate(st2) is not None):
-                yield from rec(st2, idx + 1)
-            else:
-                stats.branches += below[idx + 1]
-
-    # As in colour_blownup_c7, clearing rec breaks its closure cycle, which
-    # would keep the choice lists and states alive; closing the stream early
-    # runs this too.
-    try:
-        yield from rec(base, 0)
-    finally:
-        rec = None
+    stats = base.stats
+    stack = [(base, iter(lists[0]))]
+    while stack:
+        state, choices = stack[-1]
+        choice = next(choices, None)
+        if choice is None:
+            stack.pop()
+            continue
+        depth = len(stack)  # choices picked on the path, this one included
+        st2 = state.copy()
+        if not (st2.assign_all(case_seeds(sk, chains, palette, choice))
+                and propagate(st2) is not None):
+            stats.branches += below[depth]
+        elif depth == len(lists):
+            yield st2
+        else:
+            stack.append((st2, iter(lists[depth])))

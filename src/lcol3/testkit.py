@@ -91,7 +91,8 @@ def oracle_solve(graph, lists=None):
         return False
 
     # rec refers to itself (and to pick) through closure cells; clearing
-    # the name breaks that cycle, as in engine.colour_blownup_c7.
+    # the name breaks that cycle, which would otherwise keep rec and what
+    # it refers to alive until a full garbage collection.
     try:
         found = rec()
     finally:

@@ -394,11 +394,12 @@ def reference_parse_lines(lines):
 
 def reference_parse_instance(text):
     """reference_parse_lines on the lines of `text`, with the rule that
-    cli.parse_instance adds: the first error in line order wins, a repeated
-    edge included, although the graph constructor finds repeats only after
-    the last line.  So on any error (line 0: after the last line) the edge
-    lines before it are searched for the first one that repeats an earlier
-    edge, reading every vertex with int()."""
+    cli._parse_lines applies as it reads: the first error in line order
+    wins, a repeated edge included, although reference_parse_lines leaves
+    repeats to the graph constructor, after the last line.  So on any error
+    (line 0: after the last line) the edge lines before it are searched for
+    the first one that repeats an earlier edge, reading every vertex with
+    int()."""
     lines = text.splitlines()
     try:
         return reference_parse_lines(lines)

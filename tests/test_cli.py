@@ -72,8 +72,8 @@ def test_parse_edge_count_mismatch():
 
 
 def test_parse_reports_line_numbers():
-    # The first error in line order wins, a repeated edge included, although
-    # repeats are found only after the other lines have been read.
+    # The first error in line order wins, a repeated edge included: the line
+    # parser reports it at the line that repeats an earlier edge.
     cases = [
         ("p lcol 2 1\ne 1 2\nl 1 4\n", InstanceSyntaxError, 3),
         ("p lcol 3 3\ne 1 2\ne 2 1\ne 2 3\nx 1\n", DuplicateEdgeError, 3),
@@ -196,7 +196,7 @@ def parse_outcome(parse, source):
 @example("p lcol 3 0\ne 3 3\n")
 def test_parser_matches_reference_parser(text):
     assert (parse_outcome(cli._parse_lines, text.splitlines())
-            == parse_outcome(reference_parse_lines, text.splitlines()))
+            == parse_outcome(reference_parse_instance, text))
     assert (parse_outcome(parse_instance, text)
             == parse_outcome(reference_parse_instance, text))
 

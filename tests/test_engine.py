@@ -18,9 +18,9 @@ from conftest import (check_witness, graphs, reference_colouring_fits,
                       reference_removable, reference_twin_representatives,
                       seeds_of_branch)
 from lcol3 import (build_chain, build_graph, build_skeleton, check_promise,
-                   choice_lists, colour_blownup_c7, eliminate_safe,
-                   enumerate_c5_colourings, palette_analysis, propagate,
-                   residual_to_2sat, solve, verify_colouring)
+                   choice_lists, colour_blownup_c7, enumerate_c5_colourings,
+                   palette_analysis, propagate, residual_to_2sat, solve,
+                   verify_colouring)
 import lcol3
 from lcol3 import engine
 from lcol3.cli import dispatch, emit_instance, parse_instance
@@ -224,52 +224,65 @@ def test_propagate_c5_partial():
     assert st.masks[1] == FULL_MASK and st.masks[2] == FULL_MASK
 
 
-def test_eliminate_safe_common_missing_colour():
+def test_residual_gives_a_safe_vertex_its_smallest_safe_colour():
     g = path_graph(3)
     st = ListState(g, [mask_of([1, 2]), FULL_MASK, mask_of([1, 2])],
                    SolveStats())
-    out = eliminate_safe(st, g)
-    assert out == [(1, 3)]
-    assert st.masks[1] == mask_of([3])
+    inst, var_info = residual_to_2sat(st)
+    assert st.masks[1] == mask_of([3]) and list(st.pending) == [1]
+    assert st.stats.propagations == 2
+    assert [v for v, _, _ in var_info] == [0, 2] and inst.clauses == []
 
 
-def test_eliminate_safe_isolated_vertex():
+def test_residual_gives_an_isolated_full_vertex_colour_1():
     g = build_graph(1, [])
     st = ListState(g, [FULL_MASK], SolveStats())
-    assert eliminate_safe(st, g) == [(0, 1)]
+    inst, var_info = residual_to_2sat(st)
+    assert st.masks == [mask_of([1])] and var_info == []
 
 
-def test_eliminate_safe_no_common_colour():
+def test_residual_without_a_safe_colour_raises():
     g = path_graph(3)
     st = ListState(g, [mask_of([1, 2]), FULL_MASK, mask_of([2, 3])],
                    SolveStats())
-    assert eliminate_safe(st, g) == []
-    assert st.masks[1] == FULL_MASK
+    with pytest.raises(PreconditionBreach):
+        residual_to_2sat(st)
+    assert st.masks[1] == FULL_MASK and st.stats.propagations == 0
 
 
-def test_eliminate_safe_debug_idempotent():
+def test_residual_assigns_two_safe_vertices_in_one_scan():
     g = path_graph(5)
     st = ListState(g, [mask_of([1, 2]), FULL_MASK, mask_of([1, 2]),
                        FULL_MASK, mask_of([1, 2])], SolveStats())
-    out = eliminate_safe(st, g)
-    assert out == [(1, 3), (3, 3)]
-    assert eliminate_safe(st, g) == []
+    inst, var_info = residual_to_2sat(st)
+    assert st.masks[1] == st.masks[3] == mask_of([3])
+    assert list(st.pending) == [1, 3] and st.stats.propagations == 4
+    assert [v for v, _, _ in var_info] == [0, 2, 4]
 
 
 @settings(max_examples=300, deadline=None)
 @given(hst.data())
 def test_propagation_after_safe_elimination_removes_nothing(data):
     # A branch leaf is at a propagation fixpoint; a safe colour is missing
-    # from every neighbour, so propagating the safe vertices cannot remove
-    # a colour or fail.
+    # from every neighbour, so propagating the vertices that the residual
+    # scan coloured safely cannot remove a colour or fail, also when the
+    # scan stops at a full vertex without a safe colour.
     g = data.draw(graphs(max_n=10))
     masks = data.draw(hst.lists(hst.sampled_from((3, 5, 6, 7, 7, 1, 2, 4)),
                                 min_size=g.n, max_size=g.n))
     st = ListState(g, masks, SolveStats())
     if propagate(st) is None:
         return
-    safe = eliminate_safe(st, g)
-    assert list(st.pending) == [v for v, _ in safe]
+    full = [v for v, m in enumerate(st.masks) if m == FULL_MASK]
+    try:
+        residual_to_2sat(st)
+    except PreconditionBreach:
+        pass
+    else:
+        assert FULL_MASK not in st.masks
+    safe = [v for v in full if st.masks[v] != FULL_MASK]
+    assert list(st.pending) == safe
+    assert all(_SIZE[st.masks[v]] == 1 for v in safe)
     after = st.masks.copy()
     removals = st.stats.propagations
     assert propagate(st) is st
@@ -305,7 +318,7 @@ def test_propagations_count_every_colour_dropped_from_the_lists(data):
 def test_residual_both_masks_equal():
     g = build_graph(2, [(0, 1)])
     st = ListState(g, [mask_of([1, 2]), mask_of([1, 2])], SolveStats())
-    inst, var_info = residual_to_2sat(st, g)
+    inst, var_info = residual_to_2sat(st)
     assert inst.var_count == 2
     assert sorted(inst.clauses) == [(1, 3), (2, 0)] or len(inst.clauses) == 2
     solution = solve_2sat(inst)
@@ -316,7 +329,7 @@ def test_residual_both_masks_equal():
 def test_residual_single_common_colour():
     g = build_graph(2, [(0, 1)])
     st = ListState(g, [mask_of([1, 2]), mask_of([2, 3])], SolveStats())
-    inst, _ = residual_to_2sat(st, g)
+    inst, _ = residual_to_2sat(st)
     assert len(inst.clauses) == 1
 
 
@@ -324,7 +337,7 @@ def test_residual_empty_instance():
     g = build_graph(2, [(0, 1)])
     st = ListState(g, [mask_of([1]), mask_of([2])], SolveStats())
     propagate(st)
-    inst, var_info = residual_to_2sat(st, g)
+    inst, var_info = residual_to_2sat(st)
     assert inst.var_count == 0 and inst.clauses == []
     assert solve_2sat(inst) == []
 
@@ -333,7 +346,7 @@ def test_residual_rejects_full_mask():
     g = build_graph(2, [(0, 1)])
     st = ListState(g, [FULL_MASK, FULL_MASK], SolveStats())
     with pytest.raises(PreconditionBreach):
-        residual_to_2sat(st, g)
+        residual_to_2sat(st)
 
 
 def _c7_decomposition(sizes):
@@ -776,15 +789,14 @@ def test_bipartite_fallback_depth_beyond_recursion_limit():
     assert out.stats.settled == 1
     st = ListState(g, masks, SolveStats())
     assert propagate(st) is not None
-    stats = SolveStats()
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(200)
     try:
-        colouring = engine._bipartite_fallback(g, st, stats)
+        colouring = engine._bipartite_fallback(st)
     finally:
         sys.setrecursionlimit(limit)
     assert verify_colouring(g, masks, colouring)
-    assert stats.fallback_used == 1 and stats.fallback_nodes == 299
+    assert st.stats.fallback_used == 1 and st.stats.fallback_nodes == 299
 
 
 def test_twin_free_input_solves_on_the_graph_itself(monkeypatch):
@@ -1143,9 +1155,11 @@ def test_package_has_no_assert_statements():
 
 
 def test_solves_leave_no_reference_cycles():
-    # The skeleton solve runs _leaf_stream; verify mode on a blown-up C7 runs
+    # The skeleton solve runs the _leaf_stream generator, which a found
+    # colouring leaves suspended; verify mode on a blown-up C7 runs
     # find_induced_p7 and colour_blownup_c7; the oracle and the enumerator
-    # are the test kit's recursive searches.
+    # are the test kit's recursive searches.  None of them may leave a
+    # cycle that holds skeletons, chains, cases or functions.
     sk_graph, sk_masks = generate(GenSpec("skeleton_built", seed=763,
                                           scale=25, lists="random"))
     verify_graph, _ = generate(GenSpec("blownup_c7", seed=4))
