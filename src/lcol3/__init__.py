@@ -3,9 +3,8 @@ paths, with promise verification, witnesses, generators and a CLI."""
 
 from .engine import (ListState, Outcome, Palette, SolveStats,
                      anchor_seeds, case_seeds, choice_lists,
-                     colour_blownup_c7, enumerate_c5_colourings,
-                     palette_analysis, propagate, residual_to_2sat, solve,
-                     verify_colouring)
+                     enumerate_c5_colourings, palette_analysis, propagate,
+                     residual_to_2sat, solve, verify_colouring)
 from .errors import InternalError, PreconditionBreach
 from .graph import (Graph, bipartite_check, build_graph, components_within,
                     iter_bits)
@@ -18,7 +17,7 @@ from .skeleton import (Chain, ComponentInfo, Skeleton, build_chain,
 
 __all__ = [
     "InternalError", "PreconditionBreach", "ListState", "Outcome", "Palette", "SolveStats",
-    "anchor_seeds", "case_seeds", "choice_lists", "colour_blownup_c7",
+    "anchor_seeds", "case_seeds", "choice_lists",
     "enumerate_c5_colourings", "palette_analysis",
     "propagate", "residual_to_2sat", "solve", "verify_colouring",
     "Graph", "bipartite_check", "build_graph", "components_within",

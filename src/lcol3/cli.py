@@ -478,13 +478,23 @@ def _cmd_check_promise(args):
 
 
 def _cmd_generate(args):
-    from .testkit import GenSpec, generate
+    from .testkit import GenSpec, RejectionBudgetExceeded, generate
 
-    sizes = tuple(int(x) for x in args.classes.split(",")) if args.classes else None
+    try:
+        sizes = tuple(map(int, args.classes.split(","))) if args.classes else None
+    except ValueError:
+        print(f"error: --classes takes comma-separated integers, not "
+              f"{args.classes!r}", file=sys.stderr)
+        return 1
     spec = GenSpec(kind=args.kind, seed=args.seed, class_sizes=sizes,
                    n=args.n, target_edges=args.edges, scale=args.scale,
                    lists=args.lists)
-    graph, masks = generate(spec)
+    try:
+        graph, masks = generate(spec)
+    except (ValueError, RejectionBudgetExceeded) as exc:
+        # arguments the kind rejects, or no P7-free sample within the budget
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     text = emit_instance(graph, masks)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:

@@ -1,6 +1,7 @@
 """Solver engine: anchor-cycle colouring enumeration, the (a)-(h) partial
 colouring branches, list propagation, 2-SAT residuals with the
-three-colour rule, the blown-up-C7 path, and top-level orchestration.
+three-colour rule, the full-vertex branch search that decides bipartite and
+blown-up-C7 components, and top-level orchestration.
 """
 
 import time
@@ -446,49 +447,6 @@ def case_seeds(sk, chains, palette, case):
 
 
 # ---------------------------------------------------------------------------
-# blown-up C7
-
-
-def colour_blownup_c7(dec, masks):
-    """List-colour a blown-up C7 by a depth-first search over per-class
-    colour subsets, on its own stack; consecutive classes must use disjoint
-    subsets and every member's list must meet its class subset.  `masks` are colour masks, or
-    None for full lists.  None iff infeasible."""
-    classes = [list(iter_bits(cl)) for cl in dec.classes]
-    n = sum(map(len, classes))
-    if masks is None:
-        masks = [FULL_MASK] * n
-    feasible = []
-    for cl in classes:
-        ok = [m for m in range(1, 8)
-              if all(masks[v] & m for v in cl)]
-        if not ok:
-            return None
-        feasible.append(ok)
-
-    chosen = [0] * 7  # the subset of each class on the current path
-    tries = [iter(feasible[0])]  # the untried subsets of each class on it
-    while tries:
-        idx = len(tries) - 1
-        m = next(tries[idx], 0)
-        if not m:
-            tries.pop()
-        elif not (idx and m & chosen[idx - 1] or idx == 6 and m & chosen[0]):
-            chosen[idx] = m
-            if idx == 6:
-                break
-            tries.append(iter(feasible[idx + 1]))
-    if not tries:
-        return None
-    colouring = [0] * n
-    for idx, cl in enumerate(classes):
-        for v in cl:
-            pick = masks[v] & chosen[idx]
-            colouring[v] = _COLOUR_OF[pick & -pick]
-    return colouring
-
-
-# ---------------------------------------------------------------------------
 # top-level solve
 
 
@@ -684,7 +642,9 @@ def _solve_component(g, masks, stats):
     lists have two or three colours and sit at a propagation fixpoint (see
     solve), so a component with no full list is one 2-SAT instance and
     goes to 2-SAT before any structural check.  Its list state is built
-    once, here, for whichever search takes it."""
+    once, here, for whichever search takes it.  A component of odd girth 7
+    must be a blown-up C7, which recognize_blownup_c7 checks, raising
+    PreconditionBreach otherwise; _full_vertex_search then decides it."""
     st = ListState(g, masks, stats)
     if FULL_MASK not in masks:
         return _two_sat_leaf(st)
@@ -695,11 +655,12 @@ def _solve_component(g, masks, stats):
             for v in iter_bits(sides[0]):
                 colouring[v] = 1
             return colouring
-        return _bipartite_fallback(st)
+        return _full_vertex_search(st)
 
     cycle = shortest_odd_cycle(g)
     if len(cycle) == 7:
-        return colour_blownup_c7(recognize_blownup_c7(g, cycle), masks)
+        recognize_blownup_c7(g, cycle)
+        return _full_vertex_search(st)
     if len(cycle) != 5:
         # a triangle, or a chordless odd cycle whose first seven vertices
         # induce a P7
@@ -707,7 +668,7 @@ def _solve_component(g, masks, stats):
     return _solve_skeleton(st, build_skeleton(g, cycle))
 
 
-def _bipartite_fallback(st):
+def _full_vertex_search(st):
     """Depth-first branching over colours 1, 2, 3 of the first full-list
     vertex, propagating at each node and handing each node without a
     full-list vertex to 2-SAT; counts each call in st.stats.fallback_used
@@ -715,12 +676,19 @@ def _bipartite_fallback(st):
     is at a propagation fixpoint and has a full-list vertex, so the search
     always branches.
 
-    Exponential worst case; only reachable for bipartite components with
-    constrained lists, outside the polynomial solving path.  The depth can
-    reach the vertex count, so the search keeps its own stack.  Masks only
-    shrink below a node, so a vertex that is not full at a node is not full
-    below it: the full vertices of the root, in order, are scanned once per
-    path, each node resuming at its parent's cursor.
+    On a bipartite component the worst case is exponential, and the depth
+    can reach the vertex count, so the search keeps its own stack.  On a
+    blown-up C7 it branches at most 13 times.  At layer 0's fixpoint a
+    class holding a full-list vertex v holds nothing else: a classmate u
+    has N(v) ⊆ N(u) and L(u) ⊆ L(v), so it would dominate v.  The vertices
+    branched on along one path are pairwise non-adjacent, since a
+    neighbour of a branched vertex loses a colour; so they lie in pairwise
+    non-adjacent classes, at most 3 of the cycle's 7, and the nodes number
+    at most 1 + 3 + 9.
+
+    Masks only shrink below a node, so a vertex that is not full at a node
+    is not full below it: the full vertices of the root, in order, are
+    scanned once per path, each node resuming at its parent's cursor.
     """
     order = [v for v, m in enumerate(st.masks) if m == FULL_MASK]
     stats = st.stats

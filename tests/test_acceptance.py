@@ -8,11 +8,12 @@ from itertools import product
 
 from conftest import check_witness, seeds_of_branch
 from lcol3 import (build_chain, build_graph, build_skeleton, check_promise,
-                   choice_lists, colour_blownup_c7, enumerate_c5_colourings,
-                   palette_analysis, solve, verify_colouring)
+                   choice_lists, enumerate_c5_colourings, palette_analysis,
+                   solve, verify_colouring)
+from lcol3 import engine
 from lcol3.engine import FULL_MASK, DCase, TCase
 from lcol3.graph import bipartite_check, iter_bits
-from lcol3.recognition import recognize_blownup_c7, shortest_odd_cycle
+from lcol3.recognition import shortest_odd_cycle
 from lcol3.sat2 import TwoSatInstance, add_clause, solve_2sat
 from lcol3.skeleton import Skeleton
 from lcol3.testkit import (GenSpec, cycle_graph, enumerate_colourings,
@@ -20,6 +21,7 @@ from lcol3.testkit import (GenSpec, cycle_graph, enumerate_colourings,
 
 C5_EDGES = [(i, (i + 1) % 5) for i in range(5)]
 ANCHORS = (0, 1, 2, 3, 4)
+C7_LISTS = (0b011, 0b101, 0b110, 0b111)  # {12, 13, 23, 123}
 
 
 def _suite1_spec(seed):
@@ -277,42 +279,61 @@ def test_criterion_6_witness_validity():
           "independently")
 
 
-def test_criterion_7_blownup_c7_path():
-    """Blow-ups of C7 with classes up to 100 (n up to 700): decisions match
-    the oracle for n <= 40 and the subset-DP feasibility beyond; full-list
-    instances are always SAT with a verified colouring."""
+def _c7_trial(rng, seed, sizes, planted):
+    """A blow-up of C7 whose lists come from {12, 13, 23, 123}; when
+    planted, each vertex's list holds its class's colour in a proper
+    colouring of the C7 quotient, so the instance is SAT."""
+    graph, _ = generate(GenSpec("blownup_c7", seed=seed, class_sizes=sizes))
+    if not planted:
+        return graph, [rng.choice(C7_LISTS) for _ in range(graph.n)]
+    col = [0] * 7
+    while any(col[i] == col[i - 1] for i in range(7)):
+        col = [rng.randint(1, 3) for _ in range(7)]
+    masks = [rng.choice([m for m in C7_LISTS if m >> (col[i] - 1) & 1])
+             for i, size in enumerate(sizes) for _ in range(size)]
+    return graph, masks
+
+
+def test_criterion_7_blownup_c7_path(monkeypatch):
+    """Blow-ups of C7 with classes up to 100 (n up to 700) and lists from
+    {12, 13, 23, 123}, half of them planted around a proper colouring of
+    the quotient: every decision matches the oracle, planted ones are SAT
+    with a verified colouring, and each solve that reaches the blown-up-C7
+    path branches at most 13 times; a full-list n = 700 blow-up is SAT."""
+    reached = []
+    recognize = engine.recognize_blownup_c7
+
+    def spy(g, cycle):
+        reached.append(cycle)
+        return recognize(g, cycle)
+
+    monkeypatch.setattr(engine, "recognize_blownup_c7", spy)
     rng = random.Random(4242)
-    small = big = full = 0
-    for trial in range(60):
-        if trial % 3 == 0:
-            sizes = tuple(rng.randint(1, 5) for _ in range(7))
-        else:
-            sizes = tuple(rng.randint(1, 100) for _ in range(7))
-        lists = "full" if trial % 4 == 0 else "random"
-        graph, masks = generate(GenSpec("blownup_c7", seed=trial,
-                                        class_sizes=sizes, lists=lists))
+    hits = sat = 0
+    for trial in range(300):
+        high = 100 if trial % 3 == 0 else 6
+        sizes = tuple(rng.randint(1, high) for _ in range(7))
+        planted = trial % 2 == 0
+        graph, masks = _c7_trial(rng, trial, sizes, planted)
+        before = len(reached)
         outcome = solve(graph, masks)
-        if lists == "full":
-            assert outcome.is_sat
-            full += 1
+        assert outcome.is_sat == (oracle_solve(graph, masks) is not None), trial
         if outcome.is_sat:
             assert verify_colouring(graph, masks, outcome.colouring)
-        if graph.n <= 40:
-            assert outcome.is_sat == (oracle_solve(graph, masks) is not None)
-            small += 1
+            sat += 1
         else:
-            cycle = shortest_odd_cycle(graph)
-            dec = recognize_blownup_c7(graph, cycle)
-            feasible = colour_blownup_c7(dec, masks) is not None
-            assert outcome.is_sat == feasible
-            big += 1
+            assert not planted, trial
+        if len(reached) > before:
+            assert outcome.stats.fallback_nodes <= 13, trial
+            hits += 1
+    assert hits == 60, hits  # the trials that reach the path, as recorded
     sizes = (100,) * 7
     graph, masks = generate(GenSpec("blownup_c7", seed=999, class_sizes=sizes))
     outcome = solve(graph, masks)
     assert graph.n == 700 and outcome.is_sat
     assert verify_colouring(graph, masks, outcome.colouring)
-    print(f"\nACCEPTANCE 7: PASS blown-up C7 path ({small} vs oracle, "
-          f"{big} vs subset DP, {full} full-list SAT, plus n=700)")
+    print(f"\nACCEPTANCE 7: PASS blown-up C7 path (300 vs oracle, {sat} SAT, "
+          f"{hits} reach the full-vertex search, plus n=700)")
 
 
 def test_criterion_8_scale_smoke():

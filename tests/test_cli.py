@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_parse_instance, reference_parse_lines
-from lcol3 import cli
+from lcol3 import cli, testkit
 from lcol3.cli import (MAX_VERTICES, DuplicateEdgeError, DuplicateListLineError,
                        InstanceSyntaxError, OutOfRangeError, dispatch,
                        emit_instance, emit_result, parse_instance)
@@ -589,7 +589,9 @@ def test_dispatch_solve_exit_codes(capsys):
 
 # (sample, mode): answer and the --stats counters of `lcol3 solve`, millis
 # left out, as recorded before the search counted its colour removals
-# through SolveStats alone.
+# through SolveStats alone.  The blown-up C7 of c7_blowup_lists.lcol is
+# decided by the full-vertex search: one call, one branching node, one
+# 2-SAT leaf.
 SAMPLE_STATS = {
     ("bipartite_lists.lcol", "trust"): ("SAT", (0, 0, 0, 0, 0, 0, 6, 0, 0)),
     ("bipartite_lists.lcol", "verify"): ("SAT", (0, 0, 0, 0, 0, 0, 6, 0, 0)),
@@ -601,8 +603,8 @@ SAMPLE_STATS = {
     ("c5_unsat.lcol", "verify"): ("UNSAT", (0, 0, 0, 1, 0, 0, 0, 0, 0)),
     ("c7_blowup.lcol", "trust"): ("SAT", (0, 0, 0, 0, 0, 0, 7, 0, 0)),
     ("c7_blowup.lcol", "verify"): ("SAT", (0, 0, 0, 0, 0, 0, 7, 0, 0)),
-    ("c7_blowup_lists.lcol", "trust"): ("SAT", (0, 0, 0, 0, 0, 0, 0, 0, 0)),
-    ("c7_blowup_lists.lcol", "verify"): ("SAT", (0, 0, 0, 0, 0, 0, 0, 0, 0)),
+    ("c7_blowup_lists.lcol", "trust"): ("SAT", (0, 0, 12, 1, 1, 1, 0, 0, 0)),
+    ("c7_blowup_lists.lcol", "verify"): ("SAT", (0, 0, 12, 1, 1, 1, 0, 0, 0)),
     ("groetzsch.lcol", "trust"): ("UNSAT", (120, 0, 600, 0, 0, 0, 0, 0, 0)),
     ("groetzsch.lcol", "verify"): ("UNSAT", (120, 0, 600, 0, 0, 0, 0, 0, 0)),
     ("p8.lcol", "trust"): ("SAT", (0, 0, 0, 0, 0, 0, 8, 0, 0)),
@@ -677,6 +679,28 @@ def test_dispatch_solver_errors_exit_1_with_one_line(monkeypatch, capsys, error)
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and "error" in lines[0] and str(error) in lines[0]
+
+
+@pytest.mark.parametrize("args", [
+    ["--kind", "blownup_c5", "--classes", "1,2"],
+    ["--kind", "blownup_c7", "--classes", "a,b"],
+    ["--kind", "spider", "--lists", "random"],
+    ["--kind", "spider", "--scale", "-1"],
+    ["--kind", "random_rejection", "--n", "40", "--edges", "200"],
+], ids=["class-count", "class-syntax", "spider-lists", "spider-scale",
+        "rejection-budget"])
+def test_dispatch_generate_errors_exit_1_with_one_line(monkeypatch, capsys, args):
+    # The rejection sampler is held to one attempt, so that exhausting its
+    # budget takes no time; 200 triangle-free edges on 40 vertices always
+    # hold an induced P7.
+    real = testkit._random_rejection
+    monkeypatch.setattr(testkit, "_random_rejection",
+                        lambda rng, n, edges, budget: real(rng, n, edges, 1))
+    assert dispatch(["generate", *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_check_promise_exit_codes(capsys):

@@ -18,9 +18,8 @@ from conftest import (check_witness, graphs, reference_colouring_fits,
                       reference_removable, reference_twin_representatives,
                       seeds_of_branch)
 from lcol3 import (build_chain, build_graph, build_skeleton, check_promise,
-                   choice_lists, colour_blownup_c7, enumerate_c5_colourings,
-                   palette_analysis, propagate, residual_to_2sat, solve,
-                   verify_colouring)
+                   choice_lists, enumerate_c5_colourings, palette_analysis,
+                   propagate, residual_to_2sat, solve, verify_colouring)
 import lcol3
 from lcol3 import engine
 from lcol3.cli import dispatch, emit_instance, parse_instance
@@ -356,47 +355,43 @@ def _c7_decomposition(sizes):
     return g, dec
 
 
-def test_colour_blownup_c7_full_lists():
-    g, dec = _c7_decomposition((2, 1, 2, 1, 2, 1, 2))
-    colouring = colour_blownup_c7(dec, None)
-    assert colouring is not None
-    assert verify_colouring(g, None, colouring)
+def _solve_matches_oracle(g, masks):
+    """Solve, check the answer against the oracle and any colouring against
+    the lists; the outcome."""
+    out = solve(g, masks)
+    assert out.is_sat == (oracle_solve(g, masks) is not None)
+    if out.is_sat:
+        assert verify_colouring(g, masks, out.colouring)
+    return out
 
 
-def test_colour_blownup_c7_forced_class_matches_oracle():
+def test_blownup_c7_full_lists_solve():
+    g, _ = _c7_decomposition((2, 1, 2, 1, 2, 1, 2))
+    assert _solve_matches_oracle(g, None).is_sat
+
+
+def test_blownup_c7_forced_class_matches_oracle():
     g, dec = _c7_decomposition((1, 1, 1, 1, 1, 1, 1))
     for cls in range(7):
         masks = [FULL_MASK] * g.n
         for v in iter_bits(dec.classes[cls]):
             masks[v] = mask_of([3])
-        got = colour_blownup_c7(dec, masks)
-        want = oracle_solve(g, masks)
-        assert (got is not None) == (want is not None)
-        if got:
-            assert verify_colouring(g, masks, got)
+        _solve_matches_oracle(g, masks)
 
 
-def test_colour_blownup_c7_adjacent_singletons_infeasible():
+def test_blownup_c7_adjacent_singletons_unsat():
     g, dec = _c7_decomposition((1, 1, 1, 1, 1, 1, 1))
     masks = [FULL_MASK] * g.n
     a = next(iter_bits(dec.classes[0]))
     b = next(iter_bits(dec.classes[1]))
     masks[a] = masks[b] = mask_of([1])
-    assert colour_blownup_c7(dec, masks) is None
-    assert oracle_solve(g, masks) is None
+    assert _solve_matches_oracle(g, masks).is_unsat
 
 
-def test_colour_blownup_c7_random_lists_match_oracle():
-    rng = random.Random(9)
+def test_blownup_c7_random_lists_match_oracle():
     for seed in range(40):
         g, masks = generate(GenSpec("blownup_c7", seed=seed, lists="random"))
-        cyc = shortest_odd_cycle(g)
-        dec = recognize_blownup_c7(g, cyc)
-        got = colour_blownup_c7(dec, masks)
-        want = oracle_solve(g, masks)
-        assert (got is not None) == (want is not None)
-        if got:
-            assert verify_colouring(g, masks, got)
+        _solve_matches_oracle(g, masks)
 
 
 def test_solve_c5_full():
@@ -773,11 +768,11 @@ def test_anchor_palettes_follow_enumeration_order():
                        for c in enumerate_c5_colourings(list(masks))]
 
 
-def test_bipartite_fallback_depth_beyond_recursion_limit():
+def test_full_vertex_search_depth_beyond_recursion_limit():
     # Half graph a_i ~ b_j for j <= i: twin-free and 2K2-free (so P7-free);
-    # with a_0 precoloured the fallback branches about 300 levels deep.
+    # with a_0 precoloured the search branches about 300 levels deep.
     # Propagation settles a_0, N(a_i) ⊆ N(a_{i+1}), so layer 0 removes the
-    # whole graph, and the fallback is driven on it directly.
+    # whole graph, and the search is driven on it directly.
     half = 300
     edges = [(i, half + j) for i in range(half) for j in range(i + 1)]
     g = build_graph(2 * half, edges)
@@ -792,7 +787,7 @@ def test_bipartite_fallback_depth_beyond_recursion_limit():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(200)
     try:
-        colouring = engine._bipartite_fallback(st)
+        colouring = engine._full_vertex_search(st)
     finally:
         sys.setrecursionlimit(limit)
     assert verify_colouring(g, masks, colouring)
@@ -954,22 +949,22 @@ def test_blownup_c7_solve_normalises_the_lists_once(monkeypatch):
     # A blown-up C7 with classes of sizes 1, 2, ..., 2: the lone vertex has
     # a full list and four neighbours, and each class of two carries two
     # incomparable 2-lists, so layer 0 removes nothing and the solve
-    # reaches colour_blownup_c7.
+    # reaches recognize_blownup_c7.
     calls = []
     decompositions = []
     real = engine.normalize_lists
-    dp = engine.colour_blownup_c7
+    recognize = engine.recognize_blownup_c7
 
     def counting(n, lists):
         calls.append(n)
         return real(n, lists)
 
-    def spy(dec, masks):
-        decompositions.append(dec)
-        return dp(dec, masks)
+    def spy(g, cycle):
+        decompositions.append(recognize(g, cycle))
+        return decompositions[-1]
 
     monkeypatch.setattr(engine, "normalize_lists", counting)
-    monkeypatch.setattr(engine, "colour_blownup_c7", spy)
+    monkeypatch.setattr(engine, "recognize_blownup_c7", spy)
     g, masks = parse_instance((INSTANCES / "c7_blowup_lists.lcol").read_text())
     out = solve(g, masks)
     assert out.is_sat and out.stats.peeled == 0
@@ -1156,13 +1151,15 @@ def test_package_has_no_assert_statements():
 
 def test_solves_leave_no_reference_cycles():
     # The skeleton solve runs the _leaf_stream generator, which a found
-    # colouring leaves suspended; verify mode on a blown-up C7 runs
-    # find_induced_p7 and colour_blownup_c7; the oracle and the enumerator
-    # are the test kit's recursive searches.  None of them may leave a
-    # cycle that holds skeletons, chains, cases or functions.
+    # colouring leaves suspended; verify mode on the blown-up C7 sample
+    # runs find_induced_p7, recognize_blownup_c7 and the full-vertex
+    # search; the oracle and the enumerator are the test kit's recursive
+    # searches.  None of them may leave a cycle that holds skeletons,
+    # chains, cases or functions.
     sk_graph, sk_masks = generate(GenSpec("skeleton_built", seed=763,
                                           scale=25, lists="random"))
-    verify_graph, _ = generate(GenSpec("blownup_c7", seed=4))
+    verify_graph, verify_masks = parse_instance(
+        (INSTANCES / "c7_blowup_lists.lcol").read_text())
     kept = (Skeleton, Chain, engine.TCase, engine.DCase)
     flags = gc.get_debug()
     gc.collect()
@@ -1170,7 +1167,7 @@ def test_solves_leave_no_reference_cycles():
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
         sk_stats = solve(sk_graph, sk_masks).stats
-        solve(verify_graph, mode="verify")
+        verify_stats = solve(verify_graph, verify_masks, mode="verify").stats
         oracle_solve(cycle_graph(5))
         list(enumerate_colourings(cycle_graph(5)))
         gc.collect()
@@ -1182,6 +1179,7 @@ def test_solves_leave_no_reference_cycles():
         gc.set_debug(flags)
         del gc.garbage[start:]
     assert sk_stats.sat_instances > 0  # the leaf stream was consumed
+    assert verify_stats.fallback_used == 1  # the blown-up C7 was searched
     assert leaked == []
 
 
