@@ -8,12 +8,12 @@ from .engine import (ListState, Outcome, Palette, SolveStats,
 from .errors import InternalError, PreconditionBreach
 from .graph import (Graph, bipartite_check, build_graph, components_within,
                     iter_bits)
-from .recognition import (PromiseViolation, TwinDecomposition, check_promise,
-                          false_twin_classes, find_induced_p7, find_triangle,
-                          recognize_blownup_c7, shortest_odd_cycle)
+from .recognition import (PromiseViolation, check_promise, find_induced_p7,
+                          find_triangle, recognize_blownup_c7,
+                          shortest_odd_cycle)
 from .sat2 import TwoSatInstance, add_clause, solve_2sat
-from .skeleton import (Chain, ComponentInfo, Skeleton, build_chain,
-                       build_skeleton, wd_components)
+from .skeleton import (Chain, Skeleton, build_chain, build_skeleton,
+                       wd_components)
 
 __all__ = [
     "InternalError", "PreconditionBreach", "ListState", "Outcome", "Palette", "SolveStats",
@@ -22,12 +22,10 @@ __all__ = [
     "propagate", "residual_to_2sat", "solve", "verify_colouring",
     "Graph", "bipartite_check", "build_graph", "components_within",
     "iter_bits",
-    "PromiseViolation", "TwinDecomposition", "check_promise",
-    "false_twin_classes", "find_induced_p7", "find_triangle",
+    "PromiseViolation", "check_promise", "find_induced_p7", "find_triangle",
     "recognize_blownup_c7", "shortest_odd_cycle",
     "TwoSatInstance", "add_clause", "solve_2sat",
-    "Chain", "ComponentInfo", "Skeleton", "build_chain", "build_skeleton",
-    "wd_components",
+    "Chain", "Skeleton", "build_chain", "build_skeleton", "wd_components",
     "GenSpec", "enumerate_colourings", "generate", "oracle_solve",
 ]
 

@@ -16,13 +16,10 @@ import sys
 from operator import add, itemgetter
 
 from .engine import FULL_MASK, colours_of, solve, verify_colouring
-from .errors import InternalError, PreconditionBreach
+from .errors import InternalError
 from .graph import DuplicateEdgeError as GraphDuplicateEdgeError
-from .graph import (GraphError, _graph_from_rows, bipartite_check,
-                    components_within, induced_subgraph, iter_bits)
-from .recognition import (check_promise, recognize_blownup_c7,
-                          shortest_odd_cycle)
-from .skeleton import build_skeleton, skeleton_report
+from .graph import GraphError, _graph_from_rows
+from .recognition import check_promise
 
 
 class ParseError(ValueError):
@@ -403,77 +400,14 @@ def _cmd_verify(args):
     return 1
 
 
-def _explain_report(graph):
-    report = {"promise": "ok", "components": []}
-    for comp in components_within(graph, (1 << graph.n) - 1):
-        entry = {"vertices": [v + 1 for v in iter_bits(comp)]}
-        sides = bipartite_check(graph, comp)
-        if sides is not None:
-            entry["type"] = "bipartite"
-            entry["sides"] = [[v + 1 for v in iter_bits(side)] for side in sides]
-        else:
-            sub, ids = induced_subgraph(graph, comp)
-            cycle = shortest_odd_cycle(sub)
-            entry["odd_girth"] = len(cycle)
-            try:
-                if len(cycle) == 5:
-                    report_sk = skeleton_report(sub, build_skeleton(sub, cycle),
-                                                relabel=lambda v: ids[v] + 1)
-                    entry["type"] = "c5_skeleton"
-                    entry["skeleton"] = report_sk
-                elif len(cycle) == 7:
-                    dec = recognize_blownup_c7(sub, cycle)
-                    entry["type"] = "blownup_c7"
-                    entry["classes"] = [[ids[v] + 1 for v in iter_bits(cl)]
-                                       for cl in dec.classes]
-            except PreconditionBreach:
-                entry["type"] = "breach"
-        report["components"].append(entry)
-    return report
-
-
-def _dot_dump(graph, report):
-    lines = ["graph skeleton {", "  node [shape=circle];"]
-    groups = {}
-    for entry in report["components"]:
-        sk = entry.get("skeleton")
-        if not sk:
-            continue
-        for v in sk["anchors"]:
-            groups[v] = "C"
-        for name in ("t", "d"):
-            for idx, verts in sk[name].items():
-                for v in verts:
-                    groups[v] = f"{name.upper()}{idx}"
-        for v in sk["w"]:
-            groups[v] = "W"
-    for v in range(graph.n):
-        label = groups.get(v + 1, "")
-        suffix = f' [xlabel="{label}"]' if label else ""
-        lines.append(f"  {v + 1}{suffix};")
-    for u, v in graph.edges():
-        lines.append(f"  {u + 1} -- {v + 1};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_check_promise(args):
-    if args.dot and not args.explain:
-        print("error: --dot needs --explain", file=sys.stderr)
-        return 1
     graph, _ = parse_instance(_read(args.file))
     violation = check_promise(graph)
     if violation is not None:
         print("INVALID")
         print(_witness_line(violation))
         return 2
-    if args.explain:
-        report = _explain_report(graph)
-        sys.stdout.write(json.dumps(report, indent=2) + "\n")
-        if args.dot:
-            sys.stdout.write(_dot_dump(graph, report))
-    else:
-        print("OK")
+    print("OK")
     return 0
 
 
@@ -481,7 +415,8 @@ def _cmd_generate(args):
     from .testkit import GenSpec, RejectionBudgetExceeded, generate
 
     try:
-        sizes = tuple(map(int, args.classes.split(","))) if args.classes else None
+        sizes = (None if args.classes is None
+                 else tuple(map(int, args.classes.split(","))))
     except ValueError:
         print(f"error: --classes takes comma-separated integers, not "
               f"{args.classes!r}", file=sys.stderr)
@@ -541,8 +476,6 @@ def _build_parser():
     p = sub.add_parser("check-promise",
                        help="test the triangle-free / P7-free promise")
     p.add_argument("file")
-    p.add_argument("--explain", action="store_true")
-    p.add_argument("--dot", action="store_true")
     p.set_defaults(func=_cmd_check_promise)
 
     p = sub.add_parser("generate", help="emit a generated instance")

@@ -1,5 +1,5 @@
 """Structure recognition: triangles, induced 7-vertex paths, shortest odd
-cycles, false-twin classes, and the blown-up-C7 decomposition.
+cycles, and the blown-up-C7 check.
 
 check_promise is the only producer of promise-violation witnesses, and every
 witness it returns is verified against the graph first.
@@ -27,15 +27,6 @@ class PromiseViolation(namedtuple("PromiseViolation", "kind vertices")):
 
     def relabel(self, mapping):
         return PromiseViolation(self.kind, tuple(mapping[v] for v in self.vertices))
-
-
-class TwinDecomposition(namedtuple("TwinDecomposition",
-                                    "classes representatives")):
-    """Partition of a C5-free graph into the seven stable classes of a
-    blown-up C7, as int bitmasks in cyclic order; representatives lie on the
-    base cycle."""
-
-    __slots__ = ()
 
 
 def is_triangle(graph, vertices):
@@ -281,15 +272,6 @@ def _extract_odd_cycle(graph, s, a, b, depth):
     return cycle
 
 
-def false_twin_classes(graph):
-    """Partition of the vertices into classes of equal neighbourhood, as int
-    bitmasks in order of smallest member."""
-    groups = {}
-    for v, row in enumerate(graph.bits):
-        groups[row] = groups.get(row, 0) | 1 << v
-    return list(groups.values())
-
-
 def check_promise(graph):
     """None if the graph is triangle-free and P7-free, else a verified witness.
 
@@ -327,7 +309,7 @@ def check_promise(graph):
 
 def recognize_blownup_c7(graph, c7):
     """Classify every vertex against an induced 7-cycle of a connected,
-    C5-free graph and return the twin classes.
+    C5-free graph and check that the classes form a blown-up C7.
 
     Every off-cycle vertex must see exactly two cycle vertices, at distance
     two, and joins the class of the cycle vertex between them; every vertex
@@ -355,4 +337,3 @@ def recognize_blownup_c7(graph, c7):
                 raise PreconditionBreach(
                     f"vertex {v} of class {i} does not see exactly the two "
                     "classes beside it")
-    return TwinDecomposition(tuple(classes), c7)

@@ -17,41 +17,13 @@ from .errors import PreconditionBreach
 from .graph import bipartite_check, components_within, iter_bits
 
 
-class ComponentInfo(namedtuple("ComponentInfo",
-                                "vertices sides side_nbhd t_nbhd")):
-    """A non-trivial component of the graph minus the anchored sets.
-
-    Every vertex set here is an int bitmask.  The two stable sides (the side
-    of the smallest vertex first) each share one neighbourhood in S
-    (side_nbhd: disjoint between sides, at least one non-empty, never
-    touching any D set); t_nbhd[i] is the component's neighbourhood inside
-    T_i.
-    """
-
-    __slots__ = ()
-
-
-class WDComponent(namedtuple("WDComponent", "index vertices w_side d_side "
-                                            "w_t_nbhd d_t_nbhd")):
-    """A non-trivial component of G[W ∪ D_i] (i = index), its W and D_i
-    sides and their neighbourhoods inside T_i, all as int bitmasks; both
-    sides have uniform neighbourhoods inside T_i and those neighbourhoods
-    are disjoint."""
-
-    __slots__ = ()
-
-    @property
-    def t_nbhd(self):
-        return self.w_t_nbhd | self.d_t_nbhd
-
-
-class Skeleton(namedtuple("Skeleton", "c t d s w components t_lists")):
+class Skeleton(namedtuple("Skeleton", "c t d w components t_lists")):
     """The anchored decomposition.  c is the anchor cycle, five vertices in
     cycle order; t[i] and d[i] are the sets T_i and D_i of anchor position
-    i, s is S (the cycle with every T and D set) and w the isolated
-    remainder W, all int bitmasks; components holds the ComponentInfo of
-    each non-trivial remainder component, and t_lists[i] the vertices of
-    T_i as an ascending list."""
+    i and w the isolated remainder W, all int bitmasks; components holds,
+    for each non-trivial component of the remainder, its neighbourhood in
+    S (the cycle with every T and D set) as an int bitmask, and t_lists[i]
+    the vertices of T_i as an ascending list."""
 
     __slots__ = ()
 
@@ -117,25 +89,27 @@ def build_skeleton(graph, c5):
 
     rest = ((1 << graph.n) - 1) & ~s_mask
     w_mask = 0
-    infos = []
+    nbhds = []
     for comp in components_within(graph, rest):
         if comp.bit_count() == 1:
             w_mask |= comp
         else:
-            infos.append(_validate_gs_component(graph, t_sets, d_all, s_mask, comp))
+            nbhds.append(_validate_gs_component(graph, d_all, s_mask, comp))
 
     return Skeleton(
         c=c5,
         t=tuple(t_sets),
         d=tuple(d_sets),
-        s=s_mask,
         w=w_mask,
-        components=tuple(infos),
+        components=tuple(nbhds),
         t_lists=tuple(list(iter_bits(t)) for t in t_sets),
     )
 
 
-def _validate_gs_component(graph, t_sets, d_all, s_mask, comp):
+def _validate_gs_component(graph, d_all, s_mask, comp):
+    """The S-neighbourhood of a non-trivial remainder component, after
+    checking that its two stable sides each have one neighbourhood in S,
+    disjoint and not both empty."""
     # No vertex of a non-trivial component may see any D set: an edge plus a
     # D-neighbour stretches into an induced P7 through four anchors.
     bits = graph.bits
@@ -154,14 +128,7 @@ def _validate_gs_component(graph, t_sets, d_all, s_mask, comp):
         raise PreconditionBreach("component sides share an S-neighbour")
     if not n1 and not n2:
         raise PreconditionBreach("component with no neighbours in S")
-
-    nbhd = n1 | n2
-    return ComponentInfo(
-        vertices=comp,
-        sides=sides,
-        side_nbhd=(n1, n2),
-        t_nbhd=tuple(nbhd & t_sets[i] for i in range(5)),
-    )
+    return n1 | n2
 
 
 def _uniform_nbhd(bits, side, ref_mask):
@@ -175,10 +142,11 @@ def _uniform_nbhd(bits, side, ref_mask):
 
 
 def wd_components(graph, sk, i):
-    """Non-trivial components of G[W ∪ D_i] with per-side uniform
-    T_i-neighbourhoods, as a list of WDComponent; raises PreconditionBreach
-    if one breaks a fact of the class.  Each such component has one side in
-    W and one in D_i, since W has no edges inside W and D_i is stable."""
+    """The T_i-neighbourhood of each non-trivial component of G[W ∪ D_i],
+    as a list of int bitmasks; raises PreconditionBreach if a component
+    breaks a fact of the class.  Each such component has one side in W and
+    one in D_i, since W has no edges inside W and D_i is stable; each side
+    has one neighbourhood in T_i, and the two are disjoint."""
     bits = graph.bits
     ti_mask = sk.t[i]
     d_masks = sk.d
@@ -199,30 +167,24 @@ def wd_components(graph, sk, i):
             raise PreconditionBreach("non-uniform T-neighbourhood inside a W/D component")
         if w_nt & d_nt:
             raise PreconditionBreach("W/D component sides share a T-neighbour")
-        out.append(WDComponent(
-            index=i,
-            vertices=comp,
-            w_side=w_side,
-            d_side=d_side,
-            w_t_nbhd=w_nt,
-            d_t_nbhd=d_nt,
-        ))
+        out.append(w_nt | d_nt)
     return out
 
 
 def build_chain(graph, sk, i):
     """Nested chain of component neighbourhoods inside T_i.
 
-    Collects the T_i-neighbourhoods of the non-trivial components of both
-    the S-remainder and G[W ∪ D_i], deduplicates, and checks that they are
-    totally ordered by inclusion; an incomparable pair, which with T_i
+    Collects the T_i-neighbourhoods of the non-trivial components of the
+    remainder (each one's S-neighbourhood in sk.components, cut to T_i) and
+    of G[W ∪ D_i] (from wd_components), deduplicates, and checks that they
+    are totally ordered by inclusion; an incomparable pair, which with T_i
     holds an induced P7, raises PreconditionBreach.
     """
     ti_mask = sk.t[i]
     if not ti_mask:
         raise ValueError(f"chain requested for empty T_{i}")
-    nbhds = {info.t_nbhd[i] for info in sk.components}
-    nbhds.update(comp.t_nbhd for comp in wd_components(graph, sk, i))
+    nbhds = {nbhd & ti_mask for nbhd in sk.components}
+    nbhds.update(wd_components(graph, sk, i))
     nbhds.discard(0)
     ordered = sorted(nbhds, key=lambda m: (m.bit_count(), m))
     for a, b in zip(ordered, ordered[1:]):
@@ -234,56 +196,3 @@ def build_chain(graph, sk, i):
     v0 = (base & -base).bit_length() - 1
     return Chain(index=i, v0=v0, levels=(1 << v0, *levels, ti_mask),
                  r=len(levels))
-
-
-def skeleton_report(graph, sk, relabel=None):
-    """Structured diagnostic view of the decomposition; relabel maps internal
-    vertex ids to display ids (identity by default).  Raises
-    PreconditionBreach where wd_components or build_chain does."""
-    if relabel is None:
-        def relabel(v):
-            return v
-
-    def vs(mask):
-        return [relabel(v) for v in iter_bits(mask)]
-
-    report = {
-        "anchors": [relabel(v) for v in sk.c],
-        "t": {str(i + 1): vs(sk.t[i]) for i in range(5)},
-        "d": {str(i + 1): vs(sk.d[i]) for i in range(5)},
-        "s": vs(sk.s),
-        "w": vs(sk.w),
-        "components": [
-            {
-                "vertices": vs(info.vertices),
-                "sides": [vs(info.sides[0]), vs(info.sides[1])],
-                "side_nbhd": [vs(info.side_nbhd[0]), vs(info.side_nbhd[1])],
-                "t_nbhd": {str(i + 1): vs(info.t_nbhd[i]) for i in range(5)
-                           if info.t_nbhd[i]},
-            }
-            for info in sk.components
-        ],
-        "wd_components": {},
-        "chains": {},
-    }
-    for i in range(5):
-        wds = wd_components(graph, sk, i)
-        entries = [
-            {
-                "vertices": vs(c.vertices),
-                "w_side": vs(c.w_side),
-                "d_side": vs(c.d_side),
-                "t_nbhd": vs(c.t_nbhd),
-            }
-            for c in wds
-        ]
-        if entries:
-            report["wd_components"][str(i + 1)] = entries
-        if sk.t[i]:
-            chain = build_chain(graph, sk, i)
-            report["chains"][str(i + 1)] = {
-                "v0": relabel(chain.v0),
-                "r": chain.r,
-                "levels": [vs(level) for level in chain.levels],
-            }
-    return report

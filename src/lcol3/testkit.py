@@ -188,12 +188,16 @@ def generate(spec):
         return _spider(spec.scale)
     rng = random.Random(spec.seed)
     if spec.kind == "blownup_c5":
-        sizes = spec.class_sizes or tuple(rng.randint(1, 4) for _ in range(5))
+        sizes = spec.class_sizes
+        if sizes is None:
+            sizes = tuple(rng.randint(1, 4) for _ in range(5))
         if len(sizes) != 5 or any(s < 1 for s in sizes):
             raise ValueError("blownup_c5 needs five positive class sizes")
         graph = _blowup(5, sizes)
     elif spec.kind == "blownup_c7":
-        sizes = spec.class_sizes or tuple(rng.randint(1, 3) for _ in range(7))
+        sizes = spec.class_sizes
+        if sizes is None:
+            sizes = tuple(rng.randint(1, 3) for _ in range(7))
         if len(sizes) != 7 or any(s < 1 for s in sizes):
             raise ValueError("blownup_c7 needs seven positive class sizes")
         graph = _blowup(7, sizes)
@@ -209,7 +213,7 @@ def generate(spec):
                 f"skeleton_built seed {spec.seed}: no promise instance "
                 f"within the retry budget")
     elif spec.kind == "random_rejection":
-        graph = _random_rejection(rng, spec.n or 10,
+        graph = _random_rejection(rng, 10 if spec.n is None else spec.n,
                                   spec.target_edges, spec.rejection_budget)
     else:
         raise ValueError(f"unknown generator kind {spec.kind!r}")

@@ -284,6 +284,15 @@ def reference_normalize_lists(n, lists):
     return out
 
 
+def false_twin_classes(graph):
+    """Partition of the vertices into classes of equal neighbourhood, as int
+    bitmasks in order of smallest member."""
+    groups = {}
+    for v, row in enumerate(graph.bits):
+        groups[row] = groups.get(row, 0) | 1 << v
+    return list(groups.values())
+
+
 def reference_twin_representatives(graph, masks):
     """engine._twin_representatives as it stood before its one-mask
     shortcut, kept verbatim: every class of two or more vertices goes

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_parse_instance, reference_parse_lines
+import lcol3
 from lcol3 import cli, testkit
 from lcol3.cli import (MAX_VERTICES, DuplicateEdgeError, DuplicateListLineError,
                        InstanceSyntaxError, OutOfRangeError, dispatch,
@@ -591,8 +592,12 @@ def test_dispatch_solve_exit_codes(capsys):
 # left out, as recorded before the search counted its colour removals
 # through SolveStats alone.  The blown-up C7 of c7_blowup_lists.lcol is
 # decided by the full-vertex search: one call, one branching node, one
-# 2-SAT leaf.
+# 2-SAT leaf.  anchor_breach.lcol is decided by the (a)-(h) branch stream:
+# the base of its one live anchor colouring has no safe colour for a
+# full-list vertex.
 SAMPLE_STATS = {
+    ("anchor_breach.lcol", "trust"): ("SAT", (3, 1, 23, 1, 0, 0, 0, 0, 0)),
+    ("anchor_breach.lcol", "verify"): ("SAT", (3, 1, 23, 1, 0, 0, 0, 0, 0)),
     ("bipartite_lists.lcol", "trust"): ("SAT", (0, 0, 0, 0, 0, 0, 6, 0, 0)),
     ("bipartite_lists.lcol", "verify"): ("SAT", (0, 0, 0, 0, 0, 0, 6, 0, 0)),
     ("c5.lcol", "trust"): ("SAT", (0, 0, 0, 0, 0, 0, 5, 0, 0)),
@@ -684,11 +689,12 @@ def test_dispatch_solver_errors_exit_1_with_one_line(monkeypatch, capsys, error)
 @pytest.mark.parametrize("args", [
     ["--kind", "blownup_c5", "--classes", "1,2"],
     ["--kind", "blownup_c7", "--classes", "a,b"],
+    ["--kind", "blownup_c5", "--classes", ""],
     ["--kind", "spider", "--lists", "random"],
     ["--kind", "spider", "--scale", "-1"],
     ["--kind", "random_rejection", "--n", "40", "--edges", "200"],
-], ids=["class-count", "class-syntax", "spider-lists", "spider-scale",
-        "rejection-budget"])
+], ids=["class-count", "class-syntax", "class-empty", "spider-lists",
+        "spider-scale", "rejection-budget"])
 def test_dispatch_generate_errors_exit_1_with_one_line(monkeypatch, capsys, args):
     # The rejection sampler is held to one attempt, so that exhausting its
     # budget takes no time; 200 triangle-free edges on 40 vertices always
@@ -713,27 +719,60 @@ def test_check_promise_exit_codes(capsys):
     assert "witness induced_p7" in capsys.readouterr().out
 
 
+# sample: the first line of `lcol3 check-promise` and its exit code
+SAMPLE_PROMISE = {
+    "anchor_breach.lcol": ("OK", 0),
+    "bipartite_lists.lcol": ("OK", 0),
+    "c5.lcol": ("OK", 0),
+    "c5_commented.lcol": ("OK", 0),
+    "c5_unsat.lcol": ("OK", 0),
+    "c7_blowup.lcol": ("OK", 0),
+    "c7_blowup_lists.lcol": ("OK", 0),
+    "groetzsch.lcol": ("OK", 0),
+    "p8.lcol": ("INVALID", 2),
+    "skeleton_lists.lcol": ("OK", 0),
+    "skeleton_small.lcol": ("OK", 0),
+    "triangle.lcol": ("INVALID", 2),
+    "triangle_two_lists.lcol": ("INVALID", 2),
+}
+
+
+def test_check_promise_table_names_every_sample():
+    assert sorted(SAMPLE_PROMISE) == sorted(p.name for p in INSTANCES.glob("*.lcol"))
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLE_PROMISE))
+def test_check_promise_answers_every_sample(capsys, name):
+    answer, code = SAMPLE_PROMISE[name]
+    assert dispatch(["check-promise", str(INSTANCES / name)]) == code
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == answer
+    # OK alone, or INVALID and the witness line
+    assert len(lines) == (1 if code == 0 else 2)
+
+
+def _usage_error(capsys, args):
+    # argparse's exit is mapped to 1, never to 2, which would read as INVALID
+    assert dispatch(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err
+
+
 def test_check_promise_explain(capsys):
-    assert dispatch(["check-promise", "--explain",
-                     str(INSTANCES / "skeleton_small.lcol")]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["promise"] == "ok"
-    assert report["components"]
+    _usage_error(capsys, ["check-promise", "--explain",
+                          str(INSTANCES / "skeleton_small.lcol")])
 
 
 def test_check_promise_explain_dot(capsys):
-    assert dispatch(["check-promise", "--explain", "--dot",
-                     str(INSTANCES / "c5.lcol")]) == 0
-    out = capsys.readouterr().out
-    assert "graph skeleton {" in out
+    _usage_error(capsys, ["check-promise", "--explain", "--dot",
+                          str(INSTANCES / "c5.lcol")])
 
 
 def test_check_promise_dot_without_explain_is_a_usage_error(capsys):
-    assert dispatch(["check-promise", "--dot", str(INSTANCES / "c5.lcol")]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and "--dot needs --explain" in lines[0]
+    _usage_error(capsys, ["check-promise", "--dot", str(INSTANCES / "c5.lcol")])
+    # an input outside the class too: the usage error comes first
+    _usage_error(capsys, ["check-promise", "--dot", str(INSTANCES / "p8.lcol")])
 
 
 def test_verify_subcommand(tmp_path, capsys):
@@ -775,6 +814,9 @@ def test_generate_subcommand(tmp_path, capsys):
                      "--lists", "random"]) == 0
     text = capsys.readouterr().out
     parse_instance(text)
+    # --n 0 asks for the empty graph, not the default size
+    assert dispatch(["generate", "--kind", "random_rejection", "--n", "0"]) == 0
+    assert capsys.readouterr().out == "p lcol 0 0\n"
 
 
 def test_oracle_subcommand(capsys):
@@ -823,6 +865,12 @@ def test_import_loads_no_heavy_stdlib_modules():
                    "'random'} & set(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_every_export_resolves():
+    assert len(set(lcol3.__all__)) == len(lcol3.__all__)
+    for name in lcol3.__all__:
+        assert getattr(lcol3, name) is not None, name
 
 
 def test_module_help_exits_zero():

@@ -13,13 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from conftest import (check_witness, graphs, reference_colouring_fits,
-                      reference_normalize_lists, reference_peel,
-                      reference_removable, reference_twin_representatives,
-                      seeds_of_branch)
-from lcol3 import (build_chain, build_graph, build_skeleton, check_promise,
-                   choice_lists, enumerate_c5_colourings, palette_analysis,
-                   propagate, residual_to_2sat, solve, verify_colouring)
+from conftest import (check_witness, false_twin_classes, graphs,
+                      reference_colouring_fits, reference_normalize_lists,
+                      reference_peel, reference_removable,
+                      reference_twin_representatives, seeds_of_branch)
+from lcol3 import (anchor_seeds, build_chain, build_graph, build_skeleton,
+                   check_promise, choice_lists, enumerate_c5_colourings,
+                   palette_analysis, propagate, residual_to_2sat, solve,
+                   verify_colouring)
 import lcol3
 from lcol3 import engine
 from lcol3.cli import dispatch, emit_instance, parse_instance
@@ -27,11 +28,10 @@ from lcol3.engine import (_SIZE, FULL_MASK, InternalError, ListState,
                           SolveStats, mask_of)
 from lcol3.errors import PreconditionBreach
 from lcol3.graph import bipartite_check, iter_bits
-from lcol3.recognition import (PromiseViolation, TwinDecomposition,
-                               false_twin_classes, recognize_blownup_c7,
+from lcol3.recognition import (PromiseViolation, recognize_blownup_c7,
                                shortest_odd_cycle)
 from lcol3.sat2 import solve_2sat
-from lcol3.skeleton import Chain, ComponentInfo, Skeleton, WDComponent
+from lcol3.skeleton import Chain, Skeleton
 from lcol3.testkit import (GenSpec, cycle_graph, enumerate_colourings,
                            generate, groetzsch_graph, oracle_solve, path_graph)
 
@@ -348,11 +348,13 @@ def test_residual_rejects_full_mask():
         residual_to_2sat(st)
 
 
-def _c7_decomposition(sizes):
+def _c7_blowup(sizes):
+    """A blown-up C7 with these class sizes and its shortest odd cycle, one
+    vertex of each class in cyclic order; the check accepts the pair."""
     g, _ = generate(GenSpec("blownup_c7", class_sizes=sizes))
     cyc = shortest_odd_cycle(g)
-    dec = recognize_blownup_c7(g, cyc)
-    return g, dec
+    assert recognize_blownup_c7(g, cyc) is None
+    return g, cyc
 
 
 def _solve_matches_oracle(g, masks):
@@ -366,25 +368,23 @@ def _solve_matches_oracle(g, masks):
 
 
 def test_blownup_c7_full_lists_solve():
-    g, _ = _c7_decomposition((2, 1, 2, 1, 2, 1, 2))
+    g, _ = _c7_blowup((2, 1, 2, 1, 2, 1, 2))
     assert _solve_matches_oracle(g, None).is_sat
 
 
 def test_blownup_c7_forced_class_matches_oracle():
-    g, dec = _c7_decomposition((1, 1, 1, 1, 1, 1, 1))
-    for cls in range(7):
+    # with classes of one vertex, each class is its cycle vertex
+    g, cyc = _c7_blowup((1, 1, 1, 1, 1, 1, 1))
+    for v in cyc:
         masks = [FULL_MASK] * g.n
-        for v in iter_bits(dec.classes[cls]):
-            masks[v] = mask_of([3])
+        masks[v] = mask_of([3])
         _solve_matches_oracle(g, masks)
 
 
 def test_blownup_c7_adjacent_singletons_unsat():
-    g, dec = _c7_decomposition((1, 1, 1, 1, 1, 1, 1))
+    g, cyc = _c7_blowup((1, 1, 1, 1, 1, 1, 1))
     masks = [FULL_MASK] * g.n
-    a = next(iter_bits(dec.classes[0]))
-    b = next(iter_bits(dec.classes[1]))
-    masks[a] = masks[b] = mask_of([1])
+    masks[cyc[0]] = masks[cyc[1]] = mask_of([1])
     assert _solve_matches_oracle(g, masks).is_unsat
 
 
@@ -758,6 +758,25 @@ def test_skeleton_solves_keep_pinned_answers_and_counters(monkeypatch, spec,
     del got["millis"]
     assert got == counters
     assert got["sat_instances"] >= 1 and got["branches_survived"] >= 1
+
+
+def test_anchor_breach_sample_needs_the_branch_stream():
+    # instances/anchor_breach.lcol keeps all ten vertices through layer 0.
+    # At its first anchor colouring that survives propagation, the
+    # three-colour rule finds no safe colour for vertex index 3 of the
+    # base, so only the (a)-(h) branch stream decides the input.
+    g, masks = parse_instance((INSTANCES / "anchor_breach.lcol").read_text())
+    st = ListState(g, masks, SolveStats())
+    sk = build_skeleton(g, shortest_odd_cycle(g))
+    for palette in engine._anchor_palettes([st.masks[c] for c in sk.c]):
+        base = st.fork()
+        if (base.assign_all(anchor_seeds(sk, palette))
+                and propagate(base) is not None):
+            break
+    else:
+        pytest.fail("no anchor colouring survives propagation")
+    with pytest.raises(PreconditionBreach, match="^vertex 3 "):
+        engine._two_sat_leaf(base.copy())
 
 
 def test_anchor_palettes_follow_enumeration_order():
@@ -1264,8 +1283,7 @@ def test_case_records_keep_field_order_and_defaults():
 
 @pytest.mark.parametrize("record", [
     engine.Outcome, engine.Palette, engine.TCase, engine.DCase,
-    PromiseViolation, TwinDecomposition, ComponentInfo, WDComponent, Skeleton,
-    Chain, GenSpec])
+    PromiseViolation, Skeleton, Chain, GenSpec])
 def test_frozen_records_reject_assignment(record):
     rec = record._make(range(len(record._fields)))
     with pytest.raises(AttributeError):

@@ -3,9 +3,9 @@ import pytest
 from conftest import breach_witness, reference_anchor_classes
 from lcol3 import build_chain, build_graph, build_skeleton, check_promise, wd_components
 from lcol3.errors import PreconditionBreach
-from lcol3.graph import bipartite_check, iter_bits
+from lcol3.graph import bipartite_check, components_within, iter_bits
 from lcol3.recognition import shortest_odd_cycle
-from lcol3.skeleton import Chain, Skeleton, skeleton_report
+from lcol3.skeleton import Chain, Skeleton
 from lcol3.testkit import GenSpec, generate
 
 C5 = [(i, (i + 1) % 5) for i in range(5)]
@@ -14,6 +14,16 @@ ANCHORS = (0, 1, 2, 3, 4)
 
 def mk(extra, n):
     return build_graph(n, C5 + extra)
+
+
+def remainder_components(g, sk):
+    """The non-trivial components of g minus S (the anchors with every T
+    and D set), in the order build_skeleton lists their neighbourhoods."""
+    s_mask = sum(1 << v for v in sk.c)
+    for i in range(5):
+        s_mask |= sk.t[i] | sk.d[i]
+    rest = ((1 << g.n) - 1) & ~s_mask
+    return [comp for comp in components_within(g, rest) if comp.bit_count() > 1]
 
 
 def test_classify_t_set():
@@ -66,27 +76,26 @@ def test_component_sides_sharing_an_s_neighbour_raise_on_a_triangle():
 
 
 def test_component_info_fields():
+    # component {6, 7}: side {6} sees 5 in T_2, side {7} nothing in S
     g = mk([(5, 1), (5, 3), (6, 5), (6, 7)], 8)
     sk = build_skeleton(g, ANCHORS)
     assert isinstance(sk, Skeleton)
-    assert len(sk.components) == 1
-    info = sk.components[0]
-    assert info.vertices == 1 << 6 | 1 << 7
-    assert info.sides == (1 << 6, 1 << 7)
-    assert info.side_nbhd == (1 << 5, 0)
-    assert info.t_nbhd[2] == 1 << 5
+    assert sk.components == (1 << 5,)
+    assert remainder_components(g, sk) == [1 << 6 | 1 << 7]
     assert not sk.w
 
 
 def test_wd_single_component():
-    g = mk([(5, 0), (6, 5)], 7)
+    # component {6, 7} of G[W ∪ D_0]: w(7) sees 5 in T_0, d(6) nothing there
+    g = mk([(5, 4), (5, 1), (6, 0), (7, 6), (7, 5)], 8)
+    assert check_promise(g) is None
     sk = build_skeleton(g, ANCHORS)
-    comps = wd_components(g, sk, 0)
-    assert len(comps) == 1
-    comp = comps[0]
-    assert comp.vertices == 1 << 5 | 1 << 6
-    assert comp.d_side == 1 << 5 and comp.w_side == 1 << 6
+    assert sk.d[0] == 1 << 6 and sk.w == 1 << 7
+    assert wd_components(g, sk, 0) == [1 << 5]
     assert wd_components(g, sk, 1) == []
+    # an empty T_0 leaves the component with an empty neighbourhood there
+    g = mk([(5, 0), (6, 5)], 7)
+    assert wd_components(g, build_skeleton(g, ANCHORS), 0) == [0]
 
 
 def test_wd_consecutive_d_neighbours_yields_p7():
@@ -175,9 +184,14 @@ def test_generated_instances_build_cleanly():
             continue
         sk = build_skeleton(g, cyc)
         assert isinstance(sk, Skeleton), seed
-        covered = sk.s | sk.w
-        for info in sk.components:
-            covered |= info.vertices
+        covered = sum(1 << v for v in sk.c) | sk.w
+        for i in range(5):
+            covered |= sk.t[i] | sk.d[i]
+        comps = remainder_components(g, sk)
+        assert len(comps) == len(sk.components), seed
+        for comp in comps:
+            assert not covered & comp, seed
+            covered |= comp
             seen_component = True
         assert covered == (1 << g.n) - 1
         for i in range(5):
@@ -226,9 +240,9 @@ def test_anchor_classes_match_reference():
 
 
 def test_component_sides_match_bipartite_check():
-    # Each component's sides are its 2-colouring by a plain BFS over the
-    # neighbour tuples, the side of its smallest vertex first; every edge
-    # of the component crosses them.
+    # bipartite_check gives each remainder component's sides as its
+    # 2-colouring by a plain BFS over the neighbour tuples, the side of its
+    # smallest vertex first; every edge of the component crosses them.
     checked = 0
     for seed in range(30):
         g, _ = generate(GenSpec("skeleton_built", seed=seed, scale=25))
@@ -237,8 +251,7 @@ def test_component_sides_match_bipartite_check():
             continue
         sk = build_skeleton(g, cyc)
         assert isinstance(sk, Skeleton), seed
-        for info in sk.components:
-            comp = info.vertices
+        for comp in remainder_components(g, sk):
             start = (comp & -comp).bit_length() - 1
             side = {start: 0}
             queue = [start]
@@ -253,14 +266,14 @@ def test_component_sides_match_bipartite_check():
             for v, s in side.items():
                 sides[s] |= 1 << v
             assert sides[0] | sides[1] == comp
-            assert info.sides == tuple(sides), seed
+            assert bipartite_check(g, comp) == tuple(sides), seed
             checked += 1
     assert checked > 0
 
 
 def test_component_edge_t_neighbourhood_union_property():
     # union of T_i-neighbourhoods over any component edge equals the
-    # component's T_i-neighbourhood
+    # component's T_i-neighbourhood, the T_i part of its S-neighbourhood
     checked = 0
     for seed in range(60):
         g, _ = generate(GenSpec("skeleton_built", seed=seed, scale=25))
@@ -273,29 +286,31 @@ def test_component_edge_t_neighbourhood_union_property():
         if not isinstance(sk, Skeleton):
             continue
         bits = g.bits
-        for info in sk.components:
-            mask = info.vertices
+        comps = remainder_components(g, sk)
+        assert len(comps) == len(sk.components), seed
+        for mask, nbhd in zip(comps, sk.components):
             for u in iter_bits(mask):
                 for v in g.adj[u]:
                     if v < u or not (mask >> v) & 1:
                         continue
                     for i in range(5):
                         union = (bits[u] | bits[v]) & sk.t[i]
-                        assert union == info.t_nbhd[i]
+                        assert union == nbhd & sk.t[i]
                         checked += 1
     assert checked
 
 
-def test_skeleton_report_shape():
+def test_small_skeleton_sets_chain_and_wd_component():
     extra = [(5, 1), (5, 3), (6, 1), (7, 6), (8, 5), (8, 9)]
     g = mk(extra, 10)
     assert check_promise(g) is None
     sk = build_skeleton(g, ANCHORS)
-    report = skeleton_report(g, sk, relabel=lambda v: v + 1)
-    assert report["anchors"] == [1, 2, 3, 4, 5]
-    assert report["t"]["3"] == [6]
-    assert report["d"]["2"] == [7]
-    assert report["w"] == [8]
-    assert report["components"][0]["vertices"] == [9, 10]
-    assert report["chains"]["3"]["v0"] == 6
-    assert report["wd_components"]["2"][0]["vertices"] == [7, 8]
+    assert sk.c == ANCHORS
+    assert sk.t == (0, 0, 1 << 5, 0, 0)
+    assert sk.d == (0, 1 << 6, 0, 0, 0)
+    assert sk.w == 1 << 7
+    assert remainder_components(g, sk) == [1 << 8 | 1 << 9]
+    assert sk.components == (1 << 5,)
+    assert build_chain(g, sk, 2).v0 == 5
+    # the one component {6, 7} of G[W ∪ D_1]; T_1 is empty
+    assert wd_components(g, sk, 1) == [0]

@@ -134,6 +134,20 @@ def test_rejection_budget_exceeded():
                          rejection_budget=3))
 
 
+def test_random_rejection_with_zero_vertices_is_empty():
+    # n = 0 is an explicit size, not the default of 10
+    g, masks = generate(GenSpec("random_rejection", seed=3, n=0))
+    assert (g.n, g.m, masks) == (0, 0, [])
+
+
+@pytest.mark.parametrize("kind,count", [("blownup_c5", "five"),
+                                        ("blownup_c7", "seven")])
+def test_blowup_with_empty_class_sizes_raises(kind, count):
+    # an empty tuple is an explicit (wrong) size list, not "draw at random"
+    with pytest.raises(ValueError, match=f"needs {count} positive class sizes"):
+        generate(GenSpec(kind, class_sizes=()))
+
+
 def test_named_graphs():
     assert petersen_graph().m == 15
     g = groetzsch_graph()
