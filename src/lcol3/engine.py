@@ -1,12 +1,13 @@
 """Solver engine: anchor-cycle colouring enumeration, the (a)-(h) partial
 colouring branches, list propagation, 2-SAT residuals with the
-three-colour rule, the full-vertex branch search that decides bipartite and
-blown-up-C7 components, and top-level orchestration.
+three-colour rule, and top-level orchestration.  Both branch searches, the
+(a)-(h) choices below each live anchor colouring and the full-vertex search
+that decides bipartite and blown-up-C7 components, run through one
+depth-first loop, _leaf_stream, which builds and counts every search node.
 """
 
 import time
 from collections import deque, namedtuple
-from math import prod
 
 from .errors import InternalError, PreconditionBreach
 from .graph import (bipartite_check, components_within, induced_subgraph,
@@ -111,7 +112,7 @@ class ListState:
     of freshly forced vertices awaiting propagation.  A vertex is assigned
     when its mask is a singleton; it is queued when its mask becomes one.
     Every colour that assign or propagate removes is added to
-    stats.propagations, the SolveStats of the solve, which forks share."""
+    stats.propagations, the SolveStats of the solve, which copies share."""
 
     __slots__ = ("graph", "masks", "pending", "stats")
 
@@ -127,18 +128,15 @@ class ListState:
                 self.pending.append(v)
 
     def copy(self):
-        """A copy for a child of a search node, which is at a fixpoint."""
+        """An independent copy for a child of a search node, which is at a
+        fixpoint, so its pending queue is empty; it counts into the same
+        stats."""
         if self.pending:
             raise InternalError("ListState copied outside a propagation fixpoint")
-        return self.fork()
-
-    def fork(self):
-        """An independent copy, the pending queue included, that counts
-        into the same stats."""
         new = object.__new__(ListState)
         new.graph = self.graph
         new.masks = self.masks.copy()
-        new.pending = self.pending.copy()
+        new.pending = deque()
         new.stats = self.stats
         return new
 
@@ -642,8 +640,9 @@ def _solve_component(g, masks, stats):
     lists have two or three colours and sit at a propagation fixpoint (see
     solve), so a component with no full list is one 2-SAT instance and
     goes to 2-SAT before any structural check.  Its list state is built
-    once, here, for whichever search takes it.  A component of odd girth 7
-    must be a blown-up C7, which recognize_blownup_c7 checks, raising
+    once, here, and whichever search takes it builds every node as a copy
+    of it or of a node below it.  A component of odd girth 7 must be a
+    blown-up C7, which recognize_blownup_c7 checks, raising
     PreconditionBreach otherwise; _full_vertex_search then decides it."""
     st = ListState(g, masks, stats)
     if FULL_MASK not in masks:
@@ -669,56 +668,48 @@ def _solve_component(g, masks, stats):
 
 
 def _full_vertex_search(st):
-    """Depth-first branching over colours 1, 2, 3 of the first full-list
-    vertex, propagating at each node and handing each node without a
-    full-list vertex to 2-SAT; counts each call in st.stats.fallback_used
-    and each node it branches on in st.stats.fallback_nodes.  The root st
-    is at a propagation fixpoint and has a full-list vertex, so the search
-    always branches.
+    """Depth-first branching over colours 1, 2, 3 of the lowest full-list
+    vertex, through _leaf_stream, handing each node without a full-list
+    vertex to 2-SAT; counts each call in st.stats.fallback_used and each
+    node it branches on in st.stats.fallback_nodes.  The root st is at a
+    propagation fixpoint and has a full-list vertex, so the search always
+    branches.
 
     On a bipartite component the worst case is exponential, and the depth
-    can reach the vertex count, so the search keeps its own stack.  On a
-    blown-up C7 it branches at most 13 times.  At layer 0's fixpoint a
-    class holding a full-list vertex v holds nothing else: a classmate u
-    has N(v) ⊆ N(u) and L(u) ⊆ L(v), so it would dominate v.  The vertices
-    branched on along one path are pairwise non-adjacent, since a
-    neighbour of a branched vertex loses a colour; so they lie in pairwise
-    non-adjacent classes, at most 3 of the cycle's 7, and the nodes number
-    at most 1 + 3 + 9.
+    can reach the vertex count.  On a blown-up C7 it branches at most 13
+    times.  At layer 0's fixpoint a class holding a full-list vertex v
+    holds nothing else: a classmate u has N(v) ⊆ N(u) and L(u) ⊆ L(v), so
+    it would dominate v.  The vertices branched on along one path are
+    pairwise non-adjacent, since a neighbour of a branched vertex loses a
+    colour; so they lie in pairwise non-adjacent classes, at most 3 of the
+    cycle's 7, and the nodes number at most 1 + 3 + 9.
 
-    Masks only shrink below a node, so a vertex that is not full at a node
-    is not full below it: the full vertices of the root, in order, are
-    scanned once per path, each node resuming at its parent's cursor.
+    Masks only shrink below a node, so a vertex that is not full at a
+    node is not full below it: each node resumes the scan at the vertex
+    its parent branched on, kept per depth of the current path, so the
+    vertices are scanned once per path.
     """
-    order = [v for v, m in enumerate(st.masks) if m == FULL_MASK]
     stats = st.stats
     stats.fallback_used += 1
-    stack = []  # [state, cursor, next colour] per branching node
-    node, cursor = st, 0
-    while True:
-        if node is not None:
-            masks = node.masks
-            while cursor < len(order) and masks[order[cursor]] != FULL_MASK:
-                cursor += 1
-            if cursor == len(order):
-                result = _two_sat_leaf(node)
-                if result is not None:
-                    return result
-            else:
-                stack.append([node, cursor, 1])
-                stats.fallback_nodes += 1
-        if not stack:
+    path = [0]  # path[d]: where the scan starts at depth d of the current path
+
+    def children(node, depth):
+        masks = node.masks
+        i = path[depth]
+        while i < len(masks) and masks[i] != FULL_MASK:
+            i += 1
+        if i == len(masks):
             return None
-        frame = stack[-1]
-        parent, cursor, colour = frame
-        if colour > 3:
-            stack.pop()
-            node = None
-            continue
-        frame[2] = colour + 1
-        node = parent.copy()
-        node.assign(order[cursor], colour)
-        node = propagate(node)
+        del path[depth + 1:]
+        path.append(i)
+        stats.fallback_nodes += 1
+        return ((i, 1),), ((i, 2),), ((i, 3),)
+
+    for leaf in _leaf_stream(st, children):
+        result = _two_sat_leaf(leaf)
+        if result is not None:
+            return result
+    return None
 
 
 def _two_sat_leaf(st):
@@ -737,68 +728,72 @@ def _two_sat_leaf(st):
 
 def _solve_skeleton(st, sk):
     """Search every anchor colouring of the skeleton in order, from the
-    component's list state st.  Each anchor colouring seeds and propagates
-    a fork of it, so the order of both is that of a fresh state.  A dead
-    anchor colouring counts its branches, the product of the lengths of its
-    choice lists; they depend only on which T and D indices it leaves open,
-    so each such pair of index tuples is counted once.  Every branch that
-    survives propagation is counted in stats.branches_survived and ends in
-    _two_sat_leaf."""
+    component's list state st.  Each anchor colouring is one node, a copy
+    of st seeded and propagated here and counted in stats.branches; the
+    chains its choices read are built first.  A live one runs the (a)-(h)
+    choices through _leaf_stream, one choice list per depth, and hands
+    each leaf to _two_sat_leaf.  The base is propagated here, not in
+    _leaf_stream, since perfbench/layers.py tells live anchor colourings
+    from tried choices by the name of propagate's caller."""
     stats = st.stats
     chains = {}
-    counts = {}
     for palette in _anchor_palettes([st.masks[c] for c in sk.c]):
         for i in palette.undetermined:
             if sk.t[i] and i not in chains:
                 chains[i] = build_chain(st.graph, sk, i)
 
-        base = st.fork()
+        stats.branches += 1
+        base = st.copy()
         if not (base.assign_all(anchor_seeds(sk, palette))
                 and propagate(base) is not None):
-            key = (palette.undetermined, palette.free_d)
-            if key not in counts:
-                counts[key] = prod(map(len, choice_lists(sk, chains, palette)))
-            stats.branches += counts[key]
             continue
 
-        for leaf in _leaf_stream(sk, chains, palette, base):
-            stats.branches += 1
-            stats.branches_survived += 1
+        lists = [choices for choices in choice_lists(sk, chains, palette)
+                 if choices[0] is not None]
+
+        def children(node, depth):
+            if depth == len(lists):
+                return None
+            return (case_seeds(sk, chains, palette, case)
+                    for case in lists[depth])
+
+        for leaf in _leaf_stream(base, children):
             result = _two_sat_leaf(leaf)
             if result is not None:
                 return result
     return None
 
 
-def _leaf_stream(sk, chains, palette, base):
-    """Yield, in search order, the state of every branch of an anchor
-    colouring whose seeds survive propagation.  Each choice is seeded and
-    propagated once on a copy of its prefix's state, in this generator's
-    own frame; a failed choice prunes every branch below it, and the pruned
-    branches are added to base.stats.branches as they happen.  The search
-    keeps its own stack: per choice list on the current path, the state of
-    its prefix and the choices not yet tried."""
-    lists = [c for c in choice_lists(sk, chains, palette) if c[0] is not None]
-    if not lists:
-        yield base
-        return
-    below = [1] * (len(lists) + 1)  # branches under one choice at each depth
-    for idx in range(len(lists) - 1, -1, -1):
-        below[idx] = below[idx + 1] * len(lists[idx])
-    stats = base.stats
-    stack = [(base, iter(lists[0]))]
-    while stack:
-        state, choices = stack[-1]
-        choice = next(choices, None)
-        if choice is None:
-            stack.pop()
-            continue
-        depth = len(stack)  # choices picked on the path, this one included
-        st2 = state.copy()
-        if not (st2.assign_all(case_seeds(sk, chains, palette, choice))
-                and propagate(st2) is not None):
-            stats.branches += below[depth]
-        elif depth == len(lists):
-            yield st2
+def _leaf_stream(root, children):
+    """Yield, in depth-first order, every leaf of the search below the
+    state root, which is at a propagation fixpoint.  children(node, depth)
+    gives a node's children as seed lists, built lazily, or None at a
+    leaf; the root is at depth 0.  Each child is a copy of its parent,
+    seeded with one list and propagated once, in this generator's own
+    frame; a child whose seeds or propagation fail is pruned with all
+    below it.  Each child built is added to stats.branches and each leaf
+    yielded to stats.branches_survived.  The search keeps its own stack,
+    so its depth is not bounded by the recursion limit: per node on the
+    current path, its state and the children not yet built."""
+    stats = root.stats
+    stack = []
+    node = root
+    while True:
+        kids = children(node, len(stack))
+        if kids is None:
+            stats.branches_survived += 1
+            yield node
         else:
-            stack.append((st2, iter(lists[depth])))
+            stack.append((node, iter(kids)))
+        node = None
+        while node is None:
+            if not stack:
+                return
+            parent, kids = stack[-1]
+            seeds = next(kids, None)
+            if seeds is None:
+                stack.pop()
+                continue
+            stats.branches += 1
+            child = parent.copy()
+            node = propagate(child) if child.assign_all(seeds) else None

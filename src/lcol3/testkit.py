@@ -3,7 +3,6 @@ enumeration, seeded instance generators for the promise class, and a few
 named graphs."""
 
 import random
-import sys
 from collections import namedtuple
 
 from .engine import (FULL_MASK, colours_of, mask_of, normalize_lists,
@@ -44,16 +43,14 @@ class GenSpec(namedtuple("GenSpec", "kind seed class_sizes n target_edges "
 
 def oracle_solve(graph, lists=None):
     """Backtracking list-colouring oracle: most-constrained vertex first with
-    forward pruning.  Returns a verified colouring or None."""
+    forward pruning.  Returns a verified colouring or None.  The search
+    keeps its own stack, so its depth is not bounded by the recursion
+    limit."""
     masks = normalize_lists(graph.n, lists)
     n = graph.n
-    if n == 0:
-        return []
     adj = graph.adj
     work = list(masks)
     colouring = [0] * n
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 3 * n + 200))
 
     def pick():
         best = None
@@ -67,39 +64,31 @@ def oracle_solve(graph, lists=None):
                         break
         return best
 
-    def rec():
-        v = pick()
-        if v is None:
-            return True
-        for c in colours_of(work[v]):
+    stack = []  # per coloured vertex: it, its colours left, neighbours pruned
+    v = pick()
+    while v is not None:
+        stack.append((v, iter(colours_of(work[v])), []))
+        while True:  # the top vertex's next colour that empties no list
+            if not stack:
+                return None
+            v, colours, touched = stack[-1]
+            for u in touched:
+                work[u] |= 1 << (colouring[v] - 1)
+            touched.clear()
+            c = colouring[v] = next(colours, 0)
+            if not c:
+                stack.pop()
+                continue
             cbit = 1 << (c - 1)
-            colouring[v] = c
-            touched = []
-            dead = False
             for u in adj[v]:
                 if colouring[u] == 0 and work[u] & cbit:
                     work[u] &= ~cbit
                     touched.append(u)
                     if work[u] == 0:
-                        dead = True
                         break
-            if not dead and rec():
-                return True
-            for u in touched:
-                work[u] |= cbit
-        colouring[v] = 0
-        return False
-
-    # rec refers to itself (and to pick) through closure cells; clearing
-    # the name breaks that cycle, which would otherwise keep rec and what
-    # it refers to alive until a full garbage collection.
-    try:
-        found = rec()
-    finally:
-        sys.setrecursionlimit(old_limit)
-        rec = None
-    if not found:
-        return None
+            else:
+                break
+        v = pick()
     if not verify_colouring(graph, masks, colouring):
         raise InternalError("oracle colouring failed its re-check")
     return colouring
@@ -126,8 +115,9 @@ def enumerate_colourings(graph, lists=None):
             yield from rec(v + 1)
         colouring[v] = 0
 
-    # As in oracle_solve, clearing rec breaks its closure cycle; closing the
-    # generator early runs this too.
+    # rec refers to itself through a closure cell; clearing the name breaks
+    # that cycle, which would otherwise keep rec alive until a full garbage
+    # collection.  Closing the generator early runs this too.
     try:
         yield from rec(0)
     finally:
@@ -202,6 +192,8 @@ def generate(spec):
             raise ValueError("blownup_c7 needs seven positive class sizes")
         graph = _blowup(7, sizes)
     elif spec.kind == "skeleton_built":
+        if spec.scale < 1:
+            raise ValueError("skeleton_built needs a scale >= 1")
         graph = None
         for _ in range(300):
             candidate = _skeleton_built(rng, spec.scale)
@@ -213,6 +205,8 @@ def generate(spec):
                 f"skeleton_built seed {spec.seed}: no promise instance "
                 f"within the retry budget")
     elif spec.kind == "random_rejection":
+        if spec.target_edges is not None and spec.target_edges < 0:
+            raise ValueError("random_rejection needs an edge target >= 0")
         graph = _random_rejection(rng, 10 if spec.n is None else spec.n,
                                   spec.target_edges, spec.rejection_budget)
     else:

@@ -589,15 +589,16 @@ def test_dispatch_solve_exit_codes(capsys):
 
 
 # (sample, mode): answer and the --stats counters of `lcol3 solve`, millis
-# left out, as recorded before the search counted its colour removals
-# through SolveStats alone.  The blown-up C7 of c7_blowup_lists.lcol is
-# decided by the full-vertex search: one call, one branching node, one
-# 2-SAT leaf.  anchor_breach.lcol is decided by the (a)-(h) branch stream:
-# the base of its one live anchor colouring has no safe colour for a
-# full-list vertex.
+# left out.  branches counts the nodes the searches build and
+# branches_survived their 2-SAT leaves.  The blown-up C7 of
+# c7_blowup_lists.lcol is decided by the full-vertex search: one call, one
+# branching node, one child built, one 2-SAT leaf.  anchor_breach.lcol is
+# decided by the (a)-(h) branch stream: the base of its one live anchor
+# colouring has no safe colour for a full-list vertex.  groetzsch.lcol
+# builds its 30 anchor colourings, and none survives propagation.
 SAMPLE_STATS = {
-    ("anchor_breach.lcol", "trust"): ("SAT", (3, 1, 23, 1, 0, 0, 0, 0, 0)),
-    ("anchor_breach.lcol", "verify"): ("SAT", (3, 1, 23, 1, 0, 0, 0, 0, 0)),
+    ("anchor_breach.lcol", "trust"): ("SAT", (5, 1, 23, 1, 0, 0, 0, 0, 0)),
+    ("anchor_breach.lcol", "verify"): ("SAT", (5, 1, 23, 1, 0, 0, 0, 0, 0)),
     ("bipartite_lists.lcol", "trust"): ("SAT", (0, 0, 0, 0, 0, 0, 6, 0, 0)),
     ("bipartite_lists.lcol", "verify"): ("SAT", (0, 0, 0, 0, 0, 0, 6, 0, 0)),
     ("c5.lcol", "trust"): ("SAT", (0, 0, 0, 0, 0, 0, 5, 0, 0)),
@@ -608,10 +609,10 @@ SAMPLE_STATS = {
     ("c5_unsat.lcol", "verify"): ("UNSAT", (0, 0, 0, 1, 0, 0, 0, 0, 0)),
     ("c7_blowup.lcol", "trust"): ("SAT", (0, 0, 0, 0, 0, 0, 7, 0, 0)),
     ("c7_blowup.lcol", "verify"): ("SAT", (0, 0, 0, 0, 0, 0, 7, 0, 0)),
-    ("c7_blowup_lists.lcol", "trust"): ("SAT", (0, 0, 12, 1, 1, 1, 0, 0, 0)),
-    ("c7_blowup_lists.lcol", "verify"): ("SAT", (0, 0, 12, 1, 1, 1, 0, 0, 0)),
-    ("groetzsch.lcol", "trust"): ("UNSAT", (120, 0, 600, 0, 0, 0, 0, 0, 0)),
-    ("groetzsch.lcol", "verify"): ("UNSAT", (120, 0, 600, 0, 0, 0, 0, 0, 0)),
+    ("c7_blowup_lists.lcol", "trust"): ("SAT", (1, 1, 12, 1, 1, 1, 0, 0, 0)),
+    ("c7_blowup_lists.lcol", "verify"): ("SAT", (1, 1, 12, 1, 1, 1, 0, 0, 0)),
+    ("groetzsch.lcol", "trust"): ("UNSAT", (30, 0, 600, 0, 0, 0, 0, 0, 0)),
+    ("groetzsch.lcol", "verify"): ("UNSAT", (30, 0, 600, 0, 0, 0, 0, 0, 0)),
     ("p8.lcol", "trust"): ("SAT", (0, 0, 0, 0, 0, 0, 8, 0, 0)),
     ("p8.lcol", "verify"): ("INVALID", (0, 0, 0, 0, 0, 0, 0, 0, 0)),
     ("skeleton_lists.lcol", "trust"): ("UNSAT", (0, 0, 6, 0, 0, 0, 0, 0, 0)),
@@ -693,8 +694,12 @@ def test_dispatch_solver_errors_exit_1_with_one_line(monkeypatch, capsys, error)
     ["--kind", "spider", "--lists", "random"],
     ["--kind", "spider", "--scale", "-1"],
     ["--kind", "random_rejection", "--n", "40", "--edges", "200"],
+    ["--kind", "skeleton_built", "--scale", "0"],
+    ["--kind", "skeleton_built", "--scale", "-3"],
+    ["--kind", "random_rejection", "--edges", "-5"],
 ], ids=["class-count", "class-syntax", "class-empty", "spider-lists",
-        "spider-scale", "rejection-budget"])
+        "spider-scale", "rejection-budget", "skeleton-scale-0",
+        "skeleton-scale-negative", "rejection-edges-negative"])
 def test_dispatch_generate_errors_exit_1_with_one_line(monkeypatch, capsys, args):
     # The rejection sampler is held to one attempt, so that exhausting its
     # budget takes no time; 200 triangle-free edges on 40 vertices always

@@ -293,22 +293,29 @@ def test_propagation_after_safe_elimination_removes_nothing(data):
 def test_propagations_count_every_colour_dropped_from_the_lists(data):
     # assign and propagate add each colour they remove to the state's
     # stats, failed seeds and failed propagations up to the failure
-    # included, and a fork counts into the same stats.
+    # included, and a copy of a state at its fixpoint counts into the same
+    # stats.
     g = data.draw(graphs(max_n=10))
     masks = data.draw(hst.lists(hst.integers(1, FULL_MASK),
                                 min_size=g.n, max_size=g.n))
     seeds = hst.lists(hst.tuples(hst.integers(0, g.n - 1), hst.integers(1, 3)),
                       max_size=4)
+    colours = lambda state: sum(map(_SIZE.__getitem__, state.masks))
     stats = SolveStats()
     st = ListState(g, masks, stats)
-    fork = st.fork()
-    assert fork.stats is stats
-    dropped = 0
-    for state in (st, fork):
+    start = colours(st)
+    ok = propagate(st) is not None
+    assert stats.propagations == start - colours(st)
+    if not ok:
+        return
+    copy = st.copy()
+    assert copy.stats is stats and copy.masks == st.masks and not copy.pending
+    start = colours(st)
+    dropped = stats.propagations
+    for state in (st, copy):
         ok = (state.assign_all(data.draw(seeds))
               and propagate(state) is not None)
-        dropped += sum(map(_SIZE.__getitem__, masks)) - sum(
-            map(_SIZE.__getitem__, state.masks))
+        dropped += start - colours(state)
         assert stats.propagations == dropped
         if not ok:
             return
@@ -695,47 +702,93 @@ def test_oracle_equivalence_random_sample():
             assert verify_colouring(g, masks, got.colouring)
 
 
-def test_branches_count_every_branch_on_unsat_twin_free_instances():
-    # Anchor colourings that base propagation kills are counted by the
-    # lengths of their choice lists; on an UNSAT input every branch of every
-    # anchor colouring is counted exactly once.  Layer 0 removes three
-    # vertices of seed 3476, so the test hands each whole graph to the
-    # component solver.
-    instances = [(groetzsch_graph(), [FULL_MASK] * 11)]
-    for seed in (917, 3476):
-        instances.append(generate(GenSpec("skeleton_built", seed=seed,
-                                          scale=16, lists="random")))
+def test_search_counters_count_the_nodes_the_searches_build(monkeypatch):
+    # Every node a search builds below a component's state (an anchor
+    # colouring, an (a)-(h) choice or a full-vertex colour) is one copy of
+    # its parent, seeded and then propagated once unless a seed is refused;
+    # every leaf goes to 2-SAT.  So branches counts the copies, which are
+    # the searches' propagate calls (all but layer 0's, made in solve)
+    # plus their refused seed lists, and branches_survived counts the
+    # 2-SAT calls but those _solve_component makes on a component without
+    # a full list.
+    seen = {"copy": 0, "propagate": 0, "refused": 0, "leaf": 0}
+    leaf_callers = set()
+    copy, assign_all = ListState.copy, ListState.assign_all
+    real_propagate, real_leaf = engine.propagate, engine._two_sat_leaf
+
+    def copy_spy(st):
+        seen["copy"] += 1
+        return copy(st)
+
+    def assign_all_spy(st, seeds):
+        ok = assign_all(st, seeds)
+        seen["refused"] += not ok
+        return ok
+
+    def propagate_spy(st):
+        seen["propagate"] += sys._getframe(1).f_code.co_name != "solve"
+        return real_propagate(st)
+
+    def leaf_spy(st):
+        caller = sys._getframe(1).f_code.co_name
+        if caller != "_solve_component":
+            seen["leaf"] += 1
+            leaf_callers.add(caller)
+        return real_leaf(st)
+
+    monkeypatch.setattr(ListState, "copy", copy_spy)
+    monkeypatch.setattr(ListState, "assign_all", assign_all_spy)
+    monkeypatch.setattr(engine, "propagate", propagate_spy)
+    monkeypatch.setattr(engine, "_two_sat_leaf", leaf_spy)
+
+    cube = build_graph(8, [(u, u ^ b) for u in range(8) for b in (1, 2, 4)
+                           if u < u ^ b])
+    instances = [(groetzsch_graph(), None),
+                 (cube, [mask_of([1, 2])] + [FULL_MASK] * 7),
+                 parse_instance((INSTANCES / "c7_blowup_lists.lcol").read_text())]
+    # seeds 58 and 89 at scale 25 have seed lists that assign_all refuses;
+    # the named blown-up C7 seeds reach the full-vertex search, 697 and
+    # 1164 with a failed child
+    instances += [generate(GenSpec("skeleton_built", seed=seed, scale=scale,
+                                   lists="random"))
+                  for scale, seed in ((16, 917), (16, 3476), (25, 58), (25, 89))]
+    instances += [generate(GenSpec("blownup_c7", seed=seed, lists="random"))
+                  for seed in (*range(20), 89, 697, 1164)]
+    instances += [generate(GenSpec("spider", scale=k)) for k in range(5)]
+    refused = 0
     for g, masks in instances:
-        assert len(false_twin_classes(g)) == g.n
-        assert solve(g, masks).is_unsat
-        stats = SolveStats()
-        assert engine._solve_component(g, masks, stats) is None
-        sk = build_skeleton(g, shortest_odd_cycle(g))
-        chains = {i: build_chain(g, sk, i) for i in range(5) if sk.t[i]}
-        total = sum(len(_branches(sk, chains, col))
-                    for col in enumerate_c5_colourings([masks[c] for c in sk.c]))
-        assert total > 0 and stats.branches == total
+        for key in seen:
+            seen[key] = 0
+        stats = solve(g, masks).stats
+        assert stats.branches == seen["copy"], (g, stats, seen)
+        assert seen["copy"] == seen["propagate"] + seen["refused"], (g, seen)
+        assert stats.branches_survived == seen["leaf"], (g, stats, seen)
+        refused += seen["refused"]
+    # both searches reached a leaf, and some seed list was refused
+    assert leaf_callers == {"_solve_skeleton", "_full_vertex_search"}
+    assert refused > 0
 
 
 # (scale, seed) of a skeleton_built instance with random lists, none of
 # them a singleton, so layer 0 does not propagate; its colouring and every
 # SolveStats counter but millis, as the solver without layer-0 propagation
-# gave them.  Each instance has a dead anchor colouring before its 2-SAT
-# leaf, so seeding or propagating in another order, or propagating the
-# shared state before the anchors are seeded, shows in `propagations`.
-# Layer 0 leaves one component, which reaches the anchored-C5 search.
+# gave them, with branches counting the nodes the search builds.  Each
+# instance has a dead anchor colouring before its 2-SAT leaf, so seeding
+# or propagating in another order, or propagating the shared state before
+# the anchors are seeded, shows in `propagations`.  Layer 0 leaves one
+# component, which reaches the anchored-C5 search.
 PINNED_SKELETON_SOLVES = [
     ((12, 2914), [2, 3, 1, 3, 1, 1, 2, 2, 3],
      dict(branches=2, branches_survived=1, propagations=20,
           sat_instances=1, fallback_used=0, fallback_nodes=0, peeled=0,
           dominated=0, settled=0)),
     ((12, 2180), [1, 2, 1, 3, 2, 1, 1, 1, 3, 2, 2, 1],
-     dict(branches=7, branches_survived=1, propagations=26,
+     dict(branches=5, branches_survived=1, propagations=26,
           sat_instances=1, fallback_used=0, fallback_nodes=0, peeled=5,
           dominated=0, settled=0)),
     ((25, 763), [3, 1, 2, 1, 2, 1, 1, 2, 1, 2, 1, 2, 2, 3, 3, 1, 3, 2,
                   1],
-     dict(branches=13, branches_survived=1, propagations=46,
+     dict(branches=6, branches_survived=1, propagations=46,
           sat_instances=1, fallback_used=0, fallback_nodes=0, peeled=6,
           dominated=1, settled=0)),
 ]
@@ -747,12 +800,16 @@ def test_skeleton_solves_keep_pinned_answers_and_counters(monkeypatch, spec,
     scale, seed = spec
     g, masks = generate(GenSpec("skeleton_built", seed=seed, scale=scale,
                                 lists="random"))
-    dead = []  # prod counts the branches of a dead anchor colouring only
-    count = engine.prod
-    monkeypatch.setattr(engine, "prod",
-                        lambda lengths: dead.append(lengths) or count(lengths))
+    # each anchor colouring seeds its base through anchor_seeds, and a
+    # live one then builds its choice lists
+    events = []
+    for name in ("anchor_seeds", "choice_lists", "_two_sat_leaf"):
+        real = getattr(engine, name)
+        monkeypatch.setattr(engine, name, lambda *args, real=real, name=name:
+                            events.append(name) or real(*args))
     out = solve(g, masks)
-    assert dead
+    before = events[:events.index("_two_sat_leaf")]
+    assert ("anchor_seeds", "anchor_seeds") in zip(before, before[1:])
     assert out.is_sat and out.colouring == colouring
     got = {name: getattr(out.stats, name) for name in out.stats._fields}
     del got["millis"]
@@ -769,7 +826,7 @@ def test_anchor_breach_sample_needs_the_branch_stream():
     st = ListState(g, masks, SolveStats())
     sk = build_skeleton(g, shortest_odd_cycle(g))
     for palette in engine._anchor_palettes([st.masks[c] for c in sk.c]):
-        base = st.fork()
+        base = st.copy()
         if (base.assign_all(anchor_seeds(sk, palette))
                 and propagate(base) is not None):
             break
@@ -1169,12 +1226,12 @@ def test_package_has_no_assert_statements():
 
 
 def test_solves_leave_no_reference_cycles():
-    # The skeleton solve runs the _leaf_stream generator, which a found
-    # colouring leaves suspended; verify mode on the blown-up C7 sample
-    # runs find_induced_p7, recognize_blownup_c7 and the full-vertex
-    # search; the oracle and the enumerator are the test kit's recursive
-    # searches.  None of them may leave a cycle that holds skeletons,
-    # chains, cases or functions.
+    # Both searches run the _leaf_stream generator with a children
+    # closure, and a found colouring leaves it suspended; verify mode on
+    # the blown-up C7 sample runs find_induced_p7, recognize_blownup_c7
+    # and the full-vertex search; the oracle and the enumerator are the
+    # test kit's searches, each with a nested function.  None of them may
+    # leave a cycle that holds skeletons, chains, cases or functions.
     sk_graph, sk_masks = generate(GenSpec("skeleton_built", seed=763,
                                           scale=25, lists="random"))
     verify_graph, verify_masks = parse_instance(

@@ -1,14 +1,19 @@
+import pathlib
 import random
+import sys
 
 import pytest
 
 from lcol3 import (bipartite_check, build_graph, check_promise, iter_bits,
                    solve, verify_colouring)
+from lcol3.cli import parse_instance
 from lcol3.engine import FULL_MASK, mask_of
 from lcol3.testkit import (GenSpec, RejectionBudgetExceeded, SizeGuardError,
                            cycle_graph, enumerate_colourings, generate,
                            groetzsch_graph, mycielski, oracle_solve,
                            path_graph, petersen_graph)
+
+INSTANCES = pathlib.Path(__file__).resolve().parent.parent / "instances"
 
 
 def test_oracle_c5_full():
@@ -23,6 +28,49 @@ def test_oracle_c5_restricted_unsat():
 
 def test_oracle_empty_graph():
     assert oracle_solve(build_graph(0, [])) == []
+
+
+# The oracle's answer on each sample, as its recursive form gave it.
+ORACLE_SAMPLE_COLOURINGS = {
+    "anchor_breach.lcol": (1, 1, 2, 1, 2, 1, 2, 3, 3, 2),
+    "bipartite_lists.lcol": (2, 1, 2, 1, 2, 1),
+    "c5.lcol": (1, 2, 1, 2, 3),
+    "c5_commented.lcol": (1, 2, 1, 2, 3),
+    "c5_unsat.lcol": None,
+    "c7_blowup.lcol": (1, 1, 2, 1, 1, 2, 1, 1, 2, 3, 3),
+    "c7_blowup_lists.lcol": (1, 2, 2, 1, 1, 3, 3, 2, 2, 1, 1, 3, 2),
+    "groetzsch.lcol": None,
+    "p8.lcol": (1, 2, 1, 2, 1, 2, 1, 2),
+    "skeleton_lists.lcol": None,
+    "skeleton_small.lcol": (1, 2, 1, 2, 3, 1, 2, 2, 1, 1, 1, 2, 1, 2, 2),
+    "triangle.lcol": (1, 2, 3),
+    "triangle_two_lists.lcol": (1, 2, 3),
+}
+
+
+def test_oracle_keeps_its_colourings_and_the_recursion_limit(monkeypatch):
+    # The search keeps its own stack: it never changes the process-wide
+    # recursion limit, finds the same colouring in the same vertex and
+    # colour order, and runs deeper than the limit.
+    names = sorted(path.name for path in INSTANCES.glob("*.lcol"))
+    assert sorted(ORACLE_SAMPLE_COLOURINGS) == names
+    limit = sys.getrecursionlimit()
+    set_limit = sys.setrecursionlimit
+    calls = []
+    monkeypatch.setattr(sys, "setrecursionlimit", calls.append)
+    for name, want in ORACLE_SAMPLE_COLOURINGS.items():
+        g, masks = parse_instance((INSTANCES / name).read_text())
+        got = oracle_solve(g, masks)
+        assert (got if got is None else tuple(got)) == want, name
+    # on a path with lists {1, 2} each vertex forces the next, so the
+    # search is as deep as the path is long
+    set_limit(200)
+    try:
+        got = oracle_solve(path_graph(300), [mask_of([1, 2])] * 300)
+    finally:
+        set_limit(limit)
+    assert got == [1, 2] * 150
+    assert calls == []
 
 
 def test_oracle_matches_engine_on_mixed_instances():
@@ -169,6 +217,18 @@ def test_spider_rejects_other_lists_and_negative_legs():
         generate(GenSpec("spider", scale=3, lists="random"))
     with pytest.raises(ValueError):
         generate(GenSpec("spider", scale=-1))
+
+
+def test_generate_rejects_a_scale_below_1_and_a_negative_edge_target():
+    for scale in (0, -3):
+        with pytest.raises(ValueError, match="scale"):
+            generate(GenSpec("skeleton_built", scale=scale))
+    with pytest.raises(ValueError, match="edge target"):
+        generate(GenSpec("random_rejection", target_edges=-5))
+    g, _ = generate(GenSpec("skeleton_built", scale=1))
+    assert check_promise(g) is None
+    g, _ = generate(GenSpec("random_rejection", n=6, target_edges=0))
+    assert g.n == 6 and g.m == 0
 
 
 def test_genspec_keeps_field_order_and_defaults():
