@@ -8,6 +8,7 @@ blown-up C7; it builds no witness of its own.
 """
 
 from collections import deque, namedtuple
+from itertools import combinations
 
 from .errors import InternalError, PreconditionBreach
 from .graph import induced_subgraph, iter_bits
@@ -97,22 +98,23 @@ def find_induced_p7(graph):
     picks one of the two orientations, so each induced P5 a2 a1 c b1 b2 is
     visited at most once, at a cost of O(1 + |A3|) n-bit mask operations.
 
-    Cost before any P5 is built.  One table per graph, dom[c], holds the
-    vertices v with N(v) a subset of N(c), c itself included: for each
-    non-isolated v the AND of its neighbours' bit rows is exactly the set
-    of such c, so the table costs O(m + sum of |dom[c]|) mask operations.
-    For each centre c one mask, ext = N(N(c)) - N(c) - dom[c], then holds
-    the vertices outside N(c) that have a neighbour in N(c) and one outside
-    it.  Every a2 and b2 lies in ext, since it sees a1 or b1 and its third
+    Cost before any P5 is built.  One pass over each vertex v's neighbours
+    ORs their bit rows into N(N(v)) and ANDs them into the vertices c with
+    N(v) a subset of N(c); scattered, the ANDs give dom[c], the vertices v
+    with N(v) inside N(c), in O(m + sum of |dom[c]|) mask operations.  For
+    each centre c one mask, ext = N(N(c)) - N(c) - dom[c], then holds the
+    vertices outside N(c) that have a neighbour in N(c) and one outside it.
+    Every a2 and b2 lies in ext, since it sees a1 or b1 and its third
     vertex avoids N(c); ext is a superset of the second vertices that can
     start a side, on any graph.  Each neighbour x of c keeps
-    D(x) = N(x) & ext, and one with D(x) empty is dropped; a centre with
-    fewer than two neighbours has no pair and is skipped.  A pair a1 < b1
-    then costs O(1) mask operations: the candidate a2s are D(a1) - N(b1)
-    and the candidate b2s D(b1) - N(a1), and the pair goes on to the join
-    only when both are non-empty.  Each centre costs O(deg(c)) mask
-    operations to set up.  The visiting order (c ascending, a1 < b1 in
-    adjacency order, a2 and b2 ascending) does not depend on the masks,
+    D(x) = N(x) & ext and the complement of N(x), and one with D(x) empty
+    is dropped.  A pair a1 < b1 then costs O(1) mask operations: the
+    candidate a2s are D(a1) - N(b1) and the candidate b2s D(b1) - N(a1),
+    and the pair goes on to the join only when both are non-empty and a1,
+    b1 are non-adjacent.  Each centre costs O(deg(c)) mask operations to
+    set up.  The loops walk each mask by its lowest set bit, in place.  The
+    visiting order (c ascending, a1 < b1 in adjacency order, a2 and b2
+    ascending), and so the path returned, does not depend on the masks,
     which only drop candidates that could not lead to a path.  The search
     is iterative, so its depth does not grow with n.
     """
@@ -121,58 +123,66 @@ def find_induced_p7(graph):
         return None
     adj = graph.adj
     bits = graph.bits
-    # dom[c]: the non-isolated v with N(v) inside N(c); c is one of them
-    # whenever it has a neighbour, and isolated vertices never reach ext
     dom = [0] * n
+    reach = [0] * n
     for v in range(n):
-        nbrs = adj[v]
-        if nbrs:
-            above = bits[nbrs[0]]
-            for x in nbrs[1:]:
-                above &= bits[x]
-            bit_v = 1 << v
-            for c in iter_bits(above):
-                dom[c] |= bit_v
+        above = -1
+        union = 0
+        for x in adj[v]:
+            row = bits[x]
+            above &= row
+            union |= row
+        # an isolated v (above still -1) lies in no union and never reaches ext
+        if union:
+            reach[v] = union
+            while above:
+                low = above & -above
+                dom[low.bit_length() - 1] |= 1 << v
+                above ^= low
     for c in range(n):
         nbrs = adj[c]
         if len(nbrs) < 2:
             continue
         row_c = bits[c]
-        reach = 0
-        for x in nbrs:
-            reach |= bits[x]
-        ext = reach & ~row_c & ~dom[c]
+        ext = reach[c] & ~row_c & ~dom[c]
         if not ext:
             continue
-        around = [(x, row_x, d_x) for x in nbrs
+        around = [(x, row_x, d_x, ~row_x) for x in nbrs
                   if (d_x := (row_x := bits[x]) & ext)]
-        for i, (a1, row_a1, d_a1) in enumerate(around):
-            for b1, row_b1, d_b1 in around[i + 1:]:
-                if row_a1 >> b1 & 1:
+        pairs = combinations(around, 2)
+        for (a1, row_a1, d_a1, off_a1), (b1, row_b1, d_b1, off_b1) in pairs:
+            a2s = d_a1 & off_b1
+            if not a2s:
+                continue
+            b2s = d_b1 & off_a1
+            # a1, b1 adjacent is tested last: in a triangle-free graph it
+            # never holds, as N(c) has no edge
+            if not b2s or row_a1 >> b1 & 1:
+                continue
+            common = row_c | row_a1 | row_b1
+            while a2s:
+                low = a2s & -a2s
+                a2s ^= low
+                a2 = low.bit_length() - 1
+                row_a2 = bits[a2]
+                if not row_a2 & ~common:
                     continue
-                a2s = d_a1 & ~row_b1
-                if not a2s:
-                    continue
-                b2s = d_b1 & ~row_a1
-                if not b2s:
-                    continue
-                common = row_c | row_a1 | row_b1
-                for a2 in iter_bits(a2s):
-                    row_a2 = bits[a2]
-                    if not row_a2 & ~common:
-                        continue
-                    for b2 in iter_bits(b2s & ~row_a2):
-                        row_b2 = bits[b2]
-                        a3s = row_a2 & ~(common | row_b2)
-                        b3s = row_b2 & ~(common | row_a2)
-                        while a3s and b3s:
-                            low = a3s & -a3s
-                            a3 = low.bit_length() - 1
-                            free = b3s & ~bits[a3]
-                            if free:
-                                b3 = (free & -free).bit_length() - 1
-                                return (a3, a2, a1, c, b1, b2, b3)
-                            a3s ^= low
+                rest = b2s & ~row_a2
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    b2 = low.bit_length() - 1
+                    row_b2 = bits[b2]
+                    a3s = row_a2 & ~(common | row_b2)
+                    b3s = row_b2 & ~(common | row_a2)
+                    while a3s and b3s:
+                        low = a3s & -a3s
+                        a3 = low.bit_length() - 1
+                        free = b3s & ~bits[a3]
+                        if free:
+                            b3 = (free & -free).bit_length() - 1
+                            return (a3, a2, a1, c, b1, b2, b3)
+                        a3s ^= low
     return None
 
 

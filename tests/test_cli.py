@@ -724,21 +724,23 @@ def test_check_promise_exit_codes(capsys):
     assert "witness induced_p7" in capsys.readouterr().out
 
 
-# sample: the first line of `lcol3 check-promise` and its exit code
+# check-promise's whole output on each sample, and its exit code; an
+# INVALID answer's witness is in the input's 1-based labels, and the
+# induced-P7 path's vertices and order pin the search's visiting order
 SAMPLE_PROMISE = {
-    "anchor_breach.lcol": ("OK", 0),
-    "bipartite_lists.lcol": ("OK", 0),
-    "c5.lcol": ("OK", 0),
-    "c5_commented.lcol": ("OK", 0),
-    "c5_unsat.lcol": ("OK", 0),
-    "c7_blowup.lcol": ("OK", 0),
-    "c7_blowup_lists.lcol": ("OK", 0),
-    "groetzsch.lcol": ("OK", 0),
-    "p8.lcol": ("INVALID", 2),
-    "skeleton_lists.lcol": ("OK", 0),
-    "skeleton_small.lcol": ("OK", 0),
-    "triangle.lcol": ("INVALID", 2),
-    "triangle_two_lists.lcol": ("INVALID", 2),
+    "anchor_breach.lcol": (["OK"], 0),
+    "bipartite_lists.lcol": (["OK"], 0),
+    "c5.lcol": (["OK"], 0),
+    "c5_commented.lcol": (["OK"], 0),
+    "c5_unsat.lcol": (["OK"], 0),
+    "c7_blowup.lcol": (["OK"], 0),
+    "c7_blowup_lists.lcol": (["OK"], 0),
+    "groetzsch.lcol": (["OK"], 0),
+    "p8.lcol": (["INVALID", "witness induced_p7 1 2 3 4 5 6 7"], 2),
+    "skeleton_lists.lcol": (["OK"], 0),
+    "skeleton_small.lcol": (["OK"], 0),
+    "triangle.lcol": (["INVALID", "witness triangle 1 2 3"], 2),
+    "triangle_two_lists.lcol": (["INVALID", "witness triangle 1 2 3"], 2),
 }
 
 
@@ -748,12 +750,16 @@ def test_check_promise_table_names_every_sample():
 
 @pytest.mark.parametrize("name", sorted(SAMPLE_PROMISE))
 def test_check_promise_answers_every_sample(capsys, name):
-    answer, code = SAMPLE_PROMISE[name]
+    lines, code = SAMPLE_PROMISE[name]
     assert dispatch(["check-promise", str(INSTANCES / name)]) == code
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == answer
-    # OK alone, or INVALID and the witness line
-    assert len(lines) == (1 if code == 0 else 2)
+    assert capsys.readouterr().out.splitlines() == lines
+
+
+@pytest.mark.parametrize("name", sorted(name for name, (_, code) in SAMPLE_PROMISE.items()
+                                        if code == 2))
+def test_verify_mode_reports_the_check_promise_witness(capsys, name):
+    assert dispatch(["solve", "--mode", "verify", str(INSTANCES / name)]) == 2
+    assert capsys.readouterr().out.splitlines() == SAMPLE_PROMISE[name][0]
 
 
 def _usage_error(capsys, args):

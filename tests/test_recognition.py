@@ -418,6 +418,31 @@ def test_check_promise_matches_the_reference_on_twin_expansions(g, seed):
     assert check_promise(expanded) == _reference_check_promise(expanded)
 
 
+def test_find_induced_p7_and_check_promise_match_the_references_on_a_fixed_sweep():
+    # the same 2 000 G(n, p) graphs on every run, triangles allowed, so the
+    # visiting order is pinned on a fixed set; 1 011 of them hold an induced
+    # P7, and their twin-expanded, shuffled copies give 1 415 triangles,
+    # 126 induced P7s and 459 in-class graphs
+    found = 0
+    kinds = {}
+    for seed in range(2000):
+        rng = random.Random(seed)
+        n = rng.randint(7, 16)
+        density = rng.uniform(0.1, 0.4)
+        g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                            if rng.random() < density])
+        path = find_induced_p7(g)
+        assert path == reference_find_induced_p7(g), seed
+        found += path is not None
+        expanded = _shuffled(twin_expand(g, rng, rng.randint(0, 6)), rng)
+        witness = check_promise(expanded)
+        assert witness == _reference_check_promise(expanded), seed
+        kind = None if witness is None else witness.kind
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert found == 1011
+    assert kinds == {"triangle": 1415, "induced_p7": 126, None: 459}
+
+
 def test_recognize_reconstructs_generator_classes():
     # the generator's seven classes are the false-twin classes, one cycle
     # vertex in each, and the check accepts them
