@@ -12,6 +12,7 @@ Exit codes: 0 = decided (SAT or UNSAT), 2 = promise violation (INVALID),
 """
 
 import json
+import os
 import sys
 from operator import add, itemgetter
 
@@ -507,6 +508,12 @@ def dispatch(argv):
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # stdout's reader left: send what is still buffered to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (ParseError, OSError, GraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -574,7 +574,10 @@ def _peel(graph, masks, kept, settled):
     start, then the unremoved neighbours of each removed vertex.  A tested
     vertex that stays can only become removable when its neighbourhood
     shrinks, since the other neighbourhoods and the set of possible
-    dominators never grow.  So rest is a fixpoint of both rules."""
+    dominators never grow.  So rest is a fixpoint of both rules.  The
+    candidates for v's dominator (unremoved or settled, list inside L(v))
+    are cut to N(x) while the highest misses a neighbour x of v, which a
+    dominator sees; each cut takes a new x, so at most deg(v) + 1 tests."""
     bits = graph.bits
     inside = [0] * 7 + [-1]  # inside[m]: the vertices whose list lies inside m
     for v, m in enumerate(masks):
@@ -592,16 +595,12 @@ def _peel(graph, masks, kept, settled):
         row = bits[v] & rest
         m = masks[v]
         if row.bit_count() >= _SIZE[m]:
-            # row is not empty: a dominator of v is adjacent to its lowest
-            # and its highest neighbour
-            cand = (inside[m] & (rest | settled)
-                    & bits[(row & -row).bit_length() - 1]
-                    & bits[row.bit_length() - 1]) ^ low
+            cand = (inside[m] & (rest | settled)) ^ low
             while cand:
-                u = cand.bit_length() - 1
-                if not row & ~bits[u]:
+                miss = row & ~bits[cand.bit_length() - 1]
+                if not miss:
                     break
-                cand ^= 1 << u
+                cand &= bits[miss.bit_length() - 1]
             else:
                 continue
             dominated += 1

@@ -9,7 +9,7 @@ from lcol3 import anchor_seeds, build_graph, case_seeds, check_promise
 from lcol3.cli import (DuplicateEdgeError, DuplicateListLineError,
                        EmptyListError, InstanceSyntaxError, OutOfRangeError,
                        ParseError)
-from lcol3.engine import FULL_MASK, mask_of
+from lcol3.engine import _SIZE, FULL_MASK, mask_of
 from lcol3.errors import PreconditionBreach
 from lcol3.graph import DuplicateEdgeError as GraphDuplicateEdgeError
 from lcol3.graph import _graph_from_rows, iter_bits
@@ -244,6 +244,47 @@ def reference_removable(graph, masks, left, settled=frozenset()):
                         and masks[u] & ~masks[v] == 0
                         for u in left | settled)}
     return peelable, dominated
+
+
+def reference_sweep(graph, masks, kept, settled):
+    """engine._peel as it stood before its witness rule, kept verbatim: the
+    dominator candidates of v are those adjacent to v's lowest and highest
+    neighbour, and they are tested one at a time.  engine._peel must return
+    the same (rest, removed, dominated) on every input."""
+    bits = graph.bits
+    inside = [0] * 7 + [-1]  # inside[m]: the vertices whose list lies inside m
+    for v, m in enumerate(masks):
+        if m != FULL_MASK:
+            inside[m] |= 1 << v
+    for m in (3, 5, 6):  # a two-colour list holds its two one-colour lists
+        inside[m] |= inside[m & -m] | inside[m & (m - 1)]
+    removed = []
+    rest = due = kept
+    dominated = 0
+    while due:
+        low = due & -due
+        due ^= low
+        v = low.bit_length() - 1
+        row = bits[v] & rest
+        m = masks[v]
+        if row.bit_count() >= _SIZE[m]:
+            # row is not empty: a dominator of v is adjacent to its lowest
+            # and its highest neighbour
+            cand = (inside[m] & (rest | settled)
+                    & bits[(row & -row).bit_length() - 1]
+                    & bits[row.bit_length() - 1]) ^ low
+            while cand:
+                u = cand.bit_length() - 1
+                if not row & ~bits[u]:
+                    break
+                cand ^= 1 << u
+            else:
+                continue
+            dominated += 1
+        removed.append(v)
+        rest ^= low
+        due |= row
+    return rest, removed, dominated
 
 
 def reference_colouring_fits(graph, masks, colouring):

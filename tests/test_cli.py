@@ -867,6 +867,34 @@ def _python(*args):
                           capture_output=True, text=True, timeout=60)
 
 
+def test_a_closed_stdout_pipe_exits_1_without_a_message(tmp_path):
+    # The reader takes the first line and closes its end.  The oracle
+    # prints a line per vertex, about 27 kB here, and a one-page pipe keeps
+    # it from writing them all before the close, so it writes on into a
+    # pipe without a reader.  Solving into a pipe closed from the start
+    # fails the same way.  Neither may be reported as an input error.
+    import fcntl
+
+    wide = tmp_path / "wide.lcol"
+    wide.write_text("p lcol 3000 0\n")
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    for command, first in (("oracle", b"SAT\n"), ("solve", None)):
+        read_end, write_end = os.pipe()
+        fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+        with open(read_end, "rb") as reader:
+            if first is None:
+                reader.close()
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "lcol3.cli", command, str(wide)],
+                stdout=write_end, stderr=subprocess.PIPE,
+                env=dict(os.environ, PYTHONPATH=src))
+            os.close(write_end)
+            if first is not None:
+                assert reader.readline() == first
+        _, err = proc.communicate(timeout=60)
+        assert (command, proc.returncode, err) == (command, 1, b"")
+
+
 def test_import_loads_no_heavy_stdlib_modules():
     # Module bodies generate no code, argparse waits for the parser and the
     # test kit for its first use. -S keeps the site hooks of the host

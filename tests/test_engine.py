@@ -15,7 +15,7 @@ from hypothesis import strategies as hst
 
 from conftest import (check_witness, false_twin_classes, graphs,
                       reference_colouring_fits, reference_normalize_lists,
-                      reference_peel, reference_removable,
+                      reference_peel, reference_removable, reference_sweep,
                       reference_twin_representatives, seeds_of_branch)
 from lcol3 import (anchor_seeds, build_chain, build_graph, build_skeleton,
                    check_promise, choice_lists, enumerate_c5_colourings,
@@ -34,6 +34,7 @@ from lcol3.sat2 import solve_2sat
 from lcol3.skeleton import Chain, Skeleton
 from lcol3.testkit import (GenSpec, cycle_graph, enumerate_colourings,
                            generate, groetzsch_graph, oracle_solve, path_graph)
+from test_properties import twin_expand
 
 C5 = [(i, (i + 1) % 5) for i in range(5)]
 ANCHORS = (0, 1, 2, 3, 4)
@@ -1114,6 +1115,62 @@ def test_layer0_sweep_reaches_the_joint_fixpoint_and_keeps_answers(data):
         for mode in ("trust", "verify"):
             got = solve(g, masks, mode=mode)
             assert got.kind == ("sat" if want is not None else "unsat"), mode
+
+
+def _shuffled_union(parts, rng):
+    """The disjoint union of the graphs `parts`, its vertices renamed by a
+    seeded random permutation."""
+    edges, offset = [], 0
+    for g in parts:
+        edges += [(u + offset, v + offset) for u, v in g.edges()]
+        offset += g.n
+    perm = list(range(offset))
+    rng.shuffle(perm)
+    return build_graph(offset, [(perm[u], perm[v]) for u, v in edges])
+
+
+def _any_kind(rng, i):
+    # one spec of every generator kind in turn, each small
+    return (GenSpec("blownup_c5", seed=i), GenSpec("blownup_c7", seed=i),
+            GenSpec("skeleton_built", seed=i, scale=rng.randint(8, 60)),
+            GenSpec("random_rejection", seed=i, n=rng.randint(5, 12)),
+            GenSpec("spider", scale=rng.randint(0, 6)))[i % 5]
+
+
+def test_layer0_sweep_matches_the_reference_sweep_on_shuffled_labels():
+    # Layer 0 tests the highest dominator candidate and cuts the rest to a
+    # neighbour of v that it misses; the reference tests the candidates
+    # adjacent to v's lowest and highest neighbour one at a time.  Both
+    # must remove the same vertices in the same order.  The inputs are
+    # twin-expanded generated graphs under shuffled labels with random
+    # lists, propagated and grouped as solve does them, and one in-class
+    # graph of about 2 000 vertices: the shuffled disjoint union of such
+    # graphs, which holds no triangle or induced P7 since each part holds
+    # none.  The hypothesis sweep above draws at most ten vertices.
+    rng = random.Random(29)
+    inputs, parts = [], []
+    for i in range(300):
+        g = twin_expand(generate(_any_kind(rng, i))[0], rng, rng.randint(0, 8))
+        inputs.append((_shuffled_union([g], rng), 0.03))
+        if sum(part.n for part in parts) < 2000:
+            parts.append(g)
+    # no one-colour lists here, so that propagation cannot refute the union
+    big = _shuffled_union(parts, rng)
+    inputs.append((big, 0))
+    assert 2000 <= big.n < 2100
+    swept = dominated = 0
+    for g, single in inputs:
+        masks = [rng.choice((1, 2, 4) if rng.random() < single else (7, 7, 3, 5, 6))
+                 for _ in range(g.n)]
+        fixed = _propagated(g, masks)
+        if fixed is None:
+            continue
+        kept, settled = _sweep_masks(g, fixed)
+        got = engine._peel(g, fixed, kept, settled)
+        assert got == reference_sweep(g, fixed, kept, settled), g.n
+        swept += 1
+        dominated += got[2]
+    assert swept > 250 and dominated > 500
 
 
 def test_layer0_refutation_is_exact_on_any_graph(monkeypatch):
