@@ -3,7 +3,8 @@ colouring branches, list propagation, 2-SAT residuals with the
 three-colour rule, and top-level orchestration.  Both branch searches, the
 (a)-(h) choices below each live anchor colouring and the full-vertex search
 that decides bipartite and blown-up-C7 components, run through one
-depth-first loop, _leaf_stream, which builds and counts every search node.
+depth-first loop, _leaf_stream, which builds and counts every search node
+and hands each leaf to 2-SAT, returning the first colouring found.
 """
 
 import time
@@ -668,11 +669,11 @@ def _solve_component(g, masks, stats):
 
 def _full_vertex_search(st):
     """Depth-first branching over colours 1, 2, 3 of the lowest full-list
-    vertex, through _leaf_stream, handing each node without a full-list
-    vertex to 2-SAT; counts each call in st.stats.fallback_used and each
-    node it branches on in st.stats.fallback_nodes.  The root st is at a
-    propagation fixpoint and has a full-list vertex, so the search always
-    branches.
+    vertex, found by one scan of each node's masks, through _leaf_stream,
+    which hands each node without a full-list vertex to 2-SAT; counts each
+    call in st.stats.fallback_used and each node it branches on in
+    st.stats.fallback_nodes.  The root st is at a propagation fixpoint and
+    has a full-list vertex, so the search always branches.
 
     On a bipartite component the worst case is exponential, and the depth
     can reach the vertex count.  On a blown-up C7 it branches at most 13
@@ -682,33 +683,19 @@ def _full_vertex_search(st):
     pairwise non-adjacent, since a neighbour of a branched vertex loses a
     colour; so they lie in pairwise non-adjacent classes, at most 3 of the
     cycle's 7, and the nodes number at most 1 + 3 + 9.
-
-    Masks only shrink below a node, so a vertex that is not full at a
-    node is not full below it: each node resumes the scan at the vertex
-    its parent branched on, kept per depth of the current path, so the
-    vertices are scanned once per path.
     """
     stats = st.stats
     stats.fallback_used += 1
-    path = [0]  # path[d]: where the scan starts at depth d of the current path
 
     def children(node, depth):
-        masks = node.masks
-        i = path[depth]
-        while i < len(masks) and masks[i] != FULL_MASK:
-            i += 1
-        if i == len(masks):
+        try:
+            i = node.masks.index(FULL_MASK)
+        except ValueError:
             return None
-        del path[depth + 1:]
-        path.append(i)
         stats.fallback_nodes += 1
         return ((i, 1),), ((i, 2),), ((i, 3),)
 
-    for leaf in _leaf_stream(st, children):
-        result = _two_sat_leaf(leaf)
-        if result is not None:
-            return result
-    return None
+    return _leaf_stream(st, children)
 
 
 def _two_sat_leaf(st):
@@ -730,10 +717,10 @@ def _solve_skeleton(st, sk):
     component's list state st.  Each anchor colouring is one node, a copy
     of st seeded and propagated here and counted in stats.branches; the
     chains its choices read are built first.  A live one runs the (a)-(h)
-    choices through _leaf_stream, one choice list per depth, and hands
-    each leaf to _two_sat_leaf.  The base is propagated here, not in
-    _leaf_stream, since perfbench/layers.py tells live anchor colourings
-    from tried choices by the name of propagate's caller."""
+    choices through _leaf_stream, one choice list per depth, which hands
+    each leaf to 2-SAT.  The base is propagated here, not in _leaf_stream,
+    since perfbench/layers.py tells live anchor colourings from tried
+    choices by the name of propagate's caller."""
     stats = st.stats
     chains = {}
     for palette in _anchor_palettes([st.masks[c] for c in sk.c]):
@@ -756,24 +743,24 @@ def _solve_skeleton(st, sk):
             return (case_seeds(sk, chains, palette, case)
                     for case in lists[depth])
 
-        for leaf in _leaf_stream(base, children):
-            result = _two_sat_leaf(leaf)
-            if result is not None:
-                return result
+        result = _leaf_stream(base, children)
+        if result is not None:
+            return result
     return None
 
 
 def _leaf_stream(root, children):
-    """Yield, in depth-first order, every leaf of the search below the
-    state root, which is at a propagation fixpoint.  children(node, depth)
-    gives a node's children as seed lists, built lazily, or None at a
-    leaf; the root is at depth 0.  Each child is a copy of its parent,
-    seeded with one list and propagated once, in this generator's own
-    frame; a child whose seeds or propagation fail is pruned with all
-    below it.  Each child built is added to stats.branches and each leaf
-    yielded to stats.branches_survived.  The search keeps its own stack,
-    so its depth is not bounded by the recursion limit: per node on the
-    current path, its state and the children not yet built."""
+    """Search below the state root, which is at a propagation fixpoint, in
+    depth-first order, and return the first colouring that a leaf's 2-SAT
+    finds, or None.  children(node, depth) gives a node's children as seed
+    lists, built lazily, or None at a leaf; the root is at depth 0.  Each
+    child is a copy of its parent, seeded with one list and propagated
+    once, in this function's own frame; a child whose seeds or propagation
+    fail is pruned with all below it.  Each child built is added to
+    stats.branches and each leaf to stats.branches_survived before
+    _two_sat_leaf decides it.  The search keeps its own stack, so its depth
+    is not bounded by the recursion limit: per node on the current path,
+    its state and the children not yet built."""
     stats = root.stats
     stack = []
     node = root
@@ -781,13 +768,15 @@ def _leaf_stream(root, children):
         kids = children(node, len(stack))
         if kids is None:
             stats.branches_survived += 1
-            yield node
+            colouring = _two_sat_leaf(node)
+            if colouring is not None:
+                return colouring
         else:
             stack.append((node, iter(kids)))
         node = None
         while node is None:
             if not stack:
-                return
+                return None
             parent, kids = stack[-1]
             seeds = next(kids, None)
             if seeds is None:

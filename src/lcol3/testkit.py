@@ -4,6 +4,7 @@ named graphs."""
 
 import random
 from collections import namedtuple
+from heapq import heapify, heappop, heappush
 
 from .engine import (FULL_MASK, colours_of, mask_of, normalize_lists,
                      verify_colouring)
@@ -43,26 +44,26 @@ class GenSpec(namedtuple("GenSpec", "kind seed class_sizes n target_edges "
 
 def oracle_solve(graph, lists=None):
     """Backtracking list-colouring oracle: most-constrained vertex first with
-    forward pruning.  Returns a verified colouring or None.  The search
-    keeps its own stack, so its depth is not bounded by the recursion
-    limit."""
+    forward pruning.  Returns a verified colouring or None.  The next vertex
+    is the least (list size, vertex) among the uncoloured ones, read from a
+    heap that gets a fresh entry whenever a list shrinks or grows back or a
+    vertex is uncoloured; an entry whose vertex is coloured or whose size is
+    out of date is dropped when it reaches the top.  The search keeps its
+    own stack, so its depth is not bounded by the recursion limit."""
     masks = normalize_lists(graph.n, lists)
-    n = graph.n
     adj = graph.adj
     work = list(masks)
-    colouring = [0] * n
+    colouring = [0] * graph.n
+    heap = [(_SIZE[m], v) for v, m in enumerate(work)]
+    heapify(heap)
 
     def pick():
-        best = None
-        best_size = 4
-        for v in range(n):
-            if colouring[v] == 0:
-                s = _SIZE[work[v]]
-                if s < best_size:
-                    best, best_size = v, s
-                    if s == 1:
-                        break
-        return best
+        while heap:
+            s, v = heap[0]
+            if colouring[v] == 0 and _SIZE[work[v]] == s:
+                return v
+            heappop(heap)
+        return None
 
     stack = []  # per coloured vertex: it, its colours left, neighbours pruned
     v = pick()
@@ -74,10 +75,12 @@ def oracle_solve(graph, lists=None):
             v, colours, touched = stack[-1]
             for u in touched:
                 work[u] |= 1 << (colouring[v] - 1)
+                heappush(heap, (_SIZE[work[u]], u))
             touched.clear()
             c = colouring[v] = next(colours, 0)
             if not c:
                 stack.pop()
+                heappush(heap, (_SIZE[work[v]], v))
                 continue
             cbit = 1 << (c - 1)
             for u in adj[v]:
@@ -86,6 +89,7 @@ def oracle_solve(graph, lists=None):
                     touched.append(u)
                     if work[u] == 0:
                         break
+                    heappush(heap, (_SIZE[work[u]], u))
             else:
                 break
         v = pick()

@@ -5,12 +5,14 @@ from itertools import combinations
 import pytest
 from hypothesis import strategies as st
 
-from lcol3 import anchor_seeds, build_graph, case_seeds, check_promise
+from lcol3 import (anchor_seeds, build_graph, case_seeds, check_promise,
+                   engine)
 from lcol3.cli import (DuplicateEdgeError, DuplicateListLineError,
                        EmptyListError, InstanceSyntaxError, OutOfRangeError,
                        ParseError)
-from lcol3.engine import _SIZE, FULL_MASK, mask_of
-from lcol3.errors import PreconditionBreach
+from lcol3.engine import (_SIZE, FULL_MASK, colours_of, mask_of,
+                          normalize_lists, verify_colouring)
+from lcol3.errors import InternalError, PreconditionBreach
 from lcol3.graph import DuplicateEdgeError as GraphDuplicateEdgeError
 from lcol3.graph import _graph_from_rows, iter_bits
 from lcol3.recognition import _extract_odd_cycle
@@ -302,6 +304,117 @@ def reference_colouring_fits(graph, masks, colouring):
             if v > u and colouring[v] == cu:
                 return False
     return True
+
+
+def reference_oracle_solve(graph, lists=None):
+    """testkit.oracle_solve as it stood before its heap, kept verbatim:
+    pick rescans every vertex for the least (list size, vertex) among the
+    uncoloured ones.  oracle_solve must return the same colouring or None
+    on every input."""
+    masks = normalize_lists(graph.n, lists)
+    n = graph.n
+    adj = graph.adj
+    work = list(masks)
+    colouring = [0] * n
+
+    def pick():
+        best = None
+        best_size = 4
+        for v in range(n):
+            if colouring[v] == 0:
+                s = _SIZE[work[v]]
+                if s < best_size:
+                    best, best_size = v, s
+                    if s == 1:
+                        break
+        return best
+
+    stack = []  # per coloured vertex: it, its colours left, neighbours pruned
+    v = pick()
+    while v is not None:
+        stack.append((v, iter(colours_of(work[v])), []))
+        while True:  # the top vertex's next colour that empties no list
+            if not stack:
+                return None
+            v, colours, touched = stack[-1]
+            for u in touched:
+                work[u] |= 1 << (colouring[v] - 1)
+            touched.clear()
+            c = colouring[v] = next(colours, 0)
+            if not c:
+                stack.pop()
+                continue
+            cbit = 1 << (c - 1)
+            for u in adj[v]:
+                if colouring[u] == 0 and work[u] & cbit:
+                    work[u] &= ~cbit
+                    touched.append(u)
+                    if work[u] == 0:
+                        break
+            else:
+                break
+        v = pick()
+    if not verify_colouring(graph, masks, colouring):
+        raise InternalError("oracle colouring failed its re-check")
+    return colouring
+
+
+def reference_full_vertex_search(st):
+    """engine._full_vertex_search as it stood before it found each node's
+    lowest full-list vertex by one scan, kept verbatim with the leaf
+    generator it ran on (each reads propagate and _two_sat_leaf from the
+    engine module): each node resumes the scan where its parent branched,
+    kept per depth of the current path, and the search loops over the
+    generator's leaves itself.  engine._full_vertex_search must return the
+    same colouring and count the same nodes on every input."""
+    stats = st.stats
+    stats.fallback_used += 1
+    path = [0]  # path[d]: where the scan starts at depth d of the current path
+
+    def children(node, depth):
+        masks = node.masks
+        i = path[depth]
+        while i < len(masks) and masks[i] != FULL_MASK:
+            i += 1
+        if i == len(masks):
+            return None
+        del path[depth + 1:]
+        path.append(i)
+        stats.fallback_nodes += 1
+        return ((i, 1),), ((i, 2),), ((i, 3),)
+
+    for leaf in _reference_leaf_stream(st, children):
+        result = engine._two_sat_leaf(leaf)
+        if result is not None:
+            return result
+    return None
+
+
+def _reference_leaf_stream(root, children):
+    """engine._leaf_stream as it stood when it yielded each leaf to its
+    caller, kept verbatim."""
+    stats = root.stats
+    stack = []
+    node = root
+    while True:
+        kids = children(node, len(stack))
+        if kids is None:
+            stats.branches_survived += 1
+            yield node
+        else:
+            stack.append((node, iter(kids)))
+        node = None
+        while node is None:
+            if not stack:
+                return
+            parent, kids = stack[-1]
+            seeds = next(kids, None)
+            if seeds is None:
+                stack.pop()
+                continue
+            stats.branches += 1
+            child = parent.copy()
+            node = engine.propagate(child) if child.assign_all(seeds) else None
 
 
 def reference_normalize_lists(n, lists):

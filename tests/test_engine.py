@@ -15,7 +15,8 @@ from hypothesis import strategies as hst
 
 from conftest import (check_witness, false_twin_classes, graphs,
                       reference_colouring_fits, reference_normalize_lists,
-                      reference_peel, reference_removable, reference_sweep,
+                      reference_full_vertex_search, reference_peel,
+                      reference_removable, reference_sweep,
                       reference_twin_representatives, seeds_of_branch)
 from lcol3 import (anchor_seeds, build_chain, build_graph, build_skeleton,
                    check_promise, choice_lists, enumerate_c5_colourings,
@@ -734,7 +735,7 @@ def test_search_counters_count_the_nodes_the_searches_build(monkeypatch):
         caller = sys._getframe(1).f_code.co_name
         if caller != "_solve_component":
             seen["leaf"] += 1
-            leaf_callers.add(caller)
+            leaf_callers.add((caller, sys._getframe(2).f_code.co_name))
         return real_leaf(st)
 
     monkeypatch.setattr(ListState, "copy", copy_spy)
@@ -765,8 +766,10 @@ def test_search_counters_count_the_nodes_the_searches_build(monkeypatch):
         assert seen["copy"] == seen["propagate"] + seen["refused"], (g, seen)
         assert stats.branches_survived == seen["leaf"], (g, stats, seen)
         refused += seen["refused"]
-    # both searches reached a leaf, and some seed list was refused
-    assert leaf_callers == {"_solve_skeleton", "_full_vertex_search"}
+    # both searches reached a leaf, each through the one search loop, and
+    # some seed list was refused
+    assert leaf_callers == {("_leaf_stream", "_solve_skeleton"),
+                            ("_leaf_stream", "_full_vertex_search")}
     assert refused > 0
 
 
@@ -850,11 +853,8 @@ def test_full_vertex_search_depth_beyond_recursion_limit():
     # with a_0 precoloured the search branches about 300 levels deep.
     # Propagation settles a_0, N(a_i) ⊆ N(a_{i+1}), so layer 0 removes the
     # whole graph, and the search is driven on it directly.
-    half = 300
-    edges = [(i, half + j) for i in range(half) for j in range(i + 1)]
-    g = build_graph(2 * half, edges)
+    g, masks = _half_graph_input()
     assert len(false_twin_classes(g)) == g.n
-    masks = [mask_of([1])] + [FULL_MASK] * (2 * half - 1)
     out = solve(g, masks)
     assert out.is_sat and verify_colouring(g, masks, out.colouring)
     assert out.stats.peeled + out.stats.dominated + out.stats.settled == g.n
@@ -869,6 +869,57 @@ def test_full_vertex_search_depth_beyond_recursion_limit():
         sys.setrecursionlimit(limit)
     assert verify_colouring(g, masks, colouring)
     assert st.stats.fallback_used == 1 and st.stats.fallback_nodes == 299
+
+
+def _half_graph_input():
+    """The half graph of the test above, a_0 precoloured: (graph, masks)."""
+    half = 300
+    g = build_graph(2 * half, [(i, half + j) for i in range(half)
+                               for j in range(i + 1)])
+    return g, [mask_of([1])] + [FULL_MASK] * (2 * half - 1)
+
+
+def test_full_vertex_search_matches_the_reference_resume_scan():
+    # Each node branches on its lowest full-list vertex, found by one scan;
+    # the reference resumes the scan where the node's parent branched.
+    # Masks only shrink below a node, so both pick the same vertex at every
+    # node, build the same nodes and return the same colouring.  The inputs
+    # are shuffled disjoint unions of one to four twin-expanded bipartite
+    # graphs and blown-up C7s from the generators, with random two- and
+    # three-colour lists, and the half graph above, each propagated and
+    # searched whole, without layer 0.
+    rng = random.Random(30)
+    inputs = [_half_graph_input()]
+    i = 0
+    while len(inputs) < 400:
+        parts = []
+        for _ in range(rng.randint(1, 4)):
+            i += 1
+            if i % 2:
+                g = generate(GenSpec("blownup_c7", seed=i))[0]
+            else:
+                g = generate(GenSpec("random_rejection", seed=i,
+                                     n=rng.randint(4, 12)))[0]
+                if bipartite_check(g, (1 << g.n) - 1) is None:
+                    continue
+            parts.append(twin_expand(g, rng, rng.randint(0, 6)))
+        g = _shuffled_union(parts, rng)
+        inputs.append((g, [rng.choice((7, 7, 3, 5, 6)) for _ in range(g.n)]))
+    counted = ("fallback_used", "fallback_nodes", "branches",
+               "branches_survived", "propagations", "sat_instances")
+    unsat = nodes = 0
+    for g, masks in inputs:
+        runs = []
+        for search in (engine._full_vertex_search,
+                       reference_full_vertex_search):
+            st = ListState(g, masks, SolveStats())
+            assert propagate(st) is not None
+            runs.append((search(st), [getattr(st.stats, name)
+                                      for name in counted]))
+        assert runs[0] == runs[1], (g.n, list(g.edges()), masks)
+        unsat += runs[0][0] is None
+        nodes += runs[0][1][1]
+    assert unsat > 50 and nodes > 1500
 
 
 def test_twin_free_input_solves_on_the_graph_itself(monkeypatch):
@@ -1283,8 +1334,8 @@ def test_package_has_no_assert_statements():
 
 
 def test_solves_leave_no_reference_cycles():
-    # Both searches run the _leaf_stream generator with a children
-    # closure, and a found colouring leaves it suspended; verify mode on
+    # Both searches run _leaf_stream with a children closure, and a found
+    # colouring returns from it with its stack still full; verify mode on
     # the blown-up C7 sample runs find_induced_p7, recognize_blownup_c7
     # and the full-vertex search; the oracle and the enumerator are the
     # test kit's searches, each with a nested function.  None of them may
@@ -1311,7 +1362,7 @@ def test_solves_leave_no_reference_cycles():
     finally:
         gc.set_debug(flags)
         del gc.garbage[start:]
-    assert sk_stats.sat_instances > 0  # the leaf stream was consumed
+    assert sk_stats.sat_instances > 0  # the search reached a leaf
     assert verify_stats.fallback_used == 1  # the blown-up C7 was searched
     assert leaked == []
 

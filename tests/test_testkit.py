@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from conftest import reference_oracle_solve
 from lcol3 import (bipartite_check, build_graph, check_promise, iter_bits,
                    solve, verify_colouring)
 from lcol3.cli import parse_instance
@@ -71,6 +72,34 @@ def test_oracle_keeps_its_colourings_and_the_recursion_limit(monkeypatch):
         set_limit(limit)
     assert got == [1, 2] * 150
     assert calls == []
+
+
+def test_oracle_matches_the_reference_scan_oracle():
+    # The heap pick must choose what the reference's full rescan chose,
+    # the least (list size, vertex) among the uncoloured vertices, so both
+    # searches walk the same tree and return the same colouring or None.
+    # The first input backtracks through vertices whose lists grow back
+    # after their only heap entries went stale; without the push on a
+    # restore, or the one on uncolouring, the heap loses a vertex there.
+    # Then random graphs of up to 16 vertices, triangles allowed, with
+    # lists of one, two and three colours.
+    rng = random.Random(30)
+    inputs = [(build_graph(7, [(0, 1), (0, 2), (0, 3), (1, 5), (1, 6), (2, 4),
+                               (2, 6), (3, 6), (4, 5), (4, 6), (5, 6)]),
+               [6, 3, 3, 3, 6, 7, 6])]
+    for _ in range(3000):
+        n = rng.randint(0, 16)
+        density = rng.choice((0.2, 0.3, 0.4, 0.5))
+        g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                            if rng.random() < density])
+        inputs.append((g, [rng.choice((1, 2, 4) if rng.random() < 0.1
+                                      else (3, 5, 6, 7)) for _ in range(n)]))
+    found = {True: 0, False: 0}
+    for g, masks in inputs:
+        got = oracle_solve(g, masks)
+        assert got == reference_oracle_solve(g, masks), (list(g.edges()), masks)
+        found[got is not None] += 1
+    assert min(found.values()) > 1000
 
 
 def test_oracle_matches_engine_on_mixed_instances():
