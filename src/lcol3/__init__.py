@@ -1,31 +1,18 @@
 """Exact list 3-colouring of graphs without triangles or induced 7-vertex
-paths, with promise verification, witnesses, generators and a CLI."""
+paths, with promise verification, witnesses, generators and a CLI.
 
-from .engine import (ListState, Outcome, Palette, SolveStats,
-                     anchor_seeds, case_seeds, choice_lists,
-                     enumerate_c5_colourings, palette_analysis, propagate,
-                     residual_to_2sat, solve, verify_colouring)
+The names below are the library's contract; everything else is internal
+to its modules."""
+
+from .engine import Outcome, SolveStats, solve, verify_colouring
 from .errors import InternalError, PreconditionBreach
-from .graph import (Graph, bipartite_check, build_graph, components_within,
-                    iter_bits)
-from .recognition import (PromiseViolation, check_promise, find_induced_p7,
-                          find_triangle, recognize_blownup_c7,
-                          shortest_odd_cycle)
-from .sat2 import TwoSatInstance, add_clause, solve_2sat
-from .skeleton import (Chain, Skeleton, build_chain, build_skeleton,
-                       wd_components)
+from .graph import Graph, build_graph
+from .recognition import PromiseViolation, check_promise
 
 __all__ = [
-    "InternalError", "PreconditionBreach", "ListState", "Outcome", "Palette", "SolveStats",
-    "anchor_seeds", "case_seeds", "choice_lists",
-    "enumerate_c5_colourings", "palette_analysis",
-    "propagate", "residual_to_2sat", "solve", "verify_colouring",
-    "Graph", "bipartite_check", "build_graph", "components_within",
-    "iter_bits",
-    "PromiseViolation", "check_promise", "find_induced_p7", "find_triangle",
-    "recognize_blownup_c7", "shortest_odd_cycle",
-    "TwoSatInstance", "add_clause", "solve_2sat",
-    "Chain", "Skeleton", "build_chain", "build_skeleton", "wd_components",
+    "solve", "verify_colouring", "check_promise", "Graph", "build_graph",
+    "Outcome", "SolveStats", "PromiseViolation", "InternalError",
+    "PreconditionBreach",
     "GenSpec", "enumerate_colourings", "generate", "oracle_solve",
 ]
 

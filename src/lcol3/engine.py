@@ -154,11 +154,13 @@ class ListState:
         return True
 
     def assign_all(self, seeds):
-        """Force every (vertex, colour) seed in order; False at the first
-        one that is not admissible any more."""
-        for v, colour in seeds:
-            if not self.assign(v, colour):
-                return False
+        """Force every seed, a (vertex bitmask, colour) pair, in order, each
+        mask's vertices lowest first; False at the first vertex that no
+        longer admits the colour."""
+        for vset, colour in seeds:
+            for v in iter_bits(vset):
+                if not self.assign(v, colour):
+                    return False
         return True
 
 
@@ -348,65 +350,49 @@ def _anchor_palettes(anchor_masks):
     return [_PALETTES[col] for col in enumerate_c5_colourings(anchor_masks)]
 
 
-class TCase(namedtuple("TCase", "index tag k w", defaults=(None, None))):
-    """One of the cases (a)-(d), tag "a".."d", on the undetermined T index.
-
-    (a): the level-k prefix takes the non-shared colour and witness w takes
-    q; (b): the same swapped; (c)/(d): all of T_i takes the non-shared
-    colour / q.  Tags c and d carry no (k, w), which stay None."""
-
-    __slots__ = ()
-
-
-class DCase(namedtuple("DCase", "index tag a b v vprime", defaults=(None,))):
-    """One of the cases (e)-(h), tag "e".."h", on the free D index with
-    options {a, b} and lowest vertex v of D_i: (e) v -> a with witness
-    vprime -> b, (f) swapped, (g)/(h) the whole set takes a / b.  Tags g
-    and h carry no vprime, which stays None."""
-
-    __slots__ = ()
-
-
-def t_case_choices(palette, chains, i):
-    chain = chains.get(i)
-    if chain is None:
+def t_case_choices(sk, palette, chains, i):
+    """The seed lists of cases (a)-(d) on the undetermined T index i, with
+    q the once-used colour and `other` T_i's non-shared one: (c) all of
+    T_i takes other, (d) all of it q, then (a) the chain's level-k prefix
+    takes other and a witness w of the next level q, and (b) the same
+    swapped, each with k then w ascending; [None] for an empty T_i."""
+    t_set = sk.t[i]
+    if not t_set:
         return [None]
-    choices = [TCase(i, "c"), TCase(i, "d")]
-    levels = chain.levels
-    for k in range(chain.r + 1):
-        fresh = levels[k + 1] & ~levels[k]
-        for w in iter_bits(fresh):
-            choices.append(TCase(i, "a", k, w))
-    for k in range(chain.r + 1):
-        fresh = levels[k + 1] & ~levels[k]
-        for w in iter_bits(fresh):
-            choices.append(TCase(i, "b", k, w))
+    q = palette.q
+    other = palette.options[i][1]
+    choices = [((t_set, other),), ((t_set, q),)]
+    levels = chains[i].levels
+    for first, second in ((other, q), (q, other)):
+        for k in range(len(levels) - 1):
+            for w in iter_bits(levels[k + 1] & ~levels[k]):
+                choices.append(((levels[k], first), (1 << w, second)))
     return choices
 
 
 def d_case_choices(sk, palette, i):
+    """The seed lists of cases (e)-(h) on the free D index i, with options
+    {a, b} and v the lowest vertex of D_i: (g) all of D_i takes a, (h) all
+    of it b, then (e) v takes a and a witness v' takes b, and (f) the same
+    swapped, each with v' ascending; [None] for an empty D_i."""
     d_set = sk.d[i]
     if not d_set:
         return [None]
     a, b = palette.d_options[i]
     low = d_set & -d_set
-    v = low.bit_length() - 1
-    choices = [DCase(i, "g", a, b, v), DCase(i, "h", a, b, v)]
-    rest = list(iter_bits(d_set ^ low))
-    for u in rest:
-        choices.append(DCase(i, "e", a, b, v, u))
-    for u in rest:
-        choices.append(DCase(i, "f", a, b, v, u))
+    choices = [((d_set, a),), ((d_set, b),)]
+    for first, second in ((a, b), (b, a)):
+        for u in iter_bits(d_set ^ low):
+            choices.append(((low, first), (1 << u, second)))
     return choices
 
 
 def choice_lists(sk, chains, palette):
-    """The five choice lists of an anchor colouring, in search order: cases
-    (c, d, a, b) with k then w ascending on each undetermined T index, then
-    cases (g, h, e, f) with v' ascending on each free D index; [None] for an
-    empty set.  A branch is one pick from each, and the branches are their
+    """The five choice lists of an anchor colouring, in search order: the
+    T cases on each undetermined T index, then the D cases on each free D
+    index.  A branch is one pick from each, and the branches are their
     Cartesian product."""
-    return ([t_case_choices(palette, chains, i) for i in palette.undetermined]
+    return ([t_case_choices(sk, palette, chains, i) for i in palette.undetermined]
             + [d_case_choices(sk, palette, i) for i in palette.free_d])
 
 
@@ -414,35 +400,8 @@ def anchor_seeds(sk, palette):
     """Seeds every branch of an anchor colouring shares: the anchors and
     the forced T sets."""
     col = palette.c5_colouring
-    seeds = [(sk.c[i], col[i]) for i in range(5)]
-    t_lists = sk.t_lists
-    for i, colour in palette.forced.items():
-        seeds.extend([(v, colour) for v in t_lists[i]])
-    return seeds
-
-
-def case_seeds(sk, chains, palette, case):
-    """Seeds of one TCase or DCase."""
-    i = case.index
-    if isinstance(case, DCase):
-        if case.tag == "g":
-            return [(v, case.a) for v in iter_bits(sk.d[i])]
-        if case.tag == "h":
-            return [(v, case.b) for v in iter_bits(sk.d[i])]
-        if case.tag == "e":
-            return [(case.v, case.a), (case.vprime, case.b)]
-        return [(case.v, case.b), (case.vprime, case.a)]
-    q = palette.q
-    other = palette.options[i][1]
-    if case.tag == "c":
-        return [(v, other) for v in sk.t_lists[i]]
-    if case.tag == "d":
-        return [(v, q) for v in sk.t_lists[i]]
-    first = other if case.tag == "a" else q
-    second = q if case.tag == "a" else other
-    seeds = [(v, first) for v in iter_bits(chains[i].levels[case.k])]
-    seeds.append((case.w, second))
-    return seeds
+    return ([(1 << c, colour) for c, colour in zip(sk.c, col)]
+            + [(sk.t[i], colour) for i, colour in palette.forced.items()])
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +652,8 @@ def _full_vertex_search(st):
         except ValueError:
             return None
         stats.fallback_nodes += 1
-        return ((i, 1),), ((i, 2),), ((i, 3),)
+        bit = 1 << i
+        return ((bit, 1),), ((bit, 2),), ((bit, 3),)
 
     return _leaf_stream(st, children)
 
@@ -717,10 +677,11 @@ def _solve_skeleton(st, sk):
     component's list state st.  Each anchor colouring is one node, a copy
     of st seeded and propagated here and counted in stats.branches; the
     chains its choices read are built first.  A live one runs the (a)-(h)
-    choices through _leaf_stream, one choice list per depth, which hands
-    each leaf to 2-SAT.  The base is propagated here, not in _leaf_stream,
-    since perfbench/layers.py tells live anchor colourings from tried
-    choices by the name of propagate's caller."""
+    choices through _leaf_stream, the seed lists of one non-empty set per
+    depth, and _leaf_stream hands each leaf to 2-SAT.  The base is
+    propagated here, not in _leaf_stream, since perfbench/layers.py tells
+    live anchor colourings from tried choices by the name of propagate's
+    caller."""
     stats = st.stats
     chains = {}
     for palette in _anchor_palettes([st.masks[c] for c in sk.c]):
@@ -738,10 +699,7 @@ def _solve_skeleton(st, sk):
                  if choices[0] is not None]
 
         def children(node, depth):
-            if depth == len(lists):
-                return None
-            return (case_seeds(sk, chains, palette, case)
-                    for case in lists[depth])
+            return lists[depth] if depth < len(lists) else None
 
         result = _leaf_stream(base, children)
         if result is not None:
@@ -752,15 +710,16 @@ def _solve_skeleton(st, sk):
 def _leaf_stream(root, children):
     """Search below the state root, which is at a propagation fixpoint, in
     depth-first order, and return the first colouring that a leaf's 2-SAT
-    finds, or None.  children(node, depth) gives a node's children as seed
-    lists, built lazily, or None at a leaf; the root is at depth 0.  Each
-    child is a copy of its parent, seeded with one list and propagated
-    once, in this function's own frame; a child whose seeds or propagation
-    fail is pruned with all below it.  Each child built is added to
-    stats.branches and each leaf to stats.branches_survived before
-    _two_sat_leaf decides it.  The search keeps its own stack, so its depth
-    is not bounded by the recursion limit: per node on the current path,
-    its state and the children not yet built."""
+    finds, or None.  children(node, depth) gives a node's children as an
+    iterable of seed lists (see ListState.assign_all), or None at a leaf;
+    the root is at depth 0.  Each child is a copy of its parent, seeded
+    with one list and propagated once, in this function's own frame; a
+    child whose seeds or propagation fail is pruned with all below it.
+    Each child built is added to stats.branches and each leaf to
+    stats.branches_survived before _two_sat_leaf decides it.  The search
+    keeps its own stack, so its depth is not bounded by the recursion
+    limit: per node on the current path, its state and the children not
+    yet built."""
     stats = root.stats
     stack = []
     node = root

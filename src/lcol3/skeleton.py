@@ -17,13 +17,12 @@ from .errors import PreconditionBreach
 from .graph import bipartite_check, components_within, iter_bits
 
 
-class Skeleton(namedtuple("Skeleton", "c t d w components t_lists")):
+class Skeleton(namedtuple("Skeleton", "c t d w components")):
     """The anchored decomposition.  c is the anchor cycle, five vertices in
     cycle order; t[i] and d[i] are the sets T_i and D_i of anchor position
     i and w the isolated remainder W, all int bitmasks; components holds,
     for each non-trivial component of the remainder, its neighbourhood in
-    S (the cycle with every T and D set) as an int bitmask, and t_lists[i]
-    the vertices of T_i as an ascending list."""
+    S (the cycle with every T and D set) as an int bitmask."""
 
     __slots__ = ()
 
@@ -96,14 +95,8 @@ def build_skeleton(graph, c5):
         else:
             nbhds.append(_validate_gs_component(graph, d_all, s_mask, comp))
 
-    return Skeleton(
-        c=c5,
-        t=tuple(t_sets),
-        d=tuple(d_sets),
-        w=w_mask,
-        components=tuple(nbhds),
-        t_lists=tuple(list(iter_bits(t)) for t in t_sets),
-    )
+    return Skeleton(c=c5, t=tuple(t_sets), d=tuple(d_sets), w=w_mask,
+                    components=tuple(nbhds))
 
 
 def _validate_gs_component(graph, d_all, s_mask, comp):

@@ -5,13 +5,12 @@ from itertools import combinations
 import pytest
 from hypothesis import strategies as st
 
-from lcol3 import (anchor_seeds, build_graph, case_seeds, check_promise,
-                   engine)
+from lcol3 import build_graph, check_promise, engine
 from lcol3.cli import (DuplicateEdgeError, DuplicateListLineError,
                        EmptyListError, InstanceSyntaxError, OutOfRangeError,
                        ParseError)
-from lcol3.engine import (_SIZE, FULL_MASK, colours_of, mask_of,
-                          normalize_lists, verify_colouring)
+from lcol3.engine import (_SIZE, FULL_MASK, anchor_seeds, colours_of,
+                          mask_of, normalize_lists, verify_colouring)
 from lcol3.errors import InternalError, PreconditionBreach
 from lcol3.graph import DuplicateEdgeError as GraphDuplicateEdgeError
 from lcol3.graph import _graph_from_rows, iter_bits
@@ -24,13 +23,14 @@ def brute_triangle_free(graph):
         for a, b, c in combinations(range(graph.n), 3))
 
 
-def seeds_of_branch(sk, chains, palette, branch):
+def seeds_of_branch(sk, palette, branch):
     """All seeds of one branch, a pick from each of the anchor colouring's
-    choice lists: the anchor colouring's own seeds, then each case's."""
+    choice lists: the anchor colouring's own seeds, then each picked seed
+    list's."""
     seeds = anchor_seeds(sk, palette)
-    for case in branch:
-        if case is not None:
-            seeds.extend(case_seeds(sk, chains, palette, case))
+    for picked in branch:
+        if picked is not None:
+            seeds.extend(picked)
     return seeds
 
 
@@ -365,8 +365,10 @@ def reference_full_vertex_search(st):
     generator it ran on (each reads propagate and _two_sat_leaf from the
     engine module): each node resumes the scan where its parent branched,
     kept per depth of the current path, and the search loops over the
-    generator's leaves itself.  engine._full_vertex_search must return the
-    same colouring and count the same nodes on every input."""
+    generator's leaves itself.  Its seeds alone changed since: they are
+    (vertex bitmask, colour) pairs, as ListState.assign_all takes them.
+    engine._full_vertex_search must return the same colouring and count
+    the same nodes on every input."""
     stats = st.stats
     stats.fallback_used += 1
     path = [0]  # path[d]: where the scan starts at depth d of the current path
@@ -381,7 +383,7 @@ def reference_full_vertex_search(st):
         del path[depth + 1:]
         path.append(i)
         stats.fallback_nodes += 1
-        return ((i, 1),), ((i, 2),), ((i, 3),)
+        return ((1 << i, 1),), ((1 << i, 2),), ((1 << i, 3),)
 
     for leaf in _reference_leaf_stream(st, children):
         result = engine._two_sat_leaf(leaf)
@@ -392,7 +394,8 @@ def reference_full_vertex_search(st):
 
 def _reference_leaf_stream(root, children):
     """engine._leaf_stream as it stood when it yielded each leaf to its
-    caller, kept verbatim."""
+    caller, kept verbatim; its seed lists hold (vertex bitmask, colour)
+    pairs, as engine._leaf_stream's do."""
     stats = root.stats
     stack = []
     node = root

@@ -7,15 +7,13 @@ import time
 from itertools import product
 
 from conftest import check_witness, seeds_of_branch
-from lcol3 import (build_chain, build_graph, build_skeleton, check_promise,
-                   choice_lists, enumerate_c5_colourings, palette_analysis,
-                   solve, verify_colouring)
-from lcol3 import engine
-from lcol3.engine import FULL_MASK, DCase, TCase
+from lcol3 import build_graph, check_promise, engine, solve, verify_colouring
+from lcol3.engine import (FULL_MASK, choice_lists, enumerate_c5_colourings,
+                          palette_analysis)
 from lcol3.graph import bipartite_check, iter_bits
 from lcol3.recognition import shortest_odd_cycle
 from lcol3.sat2 import TwoSatInstance, add_clause, solve_2sat
-from lcol3.skeleton import Skeleton
+from lcol3.skeleton import Skeleton, build_chain, build_skeleton
 from lcol3.testkit import (GenSpec, cycle_graph, enumerate_colourings,
                            generate, groetzsch_graph, oracle_solve)
 
@@ -80,52 +78,50 @@ def test_criterion_1_and_3_oracle_equivalence():
 
 
 def _agreeing_branch(sk, chains, palette, colouring):
-    t_cases = []
+    """The seed list from each choice list that the colouring agrees with:
+    the whole set when it takes one colour, else the first deviation, the
+    longest one-coloured chain prefix (D_i's lowest vertex) with the lowest
+    vertex of the next level (of D_i) that takes the other colour."""
+    t_picks = []
     for i in palette.undetermined:
-        if not sk.t[i]:
-            t_cases.append(None)
+        t_set = sk.t[i]
+        if not t_set:
+            t_picks.append(None)
             continue
         chain = chains[i]
         q = palette.q
         other = palette.options[i][1]
         levels = chain.levels
-        if all(colouring[v] == other for v in iter_bits(sk.t[i])):
-            t_cases.append(TCase(i, "c"))
+        if all(colouring[v] == other for v in iter_bits(t_set)):
+            t_picks.append(((t_set, other),))
             continue
-        if all(colouring[v] == q for v in iter_bits(sk.t[i])):
-            t_cases.append(TCase(i, "d"))
+        if all(colouring[v] == q for v in iter_bits(t_set)):
+            t_picks.append(((t_set, q),))
             continue
-        if colouring[chain.v0] == other:
-            k = max(k for k in range(chain.r + 1)
-                    if all(colouring[v] == other for v in iter_bits(levels[k])))
-            w = min(v for v in iter_bits(levels[k + 1] & ~levels[k])
-                    if colouring[v] == q)
-            t_cases.append(TCase(i, "a", k, w))
-        else:
-            k = max(k for k in range(chain.r + 1)
-                    if all(colouring[v] == q for v in iter_bits(levels[k])))
-            w = min(v for v in iter_bits(levels[k + 1] & ~levels[k])
-                    if colouring[v] == other)
-            t_cases.append(TCase(i, "b", k, w))
-    d_cases = []
+        first, second = (other, q) if colouring[chain.v0] == other else (q, other)
+        k = max(k for k in range(chain.r + 1)
+                if all(colouring[v] == first for v in iter_bits(levels[k])))
+        w = min(v for v in iter_bits(levels[k + 1] & ~levels[k])
+                if colouring[v] == second)
+        t_picks.append(((levels[k], first), (1 << w, second)))
+    d_picks = []
     for i in palette.free_d:
-        if not sk.d[i]:
-            d_cases.append(None)
+        d_set = sk.d[i]
+        if not d_set:
+            d_picks.append(None)
             continue
         a, b = palette.d_options[i]
-        members = list(iter_bits(sk.d[i]))
-        v = members[0]
+        members = list(iter_bits(d_set))
         if all(colouring[u] == a for u in members):
-            d_cases.append(DCase(i, "g", a, b, v))
+            d_picks.append(((d_set, a),))
         elif all(colouring[u] == b for u in members):
-            d_cases.append(DCase(i, "h", a, b, v))
-        elif colouring[v] == a:
-            vp = min(u for u in members if colouring[u] == b)
-            d_cases.append(DCase(i, "e", a, b, v, vp))
+            d_picks.append(((d_set, b),))
         else:
-            vp = min(u for u in members if colouring[u] == a)
-            d_cases.append(DCase(i, "f", a, b, v, vp))
-    return tuple(t_cases + d_cases)
+            v = members[0]
+            first, second = (a, b) if colouring[v] == a else (b, a)
+            vp = min(u for u in members if colouring[u] == second)
+            d_picks.append(((1 << v, first), (1 << vp, second)))
+    return tuple(t_picks + d_picks)
 
 
 def test_criterion_2_branch_completeness():
@@ -168,8 +164,8 @@ def test_criterion_2_branch_completeness():
             if branch not in branch_sets[anchor_col]:
                 misses += 1
                 continue
-            seeds = seeds_of_branch(sk, chains, palette, branch)
-            if any(f[v] != c for v, c in seeds):
+            seeds = seeds_of_branch(sk, palette, branch)
+            if any(f[v] != c for vset, c in seeds for v in iter_bits(vset)):
                 misses += 1
             colourings_checked += 1
     elapsed = time.perf_counter() - t0

@@ -907,7 +907,14 @@ def test_import_loads_no_heavy_stdlib_modules():
 
 
 def test_every_export_resolves():
+    # __all__ is the library's contract: the solver, its checks and
+    # records, its errors and the lazily loaded test kit
     assert len(set(lcol3.__all__)) == len(lcol3.__all__)
+    assert set(lcol3.__all__) == {
+        "solve", "verify_colouring", "check_promise", "Graph", "build_graph",
+        "Outcome", "SolveStats", "PromiseViolation", "InternalError",
+        "PreconditionBreach",
+        "GenSpec", "enumerate_colourings", "generate", "oracle_solve"}
     for name in lcol3.__all__:
         assert getattr(lcol3, name) is not None, name
 

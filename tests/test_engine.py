@@ -18,21 +18,20 @@ from conftest import (check_witness, false_twin_classes, graphs,
                       reference_full_vertex_search, reference_peel,
                       reference_removable, reference_sweep,
                       reference_twin_representatives, seeds_of_branch)
-from lcol3 import (anchor_seeds, build_chain, build_graph, build_skeleton,
-                   check_promise, choice_lists, enumerate_c5_colourings,
-                   palette_analysis, propagate, residual_to_2sat, solve,
-                   verify_colouring)
+from lcol3 import build_graph, check_promise, solve, verify_colouring
 import lcol3
 from lcol3 import engine
 from lcol3.cli import dispatch, emit_instance, parse_instance
 from lcol3.engine import (_SIZE, FULL_MASK, InternalError, ListState,
-                          SolveStats, mask_of)
+                          SolveStats, anchor_seeds, choice_lists,
+                          enumerate_c5_colourings, mask_of, palette_analysis,
+                          propagate, residual_to_2sat)
 from lcol3.errors import PreconditionBreach
 from lcol3.graph import bipartite_check, iter_bits
 from lcol3.recognition import (PromiseViolation, recognize_blownup_c7,
                                shortest_odd_cycle)
 from lcol3.sat2 import solve_2sat
-from lcol3.skeleton import Chain, Skeleton
+from lcol3.skeleton import Chain, Skeleton, build_chain, build_skeleton
 from lcol3.testkit import (GenSpec, cycle_graph, enumerate_colourings,
                            generate, groetzsch_graph, oracle_solve, path_graph)
 from test_properties import twin_expand
@@ -106,11 +105,14 @@ def test_enumerate_branches_t_set_of_three():
     extra = [(5, 0), (5, 2), (6, 0), (6, 2), (7, 0), (7, 2)]
     g, sk, chains = _skeleton_instance(extra, 8)
     branches = _branches(sk, chains, (1, 2, 1, 2, 3))
-    assert len(branches) == 6
-    tags = [b[0].tag for b in branches]
-    assert tags == ["c", "d", "a", "a", "b", "b"]
-    witnesses = [b[0].w for b in branches if b[0].tag == "a"]
-    assert witnesses == [6, 7]
+    # q = 3 and T_2's non-shared colour is 2: (c), (d), then (a) and (b)
+    # with the chain's base {5} and witnesses 6 and 7
+    t_set = 1 << 5 | 1 << 6 | 1 << 7
+    assert [b[0] for b in branches] == [
+        ((t_set, 2),), ((t_set, 3),),
+        ((1 << 5, 2), (1 << 6, 3)), ((1 << 5, 2), (1 << 7, 3)),
+        ((1 << 5, 3), (1 << 6, 2)), ((1 << 5, 3), (1 << 7, 2))]
+    assert all(b[1:] == (None,) * 4 for b in branches)
 
 
 def test_enumerate_branches_single_free_d():
@@ -118,8 +120,8 @@ def test_enumerate_branches_single_free_d():
     extra = [(5, 4)]
     g, sk, chains = _skeleton_instance(extra, 6)
     branches = _branches(sk, chains, (1, 2, 1, 2, 3))
-    assert len(branches) == 2
-    assert [b[4].tag for b in branches] == ["g", "h"]
+    # D_5's options are (1, 2)
+    assert [b[4] for b in branches] == [((1 << 5, 1),), ((1 << 5, 2),)]
 
 
 def test_enumerate_branches_count_formula():
@@ -156,42 +158,62 @@ def test_enumerate_branches_count_formula():
         assert count <= bound
 
 
-def test_apply_branch_case_c():
-    extra = [(5, 0), (5, 2), (6, 0), (6, 2)]
+T_PAIR = ([(5, 0), (5, 2), (6, 0), (6, 2)], 1)  # T_2 (0-based 1) = {5, 6}
+D_PAIR = ([(5, 4), (6, 4)], 4)  # D_5 (0-based 4) = {5, 6}
+PAIR = 1 << 5 | 1 << 6
+
+
+def _applied_case(skeleton, at):
+    """The seed list of the at-th choice on the one non-empty set of the
+    skeleton under the anchor colouring (1, 2, 1, 2, 3), and the masks that
+    seeding a full-list state with its branch leaves on vertices 5 and 6.
+    There q = 3, T_2's non-shared colour is 2 and D_5's options are
+    (1, 2)."""
+    extra, i = skeleton
     g, sk, chains = _skeleton_instance(extra, 7)
-    col = (1, 2, 1, 2, 3)
-    case_c = _branches(sk, chains, col)[0]
-    assert case_c[0].tag == "c"
+    palette = palette_analysis((1, 2, 1, 2, 3))
+    branch = _branches(sk, chains, palette.c5_colouring)[at]
     st = ListState(g, [FULL_MASK] * g.n, SolveStats())
-    assert st.assign_all(seeds_of_branch(sk, chains, palette_analysis(col),
-                                         case_c))
-    # palette of T_2 is {2,3}; case (c) forces the non-shared colour 2
-    assert st.masks[5] == mask_of([2]) and st.masks[6] == mask_of([2])
+    assert st.assign_all(seeds_of_branch(sk, palette, branch))
+    position = (palette.undetermined + palette.free_d).index(i)
+    return branch[position], st.masks[5:7]
+
+
+def test_apply_branch_case_c():
+    # case (c) forces T_2's non-shared colour 2 on the whole set
+    assert _applied_case(T_PAIR, 0) == (((PAIR, 2),), [mask_of([2])] * 2)
 
 
 def test_apply_branch_case_a_k0():
-    extra = [(5, 0), (5, 2), (6, 0), (6, 2)]
-    g, sk, chains = _skeleton_instance(extra, 7)
-    col = (1, 2, 1, 2, 3)
-    case_a = next(b for b in _branches(sk, chains, col)
-                  if b[0] and b[0].tag == "a")
-    assert case_a[0].k == 0 and case_a[0].w == 6
-    st = ListState(g, [FULL_MASK] * g.n, SolveStats())
-    st.assign_all(seeds_of_branch(sk, chains, palette_analysis(col), case_a))
-    assert st.masks[5] == mask_of([2])  # v0 takes the non-shared colour
-    assert st.masks[6] == mask_of([3])  # witness takes q
+    # v0 = 5 takes the non-shared colour, the witness 6 takes q
+    assert _applied_case(T_PAIR, 2) == (((1 << 5, 2), (1 << 6, 3)),
+                                        [mask_of([2]), mask_of([3])])
 
 
 def test_apply_branch_case_e():
-    extra = [(5, 4), (6, 4)]  # D_5 (0-based 4) with two vertices
-    g, sk, chains = _skeleton_instance(extra, 7)
-    col = (1, 2, 1, 2, 3)
-    case_e = next(b for b in _branches(sk, chains, col)
-                  if b[4] and b[4].tag == "e")
-    assert (case_e[4].a, case_e[4].b) == (1, 2)
-    st = ListState(g, [FULL_MASK] * g.n, SolveStats())
-    st.assign_all(seeds_of_branch(sk, chains, palette_analysis(col), case_e))
-    assert st.masks[5] == mask_of([1]) and st.masks[6] == mask_of([2])
+    # the lowest vertex 5 takes a = 1, the witness 6 takes b = 2
+    assert _applied_case(D_PAIR, 2) == (((1 << 5, 1), (1 << 6, 2)),
+                                        [mask_of([1]), mask_of([2])])
+
+
+@pytest.mark.parametrize("skeleton,at,seeds,colours", [
+    (T_PAIR, 1, ((PAIR, 3),), (3, 3)),                   # (d)
+    (T_PAIR, 3, ((1 << 5, 3), (1 << 6, 2)), (3, 2)),     # (b)
+    (D_PAIR, 0, ((PAIR, 1),), (1, 1)),                   # (g)
+    (D_PAIR, 1, ((PAIR, 2),), (2, 2)),                   # (h)
+    (D_PAIR, 3, ((1 << 5, 2), (1 << 6, 1)), (2, 1)),     # (f)
+], ids=["d", "b", "g", "h", "f"])
+def test_apply_branch_case_pins_its_seeds(skeleton, at, seeds, colours):
+    assert _applied_case(skeleton, at) == (seeds, [mask_of([c]) for c in colours])
+
+
+def test_case_choices_on_an_empty_set_are_none():
+    g, sk, chains = _skeleton_instance([], 5)
+    palette = palette_analysis((1, 2, 1, 2, 3))
+    assert [engine.t_case_choices(sk, palette, chains, i)
+            for i in palette.undetermined] == [[None]] * 2
+    assert [engine.d_case_choices(sk, palette, i)
+            for i in palette.free_d] == [[None]] * 3
 
 
 def test_apply_branch_conflict():
@@ -199,8 +221,7 @@ def test_apply_branch_conflict():
     col = (1, 2, 1, 2, 3)
     branch = _branches(sk, chains, col)[0]
     st = ListState(g, [mask_of([2])] + [FULL_MASK] * 4, SolveStats())
-    assert not st.assign_all(seeds_of_branch(sk, chains, palette_analysis(col),
-                                             branch))
+    assert not st.assign_all(seeds_of_branch(sk, palette_analysis(col), branch))
 
 
 def test_propagate_removes_colour():
@@ -290,9 +311,39 @@ def test_propagation_after_safe_elimination_removes_nothing(data):
     assert st.masks == after and st.stats.propagations == removals
 
 
+class _LoggedState(ListState):
+    """A fresh-stats copy of a state at its fixpoint that logs every
+    assign call as (vertex, colour, result)."""
+
+    __slots__ = ("log",)
+
+    def __init__(self, state):
+        super().__init__(state.graph, state.masks, SolveStats())
+        self.pending.clear()
+        self.log = []
+
+    def assign(self, v, colour):
+        ok = super().assign(v, colour)
+        self.log.append((v, colour, ok))
+        return ok
+
+
+def _assign_by_vertex(state, seeds):
+    """ListState.assign_all's contract spelled out: assign each seed's
+    vertices one at a time, lowest first, up to the first refusal."""
+    for vset, colour in seeds:
+        for v in range(state.graph.n):
+            if vset >> v & 1 and not state.assign(v, colour):
+                return False
+    return True
+
+
 @settings(max_examples=300, deadline=None)
 @given(hst.data())
 def test_propagations_count_every_colour_dropped_from_the_lists(data):
+    # assign_all takes (vertex bitmask, colour) seeds and acts as assign
+    # on each seed's vertices in ascending order: the same result, masks,
+    # queue and count, and the same assign calls up to the same refusal.
     # assign and propagate add each colour they remove to the state's
     # stats, failed seeds and failed propagations up to the failure
     # included, and a copy of a state at its fixpoint counts into the same
@@ -300,8 +351,8 @@ def test_propagations_count_every_colour_dropped_from_the_lists(data):
     g = data.draw(graphs(max_n=10))
     masks = data.draw(hst.lists(hst.integers(1, FULL_MASK),
                                 min_size=g.n, max_size=g.n))
-    seeds = hst.lists(hst.tuples(hst.integers(0, g.n - 1), hst.integers(1, 3)),
-                      max_size=4)
+    seeds = hst.lists(hst.tuples(hst.integers(0, (1 << g.n) - 1),
+                                 hst.integers(1, 3)), max_size=4)
     colours = lambda state: sum(map(_SIZE.__getitem__, state.masks))
     stats = SolveStats()
     st = ListState(g, masks, stats)
@@ -315,8 +366,13 @@ def test_propagations_count_every_colour_dropped_from_the_lists(data):
     start = colours(st)
     dropped = stats.propagations
     for state in (st, copy):
-        ok = (state.assign_all(data.draw(seeds))
-              and propagate(state) is not None)
+        drawn = data.draw(seeds)
+        got, want = _LoggedState(state), _LoggedState(state)
+        assert got.assign_all(drawn) == _assign_by_vertex(want, drawn)
+        assert got.log == want.log and got.masks == want.masks
+        assert list(got.pending) == list(want.pending)
+        assert got.stats == want.stats
+        ok = state.assign_all(drawn) and propagate(state) is not None
         dropped += start - colours(state)
         assert stats.propagations == dropped
         if not ok:
@@ -659,8 +715,8 @@ def test_branch_completeness_small_instances():
             palette = palette_analysis(col)
             agreeing = False
             for branch in per_colouring[col]:
-                seeds = seeds_of_branch(sk, chains, palette, branch)
-                if all(f[v] == c for v, c in seeds):
+                seeds = seeds_of_branch(sk, palette, branch)
+                if all(f[v] == c for vset, c in seeds for v in iter_bits(vset)):
                     agreeing = True
                     break
             assert agreeing, (seed, f)
@@ -1339,12 +1395,12 @@ def test_solves_leave_no_reference_cycles():
     # the blown-up C7 sample runs find_induced_p7, recognize_blownup_c7
     # and the full-vertex search; the oracle and the enumerator are the
     # test kit's searches, each with a nested function.  None of them may
-    # leave a cycle that holds skeletons, chains, cases or functions.
+    # leave a cycle that holds skeletons, chains or functions.
     sk_graph, sk_masks = generate(GenSpec("skeleton_built", seed=763,
                                           scale=25, lists="random"))
     verify_graph, verify_masks = parse_instance(
         (INSTANCES / "c7_blowup_lists.lcol").read_text())
-    kept = (Skeleton, Chain, engine.TCase, engine.DCase)
+    kept = (Skeleton, Chain)
     flags = gc.get_debug()
     gc.collect()
     start = len(gc.garbage)
@@ -1439,16 +1495,9 @@ def test_breach_on_an_in_class_component_is_an_internal_error(
     assert len(lines) == 1 and lines[0].startswith("internal error")
 
 
-def test_case_records_keep_field_order_and_defaults():
-    assert engine.TCase._fields == ("index", "tag", "k", "w")
-    assert engine.TCase(1, "c") == engine.TCase(1, "c", None, None)
-    assert engine.DCase._fields == ("index", "tag", "a", "b", "v", "vprime")
-    assert engine.DCase(0, "g", 1, 2, 7) == engine.DCase(0, "g", 1, 2, 7, None)
-
-
 @pytest.mark.parametrize("record", [
-    engine.Outcome, engine.Palette, engine.TCase, engine.DCase,
-    PromiseViolation, Skeleton, Chain, GenSpec])
+    engine.Outcome, engine.Palette, PromiseViolation, Skeleton, Chain,
+    GenSpec])
 def test_frozen_records_reject_assignment(record):
     rec = record._make(range(len(record._fields)))
     with pytest.raises(AttributeError):

@@ -5,9 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import graphs
-from lcol3 import bipartite_check, build_graph, components_within
+from lcol3 import build_graph
 from lcol3.graph import (DuplicateEdgeError, LoopEdgeError, VertexRangeError,
-                         induced_subgraph)
+                         bipartite_check, components_within, induced_subgraph)
 from lcol3.recognition import shortest_odd_cycle
 from lcol3.testkit import cycle_graph
 

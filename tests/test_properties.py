@@ -141,3 +141,64 @@ def test_filtered_random_graphs_match_oracle():
         if outcome.is_sat:
             assert verify_colouring(g, masks, outcome.colouring)
     assert accepted >= 100
+
+
+def arbitrary_instance(rng):
+    """A graph on at most 12 vertices with no promise: G(n, p) over the
+    vertex pairs in random order, with triangles allowed or with every
+    pair that would close one skipped (induced P7s allowed), or a
+    structured class member with a few vertex pairs flipped; its lists all
+    full, all two-colour, mixed as random_masks draws them, or any
+    non-empty list."""
+    if rng.randrange(3):
+        n = rng.randint(1, 12)
+        p = rng.choice((0.15, 0.3, 0.5, 0.7, 1.0))
+        triangle_free = rng.randrange(3) > 0
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        rng.shuffle(pairs)
+        rows = [0] * n
+        edges = []
+        for u, v in pairs:
+            if rng.random() < p and not (triangle_free and rows[u] & rows[v]):
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+                edges.append((u, v))
+    else:
+        base = structured_base(rng.randrange(10_000), rng)
+        while base.n > 12:
+            base = structured_base(rng.randrange(10_000), rng)
+        n = base.n
+        flipped = {tuple(sorted(rng.sample(range(n), 2)))
+                   for _ in range(rng.randint(1, 3))}
+        edges = sorted(set(base.edges()) ^ flipped)
+    kind = rng.randrange(4)
+    if kind == 0:
+        masks = [0b111] * n
+    elif kind == 1:
+        masks = [rng.choice((0b011, 0b101, 0b110)) for _ in range(n)]
+    elif kind == 2:
+        masks = random_masks(rng, n)
+    else:
+        masks = [rng.randint(1, 0b111) for _ in range(n)]
+    return build_graph(n, edges), masks
+
+
+def test_trust_mode_is_exact_or_witnessed_beyond_the_class():
+    # On arbitrary small graphs trust mode gives the oracle's answer, or
+    # INVALID with a witness that check_witness accepts, and never raises.
+    # All three answers occur, and some inputs reach a branch search.
+    kinds = {"sat": 0, "unsat": 0, "invalid": 0}
+    searched = 0
+    for seed in range(12_000):
+        g, masks = arbitrary_instance(random.Random(seed * 53 + 11))
+        outcome = solve(g, masks, mode="trust")
+        kinds[outcome.kind] += 1
+        searched += outcome.stats.branches > 0
+        if outcome.is_invalid:
+            assert check_witness(g, outcome.violation), seed
+            continue
+        expected = oracle_solve(g, masks)
+        assert outcome.is_sat == (expected is not None), seed
+        if outcome.is_sat:
+            assert verify_colouring(g, masks, outcome.colouring), seed
+    assert min(kinds.values()) > 0 and searched > 0, (kinds, searched)

@@ -9,12 +9,12 @@ from conftest import (breach_witness, brute_has_induced_p7, brute_triangle_free,
                       check_witness, false_twin_classes, graphs,
                       reference_find_induced_p7, reference_induced_p7,
                       reference_shortest_odd_cycle, subset_induces_path)
-from lcol3 import (build_graph, check_promise, find_induced_p7, find_triangle,
-                   recognize_blownup_c7, shortest_odd_cycle)
+from lcol3 import build_graph, check_promise
 from lcol3.errors import PreconditionBreach
 from lcol3.graph import induced_subgraph
-from lcol3.recognition import (is_induced_path, is_triangle, p7_witness,
-                               triangle_witness)
+from lcol3.recognition import (find_induced_p7, find_triangle, is_induced_path,
+                               is_triangle, p7_witness, recognize_blownup_c7,
+                               shortest_odd_cycle, triangle_witness)
 from lcol3.testkit import (GenSpec, cycle_graph, generate, groetzsch_graph,
                            path_graph, petersen_graph)
 from test_properties import twin_expand

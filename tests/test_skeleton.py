@@ -1,11 +1,12 @@
 import pytest
 
 from conftest import breach_witness, reference_anchor_classes
-from lcol3 import build_chain, build_graph, build_skeleton, check_promise, wd_components
+from lcol3 import build_graph, check_promise
 from lcol3.errors import PreconditionBreach
 from lcol3.graph import bipartite_check, components_within, iter_bits
 from lcol3.recognition import shortest_odd_cycle
-from lcol3.skeleton import Chain, Skeleton
+from lcol3.skeleton import (Chain, Skeleton, build_chain, build_skeleton,
+                            wd_components)
 from lcol3.testkit import GenSpec, generate
 
 C5 = [(i, (i + 1) % 5) for i in range(5)]
@@ -220,9 +221,10 @@ def test_anchor_classes_match_reference():
         joins = [[(v, cyc[(i + 1) % 5])] for i in range(5)
                  for v in iter_bits(sk.d[i])]
         joins.append([e for join in joins for e in join])
-        joins += [[(v, cyc[i])] for i in range(5) for v in sk.t_lists[i]]
-        joins += [[(sk.t_lists[i][0], sk.t_lists[i][-1])]
-                  for i in range(5) if len(sk.t_lists[i]) >= 2]
+        t_lists = [list(iter_bits(sk.t[i])) for i in range(5)]
+        joins += [[(v, cyc[i])] for i in range(5) for v in t_lists[i]]
+        joins += [[(t_lists[i][0], t_lists[i][-1])]
+                  for i in range(5) if len(t_lists[i]) >= 2]
         cases = [g] + [build_graph(g.n, edges + join) for join in joins]
         for anchors in (cyc, (cyc[3], cyc[2], cyc[1], cyc[0], cyc[4])):
             for h in cases:

@@ -5,10 +5,10 @@ import sys
 import pytest
 
 from conftest import reference_oracle_solve
-from lcol3 import (bipartite_check, build_graph, check_promise, iter_bits,
-                   solve, verify_colouring)
+from lcol3 import build_graph, check_promise, solve, verify_colouring
 from lcol3.cli import parse_instance
 from lcol3.engine import FULL_MASK, mask_of
+from lcol3.graph import bipartite_check, iter_bits
 from lcol3.testkit import (GenSpec, RejectionBudgetExceeded, SizeGuardError,
                            cycle_graph, enumerate_colourings, generate,
                            groetzsch_graph, mycielski, oracle_solve,
