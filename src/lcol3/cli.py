@@ -18,8 +18,7 @@ from operator import add, itemgetter
 
 from .engine import FULL_MASK, colours_of, solve, verify_colouring
 from .errors import InternalError
-from .graph import DuplicateEdgeError as GraphDuplicateEdgeError
-from .graph import GraphError, _graph_from_rows
+from .graph import Graph, GraphError, build_graph
 from .recognition import check_promise
 
 
@@ -51,11 +50,14 @@ class EmptyListError(ParseError):
 
 # The largest vertex count a problem line may declare, ten times the
 # n = 2 000 blow-up of the acceptance tests.  The problem line alone
-# allocates a neighbour list and a mask per vertex (about 70 bytes each,
-# 1.4 MB here) before any edge is read, and grows the per-process vertex
-# tables below (3.4 MB here, kept).  Each vertex then keeps an int bit row
-# of up to n bits: n * (n / 8 + 28) bytes when dense, 50 MB at this limit
-# and 0.5 MB at n = 2 000.
+# allocates a mask per vertex, and on the token path a bit row per vertex
+# too (16 bytes per vertex, 0.3 MB here) and a table of the n powers of
+# two that the edges are ORed in with, about n * n / 15 bytes (27 MB here,
+# freed when the parse returns; the line parser's build_graph call builds
+# the same table), before any edge is read, and grows the per-process
+# vertex tables below (3.4 MB here, kept).  Each vertex then keeps an int
+# bit row of up to n bits: n * (n / 8 + 28) bytes when dense, 50 MB at
+# this limit and 0.5 MB at n = 2 000.
 MAX_VERTICES = 20_000
 
 # The seven valid colour lists, as their ascending digit strings.
@@ -130,10 +132,12 @@ def _parse_tokens(text):
     the first `l `; and every line holds three tokens: a kind, a vertex
     found in the table of canonical spellings `1`..`N`, and a second,
     different vertex (after `e`) or one of the seven list strings (after
-    `l`).  No vertex may be listed twice and no edge repeated; a self-loop
-    puts its vertex twice in its own row, so the graph constructor finds
-    it with the repeated edges.  The line parser reads each such text
-    without error, to the same graph and lists.
+    `l`).  No vertex may be listed twice and no edge repeated.  Each edge
+    is ORed into its two bit rows through a table of powers of two local to
+    the call, so a repeated edge sets no new bit and a self-loop sets one
+    bit for two: either leaves the rows' popcounts summing to less than
+    2M, the one check that finds them.  The line parser reads each such
+    text without error, to the same graph and lists.
 
     The line layout is checked by whole-text scans, not line by line: the
     counts of `\\ne ` and `\\nl ` against the count of line ends, and the
@@ -147,7 +151,7 @@ def _parse_tokens(text):
     block starts at token 3i and holds three tokens.  A failed lookup or
     check gives None, and the line parser then reads the text and reports
     its first error.  _IDS also holds the tokens above N of any larger n
-    read before; their ids index past the rows and masks, and that
+    read before; their ids index past the bit rows and masks, and that
     IndexError counts as a failed lookup.
     """
     if (not text.isascii() or not text.endswith("\n")
@@ -169,7 +173,8 @@ def _parse_tokens(text):
             and text.rfind("\ne ") > text.find("\nl ", end)):
         return None
     _grow_tables(n)
-    rows = [[] for _ in range(n)]
+    power = [1 << v for v in range(n)]
+    bits = [0] * n
     masks = [FULL_MASK] * n
     listed = []
     start = end + 1
@@ -183,26 +188,23 @@ def _parse_tokens(text):
             k = tokens[::3].count("e")
             for u, v in zip(_lookup(_IDS, tokens[1:3 * k:3]),
                             _lookup(_IDS, tokens[2:3 * k:3])):
-                rows[u].append(v)
-                rows[v].append(u)
+                bits[u] |= power[v]
+                bits[v] |= power[u]
             vs = _lookup(_IDS, tokens[3 * k + 1::3])
             for v, mask in zip(vs, _lookup(_LIST_MASKS, tokens[3 * k + 2::3])):
                 masks[v] = mask
             listed += vs
     except (KeyError, IndexError):  # a failed lookup, as above
         return None
-    if len(set(listed)) != len(listed):
+    if (len(set(listed)) != len(listed)
+            or sum(map(int.bit_count, bits)) != 2 * m):
         return None
-    try:
-        return _graph_from_rows(n, rows), masks
-    except GraphDuplicateEdgeError:
-        return None
+    return Graph(n, bits, m), masks
 
 
 def _parse_lines(lines):
     n = None
     m_declared = None
-    rows = None
     masks = None
     listed = set()
     edges = set()  # (u, v) with u < v
@@ -228,8 +230,6 @@ def _parse_lines(lines):
             if key in edges:
                 raise DuplicateEdgeError(lineno, f"duplicate edge {u + 1} {v + 1}")
             edges.add(key)
-            rows[u].append(v)
-            rows[v].append(u)
         elif kind.startswith("c"):
             continue
         elif kind == "p":
@@ -246,7 +246,6 @@ def _parse_lines(lines):
             if n > MAX_VERTICES:
                 raise OutOfRangeError(lineno, f"{n} vertices, more than the "
                                               f"limit of {MAX_VERTICES}")
-            rows = [[] for _ in range(n)]
             masks = [FULL_MASK] * n
         elif kind == "l":
             if n is None:
@@ -282,7 +281,7 @@ def _parse_lines(lines):
     if len(edges) != m_declared:
         raise InstanceSyntaxError(0, f"problem line declares {m_declared} edges, "
                                      f"found {len(edges)}")
-    return _graph_from_rows(n, rows), masks
+    return build_graph(n, edges), masks
 
 
 def emit_instance(graph, masks=None):

@@ -170,12 +170,12 @@ def propagate(st):
     on the way, up to a failure too, are added to st.stats.propagations."""
     masks = st.masks
     pending = st.pending
-    adj = st.graph.adj
+    bits = st.graph.bits
     removed = 0
     while pending:
         v = pending.popleft()
         cbit = masks[v]
-        for u in adj[v]:
+        for u in iter_bits(bits[v]):
             mu = masks[u]
             if mu & cbit:
                 if mu == cbit:
@@ -203,13 +203,13 @@ def residual_to_2sat(st):
     contributes one clause per colour admissible at both ends.
     """
     masks = st.masks
-    adj = st.graph.adj
+    bits = st.graph.bits
     var_of = {}
     var_info = []
     for v, m in enumerate(masks):
         if m == FULL_MASK:
             free = FULL_MASK  # the colours no neighbour admits
-            for u in adj[v]:
+            for u in iter_bits(bits[v]):
                 free &= ~masks[u]
                 if not free:
                     raise PreconditionBreach(
@@ -221,10 +221,8 @@ def residual_to_2sat(st):
             var_info.append((v, lo, hi))
 
     inst = TwoSatInstance(len(var_info))
-    for u, nbrs in enumerate(adj):
-        for v in nbrs:
-            if v < u:
-                continue
+    for u, row in enumerate(bits):
+        for v in iter_bits(row & -(2 << u)):  # the neighbours above u
             iu = var_of.get(u)
             iv = var_of.get(v)
             if iu is None and iv is None:

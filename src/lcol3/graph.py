@@ -1,7 +1,8 @@
-"""Immutable simple-graph core: dense integer vertices, each with a sorted
-neighbour tuple and an int bit row of its neighbours.  A vertex set is an
-int bitmask, bit v standing for vertex v; components and bipartiteness are
-computed on such masks."""
+"""Immutable simple-graph core: dense integer vertices, each with an int bit
+row of its neighbours.  A vertex set is an int bitmask, bit v standing for
+vertex v; components and bipartiteness are computed on such masks, and a
+walk over a vertex's neighbours reads its bit row by lowest set bit, so it
+visits them in ascending order."""
 
 
 class GraphError(ValueError):
@@ -35,20 +36,18 @@ def iter_bits(mask):
 
 
 class Graph:
-    """Immutable undirected simple graph on vertices 0..n-1, made by
-    `_graph_from_rows` (through `build_graph`, `induced_subgraph` or the
-    instance parser).
+    """Immutable undirected simple graph on vertices 0..n-1 with m edges,
+    made by `build_graph`, `induced_subgraph` or the instance parser.
 
-    `adj[u]` is the sorted tuple of u's neighbours and `bits[u]` the int
-    bitmask of the same set; edge queries read the bit row, and vertex sets
-    are int bitmasks over 0..n-1.
+    `bits[u]` is the int bitmask of u's neighbours, the one adjacency
+    structure: edge queries test a bit of it, neighbour walks read its set
+    bits lowest first, and vertex sets are int bitmasks over 0..n-1.
     """
 
-    __slots__ = ("n", "m", "adj", "bits")
+    __slots__ = ("n", "m", "bits")
 
-    def __init__(self, n, adj, bits, m):
+    def __init__(self, n, bits, m):
         self.n = n
-        self.adj = adj
         self.bits = bits
         self.m = m
 
@@ -57,20 +56,27 @@ class Graph:
 
     def edges(self):
         """All edges as (u, v) with u < v, lexicographically ascending."""
-        for u in range(self.n):
-            for v in self.adj[u]:
-                if v > u:
-                    yield (u, v)
+        for u, row in enumerate(self.bits):
+            for v in iter_bits(row & -(2 << u)):  # the neighbours above u
+                yield (u, v)
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
 
 
 def build_graph(n, edges):
-    """Build a Graph from an edge list, rejecting loops and duplicates."""
+    """Build a Graph from an edge list, rejecting loops and duplicates.
+
+    Each edge is ORed into the bit rows of both its endpoints, through a
+    table of powers of two local to the call.  A repeated edge sets no new
+    bit, so the row popcounts then sum to less than twice the edge count;
+    only then are the edges scanned again, and DuplicateEdgeError names the
+    first repeat as (min, max)."""
     if n < 0:
         raise GraphError("negative vertex count")
-    rows = [[] for _ in range(n)]
+    edges = list(edges)  # scanned twice when an edge repeats
+    power = [1 << v for v in range(n)]
+    bits = [0] * n
     for u, v in edges:
         if not (0 <= u < n):
             raise VertexRangeError(u, n)
@@ -78,44 +84,16 @@ def build_graph(n, edges):
             raise VertexRangeError(v, n)
         if u == v:
             raise LoopEdgeError(u)
-        rows[u].append(v)
-        rows[v].append(u)
-    return _graph_from_rows(n, rows)
-
-
-def _graph_from_rows(n, rows):
-    """The one constructor of Graph: per-vertex neighbour lists to a Graph.
-
-    `rows[u]` lists the neighbours of u in any order, each edge appearing in
-    the rows of both its endpoints; the lists are sorted in place.  Callers
-    have checked ranges and loops.  A neighbour listed twice in a row is a
-    duplicate edge, seen as a bit row whose popcount falls short of the
-    row's length, and raises DuplicateEdgeError naming the pair with u < v.
-    Each distinct neighbour tuple is summed into a bit row once, through a
-    table local to the call, so false twins (equal tuples) share one int.
-    """
-    for row in rows:
-        row.sort()
-    # tuple() of a generator resizes as it grows and leaves tuples in
-    # oversized allocator blocks; a process that builds graphs one after
-    # another then keeps growing.  Sized from a list, it stays flat.
-    adj = list(map(tuple, rows))
-    lengths = list(map(len, rows))
-    power = [1 << v for v in range(n)].__getitem__
-    row_bits = {}
-    bits = []
-    for row in adj:
-        b = row_bits.get(row)
-        if b is None:
-            b = row_bits[row] = sum(map(power, row))
-        bits.append(b)
-    sizes = list(map(int.bit_count, bits))
-    if sizes != lengths:
-        u = next(u for u in range(n) if sizes[u] != lengths[u])
-        row = rows[u]
-        v = next(row[i] for i in range(1, len(row)) if row[i] == row[i - 1])
-        raise DuplicateEdgeError(min(u, v), max(u, v))
-    return Graph(n, adj, bits, sum(lengths) // 2)
+        bits[u] |= power[v]
+        bits[v] |= power[u]
+    if sum(map(int.bit_count, bits)) != 2 * len(edges):
+        seen = set()
+        for u, v in edges:
+            key = (u, v) if u < v else (v, u)
+            if key in seen:
+                raise DuplicateEdgeError(*key)
+            seen.add(key)
+    return Graph(n, bits, len(edges))
 
 
 def components_within(graph, mask):
@@ -172,12 +150,17 @@ def induced_subgraph(graph, mask):
     """Subgraph induced by the vertex bitmask `mask`, plus the ascending
     original ids of its vertices.
 
+    Each kept vertex's bit row, cut to the mask, is mapped bit by bit
+    through a table from each kept vertex's power of two to its new one.
     A mask covering the whole graph gives back the graph object itself
     (graphs are immutable, so it is shared rather than copied).
     """
     old_ids = list(iter_bits(mask))
     if len(old_ids) == graph.n:
         return graph, old_ids
-    index = {old: new for new, old in enumerate(old_ids)}
-    rows = [[index[w] for w in graph.adj[u] if w in index] for u in old_ids]
-    return _graph_from_rows(len(old_ids), rows), old_ids
+    place = [0] * graph.n
+    for new, old in enumerate(old_ids):
+        place[old] = 1 << new
+    bits = graph.bits
+    rows = [sum(map(place.__getitem__, iter_bits(bits[u] & mask))) for u in old_ids]
+    return Graph(len(old_ids), rows, sum(map(int.bit_count, rows)) // 2), old_ids

@@ -66,11 +66,12 @@ def p7_witness(graph, vertices):
 def find_triangle(graph):
     """First triangle in edge order, or None if the graph is triangle-free."""
     bits = graph.bits
-    for u in range(graph.n):
-        row_u = bits[u]
-        for v in graph.adj[u]:
-            if v <= u:
-                continue
+    for u, row_u in enumerate(bits):
+        above = row_u & -(2 << u)  # the neighbours above u
+        while above:
+            low = above & -above
+            above ^= low
+            v = low.bit_length() - 1
             common = row_u & bits[v]
             if common:
                 w = (common & -common).bit_length() - 1
@@ -98,7 +99,8 @@ def find_induced_p7(graph):
     picks one of the two orientations, so each induced P5 a2 a1 c b1 b2 is
     visited at most once, at a cost of O(1 + |A3|) n-bit mask operations.
 
-    Cost before any P5 is built.  One pass over each vertex v's neighbours
+    Cost before any P5 is built.  One pass over each vertex v's bit row,
+    lowest bit first, lists v's neighbours ascending for the centre loop,
     ORs their bit rows into N(N(v)) and ANDs them into the vertices c with
     N(v) a subset of N(c); scattered, the ANDs give dom[c], the vertices v
     with N(v) inside N(c), in O(m + sum of |dom[c]|) mask operations.  For
@@ -113,31 +115,38 @@ def find_induced_p7(graph):
     and the pair goes on to the join only when both are non-empty and a1,
     b1 are non-adjacent.  Each centre costs O(deg(c)) mask operations to
     set up.  The loops walk each mask by its lowest set bit, in place.  The
-    visiting order (c ascending, a1 < b1 in adjacency order, a2 and b2
-    ascending), and so the path returned, does not depend on the masks,
-    which only drop candidates that could not lead to a path.  The search
-    is iterative, so its depth does not grow with n.
+    visiting order (c ascending, a1 < b1 ascending, a2 and b2 ascending),
+    and so the path returned, does not depend on the masks, which only
+    drop candidates that could not lead to a path.  The search is
+    iterative, so its depth does not grow with n.
     """
     n = graph.n
     if n < 7:
         return None
-    adj = graph.adj
     bits = graph.bits
+    adj = []
     dom = [0] * n
     reach = [0] * n
-    for v in range(n):
+    for v, rest in enumerate(bits):
+        nbrs = []
         above = -1
         union = 0
-        for x in adj[v]:
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            x = low.bit_length() - 1
+            nbrs.append(x)
             row = bits[x]
             above &= row
             union |= row
+        adj.append(nbrs)
         # an isolated v (above still -1) lies in no union and never reaches ext
         if union:
             reach[v] = union
+            bit = 1 << v
             while above:
                 low = above & -above
-                dom[low.bit_length() - 1] |= 1 << v
+                dom[low.bit_length() - 1] |= bit
                 above ^= low
     for c in range(n):
         nbrs = adj[c]
@@ -147,19 +156,16 @@ def find_induced_p7(graph):
         ext = reach[c] & ~row_c & ~dom[c]
         if not ext:
             continue
-        around = [(x, row_x, d_x, ~row_x) for x in nbrs
+        around = [(d_x, ~row_x, x) for x in nbrs
                   if (d_x := (row_x := bits[x]) & ext)]
         pairs = combinations(around, 2)
-        for (a1, row_a1, d_a1, off_a1), (b1, row_b1, d_b1, off_b1) in pairs:
-            a2s = d_a1 & off_b1
-            if not a2s:
+        for (d_a1, off_a1, a1), (d_b1, off_b1, b1) in pairs:
+            # a1, b1 adjacent (b1 missing from off_a1) is tested last: in a
+            # triangle-free graph it never holds, as N(c) has no edge
+            if (not (a2s := d_a1 & off_b1) or not (b2s := d_b1 & off_a1)
+                    or not off_a1 >> b1 & 1):
                 continue
-            b2s = d_b1 & off_a1
-            # a1, b1 adjacent is tested last: in a triangle-free graph it
-            # never holds, as N(c) has no edge
-            if not b2s or row_a1 >> b1 & 1:
-                continue
-            common = row_c | row_a1 | row_b1
+            common = row_c | bits[a1] | bits[b1]
             while a2s:
                 low = a2s & -a2s
                 a2s ^= low
@@ -261,7 +267,7 @@ def _extract_odd_cycle(graph, s, a, b, depth):
         x = queue.popleft()
         if dist[x] >= depth:
             continue
-        for y in graph.adj[x]:
+        for y in iter_bits(graph.bits[x]):
             if dist[y] == -1:
                 dist[y] = dist[x] + 1
                 parent[y] = x
@@ -330,16 +336,16 @@ def recognize_blownup_c7(graph, c7):
     c7 = tuple(c7)
     pos = {v: i for i, v in enumerate(c7)}
     classes = [1 << v for v in c7]
+    bits = graph.bits
     for v in range(graph.n):
         if v in pos:
             continue
-        hits = sorted(pos[u] for u in graph.adj[v] if u in pos)
+        hits = sorted(pos[u] for u in iter_bits(bits[v]) if u in pos)
         if len(hits) != 2 or hits[1] - hits[0] not in (2, 5):
             raise PreconditionBreach(f"vertex {v} sees 7-cycle positions {hits}")
         i, j = hits
         classes[(i + 1) % 7 if j - i == 2 else (j + 1) % 7] |= 1 << v
 
-    bits = graph.bits
     for i in range(7):
         beside = classes[(i - 1) % 7] | classes[(i + 1) % 7]
         for v in iter_bits(classes[i]):

@@ -9,7 +9,7 @@ from heapq import heapify, heappop, heappush
 from .engine import (FULL_MASK, colours_of, mask_of, normalize_lists,
                      verify_colouring)
 from .errors import InternalError
-from .graph import build_graph
+from .graph import build_graph, iter_bits
 from .recognition import check_promise, find_induced_p7
 
 _SIZE = [0, 1, 1, 2, 1, 2, 2, 3]
@@ -51,7 +51,7 @@ def oracle_solve(graph, lists=None):
     out of date is dropped when it reaches the top.  The search keeps its
     own stack, so its depth is not bounded by the recursion limit."""
     masks = normalize_lists(graph.n, lists)
-    adj = graph.adj
+    bits = graph.bits
     work = list(masks)
     colouring = [0] * graph.n
     heap = [(_SIZE[m], v) for v, m in enumerate(work)]
@@ -83,7 +83,7 @@ def oracle_solve(graph, lists=None):
                 heappush(heap, (_SIZE[work[v]], v))
                 continue
             cbit = 1 << (c - 1)
-            for u in adj[v]:
+            for u in iter_bits(bits[v]):
                 if colouring[u] == 0 and work[u] & cbit:
                     work[u] &= ~cbit
                     touched.append(u)
@@ -105,7 +105,7 @@ def enumerate_colourings(graph, lists=None):
         raise SizeGuardError(f"enumeration limited to 16 vertices, got {graph.n}")
     masks = normalize_lists(graph.n, lists)
     n = graph.n
-    adj = graph.adj
+    bits = graph.bits
     colouring = [0] * n
 
     def rec(v):
@@ -113,7 +113,7 @@ def enumerate_colourings(graph, lists=None):
             yield tuple(colouring)
             return
         for c in colours_of(masks[v]):
-            if any(colouring[u] == c for u in adj[v] if u < v):
+            if any(colouring[u] == c for u in iter_bits(bits[v] & ((1 << v) - 1))):
                 continue
             colouring[v] = c
             yield from rec(v + 1)

@@ -13,8 +13,14 @@ from lcol3.engine import (_SIZE, FULL_MASK, anchor_seeds, colours_of,
                           mask_of, normalize_lists, verify_colouring)
 from lcol3.errors import InternalError, PreconditionBreach
 from lcol3.graph import DuplicateEdgeError as GraphDuplicateEdgeError
-from lcol3.graph import _graph_from_rows, iter_bits
+from lcol3.graph import iter_bits
 from lcol3.recognition import _extract_odd_cycle
+
+
+def neighbour_tuples(graph):
+    """Each vertex's neighbours as an ascending tuple, read from its bit
+    row: the neighbour lists that the reference searches below walk."""
+    return [tuple(iter_bits(row)) for row in graph.bits]
 
 
 def brute_triangle_free(graph):
@@ -100,7 +106,7 @@ def reference_find_induced_p7(graph):
     n = graph.n
     if n < 7:
         return None
-    adj = graph.adj
+    adj = neighbour_tuples(graph)
     bits = graph.bits
     for c in range(n):
         row_c = bits[c]
@@ -184,6 +190,7 @@ def reference_anchor_classes(graph, c5):
     consecutive anchors, or an edge inside a T or D set.  Walks every
     vertex's neighbour tuple, in the way build_skeleton once did; its walk
     over the anchors' bit rows must give the same."""
+    adj = neighbour_tuples(graph)
     bits = graph.bits
     pos = {v: i for i, v in enumerate(c5)}
     t_sets = [0] * 5
@@ -191,7 +198,7 @@ def reference_anchor_classes(graph, c5):
     for v in range(graph.n):
         if v in pos:
             continue
-        hits = sorted(pos[u] for u in graph.adj[v] if u in pos)
+        hits = sorted(pos[u] for u in adj[v] if u in pos)
         if not hits:
             continue
         for idx in range(len(hits)):
@@ -220,13 +227,14 @@ def reference_peel(graph, masks, kept):
     neighbours left, and sweep again until a sweep removes none.  The
     fixpoint does not depend on the order of removal, so layer 0's queue
     must leave the same set."""
+    adj = neighbour_tuples(graph)
     left = set(iter_bits(kept))
     changed = True
     while changed:
         changed = False
         for v in sorted(left):
             colours = bin(masks[v]).count("1")
-            if colours > sum(1 for u in graph.adj[v] if u in left):
+            if colours > sum(1 for u in adj[v] if u in left):
                 left.discard(v)
                 changed = True
     return left
@@ -239,10 +247,11 @@ def reference_removable(graph, masks, left, settled=frozenset()):
     neighbour of v in left as a neighbour and a list inside v's.  The
     layer-0 sweep must remove only such vertices, one at a time, and stop
     where both sets are empty."""
-    nbrs = {v: {u for u in graph.adj[v] if u in left} for v in left}
+    adj = neighbour_tuples(graph)
+    nbrs = {v: {u for u in adj[v] if u in left} for v in left}
     peelable = {v for v in left if bin(masks[v]).count("1") > len(nbrs[v])}
     dominated = {v for v in left
-                 if any(u != v and nbrs[v] <= set(graph.adj[u])
+                 if any(u != v and nbrs[v] <= set(adj[u])
                         and masks[u] & ~masks[v] == 0
                         for u in left | settled)}
     return peelable, dominated
@@ -298,9 +307,10 @@ def reference_colouring_fits(graph, masks, colouring):
         c = colouring[v]
         if c not in (1, 2, 3) or not masks[v] & (1 << (c - 1)):
             return False
+    adj = neighbour_tuples(graph)
     for u in range(graph.n):
         cu = colouring[u]
-        for v in graph.adj[u]:
+        for v in adj[u]:
             if v > u and colouring[v] == cu:
                 return False
     return True
@@ -313,7 +323,7 @@ def reference_oracle_solve(graph, lists=None):
     on every input."""
     masks = normalize_lists(graph.n, lists)
     n = graph.n
-    adj = graph.adj
+    adj = neighbour_tuples(graph)
     work = list(masks)
     colouring = [0] * n
 
@@ -555,7 +565,9 @@ def reference_parse_lines(lines):
     if edge_count != m_declared:
         raise InstanceSyntaxError(0, f"problem line declares {m_declared} edges, "
                                      f"found {edge_count}")
-    return _graph_from_rows(n, rows), masks
+    # each edge once, from its smaller end's row; a repeat stays repeated
+    return build_graph(n, [(u, v) for u, row in enumerate(rows)
+                           for v in row if u < v]), masks
 
 
 def reference_parse_instance(text):

@@ -182,13 +182,13 @@ def instance_texts(draw):
 
 
 def parse_outcome(parse, source):
-    """What parse(source) gives: the graph's n, m, adj and bits and the
-    masks, or the error's type, line and message."""
+    """What parse(source) gives: the graph's n, m and bits and the masks,
+    or the error's type, line and message."""
     try:
         g, masks = parse(source)
     except (cli.ParseError, GraphError) as exc:
         return type(exc), getattr(exc, "line", None), str(exc)
-    return g.n, g.m, g.adj, g.bits, masks
+    return g.n, g.m, g.bits, masks
 
 
 @settings(max_examples=400, deadline=None)
@@ -353,7 +353,7 @@ def test_token_path_reads_texts_of_many_blocks():
     assert text.count("\n") > 10_000 and len(text) > 2 * cli._BLOCK
     want = parse_outcome(reference_parse_instance, text)
     assert parse_outcome(cli._parse_tokens, text) == want
-    assert want[:2] == (g.n, g.m) and want[4] == masks
+    assert want[:2] == (g.n, g.m) and want[3] == masks
     # one four-token line in the last block sends the text to the line
     # parser, which reports it at its line
     cut = text.rindex("\ne ") + 1
@@ -361,6 +361,42 @@ def test_token_path_reads_texts_of_many_blocks():
     assert cli._parse_tokens(bad) is None
     assert parse_outcome(parse_instance, bad)[:2] == (
         InstanceSyntaxError, text.count("\n", 0, cut) + 1)
+
+
+def _repeat_blocks_apart():
+    """Edge 1 2 on the first edge line and again, as 2 1, on the last, with
+    more than one block of other edges between them."""
+    pairs = [(u, v) for u in range(1, 201) for v in range(u + 1, 201)][:8000]
+    lines = [f"e {u} {v}" for u, v in pairs] + ["e 2 1"]
+    return f"p lcol 200 {len(lines)}\n" + "\n".join(lines) + "\n"
+
+
+# Canonical texts that the token path rejects only by its popcount check:
+# a self-loop sets one bit of its row for two edge ends and a repeated edge
+# sets none, so the rows' popcounts sum to less than 2m.  Each with the
+# line parser's error, its line, and the fault's line and a fault-free
+# replacement for it.
+POPCOUNT_ONLY = {
+    "self_loop": ("p lcol 3 2\ne 1 2\ne 3 3\n", InstanceSyntaxError, 3, "e 2 3"),
+    "both_orientations": ("p lcol 3 2\ne 1 2\ne 2 1\n", DuplicateEdgeError, 3,
+                          "e 2 3"),
+    "blocks_apart": (_repeat_blocks_apart(), DuplicateEdgeError, 8002, "e 199 200"),
+}
+
+
+@pytest.mark.parametrize("text, error, line, fixed", POPCOUNT_ONLY.values(),
+                         ids=POPCOUNT_ONLY)
+def test_token_path_finds_loops_and_repeats_by_popcount(text, error, line, fixed):
+    lines = text.splitlines()
+    if len(text) > cli._BLOCK:
+        assert text.rindex("\ne 2 1\n") > len(lines[0]) + 1 + cli._BLOCK
+    assert cli._parse_tokens(text) is None
+    with pytest.raises(error) as exc:
+        parse_instance(text)
+    assert exc.value.line == line
+    # with the faulty line replaced, the token path reads the text
+    lines[line - 1] = fixed
+    assert cli._parse_tokens("\n".join(lines) + "\n") is not None
 
 
 def test_commented_c5_instance_reads_like_c5():

@@ -11,11 +11,12 @@ import random
 
 from conftest import check_witness
 from lcol3 import build_graph, check_promise, solve, verify_colouring
+from lcol3.graph import iter_bits
 from lcol3.testkit import GenSpec, generate, oracle_solve
 
 
 def twin_expand(graph, rng, extra):
-    adj = {v: set(graph.adj[v]) for v in range(graph.n)}
+    adj = {v: set(iter_bits(graph.bits[v])) for v in range(graph.n)}
     for _ in range(extra):
         v = rng.randrange(len(adj))
         twin = len(adj)

@@ -11,7 +11,7 @@ from conftest import (breach_witness, brute_has_induced_p7, brute_triangle_free,
                       reference_shortest_odd_cycle, subset_induces_path)
 from lcol3 import build_graph, check_promise
 from lcol3.errors import PreconditionBreach
-from lcol3.graph import induced_subgraph
+from lcol3.graph import induced_subgraph, iter_bits
 from lcol3.recognition import (find_induced_p7, find_triangle, is_induced_path,
                                is_triangle, p7_witness, recognize_blownup_c7,
                                shortest_odd_cycle, triangle_witness)
@@ -105,7 +105,7 @@ def test_find_induced_p7_matches_reference_triangle_free(g):
 
 
 def _with_pendant_p6(g, at):
-    edges = [(u, v) for u in range(g.n) for v in g.adj[u] if u < v]
+    edges = list(g.edges())
     path = [at] + list(range(g.n, g.n + 6))
     return build_graph(g.n + 6, edges + list(zip(path, path[1:])))
 
@@ -347,7 +347,7 @@ def test_find_induced_p7_returns_the_reference_path_on_skeleton_quotients(seed, 
     q = _twin_quotient(g)
     rng = random.Random(salt)
     u, v = rng.sample(range(q.n), 2)
-    edges = {(a, b) for a in range(q.n) for b in q.adj[a] if a < b}
+    edges = set(q.edges())
     edges ^= {(min(u, v), max(u, v))}
     flipped = build_graph(q.n, sorted(edges))
     for h in (q, _with_pendant_p6(q, rng.randrange(q.n)), flipped):
@@ -359,16 +359,16 @@ def _shuffled(g, rng):
     perm = list(range(g.n))
     rng.shuffle(perm)
     return build_graph(g.n, sorted((min(perm[u], perm[v]), max(perm[u], perm[v]))
-                                   for u in range(g.n) for v in g.adj[u] if u < v))
+                                   for u, v in g.edges()))
 
 
 def _with_shadows(g, rng, shadows, isolated):
     # each shadow sees a non-empty part of one vertex's neighbourhood, so
     # that vertex's neighbourhood holds the shadow's; isolated vertices last
-    edges = [(u, v) for u in range(g.n) for v in g.adj[u] if u < v]
+    edges = list(g.edges())
     n = g.n
     for _ in range(shadows):
-        nbrs = g.adj[rng.randrange(g.n)]
+        nbrs = list(iter_bits(g.bits[rng.randrange(g.n)]))
         if nbrs:
             edges += [(u, n) for u in rng.sample(nbrs, rng.randint(1, len(nbrs)))]
             n += 1

@@ -258,7 +258,7 @@ def test_component_sides_match_bipartite_check():
             side = {start: 0}
             queue = [start]
             for x in queue:
-                for y in g.adj[x]:
+                for y in iter_bits(g.bits[x]):
                     if comp >> y & 1:
                         if y not in side:
                             side[y] = side[x] ^ 1
@@ -292,7 +292,7 @@ def test_component_edge_t_neighbourhood_union_property():
         assert len(comps) == len(sk.components), seed
         for mask, nbhd in zip(comps, sk.components):
             for u in iter_bits(mask):
-                for v in g.adj[u]:
+                for v in iter_bits(g.bits[u]):
                     if v < u or not (mask >> v) & 1:
                         continue
                     for i in range(5):
