@@ -108,25 +108,67 @@ class Outcome(namedtuple("Outcome", "kind colouring violation stats")):
         return self.kind == "invalid"
 
 
-class ListState:
-    """Mutable per-branch colouring state: colour masks and a pending queue
-    of freshly forced vertices awaiting propagation.  A vertex is assigned
-    when its mask is a singleton; it is queued when its mask becomes one.
-    Every colour that assign or propagate removes is added to
-    stats.propagations, the SolveStats of the solve, which copies share."""
+# _ADMITS[i][m]: b"1" when the mask m admits colour i + 1, else b"0"
+_ADMITS = [bytes(b"01"[m >> i & 1] for m in range(256)) for i in range(3)]
+_HEX_VALUE = bytes.maketrans(b"01234567", bytes(range(8)))
+_ONE_HOT = bytes.maketrans(b"\1\2\3", b"\1\2\4")  # colour -> its mask
 
-    __slots__ = ("graph", "masks", "pending", "stats")
+
+def _planes_of(masks):
+    """The colour planes of per-vertex masks in 0..7: bit v of planes[i]
+    is set when masks[v] admits colour i + 1.  The masks are written as
+    bytes, highest vertex first, and each plane is read back as one
+    base-2 numeral, all in C."""
+    if not masks:  # int() refuses an empty numeral
+        return [0, 0, 0]
+    text = bytes(masks)[::-1]
+    return [int(text.translate(table), 2) for table in _ADMITS]
+
+
+def _masks_of(planes, n):
+    """The per-vertex masks of n vertices' colour planes, _planes_of's
+    inverse: each plane's base-2 numeral, read in base 16, puts vertex v's
+    bit in hex digit v, so the weighted sum holds v's mask there."""
+    if not n:
+        return []
+    p1, p2, p3 = planes
+    packed = (int(f"{p1:b}", 16) + 2 * int(f"{p2:b}", 16)
+              + 4 * int(f"{p3:b}", 16))
+    return list(f"{packed:0{n}x}"[::-1].encode().translate(_HEX_VALUE))
+
+
+def _one_colour(planes):
+    """The vertices that lie in exactly one of the planes."""
+    p1, p2, p3 = planes
+    return (p1 ^ p2 ^ p3) & ~(p1 & p2 & p3)
+
+
+class ListState:
+    """Mutable per-branch colouring state: three colour planes and a
+    pending queue of freshly forced vertices awaiting propagation.  Bit v
+    of planes[i] is set when v admits colour i + 1; masks gives the same
+    lists as per-vertex bitmasks, as a new list on each read.  A vertex is
+    assigned when it lies in one plane only, and it is queued when it
+    comes to lie in one.  Every colour that assign or propagate removes
+    is added to stats.propagations, the SolveStats of the solve, which
+    copies share; propagate clears a colour from many vertices at once
+    but counts exactly what a walk over them one at a time removes, up to
+    a clash too (see propagate)."""
+
+    __slots__ = ("graph", "planes", "pending", "stats")
 
     def __init__(self, graph, masks, stats):
+        if not _MASKS.issuperset(masks):
+            v, m = next((v, m) for v, m in enumerate(masks) if m not in _MASKS)
+            raise ValueError(f"bad colour mask {m} at vertex {v}")
         self.graph = graph
-        self.masks = list(masks)
-        self.pending = deque()
+        self.planes = _planes_of(masks)
+        self.pending = deque(iter_bits(_one_colour(self.planes)))
         self.stats = stats
-        for v, m in enumerate(self.masks):
-            if not 0 < m <= FULL_MASK:
-                raise ValueError(f"bad colour mask {m} at vertex {v}")
-            if _SIZE[m] == 1:
-                self.pending.append(v)
+
+    @property
+    def masks(self):
+        return _masks_of(self.planes, self.graph.n)
 
     def copy(self):
         """An independent copy for a child of a search node, which is at a
@@ -136,20 +178,25 @@ class ListState:
             raise InternalError("ListState copied outside a propagation fixpoint")
         new = object.__new__(ListState)
         new.graph = self.graph
-        new.masks = self.masks.copy()
+        new.planes = self.planes.copy()
         new.pending = deque()
         new.stats = self.stats
         return new
 
     def assign(self, v, colour):
         """Force a colour; False if it is not admissible any more."""
-        cbit = 1 << (colour - 1)
-        m = self.masks[v]
-        if not m & cbit:
+        planes = self.planes
+        bit = 1 << v
+        i = colour - 1
+        if not planes[i] & bit:
             return False
-        if m != cbit:
-            self.stats.propagations += _SIZE[m] - 1
-            self.masks[v] = cbit
+        dropped = 0
+        for j in (i - 1, i - 2):  # the other two planes
+            if planes[j] & bit:
+                planes[j] ^= bit
+                dropped += 1
+        if dropped:
+            self.stats.propagations += dropped
             self.pending.append(v)
         return True
 
@@ -167,25 +214,38 @@ class ListState:
 def propagate(st):
     """Run singleton propagation to a fixpoint; None on an emptied mask or
     two adjacent vertices forced to the same colour.  The colours removed
-    on the way, up to a failure too, are added to st.stats.propagations."""
-    masks = st.masks
+    on the way, up to a failure too, are added to st.stats.propagations.
+
+    Each queued vertex v, popped first in first out, has one colour c.
+    Its neighbours that admit c are hit = bits[v] & P_c, all cleared from
+    P_c at once; those of them in neither other plane had c alone, and the
+    lowest such one is the clash that a walk over v's neighbours in
+    ascending order meets first.  On a clash only the part of hit below
+    it is cleared and counted, so the lists, the queue and the count are
+    those of that walk, which stops there.  The vertices of hit left with
+    one colour, those in exactly one other plane, are queued lowest
+    first."""
     pending = st.pending
     bits = st.graph.bits
+    planes = st.planes
     removed = 0
     while pending:
         v = pending.popleft()
-        cbit = masks[v]
-        for u in iter_bits(bits[v]):
-            mu = masks[u]
-            if mu & cbit:
-                if mu == cbit:
-                    st.stats.propagations += removed
-                    return None
-                mu &= ~cbit
-                masks[u] = mu
-                removed += 1
-                if _SIZE[mu] == 1:
-                    pending.append(u)
+        i = 0 if planes[0] >> v & 1 else 1 if planes[1] >> v & 1 else 2
+        hit = bits[v] & planes[i]
+        if not hit:
+            continue
+        a = planes[i - 1]
+        b = planes[i - 2]
+        clash = hit & ~(a | b)
+        if clash:
+            hit &= (clash & -clash) - 1
+        planes[i] ^= hit
+        removed += hit.bit_count()
+        pending.extend(iter_bits(hit & (a ^ b)))
+        if clash:
+            st.stats.propagations += removed
+            return None
     st.stats.propagations += removed
     return st
 
@@ -214,7 +274,8 @@ def residual_to_2sat(st):
                 if not free:
                     raise PreconditionBreach(
                         f"vertex {v} still has all three colours")
-            st.assign(v, _COLOUR_OF[free & -free])
+            masks[v] = free & -free
+            st.assign(v, _COLOUR_OF[masks[v]])
         elif _SIZE[m] == 2:
             lo, hi = colours_of(m)
             var_of[v] = len(var_info)
@@ -246,26 +307,26 @@ def residual_to_2sat(st):
 
 
 def verify_colouring(graph, lists, colouring):
-    """True iff the colouring is total, list-respecting and proper."""
-    return _colouring_fits(graph, normalize_lists(graph.n, lists), colouring)
+    """True iff the colouring is total, list-respecting and proper; a
+    colour that is not an int 1, 2 or 3 (1.0 or True, say) fits no list."""
+    return _colouring_fits(graph, _planes_of(normalize_lists(graph.n, lists)),
+                           colouring)
 
 
-def _colouring_fits(graph, masks, colouring):
-    """verify_colouring on lists already normalised to masks.  Each colour
-    class is gathered into one bit mask; the colouring is proper iff no
+def _colouring_fits(graph, planes, colouring):
+    """verify_colouring on lists given as colour planes (see ListState).
+    The types go first, as in normalize_lists.  The colour classes are
+    gathered into planes too, in C; the colouring keeps to the lists iff
+    each class lies inside its colour's plane, and it is proper iff no
     vertex's bit row meets its own class."""
-    if len(colouring) != graph.n:
+    if (len(colouring) != graph.n or not {int}.issuperset(map(type, colouring))
+            or not {1, 2, 3}.issuperset(colouring)):
         return False
-    classes = [0, 0, 0, 0]  # indexed by colour; entry 0 stays unused
-    for v, c in enumerate(colouring):
-        if c not in (1, 2, 3) or not masks[v] & (1 << (c - 1)):
-            return False
-        classes[c] |= 1 << v
-    bits = graph.bits
-    for v, c in enumerate(colouring):
-        if bits[v] & classes[c]:
-            return False
-    return True
+    classes = _planes_of(bytes(colouring).translate(_ONE_HOT))
+    if any(cls & ~plane for cls, plane in zip(classes, planes)):
+        return False
+    own_class = [0, *classes].__getitem__
+    return not any(map(int.__and__, graph.bits, map(own_class, colouring)))
 
 
 # ---------------------------------------------------------------------------
@@ -420,12 +481,18 @@ def solve(graph, lists=None, mode="trust"):
     triangle or an induced P7, and the check costs time only on that
     failure path.  Identical inputs give identical outputs.
 
-    Layer 0 first propagates every singleton list over the whole input
-    (an input without one skips this).  A list that empties refutes the
-    input on any graph, so solve answers UNSAT at once; in trust mode a
-    violation inside such an input is not reported.  Otherwise the
-    propagated lists replace the input's for the rest of the solve, which
-    keeps the answer: a removed colour is that of a neighbour forced to it.
+    Layer 0 first builds the input's list state, three colour planes (see
+    ListState), and propagates every singleton list over the whole input
+    (an input without one skips this); propagate clears a forced colour
+    from all the neighbours that admit it at once and counts exactly the
+    colours that a walk over them one at a time removes, up to a clash
+    too.  The settled set below is an AND of the planes, and so is each
+    entry of the sweep's table of lists inside a list.  A list that
+    empties refutes the input on any graph, so solve answers UNSAT at
+    once; in trust mode a violation inside such an input is not reported.
+    Otherwise the propagated lists replace the input's for the rest of the
+    solve, which keeps the answer: a removed colour is that of a neighbour
+    forced to it.
     A vertex left with one colour is settled: no neighbour still admits
     that colour, so it leaves the kept set and is coloured last with it.
 
@@ -478,20 +545,22 @@ def solve(graph, lists=None, mode="trust"):
             if violation is not None:
                 return Outcome("invalid", None, violation, stats)
 
+        st = ListState(graph, masks, stats)
+        given = st.planes.copy()  # the input's lists, for the final re-check
         fixed = masks  # the lists after layer-0 propagation
-        if 1 in masks or 2 in masks or 4 in masks:
-            st = ListState(graph, masks, stats)
+        if st.pending:
             if propagate(st) is None:
                 return Outcome("unsat", None, None, stats)
             fixed = st.masks
 
         first = {}  # (bit row, list) -> smallest vertex: the exact twin classes
         rep = list(map(first.setdefault, zip(graph.bits, fixed), range(graph.n)))
-        settled = [v for v in first.values() if _SIZE[fixed[v]] == 1]
-        settled_mask = sum(1 << v for v in settled)
-        kept = sum(1 << v for v in first.values()) ^ settled_mask
-        stats.settled = len(settled)
-        rest, removed, stats.dominated = _peel(graph, fixed, kept, settled_mask)
+        kept = sum(map((1).__lshift__, first.values()))
+        settled_mask = kept & _one_colour(st.planes)
+        kept ^= settled_mask
+        stats.settled = settled_mask.bit_count()
+        rest, removed, stats.dominated = _peel(graph, fixed, st.planes, kept,
+                                               settled_mask)
         stats.peeled = len(removed) - stats.dominated
         colouring = [0] * graph.n
         for comp in components_within(graph, rest):
@@ -509,20 +578,22 @@ def solve(graph, lists=None, mode="trust"):
             for local, v in enumerate(ids):
                 colouring[v] = result[local]
 
-        _colour_peeled(graph, fixed, rest, settled + removed, colouring)
-        colouring = [colouring[u] for u in rep]
-        if not _colouring_fits(graph, masks, colouring):
+        _colour_peeled(graph, fixed, [*iter_bits(settled_mask), *removed],
+                       colouring)
+        colouring = list(map(colouring.__getitem__, rep))
+        if not _colouring_fits(graph, given, colouring):
             raise InternalError("SAT colouring failed the final re-check")
         return Outcome("sat", colouring, None, stats)
     finally:
         stats.millis = (time.perf_counter() - t0) * 1000.0
 
 
-def _peel(graph, masks, kept, settled):
-    """Layer 0's joint sweep of the vertex bitmask `kept`: (rest, removed,
-    dominated), where removed lists the removed vertices in order of
-    removal, rest is the bitmask left and dominated counts the removals by
-    domination.  Within the unremoved set, a vertex v is removed when it
+def _peel(graph, masks, planes, kept, settled):
+    """Layer 0's joint sweep of the vertex bitmask `kept`, on the lists
+    given both as per-vertex masks and as colour planes (see ListState):
+    (rest, removed, dominated), where removed lists the removed vertices
+    in order of removal, rest is the bitmask left and dominated counts the
+    removals by domination.  Within the unremoved set, a vertex v is removed when it
     has fewer neighbours than colours (it is peeled), or when another u,
     unremoved or in the bitmask `settled`, has N(v) ⊆ N(u) and
     L(u) ⊆ L(v) (it is dominated); neighbourhoods are taken among the
@@ -537,12 +608,10 @@ def _peel(graph, masks, kept, settled):
     are cut to N(x) while the highest misses a neighbour x of v, which a
     dominator sees; each cut takes a new x, so at most deg(v) + 1 tests."""
     bits = graph.bits
-    inside = [0] * 7 + [-1]  # inside[m]: the vertices whose list lies inside m
-    for v, m in enumerate(masks):
-        if m != FULL_MASK:
-            inside[m] |= 1 << v
-    for m in (3, 5, 6):  # a two-colour list holds its two one-colour lists
-        inside[m] |= inside[m & -m] | inside[m & (m - 1)]
+    p1, p2, p3 = planes
+    # inside[m]: the vertices whose list lies inside m, those in no plane
+    # of a colour outside m; entry 0 stays unused
+    inside = [0, ~(p2 | p3), ~(p1 | p3), ~p3, ~(p1 | p2), ~p2, ~p1, -1]
     removed = []
     rest = due = kept
     dominated = 0
@@ -568,16 +637,15 @@ def _peel(graph, masks, kept, settled):
     return rest, removed, dominated
 
 
-def _colour_peeled(graph, masks, rest, removed, colouring):
+def _colour_peeled(graph, masks, removed, colouring):
     """Colour the vertices layer 0 removed, in reverse order of removal,
     each with the smallest colour of its list that its coloured neighbours
-    leave free; the vertices of the bitmask rest are coloured already.
-    Each colour class is kept as one bit mask, so a vertex's used colours
-    cost three ANDs of its bit row."""
+    leave free; colour 0 marks a vertex not coloured yet.  Each colour
+    class is kept as one bit mask, gathered in C as in _colouring_fits, so
+    a vertex's used colours cost three ANDs of its bit row."""
     bits = graph.bits
-    classes = [0, 0, 0, 0]  # classes[c]: the coloured vertices of colour c
-    for v in iter_bits(rest):
-        classes[colouring[v]] |= 1 << v
+    # classes[c]: the coloured vertices of colour c; entry 0 stays unused
+    classes = [0, *_planes_of(bytes(colouring).translate(_ONE_HOT))]
     for v in reversed(removed):
         row = bits[v]
         used = 0
@@ -602,11 +670,14 @@ def _solve_component(g, masks, stats):
     blown-up C7, which recognize_blownup_c7 checks, raising
     PreconditionBreach otherwise; _full_vertex_search then decides it."""
     st = ListState(g, masks, stats)
-    if FULL_MASK not in masks:
+    p1, p2, p3 = st.planes
+    full = p1 & p2 & p3  # the full lists
+    if not full:
         return _two_sat_leaf(st)
-    sides = bipartite_check(g, (1 << g.n) - 1)
+    everyone = (1 << g.n) - 1
+    sides = bipartite_check(g, everyone)
     if sides is not None:
-        if all(m == FULL_MASK for m in masks):
+        if full == everyone:
             colouring = [2] * g.n
             for v in iter_bits(sides[0]):
                 colouring[v] = 1
@@ -626,7 +697,7 @@ def _solve_component(g, masks, stats):
 
 def _full_vertex_search(st):
     """Depth-first branching over colours 1, 2, 3 of the lowest full-list
-    vertex, found by one scan of each node's masks, through _leaf_stream,
+    vertex, the lowest bit of each node's P1 & P2 & P3, through _leaf_stream,
     which hands each node without a full-list vertex to 2-SAT; counts each
     call in st.stats.fallback_used and each node it branches on in
     st.stats.fallback_nodes.  The root st is at a propagation fixpoint and
@@ -645,12 +716,12 @@ def _full_vertex_search(st):
     stats.fallback_used += 1
 
     def children(node, depth):
-        try:
-            i = node.masks.index(FULL_MASK)
-        except ValueError:
+        p1, p2, p3 = node.planes
+        full = p1 & p2 & p3
+        if not full:
             return None
         stats.fallback_nodes += 1
-        bit = 1 << i
+        bit = full & -full
         return ((bit, 1),), ((bit, 2),), ((bit, 3),)
 
     return _leaf_stream(st, children)
@@ -682,7 +753,8 @@ def _solve_skeleton(st, sk):
     caller."""
     stats = st.stats
     chains = {}
-    for palette in _anchor_palettes([st.masks[c] for c in sk.c]):
+    masks = st.masks
+    for palette in _anchor_palettes([masks[c] for c in sk.c]):
         for i in palette.undetermined:
             if sk.t[i] and i not in chains:
                 chains[i] = build_chain(st.graph, sk, i)

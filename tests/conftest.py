@@ -1,5 +1,6 @@
 """Shared test helpers: independent witness checkers and graph strategies."""
 
+from collections import deque
 from itertools import combinations
 
 import pytest
@@ -9,12 +10,14 @@ from lcol3 import build_graph, check_promise, engine
 from lcol3.cli import (DuplicateEdgeError, DuplicateListLineError,
                        EmptyListError, InstanceSyntaxError, OutOfRangeError,
                        ParseError)
-from lcol3.engine import (_SIZE, FULL_MASK, anchor_seeds, colours_of,
-                          mask_of, normalize_lists, verify_colouring)
+from lcol3.engine import (_COLOUR_OF, _SIZE, FULL_MASK, anchor_seeds,
+                          colours_of, mask_of, normalize_lists,
+                          verify_colouring)
 from lcol3.errors import InternalError, PreconditionBreach
 from lcol3.graph import DuplicateEdgeError as GraphDuplicateEdgeError
 from lcol3.graph import iter_bits
 from lcol3.recognition import _extract_odd_cycle
+from lcol3.sat2 import TwoSatInstance, add_clause, neg, pos
 
 
 def neighbour_tuples(graph):
@@ -296,6 +299,150 @@ def reference_sweep(graph, masks, kept, settled):
         rest ^= low
         due |= row
     return rest, removed, dominated
+
+
+# engine.ListState, engine.propagate and engine.residual_to_2sat as they
+# stood before the colour planes, kept verbatim but for their names: the
+# lists are one bitmask per vertex, and propagate walks each forced
+# vertex's neighbours one at a time, ascending.  The plane-based state must
+# give the same results, lists, queue order and propagations count.
+
+
+class ReferenceListState:
+    """Mutable per-branch colouring state: colour masks and a pending queue
+    of freshly forced vertices awaiting propagation.  A vertex is assigned
+    when its mask is a singleton; it is queued when its mask becomes one.
+    Every colour that assign or propagate removes is added to
+    stats.propagations, the SolveStats of the solve, which copies share."""
+
+    __slots__ = ("graph", "masks", "pending", "stats")
+
+    def __init__(self, graph, masks, stats):
+        self.graph = graph
+        self.masks = list(masks)
+        self.pending = deque()
+        self.stats = stats
+        for v, m in enumerate(self.masks):
+            if not 0 < m <= FULL_MASK:
+                raise ValueError(f"bad colour mask {m} at vertex {v}")
+            if _SIZE[m] == 1:
+                self.pending.append(v)
+
+    def copy(self):
+        """An independent copy for a child of a search node, which is at a
+        fixpoint, so its pending queue is empty; it counts into the same
+        stats."""
+        if self.pending:
+            raise InternalError("ListState copied outside a propagation fixpoint")
+        new = object.__new__(ReferenceListState)
+        new.graph = self.graph
+        new.masks = self.masks.copy()
+        new.pending = deque()
+        new.stats = self.stats
+        return new
+
+    def assign(self, v, colour):
+        """Force a colour; False if it is not admissible any more."""
+        cbit = 1 << (colour - 1)
+        m = self.masks[v]
+        if not m & cbit:
+            return False
+        if m != cbit:
+            self.stats.propagations += _SIZE[m] - 1
+            self.masks[v] = cbit
+            self.pending.append(v)
+        return True
+
+    def assign_all(self, seeds):
+        """Force every seed, a (vertex bitmask, colour) pair, in order, each
+        mask's vertices lowest first; False at the first vertex that no
+        longer admits the colour."""
+        for vset, colour in seeds:
+            for v in iter_bits(vset):
+                if not self.assign(v, colour):
+                    return False
+        return True
+
+
+def reference_propagate(st):
+    """Run singleton propagation to a fixpoint; None on an emptied mask or
+    two adjacent vertices forced to the same colour.  The colours removed
+    on the way, up to a failure too, are added to st.stats.propagations."""
+    masks = st.masks
+    pending = st.pending
+    bits = st.graph.bits
+    removed = 0
+    while pending:
+        v = pending.popleft()
+        cbit = masks[v]
+        for u in iter_bits(bits[v]):
+            mu = masks[u]
+            if mu & cbit:
+                if mu == cbit:
+                    st.stats.propagations += removed
+                    return None
+                mu &= ~cbit
+                masks[u] = mu
+                removed += 1
+                if _SIZE[mu] == 1:
+                    pending.append(u)
+    st.stats.propagations += removed
+    return st
+
+
+def reference_residual_to_2sat(st):
+    """2-SAT encoding of the state's remaining two-colour choices.
+
+    One scan of the vertices applies the three-colour rule: a vertex that
+    still has all three colours gets, through st.assign, its smallest safe
+    colour, one that no neighbour admits (so an isolated vertex gets colour
+    1), and PreconditionBreach is raised when it has none.  The assignment
+    shrinks no other mask, and the scan sees each earlier safe vertex as
+    assigned.  The same scan gives one variable to each two-colour vertex,
+    true iff it takes the smaller colour of its mask; each edge then
+    contributes one clause per colour admissible at both ends.
+    """
+    masks = st.masks
+    bits = st.graph.bits
+    var_of = {}
+    var_info = []
+    for v, m in enumerate(masks):
+        if m == FULL_MASK:
+            free = FULL_MASK  # the colours no neighbour admits
+            for u in iter_bits(bits[v]):
+                free &= ~masks[u]
+                if not free:
+                    raise PreconditionBreach(
+                        f"vertex {v} still has all three colours")
+            st.assign(v, _COLOUR_OF[free & -free])
+        elif _SIZE[m] == 2:
+            lo, hi = colours_of(m)
+            var_of[v] = len(var_info)
+            var_info.append((v, lo, hi))
+
+    inst = TwoSatInstance(len(var_info))
+    for u, row in enumerate(bits):
+        for v in iter_bits(row & -(2 << u)):  # the neighbours above u
+            iu = var_of.get(u)
+            iv = var_of.get(v)
+            if iu is None and iv is None:
+                continue
+            if iu is None or iv is None:
+                # propagation already removed the assigned endpoint's colour
+                a, b = (u, v) if iu is None else (v, u)
+                if masks[b] & masks[a]:
+                    raise InternalError(
+                        f"vertex {b} still admits the colour of its assigned "
+                        f"neighbour {a}")
+                continue
+            common = masks[u] & masks[v]
+            for cbit in (1, 2, 4):
+                if common & cbit:
+                    c = _COLOUR_OF[cbit]
+                    lit_u = pos(iu) if c == var_info[iu][1] else neg(iu)
+                    lit_v = pos(iv) if c == var_info[iv][1] else neg(iv)
+                    add_clause(inst, lit_u ^ 1, lit_v ^ 1)
+    return inst, var_info
 
 
 def reference_colouring_fits(graph, masks, colouring):

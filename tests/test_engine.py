@@ -13,11 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from conftest import (check_witness, false_twin_classes, graphs,
-                      reference_colouring_fits, reference_normalize_lists,
-                      reference_full_vertex_search, reference_peel,
-                      reference_removable, reference_sweep,
-                      reference_twin_representatives, seeds_of_branch)
+from conftest import (ReferenceListState, check_witness, false_twin_classes,
+                      graphs, reference_colouring_fits,
+                      reference_full_vertex_search, reference_normalize_lists,
+                      reference_peel, reference_propagate,
+                      reference_removable, reference_residual_to_2sat,
+                      reference_sweep, reference_twin_representatives,
+                      seeds_of_branch)
 from lcol3 import build_graph, check_promise, solve, verify_colouring
 import lcol3
 from lcol3 import engine
@@ -379,6 +381,89 @@ def test_propagations_count_every_colour_dropped_from_the_lists(data):
             return
 
 
+def _same_state(got, want):
+    """The plane state got holds want's lists, queue and counters."""
+    assert got.masks == want.masks
+    assert list(got.pending) == list(want.pending)
+    assert got.stats == want.stats
+
+
+def _residual_of(state, encode):
+    """encode's result on the state as plain data, or the error it raised."""
+    try:
+        inst, var_info = encode(state)
+    except (PreconditionBreach, InternalError) as exc:
+        return type(exc), str(exc)
+    return inst.var_count, inst.clauses, var_info
+
+
+def _random_listed_graph(rng, n, p, single):
+    """G(n, p) with triangles allowed; each list is a singleton with
+    probability single, else a two- or three-colour list."""
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if rng.random() < p]
+    masks = [rng.choice((1, 2, 4) if rng.random() < single else (3, 5, 6, 7))
+             for _ in range(n)]
+    return build_graph(n, edges), masks
+
+
+def test_colour_planes_match_the_list_reference():
+    # The plane state against the list-based one it replaced: the same
+    # propagate result, lists, queue order and propagations count, clashes
+    # met part way through a forced vertex's neighbours included; then the
+    # same after a copy is seeded and propagated, as the searches do, and
+    # the same 2-SAT residual or the same error.
+    rng = random.Random(20_341)
+    inputs = [_random_listed_graph(rng, rng.randint(1, 24),
+                                   rng.choice((0.1, 0.2, 0.35, 0.5)),
+                                   rng.choice((0.1, 0.3, 0.6)))
+              for _ in range(3_000)]
+    inputs += [_random_listed_graph(rng, rng.randint(190, 210),
+                                    rng.choice((0.005, 0.01, 0.02)), 0.9)
+               for _ in range(6)]
+    outcomes = {"clash": 0, "seeded clash": 0, "breach": 0, "2-SAT": 0}
+    for g, masks in inputs:
+        got = ListState(g, masks, SolveStats())
+        want = ReferenceListState(g, masks, SolveStats())
+        _same_state(got, want)
+        ok = reference_propagate(want) is want
+        assert (propagate(got) is got) == ok, (g, masks)
+        _same_state(got, want)
+        if not ok:
+            outcomes["clash"] += 1
+            continue
+        seeds = [(1 << rng.randrange(g.n), rng.randint(1, 3))
+                 for _ in range(rng.randint(0, 2))]
+        got, want = got.copy(), want.copy()
+        ok = want.assign_all(seeds) and reference_propagate(want) is want
+        assert (got.assign_all(seeds) and propagate(got) is got) == ok
+        _same_state(got, want)
+        if not ok:
+            outcomes["seeded clash"] += 1
+            continue
+        residual = _residual_of(want, reference_residual_to_2sat)
+        assert _residual_of(got, residual_to_2sat) == residual
+        _same_state(got, want)
+        outcomes["breach" if residual[0] is PreconditionBreach else "2-SAT"] += 1
+    assert min(outcomes.values()) > 100, outcomes
+
+
+def test_a_clash_counts_the_colours_removed_before_it():
+    # Vertex 0 is forced to colour 1; its neighbours 1 to 4 are walked in
+    # ascending order: 1 loses colour 1 and is queued, 2 admits colour 1
+    # alone, so propagation stops there, and 3 and 4 keep their lists.
+    g = build_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
+    masks = [mask_of([1]), mask_of([1, 2]), mask_of([1]), mask_of([1, 3]),
+             FULL_MASK]
+    st = ListState(g, masks, SolveStats())
+    assert list(st.pending) == [0, 2]
+    assert propagate(st) is None
+    assert st.stats.propagations == 1
+    assert st.masks == [mask_of([1]), mask_of([2]), mask_of([1]),
+                        mask_of([1, 3]), FULL_MASK]
+    assert list(st.pending) == [2, 1]
+
+
 def test_residual_both_masks_equal():
     g = build_graph(2, [(0, 1)])
     st = ListState(g, [mask_of([1, 2]), mask_of([1, 2])], SolveStats())
@@ -491,6 +576,17 @@ def test_verify_colouring_examples():
     assert not verify_colouring(g, lists, [1, 2, 1, 2, 3])
 
 
+def test_verify_colouring_refuses_colours_that_are_not_ints():
+    # 1.0 and True equal the colour 1, but like 2.5 and '1' they are no
+    # colour: each is refused, not raised on
+    g = build_graph(2, [(0, 1)])
+    assert verify_colouring(g, None, [1, 2])
+    assert not verify_colouring(g, None, [1.0, 2.0])
+    for bad in (1.0, True, "1", 2.5):
+        assert not verify_colouring(g, None, [bad, 2])
+        assert not verify_colouring(g, None, [2, bad])
+
+
 @settings(max_examples=400, deadline=None)
 @given(hst.data())
 def test_colouring_fits_matches_the_edge_walk(data):
@@ -515,7 +611,7 @@ def test_colouring_fits_matches_the_edge_walk(data):
         colouring.pop()
     elif spoil == "long":
         colouring.append(1)
-    assert (engine._colouring_fits(g, masks, colouring)
+    assert (engine._colouring_fits(g, engine._planes_of(masks), colouring)
             == reference_colouring_fits(g, masks, colouring))
 
 
@@ -546,7 +642,7 @@ def test_layer0_removes_every_twin_the_reference_twin_pass_drops(data):
     if fixed is None:
         assert out.is_unsat
         return
-    rest = engine._peel(g, fixed, *_sweep_masks(g, fixed))[0]
+    rest = _sweep(g, fixed, *_sweep_masks(g, fixed))[0]
     rep = reference_twin_representatives(g, fixed)
     for v, u in enumerate(rep):
         if u != v:
@@ -1035,9 +1131,9 @@ def test_a_settled_vertex_dominates_its_twin_with_a_larger_list():
     assert out.colouring[:2] == [1, 1]
     fixed = _propagated(g, masks)
     assert _sweep_masks(g, fixed) == (0b111110, 0b1)
-    assert engine._peel(g, fixed, 0b111110, 0b1) == (0, [1, 2, 3, 4, 5], 1)
+    assert _sweep(g, fixed, 0b111110, 0b1) == (0, [1, 2, 3, 4, 5], 1)
     # without 0 as a dominator, 1 stays until its neighbours peel
-    assert engine._peel(g, fixed, 0b111110, 0)[1:] == ([4, 2, 1, 3, 5], 0)
+    assert _sweep(g, fixed, 0b111110, 0)[1:] == ([4, 2, 1, 3, 5], 0)
 
 
 def test_failed_final_recheck_raises(monkeypatch):
@@ -1122,7 +1218,8 @@ def test_final_recheck_reads_the_input_lists(monkeypatch):
     real = engine._colouring_fits
     monkeypatch.setattr(
         engine, "_colouring_fits",
-        lambda g, masks, colouring: seen.append(list(masks)) or real(g, masks, colouring))
+        lambda g, planes, colouring: (seen.append(engine._masks_of(planes, g.n))
+                                      or real(g, planes, colouring)))
     masks = [mask_of([1])] + [FULL_MASK] * 4
     out = solve(cycle_graph(5), masks)
     assert out.is_sat and out.stats.propagations == 2
@@ -1162,6 +1259,11 @@ def _propagated(g, masks):
     return None if propagate(st) is None else st.masks
 
 
+def _sweep(g, fixed, kept, settled):
+    """engine._peel on the lists fixed, handed over as masks and planes."""
+    return engine._peel(g, fixed, engine._planes_of(fixed), kept, settled)
+
+
 def _sweep_masks(g, fixed):
     """(kept, settled): the smallest vertex of each class of equal
     neighbourhood and equal list, as two bitmasks: kept, which layer 0's
@@ -1192,8 +1294,8 @@ def test_layer0_sweep_reaches_the_joint_fixpoint_and_keeps_answers(data):
         assert out.is_unsat
     else:
         kept, settled = _sweep_masks(g, fixed)
-        rest, removed, dominated = engine._peel(g, fixed, kept, settled)
-        assert engine._peel(g, fixed, kept, settled) == (rest, removed, dominated)
+        rest, removed, dominated = _sweep(g, fixed, kept, settled)
+        assert _sweep(g, fixed, kept, settled) == (rest, removed, dominated)
         assert len(set(removed)) == len(removed)
         assert not rest & sum(1 << v for v in removed)
         assert rest | sum(1 << v for v in removed) == kept
@@ -1273,7 +1375,7 @@ def test_layer0_sweep_matches_the_reference_sweep_on_shuffled_labels():
         if fixed is None:
             continue
         kept, settled = _sweep_masks(g, fixed)
-        got = engine._peel(g, fixed, kept, settled)
+        got = _sweep(g, fixed, kept, settled)
         assert got == reference_sweep(g, fixed, kept, settled), g.n
         swept += 1
         dominated += got[2]

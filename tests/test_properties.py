@@ -9,6 +9,8 @@ whole family of denser ones.
 
 import random
 
+import pytest
+
 from conftest import check_witness
 from lcol3 import build_graph, check_promise, solve, verify_colouring
 from lcol3.graph import iter_bits
@@ -144,15 +146,15 @@ def test_filtered_random_graphs_match_oracle():
     assert accepted >= 100
 
 
-def arbitrary_instance(rng):
-    """A graph on at most 12 vertices with no promise: G(n, p) over the
+def arbitrary_instance(rng, max_n=12):
+    """A graph on at most max_n vertices with no promise: G(n, p) over the
     vertex pairs in random order, with triangles allowed or with every
     pair that would close one skipped (induced P7s allowed), or a
     structured class member with a few vertex pairs flipped; its lists all
     full, all two-colour, mixed as random_masks draws them, or any
     non-empty list."""
     if rng.randrange(3):
-        n = rng.randint(1, 12)
+        n = rng.randint(1, max_n)
         p = rng.choice((0.15, 0.3, 0.5, 0.7, 1.0))
         triangle_free = rng.randrange(3) > 0
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -166,7 +168,7 @@ def arbitrary_instance(rng):
                 edges.append((u, v))
     else:
         base = structured_base(rng.randrange(10_000), rng)
-        while base.n > 12:
+        while base.n > max_n:
             base = structured_base(rng.randrange(10_000), rng)
         n = base.n
         flipped = {tuple(sorted(rng.sample(range(n), 2)))
@@ -184,14 +186,15 @@ def arbitrary_instance(rng):
     return build_graph(n, edges), masks
 
 
-def test_trust_mode_is_exact_or_witnessed_beyond_the_class():
-    # On arbitrary small graphs trust mode gives the oracle's answer, or
-    # INVALID with a witness that check_witness accepts, and never raises.
-    # All three answers occur, and some inputs reach a branch search.
+def _trust_mode_sweep(seeds, max_n):
+    """Trust mode on arbitrary_instance(max_n) for each seed gives the
+    oracle's answer, or INVALID with a witness that check_witness accepts,
+    and never raises.  All three answers occur, and some inputs reach a
+    branch search."""
     kinds = {"sat": 0, "unsat": 0, "invalid": 0}
     searched = 0
-    for seed in range(12_000):
-        g, masks = arbitrary_instance(random.Random(seed * 53 + 11))
+    for seed in seeds:
+        g, masks = arbitrary_instance(random.Random(seed * 53 + 11), max_n)
         outcome = solve(g, masks, mode="trust")
         kinds[outcome.kind] += 1
         searched += outcome.stats.branches > 0
@@ -203,3 +206,14 @@ def test_trust_mode_is_exact_or_witnessed_beyond_the_class():
         if outcome.is_sat:
             assert verify_colouring(g, masks, outcome.colouring), seed
     assert min(kinds.values()) > 0 and searched > 0, (kinds, searched)
+
+
+def test_trust_mode_is_exact_or_witnessed_beyond_the_class():
+    # tier-1's slice of the sweep below: about 2 s
+    _trust_mode_sweep(range(12_000), 12)
+
+
+@pytest.mark.sweep
+def test_trust_mode_sweep_up_to_14_vertices():
+    # the full sweep, run with -m sweep: 300 000 further seeds, n up to 14
+    _trust_mode_sweep(range(12_000, 312_000), 14)
