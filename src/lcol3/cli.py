@@ -18,46 +18,29 @@ from operator import add, itemgetter
 
 from .engine import FULL_MASK, colours_of, solve, verify_colouring
 from .errors import InternalError
-from .graph import Graph, GraphError, build_graph
+from .graph import Graph, GraphError
 from .recognition import check_promise
 
 
 class ParseError(ValueError):
+    """A fault in an instance or colouring text, at its line (0: after the
+    last line)."""
+
     def __init__(self, line, message):
         super().__init__(f"line {line}: {message}")
         self.line = line
 
 
-class InstanceSyntaxError(ParseError):
-    pass
-
-
-class OutOfRangeError(ParseError):
-    pass
-
-
-class DuplicateEdgeError(ParseError):
-    pass
-
-
-class DuplicateListLineError(ParseError):
-    pass
-
-
-class EmptyListError(ParseError):
-    pass
-
-
 # The largest vertex count a problem line may declare, ten times the
-# n = 2 000 blow-up of the acceptance tests.  The problem line alone
-# allocates a mask per vertex, and on the token path a bit row per vertex
-# too (16 bytes per vertex, 0.3 MB here) and a table of the n powers of
-# two that the edges are ORed in with, about n * n / 15 bytes (27 MB here,
-# freed when the parse returns; the line parser's build_graph call builds
-# the same table), before any edge is read, and grows the per-process
-# vertex tables below (3.4 MB here, kept).  Each vertex then keeps an int
-# bit row of up to n bits: n * (n / 8 + 28) bytes when dense, 50 MB at
-# this limit and 0.5 MB at n = 2 000.
+# n = 2 000 blow-up of the acceptance tests.  On either parser path the
+# problem line alone allocates a mask and a bit row per vertex (16 bytes
+# per vertex, 0.3 MB here) and a table of the n powers of two that the
+# edges are ORed in with, about n * n / 15 bytes (27 MB here, freed when
+# the parse returns), before any edge is read, and the token path grows
+# the per-process vertex tables below (3.4 MB here, kept).  Each vertex
+# then keeps an int bit row of up to n bits: n * (n / 8 + 28) bytes when
+# dense, 50 MB at this limit and 0.5 MB at n = 2 000.  `generate` refuses
+# a request whose vertex bound is above the limit, before building it.
 MAX_VERTICES = 20_000
 
 # The seven valid colour lists, as their ascending digit strings.
@@ -203,11 +186,14 @@ def _parse_tokens(text):
 
 
 def _parse_lines(lines):
-    n = None
-    m_declared = None
-    masks = None
+    """(Graph, masks) of the instance given as its lines, or a ParseError
+    at the first faulty line.  From the problem line on, each checked edge
+    is ORed into its two bit rows through a table of powers of two local
+    to the call, as on the token path; an edge whose bit is already set in
+    its first end's row repeats an earlier one."""
+    n = m_declared = bits = power = masks = None
+    m = 0
     listed = set()
-    edges = set()  # (u, v) with u < v
     for lineno, raw in enumerate(lines, start=1):
         parts = raw.split()
         if not parts:
@@ -215,51 +201,54 @@ def _parse_lines(lines):
         kind = parts[0]
         if kind == "e":
             if n is None:
-                raise InstanceSyntaxError(lineno, "edge before problem line")
+                raise ParseError(lineno, "edge before problem line")
             if len(parts) != 3:
-                raise InstanceSyntaxError(lineno, "expected 'e <u> <v>'")
+                raise ParseError(lineno, "expected 'e <u> <v>'")
             try:
                 u, v = int(parts[1]) - 1, int(parts[2]) - 1
             except ValueError:
-                raise InstanceSyntaxError(lineno, "non-integer endpoints") from None
+                raise ParseError(lineno, "non-integer endpoints") from None
             if not (0 <= u < n) or not (0 <= v < n):
-                raise OutOfRangeError(lineno, f"vertex outside 1..{n}")
+                raise ParseError(lineno, f"vertex outside 1..{n}")
             if u == v:
-                raise InstanceSyntaxError(lineno, "self-loop")
-            key = (u, v) if u < v else (v, u)
-            if key in edges:
-                raise DuplicateEdgeError(lineno, f"duplicate edge {u + 1} {v + 1}")
-            edges.add(key)
+                raise ParseError(lineno, "self-loop")
+            if bits[u] & power[v]:
+                raise ParseError(lineno, f"duplicate edge {u + 1} {v + 1}")
+            bits[u] |= power[v]
+            bits[v] |= power[u]
+            m += 1
         elif kind.startswith("c"):
             continue
         elif kind == "p":
             if n is not None:
-                raise InstanceSyntaxError(lineno, "repeated problem line")
+                raise ParseError(lineno, "repeated problem line")
             if len(parts) != 4 or parts[1] != "lcol":
-                raise InstanceSyntaxError(lineno, "expected 'p lcol <n> <m>'")
+                raise ParseError(lineno, "expected 'p lcol <n> <m>'")
             try:
                 n, m_declared = int(parts[2]), int(parts[3])
             except ValueError:
-                raise InstanceSyntaxError(lineno, "non-integer problem sizes") from None
+                raise ParseError(lineno, "non-integer problem sizes") from None
             if n < 0 or m_declared < 0:
-                raise InstanceSyntaxError(lineno, "negative problem sizes")
+                raise ParseError(lineno, "negative problem sizes")
             if n > MAX_VERTICES:
-                raise OutOfRangeError(lineno, f"{n} vertices, more than the "
-                                              f"limit of {MAX_VERTICES}")
+                raise ParseError(lineno, f"{n} vertices, more than the "
+                                         f"limit of {MAX_VERTICES}")
+            power = [1 << v for v in range(n)]
+            bits = [0] * n
             masks = [FULL_MASK] * n
         elif kind == "l":
             if n is None:
-                raise InstanceSyntaxError(lineno, "list before problem line")
+                raise ParseError(lineno, "list before problem line")
             if len(parts) != 3:
-                raise InstanceSyntaxError(lineno, "expected 'l <v> <digits>'")
+                raise ParseError(lineno, "expected 'l <v> <digits>'")
             try:
                 v = int(parts[1]) - 1
             except ValueError:
-                raise InstanceSyntaxError(lineno, "non-integer vertex") from None
+                raise ParseError(lineno, "non-integer vertex") from None
             if not 0 <= v < n:
-                raise OutOfRangeError(lineno, f"vertex outside 1..{n}")
+                raise ParseError(lineno, f"vertex outside 1..{n}")
             if v in listed:
-                raise DuplicateListLineError(lineno, f"second list for vertex {v + 1}")
+                raise ParseError(lineno, f"second list for vertex {v + 1}")
             listed.add(v)
             digits = parts[2]
             mask = _LIST_MASKS.get(digits)
@@ -268,20 +257,20 @@ def _parse_lines(lines):
                 prev = "0"
                 for ch in digits:
                     if ch not in "123":
-                        raise InstanceSyntaxError(lineno, f"colour '{ch}' outside {{1,2,3}}")
+                        raise ParseError(lineno, f"colour '{ch}' outside {{1,2,3}}")
                     if ch <= prev:
-                        raise InstanceSyntaxError(lineno, "digits must be ascending")
+                        raise ParseError(lineno, "digits must be ascending")
                     prev = ch
-                raise EmptyListError(lineno, "empty colour list")
+                raise ParseError(lineno, "empty colour list")
             masks[v] = mask
         else:
-            raise InstanceSyntaxError(lineno, f"unknown line type '{kind}'")
+            raise ParseError(lineno, f"unknown line type '{kind}'")
     if n is None:
-        raise InstanceSyntaxError(0, "missing problem line")
-    if len(edges) != m_declared:
-        raise InstanceSyntaxError(0, f"problem line declares {m_declared} edges, "
-                                     f"found {len(edges)}")
-    return build_graph(n, edges), masks
+        raise ParseError(0, "missing problem line")
+    if m != m_declared:
+        raise ParseError(0, f"problem line declares {m_declared} edges, "
+                            f"found {m}")
+    return Graph(n, bits, m), masks
 
 
 def emit_instance(graph, masks=None):
@@ -373,20 +362,20 @@ def _parse_colouring_file(text, n):
         if parts[0] == "s":
             continue
         if parts[0] != "v" or len(parts) != 3:
-            raise InstanceSyntaxError(lineno, "expected 'v <vertex> <colour>'")
+            raise ParseError(lineno, "expected 'v <vertex> <colour>'")
         try:
             v, c = int(parts[1]), int(parts[2])
         except ValueError:
-            raise InstanceSyntaxError(lineno, "non-integer fields") from None
+            raise ParseError(lineno, "non-integer fields") from None
         if not 1 <= v <= n:
-            raise OutOfRangeError(lineno, f"vertex outside 1..{n}")
+            raise ParseError(lineno, f"vertex outside 1..{n}")
         if seen[v - 1]:
-            raise DuplicateListLineError(lineno, f"vertex {v} coloured twice")
+            raise ParseError(lineno, f"vertex {v} coloured twice")
         seen[v - 1] = True
         colouring[v - 1] = c
     missing = [v + 1 for v in range(n) if not seen[v]]
     if missing:
-        raise InstanceSyntaxError(0, f"vertices without colour: {missing[:5]}")
+        raise ParseError(0, f"vertices without colour: {missing[:5]}")
     return colouring
 
 
@@ -412,7 +401,7 @@ def _cmd_check_promise(args):
 
 
 def _cmd_generate(args):
-    from .testkit import GenSpec, RejectionBudgetExceeded, generate
+    from .testkit import GenSpec, RejectionBudgetExceeded, generate, vertex_bound
 
     try:
         sizes = (None if args.classes is None
@@ -425,9 +414,14 @@ def _cmd_generate(args):
                    n=args.n, target_edges=args.edges, scale=args.scale,
                    lists=args.lists)
     try:
+        bound = vertex_bound(spec)
+        if bound > MAX_VERTICES:
+            raise ValueError(f"the request has up to {bound} vertices, more "
+                             f"than the limit of {MAX_VERTICES}")
         graph, masks = generate(spec)
     except (ValueError, RejectionBudgetExceeded) as exc:
-        # arguments the kind rejects, or no P7-free sample within the budget
+        # a request over the vertex limit, arguments the kind rejects, or no
+        # P7-free sample within the budget
         print(f"error: {exc}", file=sys.stderr)
         return 1
     text = emit_instance(graph, masks)

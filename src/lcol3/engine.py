@@ -25,10 +25,12 @@ _MASKS = frozenset(range(1, FULL_MASK + 1))
 
 
 def mask_of(colours):
+    """The bitmask of an iterable of colours; each must be an int 1, 2 or 3
+    (1.0 and True equal 1, but are no colour)."""
     m = 0
     for c in colours:
-        if c not in (1, 2, 3):
-            raise ValueError(f"colour {c} outside {{1,2,3}}")
+        if type(c) is not int or c not in (1, 2, 3):
+            raise ValueError(f"colour {c!r} outside {{1,2,3}}")
         m |= 1 << (c - 1)
     return m
 

@@ -6,25 +6,8 @@ visits them in ascending order."""
 
 
 class GraphError(ValueError):
-    """Malformed graph input."""
-
-
-class LoopEdgeError(GraphError):
-    def __init__(self, vertex):
-        super().__init__(f"self-loop at vertex {vertex}")
-        self.vertex = vertex
-
-
-class DuplicateEdgeError(GraphError):
-    def __init__(self, u, v):
-        super().__init__(f"duplicate edge ({u}, {v})")
-        self.edge = (u, v)
-
-
-class VertexRangeError(GraphError):
-    def __init__(self, vertex, n):
-        super().__init__(f"vertex {vertex} out of range [0, {n})")
-        self.vertex = vertex
+    """Malformed graph input: a vertex out of range, a loop or a repeated
+    edge, named in the message."""
 
 
 def iter_bits(mask):
@@ -70,7 +53,7 @@ def build_graph(n, edges):
     Each edge is ORed into the bit rows of both its endpoints, through a
     table of powers of two local to the call.  A repeated edge sets no new
     bit, so the row popcounts then sum to less than twice the edge count;
-    only then are the edges scanned again, and DuplicateEdgeError names the
+    only then are the edges scanned again, and the GraphError names the
     first repeat as (min, max)."""
     if n < 0:
         raise GraphError("negative vertex count")
@@ -79,11 +62,11 @@ def build_graph(n, edges):
     bits = [0] * n
     for u, v in edges:
         if not (0 <= u < n):
-            raise VertexRangeError(u, n)
+            raise GraphError(f"vertex {u} out of range [0, {n})")
         if not (0 <= v < n):
-            raise VertexRangeError(v, n)
+            raise GraphError(f"vertex {v} out of range [0, {n})")
         if u == v:
-            raise LoopEdgeError(u)
+            raise GraphError(f"self-loop at vertex {u}")
         bits[u] |= power[v]
         bits[v] |= power[u]
     if sum(map(int.bit_count, bits)) != 2 * len(edges):
@@ -91,7 +74,7 @@ def build_graph(n, edges):
         for u, v in edges:
             key = (u, v) if u < v else (v, u)
             if key in seen:
-                raise DuplicateEdgeError(*key)
+                raise GraphError("duplicate edge ({}, {})".format(*key))
             seen.add(key)
     return Graph(n, bits, len(edges))
 

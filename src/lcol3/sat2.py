@@ -9,10 +9,6 @@ not hit the recursion limit.
 from .errors import InternalError
 
 
-class LiteralRangeError(ValueError):
-    pass
-
-
 def pos(var):
     return 2 * var
 
@@ -40,8 +36,8 @@ def add_clause(inst, lit1, lit2):
     """Append the clause (lit1 ∨ lit2); duplicates are permitted."""
     for lit in (lit1, lit2):
         if not (0 <= lit < 2 * inst.var_count):
-            raise LiteralRangeError(f"literal {lit} out of range for "
-                                    f"{inst.var_count} variables")
+            raise ValueError(f"literal {lit} out of range for "
+                             f"{inst.var_count} variables")
     inst.clauses.append((lit1, lit2))
     return inst
 

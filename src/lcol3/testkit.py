@@ -15,16 +15,8 @@ from .recognition import check_promise, find_induced_p7
 _SIZE = [0, 1, 1, 2, 1, 2, 2, 3]
 
 
-class SizeGuardError(ValueError):
-    pass
-
-
 class RejectionBudgetExceeded(RuntimeError):
-    pass
-
-
-class GenerationError(RuntimeError):
-    """A constructive generator produced a non-promise graph (recipe bug)."""
+    """random_rejection drew no P7-free sample within its attempt budget."""
 
 
 class GenSpec(namedtuple("GenSpec", "kind seed class_sizes n target_edges "
@@ -102,7 +94,7 @@ def enumerate_colourings(graph, lists=None):
     """Yield every proper list-colouring as a colour tuple, vertices in id
     order, colours ascending; guarded to 16 vertices."""
     if graph.n > 16:
-        raise SizeGuardError(f"enumeration limited to 16 vertices, got {graph.n}")
+        raise ValueError(f"enumeration limited to 16 vertices, got {graph.n}")
     masks = normalize_lists(graph.n, lists)
     n = graph.n
     bits = graph.bits
@@ -205,7 +197,7 @@ def generate(spec):
                 graph = candidate
                 break
         if graph is None:
-            raise GenerationError(
+            raise InternalError(  # a recipe bug: they build in-class graphs
                 f"skeleton_built seed {spec.seed}: no promise instance "
                 f"within the retry budget")
     elif spec.kind == "random_rejection":
@@ -223,6 +215,24 @@ def generate(spec):
     else:
         raise ValueError(f"unknown lists mode {spec.lists!r}")
     return graph, masks
+
+
+def vertex_bound(spec):
+    """An upper bound on the vertex count of generate(spec), read from the
+    request alone, so that a caller can refuse a request before anything
+    is built.  A request that generate rejects may get any bound."""
+    if spec.kind == "spider":
+        return 2 * spec.scale + 7
+    if spec.kind == "skeleton_built":
+        t_max, d_max = _skeleton_caps(spec.scale)
+        # the larger of the "bare" and "chained" templates' most vertices;
+        # every other template has fewer
+        return max(5 + 5 * (t_max + d_max), 24 + t_max + 3 * d_max)
+    if spec.kind == "random_rejection":
+        return 10 if spec.n is None else spec.n
+    if spec.class_sizes is None:  # five classes of 1..4, or seven of 1..3
+        return 21
+    return sum(spec.class_sizes)
 
 
 def _random_mask(rng):
@@ -302,6 +312,12 @@ class _Builder:
         return build_graph(self.next_id, self.edges)
 
 
+def _skeleton_caps(scale):
+    """The most members of one T set and of one D set that a template draws
+    at the given scale."""
+    return max(2, scale // 8), max(1, scale // 12)
+
+
 def _skeleton_built(rng, scale):
     """One instance from a mix of templates the promise class admits.
 
@@ -315,8 +331,7 @@ def _skeleton_built(rng, scale):
     A caller-side retry guards the construction.
     """
     b = _Builder()
-    t_max = max(2, scale // 8)
-    d_max = max(1, scale // 12)
+    t_max, d_max = _skeleton_caps(scale)
     roll = rng.random()
 
     if roll < 0.25:

@@ -7,15 +7,12 @@ import pytest
 from hypothesis import strategies as st
 
 from lcol3 import build_graph, check_promise, engine
-from lcol3.cli import (DuplicateEdgeError, DuplicateListLineError,
-                       EmptyListError, InstanceSyntaxError, OutOfRangeError,
-                       ParseError)
+from lcol3.cli import ParseError
 from lcol3.engine import (_COLOUR_OF, _SIZE, FULL_MASK, anchor_seeds,
                           colours_of, mask_of, normalize_lists,
                           verify_colouring)
 from lcol3.errors import InternalError, PreconditionBreach
-from lcol3.graph import DuplicateEdgeError as GraphDuplicateEdgeError
-from lcol3.graph import iter_bits
+from lcol3.graph import GraphError, iter_bits
 from lcol3.recognition import _extract_odd_cycle
 from lcol3.sat2 import TwoSatInstance, add_clause, neg, pos
 
@@ -647,17 +644,17 @@ def reference_parse_lines(lines):
         kind = parts[0]
         if kind == "e":
             if n is None:
-                raise InstanceSyntaxError(lineno, "edge before problem line")
+                raise ParseError(lineno, "edge before problem line")
             if len(parts) != 3:
-                raise InstanceSyntaxError(lineno, "expected 'e <u> <v>'")
+                raise ParseError(lineno, "expected 'e <u> <v>'")
             try:
                 u, v = int(parts[1]), int(parts[2])
             except ValueError:
-                raise InstanceSyntaxError(lineno, "non-integer endpoints") from None
+                raise ParseError(lineno, "non-integer endpoints") from None
             if not (1 <= u <= n) or not (1 <= v <= n):
-                raise OutOfRangeError(lineno, f"vertex outside 1..{n}")
+                raise ParseError(lineno, f"vertex outside 1..{n}")
             if u == v:
-                raise InstanceSyntaxError(lineno, "self-loop")
+                raise ParseError(lineno, "self-loop")
             rows[u - 1].append(v - 1)
             rows[v - 1].append(u - 1)
             edge_count += 1
@@ -665,53 +662,53 @@ def reference_parse_lines(lines):
             continue
         elif kind == "p":
             if n is not None:
-                raise InstanceSyntaxError(lineno, "repeated problem line")
+                raise ParseError(lineno, "repeated problem line")
             if len(parts) != 4 or parts[1] != "lcol":
-                raise InstanceSyntaxError(lineno, "expected 'p lcol <n> <m>'")
+                raise ParseError(lineno, "expected 'p lcol <n> <m>'")
             try:
                 n, m_declared = int(parts[2]), int(parts[3])
             except ValueError:
-                raise InstanceSyntaxError(lineno, "non-integer problem sizes") from None
+                raise ParseError(lineno, "non-integer problem sizes") from None
             if n < 0 or m_declared < 0:
-                raise InstanceSyntaxError(lineno, "negative problem sizes")
+                raise ParseError(lineno, "negative problem sizes")
             rows = [[] for _ in range(n)]
             masks = [FULL_MASK] * n
         elif kind == "l":
             if n is None:
-                raise InstanceSyntaxError(lineno, "list before problem line")
+                raise ParseError(lineno, "list before problem line")
             if len(parts) != 3:
-                raise InstanceSyntaxError(lineno, "expected 'l <v> <digits>'")
+                raise ParseError(lineno, "expected 'l <v> <digits>'")
             try:
                 v = int(parts[1])
             except ValueError:
-                raise InstanceSyntaxError(lineno, "non-integer vertex") from None
+                raise ParseError(lineno, "non-integer vertex") from None
             if not 1 <= v <= n:
-                raise OutOfRangeError(lineno, f"vertex outside 1..{n}")
+                raise ParseError(lineno, f"vertex outside 1..{n}")
             if v in listed:
-                raise DuplicateListLineError(lineno, f"second list for vertex {v}")
+                raise ParseError(lineno, f"second list for vertex {v}")
             listed.add(v)
             digits = parts[2]
             if not digits:
-                raise EmptyListError(lineno, "empty colour list")
+                raise ParseError(lineno, "empty colour list")
             mask = 0
             prev = 0
             for ch in digits:
                 if ch not in "123":
-                    raise InstanceSyntaxError(lineno, f"colour '{ch}' outside {{1,2,3}}")
+                    raise ParseError(lineno, f"colour '{ch}' outside {{1,2,3}}")
                 if int(ch) <= prev:
-                    raise InstanceSyntaxError(lineno, "digits must be ascending")
+                    raise ParseError(lineno, "digits must be ascending")
                 prev = int(ch)
                 mask |= 1 << (int(ch) - 1)
             if mask == 0:
-                raise EmptyListError(lineno, "empty colour list")
+                raise ParseError(lineno, "empty colour list")
             masks[v - 1] = mask
         else:
-            raise InstanceSyntaxError(lineno, f"unknown line type '{kind}'")
+            raise ParseError(lineno, f"unknown line type '{kind}'")
     if n is None:
-        raise InstanceSyntaxError(0, "missing problem line")
+        raise ParseError(0, "missing problem line")
     if edge_count != m_declared:
-        raise InstanceSyntaxError(0, f"problem line declares {m_declared} edges, "
-                                     f"found {edge_count}")
+        raise ParseError(0, f"problem line declares {m_declared} edges, "
+                            f"found {edge_count}")
     # each edge once, from its smaller end's row; a repeat stays repeated
     return build_graph(n, [(u, v) for u, row in enumerate(rows)
                            for v in row if u < v]), masks
@@ -728,7 +725,7 @@ def reference_parse_instance(text):
     lines = text.splitlines()
     try:
         return reference_parse_lines(lines)
-    except (ParseError, GraphDuplicateEdgeError) as exc:
+    except (ParseError, GraphError) as exc:
         stop = getattr(exc, "line", 0) or len(lines) + 1
         seen = set()
         for lineno, raw in enumerate(lines[:stop - 1], start=1):
@@ -736,7 +733,7 @@ def reference_parse_instance(text):
             if parts[:1] == ["e"]:
                 u, v = int(parts[1]), int(parts[2])
                 if frozenset((u, v)) in seen:
-                    raise DuplicateEdgeError(lineno, f"duplicate edge {u} {v}") from None
+                    raise ParseError(lineno, f"duplicate edge {u} {v}") from None
                 seen.add(frozenset((u, v)))
         raise
 

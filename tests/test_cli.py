@@ -12,9 +12,8 @@ from hypothesis import strategies as st
 from conftest import reference_parse_instance, reference_parse_lines
 import lcol3
 from lcol3 import cli, testkit
-from lcol3.cli import (MAX_VERTICES, DuplicateEdgeError, DuplicateListLineError,
-                       InstanceSyntaxError, OutOfRangeError, dispatch,
-                       emit_instance, emit_result, parse_instance)
+from lcol3.cli import (MAX_VERTICES, dispatch, emit_instance, emit_result,
+                       parse_instance)
 from lcol3.engine import (FULL_MASK, InternalError, Outcome, SolveStats,
                           mask_of, solve)
 from lcol3.graph import GraphError
@@ -39,84 +38,135 @@ def test_parse_comments_and_blanks():
     assert g.n == 1
 
 
+def parse_error(parse, source):
+    """The line and text of the ParseError that parse(source) raises."""
+    with pytest.raises(cli.ParseError) as exc:
+        parse(source)
+    assert type(exc.value) is cli.ParseError
+    return exc.value.line, str(exc.value)
+
+
 def test_parse_colour_outside_range_is_syntax_error():
-    with pytest.raises(InstanceSyntaxError):
-        parse_instance("p lcol 2 1\ne 1 2\nl 1 4\n")
+    assert parse_error(parse_instance, "p lcol 2 1\ne 1 2\nl 1 4\n") == (
+        3, "line 3: colour '4' outside {1,2,3}")
 
 
 def test_parse_rejects_descending_digits():
-    with pytest.raises(InstanceSyntaxError):
-        parse_instance("p lcol 2 1\ne 1 2\nl 1 21\n")
+    assert parse_error(parse_instance, "p lcol 2 1\ne 1 2\nl 1 21\n") == (
+        3, "line 3: digits must be ascending")
 
 
 def test_parse_duplicate_edge():
-    for text in ("p lcol 2 2\ne 1 2\ne 2 1\n", "p lcol 2 2\ne 1 2\ne 1 2\n",
-                 "p lcol 3 3\ne 2 3\ne 1 2\nc note\n\ne 3 2\n"):
-        with pytest.raises(DuplicateEdgeError) as exc:
-            parse_instance(text)
-        assert exc.value.line == len(text.splitlines())
+    for text, edge in (("p lcol 2 2\ne 1 2\ne 2 1\n", "2 1"),
+                       ("p lcol 2 2\ne 1 2\ne 1 2\n", "1 2"),
+                       ("p lcol 3 3\ne 2 3\ne 1 2\nc note\n\ne 3 2\n", "3 2")):
+        line = len(text.splitlines())
+        assert parse_error(parse_instance, text) == (
+            line, f"line {line}: duplicate edge {edge}")
 
 
 def test_parse_duplicate_list_line():
-    with pytest.raises(DuplicateListLineError):
-        parse_instance("p lcol 2 1\ne 1 2\nl 1 12\nl 1 13\n")
+    assert parse_error(parse_instance, "p lcol 2 1\ne 1 2\nl 1 12\nl 1 13\n") == (
+        4, "line 4: second list for vertex 1")
 
 
 def test_parse_out_of_range_vertex():
-    with pytest.raises(OutOfRangeError):
-        parse_instance("p lcol 2 1\ne 1 3\n")
+    assert parse_error(parse_instance, "p lcol 2 1\ne 1 3\n") == (
+        2, "line 2: vertex outside 1..2")
 
 
 def test_parse_edge_count_mismatch():
-    with pytest.raises(InstanceSyntaxError):
-        parse_instance("p lcol 3 2\ne 1 2\n")
+    assert parse_error(parse_instance, "p lcol 3 2\ne 1 2\n") == (
+        0, "line 0: problem line declares 2 edges, found 1")
+
+
+# Every message of the line parser, each with a text that raises it and
+# its line (0: after the last line).  "empty colour list" is left out: a
+# list token is never empty, and a digit string that is not one of the
+# seven lists always has a digit outside 1..3 or out of order.
+LINE_PARSER_ERRORS = {
+    "edge-first": ("e 1 2\np lcol 2 1\n", 1, "edge before problem line"),
+    "edge-short": ("p lcol 2 1\ne 1\n", 2, "expected 'e <u> <v>'"),
+    "edge-long": ("p lcol 2 1\ne 1 2 2\n", 2, "expected 'e <u> <v>'"),
+    "edge-int": ("p lcol 2 1\ne 1 b\n", 2, "non-integer endpoints"),
+    "edge-low": ("p lcol 2 1\ne 0 2\n", 2, "vertex outside 1..2"),
+    "edge-high": ("p lcol 2 1\ne 1 3\n", 2, "vertex outside 1..2"),
+    "self-loop": ("p lcol 2 1\ne 2 2\n", 2, "self-loop"),
+    "edge-twice": ("p lcol 3 2\ne 1 2\nc x\ne 02 1\n", 4, "duplicate edge 2 1"),
+    "problem-twice": ("p lcol 2 0\np lcol 2 0\n", 2, "repeated problem line"),
+    "problem-kind": ("p cnf 2 0\n", 1, "expected 'p lcol <n> <m>'"),
+    "problem-short": ("p lcol 2\n", 1, "expected 'p lcol <n> <m>'"),
+    "problem-int": ("p lcol 2 x\n", 1, "non-integer problem sizes"),
+    "negative-n": ("p lcol -2 0\n", 1, "negative problem sizes"),
+    "negative-m": ("p lcol 2 -1\n", 1, "negative problem sizes"),
+    "over-limit": (f"c\np lcol {MAX_VERTICES + 1} 0\n", 2,
+                   f"{MAX_VERTICES + 1} vertices, more than the limit of "
+                   f"{MAX_VERTICES}"),
+    "list-first": ("l 1 12\np lcol 2 0\n", 1, "list before problem line"),
+    "list-short": ("p lcol 2 0\nl 1\n", 2, "expected 'l <v> <digits>'"),
+    "list-long": ("p lcol 2 0\nl 1 1 2\n", 2, "expected 'l <v> <digits>'"),
+    "list-int": ("p lcol 2 0\nl one 12\n", 2, "non-integer vertex"),
+    "list-range": ("p lcol 2 0\nl 3 12\n", 2, "vertex outside 1..2"),
+    "list-twice": ("p lcol 2 0\nl 2 12\nl 02 3\n", 3, "second list for vertex 2"),
+    "list-colour": ("p lcol 2 0\nl 1 1a\n", 2, "colour 'a' outside {1,2,3}"),
+    "list-order": ("p lcol 2 0\nl 1 132\n", 2, "digits must be ascending"),
+    "list-repeat": ("p lcol 2 0\nl 1 11\n", 2, "digits must be ascending"),
+    "unknown-kind": ("p lcol 2 0\nx 1\n", 2, "unknown line type 'x'"),
+    "no-problem": ("c only a comment\n\n", 0, "missing problem line"),
+    "edge-count": ("p lcol 3 1\ne 1 2\ne 2 3\n", 0,
+                   "problem line declares 1 edges, found 2"),
+}
+
+
+@pytest.mark.parametrize("text, line, message", LINE_PARSER_ERRORS.values(),
+                         ids=LINE_PARSER_ERRORS)
+def test_line_parser_pins_each_message_and_line(text, line, message):
+    want = (line, f"line {line}: {message}")
+    assert parse_error(cli._parse_lines, text.splitlines()) == want
+    assert parse_error(parse_instance, text) == want
 
 
 def test_parse_reports_line_numbers():
     # The first error in line order wins, a repeated edge included: the line
     # parser reports it at the line that repeats an earlier edge.
     cases = [
-        ("p lcol 2 1\ne 1 2\nl 1 4\n", InstanceSyntaxError, 3),
-        ("p lcol 3 3\ne 1 2\ne 2 1\ne 2 3\nx 1\n", DuplicateEdgeError, 3),
-        ("p lcol 3 3\ne 1 2\nx 1\ne 2 3\ne 2 1\n", InstanceSyntaxError, 3),
-        ("p lcol 3 3\ne 1 2\ne 2 1\ne 2 4\n", DuplicateEdgeError, 3),
-        ("p lcol 3 5\ne 1 2\ne 2 3\ne 2 1\n", DuplicateEdgeError, 4),
-        ("p lcol 3 1\ne 1 2\ne 2 1\n", DuplicateEdgeError, 3),
+        ("p lcol 2 1\ne 1 2\nl 1 4\n", 3, "colour '4' outside {1,2,3}"),
+        ("p lcol 3 3\ne 1 2\ne 2 1\ne 2 3\nx 1\n", 3, "duplicate edge 2 1"),
+        ("p lcol 3 3\ne 1 2\nx 1\ne 2 3\ne 2 1\n", 3, "unknown line type 'x'"),
+        ("p lcol 3 3\ne 1 2\ne 2 1\ne 2 4\n", 3, "duplicate edge 2 1"),
+        ("p lcol 3 5\ne 1 2\ne 2 3\ne 2 1\n", 4, "duplicate edge 2 1"),
+        ("p lcol 3 1\ne 1 2\ne 2 1\n", 3, "duplicate edge 2 1"),
         # a self-loop of canonical tokens, and an edge before the problem line
-        ("p lcol 3 2\ne 1 2\ne 3 3\n", InstanceSyntaxError, 3),
-        ("c x\ne 1 2\np lcol 2 1\n", InstanceSyntaxError, 2),
+        ("p lcol 3 2\ne 1 2\ne 3 3\n", 3, "self-loop"),
+        ("c x\ne 1 2\np lcol 2 1\n", 2, "edge before problem line"),
     ]
-    for text, error, line in cases:
-        with pytest.raises(error) as exc:
-            parse_instance(text)
-        assert type(exc.value) is error and exc.value.line == line, text
+    for text, line, message in cases:
+        assert parse_error(parse_instance, text) == (
+            line, f"line {line}: {message}"), text
 
 
 def test_parse_errors_after_canonical_edges_keep_their_lines():
     # After a path's canonical edge lines, the faulty line is still
     # reported at its own line.
     edges = "".join(f"e {v} {v + 1}\n" for v in range(1, 40))
-    cases = [("e 1 x\n", InstanceSyntaxError, "non-integer endpoints"),
-             ("e 1 41\n", OutOfRangeError, "vertex outside 1..40"),
-             ("e 2 1\n", DuplicateEdgeError, "duplicate edge 2 1"),
-             ("l 1 4\n", InstanceSyntaxError, "colour '4' outside"),
-             ("e 1\n", InstanceSyntaxError, "expected 'e <u> <v>'")]
-    for fault, error, message in cases:
+    cases = [("e 1 x\n", "non-integer endpoints"),
+             ("e 1 41\n", "vertex outside 1..40"),
+             ("e 2 1\n", "duplicate edge 2 1"),
+             ("l 1 4\n", "colour '4' outside {1,2,3}"),
+             ("e 1\n", "expected 'e <u> <v>'")]
+    for fault, message in cases:
         text = "p lcol 40 40\n" + edges + fault
-        with pytest.raises(error) as exc:
-            parse_instance(text)
-        assert type(exc.value) is error, fault
-        assert exc.value.line == 41 and message in str(exc.value), fault
-    with pytest.raises(InstanceSyntaxError) as exc:
-        parse_instance("p lcol 40 40\n" + edges)
-    assert exc.value.line == 0 and "declares 40 edges, found 39" in str(exc.value)
+        assert parse_error(parse_instance, text) == (
+            41, f"line 41: {message}"), fault
+    assert parse_error(parse_instance, "p lcol 40 40\n" + edges) == (
+        0, "line 0: problem line declares 40 edges, found 39")
 
 
 def test_parse_rejects_more_vertices_than_the_limit():
     assert MAX_VERTICES >= 2_000  # the acceptance tests' n = 2 000 blow-up
-    with pytest.raises(OutOfRangeError) as exc:
-        parse_instance(f"c big\np lcol {MAX_VERTICES + 1} 0\n")
-    assert exc.value.line == 2 and str(MAX_VERTICES) in str(exc.value)
+    assert parse_error(parse_instance, f"c big\np lcol {MAX_VERTICES + 1} 0\n") == (
+        2, f"line 2: {MAX_VERTICES + 1} vertices, more than the limit of "
+           f"{MAX_VERTICES}")
     assert cli._parse_tokens(f"p lcol {MAX_VERTICES + 1} 0\n") is None
     g, masks = parse_instance(f"p lcol {MAX_VERTICES} 0\n")
     assert g.n == len(masks) == MAX_VERTICES
@@ -359,8 +409,9 @@ def test_token_path_reads_texts_of_many_blocks():
     cut = text.rindex("\ne ") + 1
     bad = text[:cut] + "e 1 2 3\n" + text[cut:]
     assert cli._parse_tokens(bad) is None
-    assert parse_outcome(parse_instance, bad)[:2] == (
-        InstanceSyntaxError, text.count("\n", 0, cut) + 1)
+    line = text.count("\n", 0, cut) + 1
+    assert parse_error(parse_instance, bad) == (
+        line, f"line {line}: expected 'e <u> <v>'")
 
 
 def _repeat_blocks_apart():
@@ -374,26 +425,25 @@ def _repeat_blocks_apart():
 # Canonical texts that the token path rejects only by its popcount check:
 # a self-loop sets one bit of its row for two edge ends and a repeated edge
 # sets none, so the rows' popcounts sum to less than 2m.  Each with the
-# line parser's error, its line, and the fault's line and a fault-free
+# line parser's error message, the fault's line and a fault-free
 # replacement for it.
 POPCOUNT_ONLY = {
-    "self_loop": ("p lcol 3 2\ne 1 2\ne 3 3\n", InstanceSyntaxError, 3, "e 2 3"),
-    "both_orientations": ("p lcol 3 2\ne 1 2\ne 2 1\n", DuplicateEdgeError, 3,
+    "self_loop": ("p lcol 3 2\ne 1 2\ne 3 3\n", "self-loop", 3, "e 2 3"),
+    "both_orientations": ("p lcol 3 2\ne 1 2\ne 2 1\n", "duplicate edge 2 1", 3,
                           "e 2 3"),
-    "blocks_apart": (_repeat_blocks_apart(), DuplicateEdgeError, 8002, "e 199 200"),
+    "blocks_apart": (_repeat_blocks_apart(), "duplicate edge 2 1", 8002,
+                     "e 199 200"),
 }
 
 
-@pytest.mark.parametrize("text, error, line, fixed", POPCOUNT_ONLY.values(),
+@pytest.mark.parametrize("text, message, line, fixed", POPCOUNT_ONLY.values(),
                          ids=POPCOUNT_ONLY)
-def test_token_path_finds_loops_and_repeats_by_popcount(text, error, line, fixed):
+def test_token_path_finds_loops_and_repeats_by_popcount(text, message, line, fixed):
     lines = text.splitlines()
     if len(text) > cli._BLOCK:
         assert text.rindex("\ne 2 1\n") > len(lines[0]) + 1 + cli._BLOCK
     assert cli._parse_tokens(text) is None
-    with pytest.raises(error) as exc:
-        parse_instance(text)
-    assert exc.value.line == line
+    assert parse_error(parse_instance, text) == (line, f"line {line}: {message}")
     # with the faulty line replaced, the token path reads the text
     lines[line - 1] = fixed
     assert cli._parse_tokens("\n".join(lines) + "\n") is not None
@@ -428,9 +478,9 @@ def test_vertices_above_n_stay_out_of_range_after_a_larger_n(text, line):
     # the canonical text, then one that only the line parser reads
     for source, at in ((text, line), ("c note\n" + text, line + 1)):
         assert cli._parse_tokens(source) is None
-        with pytest.raises(OutOfRangeError) as exc:
-            parse_instance(source)
-        assert exc.value.line == at, source
+        n = source.split("p lcol ")[1].split()[0]
+        assert parse_error(parse_instance, source) == (
+            at, f"line {at}: vertex outside 1..{n}"), source
         assert (parse_outcome(parse_instance, source)
                 == parse_outcome(reference_parse_instance, source))
 
@@ -733,21 +783,50 @@ def test_dispatch_solver_errors_exit_1_with_one_line(monkeypatch, capsys, error)
     ["--kind", "skeleton_built", "--scale", "0"],
     ["--kind", "skeleton_built", "--scale", "-3"],
     ["--kind", "random_rejection", "--edges", "-5"],
+    # over the vertex limit, lowered to 40 below
+    ["--kind", "spider", "--scale", "17"],
+    ["--kind", "blownup_c5", "--classes", "9,9,9,9,9"],
+    ["--kind", "random_rejection", "--n", "41", "--edges", "0"],
+    ["--kind", "skeleton_built", "--scale", "48"],
 ], ids=["class-count", "class-syntax", "class-empty", "spider-lists",
         "spider-scale", "rejection-budget", "skeleton-scale-0",
-        "skeleton-scale-negative", "rejection-edges-negative"])
+        "skeleton-scale-negative", "rejection-edges-negative",
+        "spider-over-limit", "blowup-over-limit", "rejection-over-limit",
+        "skeleton-over-limit"])
 def test_dispatch_generate_errors_exit_1_with_one_line(monkeypatch, capsys, args):
     # The rejection sampler is held to one attempt, so that exhausting its
     # budget takes no time; 200 triangle-free edges on 40 vertices always
-    # hold an induced P7.
+    # hold an induced P7.  The vertex limit is lowered to 40, so that a
+    # request over it builds only a small instance if it is not refused.
     real = testkit._random_rejection
     monkeypatch.setattr(testkit, "_random_rejection",
                         lambda rng, n, edges, budget: real(rng, n, edges, 1))
+    monkeypatch.setattr(cli, "MAX_VERTICES", 40)
     assert dispatch(["generate", *args]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_generate_over_the_vertex_limit_names_bound_and_limit(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "MAX_VERTICES", 40)
+    assert dispatch(["generate", "--kind", "spider", "--scale", "16"]) == 0
+    assert capsys.readouterr().out.startswith("p lcol 39 40\n")
+    assert dispatch(["generate", "--kind", "spider", "--scale", "17"]) == 1
+    assert capsys.readouterr().err == (
+        "error: the request has up to 41 vertices, more than the limit of 40\n")
+
+
+def test_generate_recipe_failure_is_an_internal_error(monkeypatch, capsys):
+    # skeleton_built retries a candidate that fails the promise check, and
+    # a recipe that never passes it is a bug of the generator
+    monkeypatch.setattr(testkit, "check_promise", lambda graph: object())
+    assert dispatch(["generate", "--kind", "skeleton_built"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("internal error: skeleton_built seed 0: no promise "
+                            "instance within the retry budget\n")
 
 
 def test_check_promise_exit_codes(capsys):

@@ -1173,12 +1173,26 @@ def _normalized(normalize, n, lists):
     (2, [1, 2, 3]),
     (3, [1, 2]),
     (2, None),
+    (2, [(1.0,), 2]),
+    (2, [(True,), 2]),
+    (2, [("1",), 2]),
 ])
 def test_normalize_lists_accepts_and_rejects_as_the_per_vertex_loop(n, lists):
     # 1.0 and True equal int masks in a set test; the loop rejects 1.0 and
     # keeps True as it is, and a tuple of colours goes through mask_of.
     assert (_normalized(engine.normalize_lists, n, lists)
             == _normalized(reference_normalize_lists, n, lists))
+
+
+def test_solve_rejects_colours_that_only_equal_an_int_colour():
+    # 1.0 and True equal 1, but verify_colouring refuses both as colours,
+    # so a list may not hold them either
+    g = build_graph(2, [(0, 1)])
+    for lists, shown in (([[1.0], [2]], "1.0"), ([[True], [2]], "True"),
+                         ([{2}, ["1"]], "'1'")):
+        with pytest.raises(ValueError) as exc:
+            solve(g, lists)
+        assert str(exc.value) == f"colour {shown} outside {{1,2,3}}"
 
 
 def test_normalize_lists_matches_the_per_vertex_loop_on_mixed_entries():

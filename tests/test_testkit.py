@@ -9,10 +9,10 @@ from lcol3 import build_graph, check_promise, solve, verify_colouring
 from lcol3.cli import parse_instance
 from lcol3.engine import FULL_MASK, mask_of
 from lcol3.graph import bipartite_check, iter_bits
-from lcol3.testkit import (GenSpec, RejectionBudgetExceeded, SizeGuardError,
-                           cycle_graph, enumerate_colourings, generate,
-                           groetzsch_graph, mycielski, oracle_solve,
-                           path_graph, petersen_graph)
+from lcol3.testkit import (GenSpec, RejectionBudgetExceeded, cycle_graph,
+                           enumerate_colourings, generate, groetzsch_graph,
+                           mycielski, oracle_solve, path_graph,
+                           petersen_graph, vertex_bound)
 
 INSTANCES = pathlib.Path(__file__).resolve().parent.parent / "instances"
 
@@ -146,7 +146,8 @@ def test_enumerate_counts_match_chromatic_polynomial():
 
 
 def test_enumerate_size_guard():
-    with pytest.raises(SizeGuardError):
+    with pytest.raises(ValueError,
+                       match=r"^enumeration limited to 16 vertices, got 17$"):
         list(enumerate_colourings(path_graph(17)))
 
 
@@ -202,6 +203,27 @@ def test_type2_w_pattern_reachable():
         if found:
             break
     assert found
+
+
+@pytest.mark.parametrize("kind, scales", [
+    ("spider", (0, 1, 7)),
+    ("skeleton_built", (1, 8, 20, 24, 40, 97)),
+    ("blownup_c5", (20,)),
+    ("blownup_c7", (20,)),
+    ("random_rejection", (20,)),
+])
+def test_vertex_bound_holds_for_every_generated_instance(kind, scales):
+    for scale in scales:
+        for seed in range(25):
+            spec = GenSpec(kind, seed=seed, scale=scale)
+            assert generate(spec)[0].n <= vertex_bound(spec), spec
+
+
+def test_vertex_bound_is_exact_for_given_sizes():
+    for spec in (GenSpec("spider", scale=9), GenSpec("random_rejection", n=13),
+                 GenSpec("blownup_c5", class_sizes=(1, 2, 3, 4, 5)),
+                 GenSpec("blownup_c7", class_sizes=(2,) * 7)):
+        assert generate(spec)[0].n == vertex_bound(spec), spec
 
 
 def test_rejection_budget_exceeded():
