@@ -262,7 +262,9 @@ def residual_to_2sat(st):
     shrinks no other mask, and the scan sees each earlier safe vertex as
     assigned.  The same scan gives one variable to each two-colour vertex,
     true iff it takes the smaller colour of its mask; each edge then
-    contributes one clause per colour admissible at both ends.
+    contributes one clause per colour admissible at both ends.  Returns the
+    instance, the variables' (vertex, smaller colour, larger colour) and
+    the state's lists after the rule, as per-vertex masks.
     """
     masks = st.masks
     bits = st.graph.bits
@@ -305,7 +307,7 @@ def residual_to_2sat(st):
                     lit_u = pos(iu) if c == var_info[iu][1] else neg(iu)
                     lit_v = pos(iv) if c == var_info[iv][1] else neg(iv)
                     add_clause(inst, lit_u ^ 1, lit_v ^ 1)
-    return inst, var_info
+    return inst, var_info, masks
 
 
 def verify_colouring(graph, lists, colouring):
@@ -732,12 +734,12 @@ def _full_vertex_search(st):
 def _two_sat_leaf(st):
     """Finish a state at a propagation fixpoint by the three-colour rule
     and 2-SAT (see residual_to_2sat): a colouring, or None."""
-    inst, var_info = residual_to_2sat(st)
+    inst, var_info, masks = residual_to_2sat(st)
     st.stats.sat_instances += 1
     solution = solve_2sat(inst)
     if solution is None:
         return None
-    colouring = [_COLOUR_OF[m] for m in st.masks]
+    colouring = [_COLOUR_OF[m] for m in masks]
     for idx, (v, lo, hi) in enumerate(var_info):
         colouring[v] = lo if solution[idx] else hi
     return colouring

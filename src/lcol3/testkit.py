@@ -6,13 +6,11 @@ import random
 from collections import namedtuple
 from heapq import heapify, heappop, heappush
 
-from .engine import (FULL_MASK, colours_of, mask_of, normalize_lists,
-                     verify_colouring)
+from .engine import (_SIZE, FULL_MASK, colours_of, mask_of,
+                     normalize_lists, verify_colouring)
 from .errors import InternalError
 from .graph import build_graph, iter_bits
 from .recognition import check_promise, find_induced_p7
-
-_SIZE = [0, 1, 1, 2, 1, 2, 2, 3]
 
 
 class RejectionBudgetExceeded(RuntimeError):

@@ -1,20 +1,17 @@
 """Shared test helpers: independent witness checkers and graph strategies."""
 
-from collections import deque
 from itertools import combinations
 
 import pytest
 from hypothesis import strategies as st
 
-from lcol3 import build_graph, check_promise, engine
+from lcol3 import build_graph, check_promise
 from lcol3.cli import ParseError
-from lcol3.engine import (_COLOUR_OF, _SIZE, FULL_MASK, anchor_seeds,
-                          colours_of, mask_of, normalize_lists,
-                          verify_colouring)
+from lcol3.engine import (_SIZE, FULL_MASK, anchor_seeds, colours_of,
+                          normalize_lists, verify_colouring)
 from lcol3.errors import InternalError, PreconditionBreach
 from lcol3.graph import GraphError, iter_bits
 from lcol3.recognition import _extract_odd_cycle
-from lcol3.sat2 import TwoSatInstance, add_clause, neg, pos
 
 
 def neighbour_tuples(graph):
@@ -184,43 +181,6 @@ def reference_shortest_odd_cycle(graph):
     return _extract_odd_cycle(graph, *best)
 
 
-def reference_anchor_classes(graph, c5):
-    """The T and D sets of an anchored C5 as five int masks each, or None
-    where build_skeleton must raise while classifying: a vertex seeing two
-    consecutive anchors, or an edge inside a T or D set.  Walks every
-    vertex's neighbour tuple, in the way build_skeleton once did; its walk
-    over the anchors' bit rows must give the same."""
-    adj = neighbour_tuples(graph)
-    bits = graph.bits
-    pos = {v: i for i, v in enumerate(c5)}
-    t_sets = [0] * 5
-    d_sets = [0] * 5
-    for v in range(graph.n):
-        if v in pos:
-            continue
-        hits = sorted(pos[u] for u in adj[v] if u in pos)
-        if not hits:
-            continue
-        for idx in range(len(hits)):
-            i, j = hits[idx], hits[(idx + 1) % len(hits)]
-            if i != j and ((j - i) % 5 == 1 or (i - j) % 5 == 1):
-                return None
-        if len(hits) == 1:
-            d_sets[hits[0]] |= 1 << v
-        else:
-            p, q = hits
-            mid = (p + 1) % 5 if (q - p) % 5 == 2 else (q + 1) % 5
-            t_sets[mid] |= 1 << v
-    for i in range(5):
-        for v in iter_bits(t_sets[i]):
-            if bits[v] & t_sets[i]:
-                return None
-        for v in iter_bits(d_sets[i]):
-            if bits[v] & d_sets[i]:
-                return None
-    return t_sets, d_sets
-
-
 def reference_peel(graph, masks, kept):
     """The set of vertices of the bitmask `kept` that the naive peeling loop
     leaves: sweep the vertices left, remove each one with more colours than
@@ -255,209 +215,6 @@ def reference_removable(graph, masks, left, settled=frozenset()):
                         and masks[u] & ~masks[v] == 0
                         for u in left | settled)}
     return peelable, dominated
-
-
-def reference_sweep(graph, masks, kept, settled):
-    """engine._peel as it stood before its witness rule, kept verbatim: the
-    dominator candidates of v are those adjacent to v's lowest and highest
-    neighbour, and they are tested one at a time.  engine._peel must return
-    the same (rest, removed, dominated) on every input."""
-    bits = graph.bits
-    inside = [0] * 7 + [-1]  # inside[m]: the vertices whose list lies inside m
-    for v, m in enumerate(masks):
-        if m != FULL_MASK:
-            inside[m] |= 1 << v
-    for m in (3, 5, 6):  # a two-colour list holds its two one-colour lists
-        inside[m] |= inside[m & -m] | inside[m & (m - 1)]
-    removed = []
-    rest = due = kept
-    dominated = 0
-    while due:
-        low = due & -due
-        due ^= low
-        v = low.bit_length() - 1
-        row = bits[v] & rest
-        m = masks[v]
-        if row.bit_count() >= _SIZE[m]:
-            # row is not empty: a dominator of v is adjacent to its lowest
-            # and its highest neighbour
-            cand = (inside[m] & (rest | settled)
-                    & bits[(row & -row).bit_length() - 1]
-                    & bits[row.bit_length() - 1]) ^ low
-            while cand:
-                u = cand.bit_length() - 1
-                if not row & ~bits[u]:
-                    break
-                cand ^= 1 << u
-            else:
-                continue
-            dominated += 1
-        removed.append(v)
-        rest ^= low
-        due |= row
-    return rest, removed, dominated
-
-
-# engine.ListState, engine.propagate and engine.residual_to_2sat as they
-# stood before the colour planes, kept verbatim but for their names: the
-# lists are one bitmask per vertex, and propagate walks each forced
-# vertex's neighbours one at a time, ascending.  The plane-based state must
-# give the same results, lists, queue order and propagations count.
-
-
-class ReferenceListState:
-    """Mutable per-branch colouring state: colour masks and a pending queue
-    of freshly forced vertices awaiting propagation.  A vertex is assigned
-    when its mask is a singleton; it is queued when its mask becomes one.
-    Every colour that assign or propagate removes is added to
-    stats.propagations, the SolveStats of the solve, which copies share."""
-
-    __slots__ = ("graph", "masks", "pending", "stats")
-
-    def __init__(self, graph, masks, stats):
-        self.graph = graph
-        self.masks = list(masks)
-        self.pending = deque()
-        self.stats = stats
-        for v, m in enumerate(self.masks):
-            if not 0 < m <= FULL_MASK:
-                raise ValueError(f"bad colour mask {m} at vertex {v}")
-            if _SIZE[m] == 1:
-                self.pending.append(v)
-
-    def copy(self):
-        """An independent copy for a child of a search node, which is at a
-        fixpoint, so its pending queue is empty; it counts into the same
-        stats."""
-        if self.pending:
-            raise InternalError("ListState copied outside a propagation fixpoint")
-        new = object.__new__(ReferenceListState)
-        new.graph = self.graph
-        new.masks = self.masks.copy()
-        new.pending = deque()
-        new.stats = self.stats
-        return new
-
-    def assign(self, v, colour):
-        """Force a colour; False if it is not admissible any more."""
-        cbit = 1 << (colour - 1)
-        m = self.masks[v]
-        if not m & cbit:
-            return False
-        if m != cbit:
-            self.stats.propagations += _SIZE[m] - 1
-            self.masks[v] = cbit
-            self.pending.append(v)
-        return True
-
-    def assign_all(self, seeds):
-        """Force every seed, a (vertex bitmask, colour) pair, in order, each
-        mask's vertices lowest first; False at the first vertex that no
-        longer admits the colour."""
-        for vset, colour in seeds:
-            for v in iter_bits(vset):
-                if not self.assign(v, colour):
-                    return False
-        return True
-
-
-def reference_propagate(st):
-    """Run singleton propagation to a fixpoint; None on an emptied mask or
-    two adjacent vertices forced to the same colour.  The colours removed
-    on the way, up to a failure too, are added to st.stats.propagations."""
-    masks = st.masks
-    pending = st.pending
-    bits = st.graph.bits
-    removed = 0
-    while pending:
-        v = pending.popleft()
-        cbit = masks[v]
-        for u in iter_bits(bits[v]):
-            mu = masks[u]
-            if mu & cbit:
-                if mu == cbit:
-                    st.stats.propagations += removed
-                    return None
-                mu &= ~cbit
-                masks[u] = mu
-                removed += 1
-                if _SIZE[mu] == 1:
-                    pending.append(u)
-    st.stats.propagations += removed
-    return st
-
-
-def reference_residual_to_2sat(st):
-    """2-SAT encoding of the state's remaining two-colour choices.
-
-    One scan of the vertices applies the three-colour rule: a vertex that
-    still has all three colours gets, through st.assign, its smallest safe
-    colour, one that no neighbour admits (so an isolated vertex gets colour
-    1), and PreconditionBreach is raised when it has none.  The assignment
-    shrinks no other mask, and the scan sees each earlier safe vertex as
-    assigned.  The same scan gives one variable to each two-colour vertex,
-    true iff it takes the smaller colour of its mask; each edge then
-    contributes one clause per colour admissible at both ends.
-    """
-    masks = st.masks
-    bits = st.graph.bits
-    var_of = {}
-    var_info = []
-    for v, m in enumerate(masks):
-        if m == FULL_MASK:
-            free = FULL_MASK  # the colours no neighbour admits
-            for u in iter_bits(bits[v]):
-                free &= ~masks[u]
-                if not free:
-                    raise PreconditionBreach(
-                        f"vertex {v} still has all three colours")
-            st.assign(v, _COLOUR_OF[free & -free])
-        elif _SIZE[m] == 2:
-            lo, hi = colours_of(m)
-            var_of[v] = len(var_info)
-            var_info.append((v, lo, hi))
-
-    inst = TwoSatInstance(len(var_info))
-    for u, row in enumerate(bits):
-        for v in iter_bits(row & -(2 << u)):  # the neighbours above u
-            iu = var_of.get(u)
-            iv = var_of.get(v)
-            if iu is None and iv is None:
-                continue
-            if iu is None or iv is None:
-                # propagation already removed the assigned endpoint's colour
-                a, b = (u, v) if iu is None else (v, u)
-                if masks[b] & masks[a]:
-                    raise InternalError(
-                        f"vertex {b} still admits the colour of its assigned "
-                        f"neighbour {a}")
-                continue
-            common = masks[u] & masks[v]
-            for cbit in (1, 2, 4):
-                if common & cbit:
-                    c = _COLOUR_OF[cbit]
-                    lit_u = pos(iu) if c == var_info[iu][1] else neg(iu)
-                    lit_v = pos(iv) if c == var_info[iv][1] else neg(iv)
-                    add_clause(inst, lit_u ^ 1, lit_v ^ 1)
-    return inst, var_info
-
-
-def reference_colouring_fits(graph, masks, colouring):
-    """engine._colouring_fits as it stood before its colour-class masks,
-    kept verbatim: a list check per vertex, then a walk over every edge."""
-    if len(colouring) != graph.n:
-        return False
-    for v in range(graph.n):
-        c = colouring[v]
-        if c not in (1, 2, 3) or not masks[v] & (1 << (c - 1)):
-            return False
-    adj = neighbour_tuples(graph)
-    for u in range(graph.n):
-        cu = colouring[u]
-        for v in adj[u]:
-            if v > u and colouring[v] == cu:
-                return False
-    return True
 
 
 def reference_oracle_solve(graph, lists=None):
@@ -513,88 +270,6 @@ def reference_oracle_solve(graph, lists=None):
     return colouring
 
 
-def reference_full_vertex_search(st):
-    """engine._full_vertex_search as it stood before it found each node's
-    lowest full-list vertex by one scan, kept verbatim with the leaf
-    generator it ran on (each reads propagate and _two_sat_leaf from the
-    engine module): each node resumes the scan where its parent branched,
-    kept per depth of the current path, and the search loops over the
-    generator's leaves itself.  Its seeds alone changed since: they are
-    (vertex bitmask, colour) pairs, as ListState.assign_all takes them.
-    engine._full_vertex_search must return the same colouring and count
-    the same nodes on every input."""
-    stats = st.stats
-    stats.fallback_used += 1
-    path = [0]  # path[d]: where the scan starts at depth d of the current path
-
-    def children(node, depth):
-        masks = node.masks
-        i = path[depth]
-        while i < len(masks) and masks[i] != FULL_MASK:
-            i += 1
-        if i == len(masks):
-            return None
-        del path[depth + 1:]
-        path.append(i)
-        stats.fallback_nodes += 1
-        return ((1 << i, 1),), ((1 << i, 2),), ((1 << i, 3),)
-
-    for leaf in _reference_leaf_stream(st, children):
-        result = engine._two_sat_leaf(leaf)
-        if result is not None:
-            return result
-    return None
-
-
-def _reference_leaf_stream(root, children):
-    """engine._leaf_stream as it stood when it yielded each leaf to its
-    caller, kept verbatim; its seed lists hold (vertex bitmask, colour)
-    pairs, as engine._leaf_stream's do."""
-    stats = root.stats
-    stack = []
-    node = root
-    while True:
-        kids = children(node, len(stack))
-        if kids is None:
-            stats.branches_survived += 1
-            yield node
-        else:
-            stack.append((node, iter(kids)))
-        node = None
-        while node is None:
-            if not stack:
-                return
-            parent, kids = stack[-1]
-            seeds = next(kids, None)
-            if seeds is None:
-                stack.pop()
-                continue
-            stats.branches += 1
-            child = parent.copy()
-            node = engine.propagate(child) if child.assign_all(seeds) else None
-
-
-def reference_normalize_lists(n, lists):
-    """engine.normalize_lists as it stood before its all-masks fast path,
-    kept verbatim: every entry goes through the per-vertex loop."""
-    if lists is None:
-        return [FULL_MASK] * n
-    if len(lists) != n:
-        raise ValueError("list count does not match vertex count")
-    out = []
-    for v, entry in enumerate(lists):
-        if isinstance(entry, int):
-            m = entry
-            if not 0 < m <= FULL_MASK:
-                raise ValueError(f"bad colour mask {m} at vertex {v}")
-        else:
-            m = mask_of(entry)
-            if m == 0:
-                raise ValueError(f"empty colour list at vertex {v}")
-        out.append(m)
-    return out
-
-
 def false_twin_classes(graph):
     """Partition of the vertices into classes of equal neighbourhood, as int
     bitmasks in order of smallest member."""
@@ -602,28 +277,6 @@ def false_twin_classes(graph):
     for v, row in enumerate(graph.bits):
         groups[row] = groups.get(row, 0) | 1 << v
     return list(groups.values())
-
-
-def reference_twin_representatives(graph, masks):
-    """engine._twin_representatives as it stood before its one-mask
-    shortcut, kept verbatim: every class of two or more vertices goes
-    through the minimal-mask search."""
-    rep = list(range(graph.n))
-    classes = {}  # bit row -> its vertices ascending: the false-twin classes
-    for v, row in enumerate(graph.bits):
-        classes.setdefault(row, []).append(v)
-    for cl in classes.values():
-        if len(cl) == 1:
-            continue
-        first = {}
-        for v in cl:
-            first.setdefault(masks[v], v)
-        kept = sorted(u for m, u in first.items()
-                      if not any(o != m and o & ~m == 0 for o in first))
-        pick = {m: next(u for u in kept if masks[u] & ~m == 0) for m in first}
-        for v in cl:
-            rep[v] = pick[masks[v]]
-    return rep
 
 
 def reference_parse_lines(lines):
@@ -736,7 +389,6 @@ def reference_parse_instance(text):
                     raise ParseError(lineno, f"duplicate edge {u} {v}") from None
                 seen.add(frozenset((u, v)))
         raise
-
 
 
 def check_witness(graph, violation):

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_parse_instance, reference_parse_lines
+from corpus import committed
 import lcol3
 from lcol3 import cli, testkit
 from lcol3.cli import (MAX_VERTICES, dispatch, emit_instance, emit_result,
@@ -674,56 +675,19 @@ def test_dispatch_solve_exit_codes(capsys):
     assert capsys.readouterr().out.startswith("INVALID")
 
 
-# (sample, mode): answer and the --stats counters of `lcol3 solve`, millis
-# left out.  branches counts the nodes the searches build and
-# branches_survived their 2-SAT leaves.  The blown-up C7 of
-# c7_blowup_lists.lcol is decided by the full-vertex search: one call, one
-# branching node, one child built, one 2-SAT leaf.  anchor_breach.lcol is
-# decided by the (a)-(h) branch stream: the base of its one live anchor
-# colouring has no safe colour for a full-list vertex.  groetzsch.lcol
-# builds its 30 anchor colourings, and none survives propagation.
-SAMPLE_STATS = {
-    ("anchor_breach.lcol", "trust"): ("SAT", (5, 1, 23, 1, 0, 0, 0, 0, 0)),
-    ("anchor_breach.lcol", "verify"): ("SAT", (5, 1, 23, 1, 0, 0, 0, 0, 0)),
-    ("bipartite_lists.lcol", "trust"): ("SAT", (0, 0, 0, 0, 0, 0, 6, 0, 0)),
-    ("bipartite_lists.lcol", "verify"): ("SAT", (0, 0, 0, 0, 0, 0, 6, 0, 0)),
-    ("c5.lcol", "trust"): ("SAT", (0, 0, 0, 0, 0, 0, 5, 0, 0)),
-    ("c5.lcol", "verify"): ("SAT", (0, 0, 0, 0, 0, 0, 5, 0, 0)),
-    ("c5_commented.lcol", "trust"): ("SAT", (0, 0, 0, 0, 0, 0, 5, 0, 0)),
-    ("c5_commented.lcol", "verify"): ("SAT", (0, 0, 0, 0, 0, 0, 5, 0, 0)),
-    ("c5_unsat.lcol", "trust"): ("UNSAT", (0, 0, 0, 1, 0, 0, 0, 0, 0)),
-    ("c5_unsat.lcol", "verify"): ("UNSAT", (0, 0, 0, 1, 0, 0, 0, 0, 0)),
-    ("c7_blowup.lcol", "trust"): ("SAT", (0, 0, 0, 0, 0, 0, 7, 0, 0)),
-    ("c7_blowup.lcol", "verify"): ("SAT", (0, 0, 0, 0, 0, 0, 7, 0, 0)),
-    ("c7_blowup_lists.lcol", "trust"): ("SAT", (1, 1, 12, 1, 1, 1, 0, 0, 0)),
-    ("c7_blowup_lists.lcol", "verify"): ("SAT", (1, 1, 12, 1, 1, 1, 0, 0, 0)),
-    ("groetzsch.lcol", "trust"): ("UNSAT", (30, 0, 600, 0, 0, 0, 0, 0, 0)),
-    ("groetzsch.lcol", "verify"): ("UNSAT", (30, 0, 600, 0, 0, 0, 0, 0, 0)),
-    ("p8.lcol", "trust"): ("SAT", (0, 0, 0, 0, 0, 0, 8, 0, 0)),
-    ("p8.lcol", "verify"): ("INVALID", (0, 0, 0, 0, 0, 0, 0, 0, 0)),
-    ("skeleton_lists.lcol", "trust"): ("UNSAT", (0, 0, 6, 0, 0, 0, 0, 0, 0)),
-    ("skeleton_lists.lcol", "verify"): ("UNSAT", (0, 0, 6, 0, 0, 0, 0, 0, 0)),
-    ("skeleton_small.lcol", "trust"): ("SAT", (0, 0, 0, 0, 0, 0, 11, 0, 0)),
-    ("skeleton_small.lcol", "verify"): ("SAT", (0, 0, 0, 0, 0, 0, 11, 0, 0)),
-    ("triangle.lcol", "trust"): ("SAT", (0, 0, 0, 0, 0, 0, 3, 0, 0)),
-    ("triangle.lcol", "verify"): ("INVALID", (0, 0, 0, 0, 0, 0, 0, 0, 0)),
-    ("triangle_two_lists.lcol", "trust"): ("SAT", (0, 0, 0, 1, 0, 0, 0, 0, 0)),
-    ("triangle_two_lists.lcol", "verify"): ("INVALID",
-                                            (0, 0, 0, 0, 0, 0, 0, 0, 0)),
-}
-
-
 def test_sample_stats_keep_their_recorded_counters(capsys):
-    names = sorted(path.name for path in INSTANCES.glob("*.lcol"))
-    assert sorted({name for name, _ in SAMPLE_STATS}) == names
-    for (name, mode), (answer, counters) in SAMPLE_STATS.items():
-        dispatch(["solve", "--stats", "--mode", mode, str(INSTANCES / name)])
-        lines = capsys.readouterr().out.splitlines()
-        stats = [line.split() for line in lines if line.startswith("s ")]
-        assert lines[0] == answer, (name, mode)
-        assert [key for _, key, _ in stats] == list(SolveStats._fields)
-        got = tuple(int(value) for _, key, value in stats if key != "millis")
-        assert got == counters, (name, mode)
+    # `lcol3 solve --stats` prints every SolveStats field in order, and on
+    # each sample the answer and counters of its corpus line
+    recorded = {tuple(line.split()[:2]): line.split()[2:-1]
+                for line in committed(sweep=False)}
+    for path in sorted(INSTANCES.glob("*.lcol")):
+        for mode in ("trust", "verify"):
+            dispatch(["solve", "--stats", "--mode", mode, str(path)])
+            lines = capsys.readouterr().out.splitlines()
+            stats = [line.split()[1:] for line in lines if line.startswith("s ")]
+            assert [key for key, _ in stats] == list(SolveStats._fields)
+            got = [lines[0]] + [value for key, value in stats if key != "millis"]
+            assert got == recorded[f"sample/{path.name}/lines", mode], (path, mode)
 
 
 def test_dispatch_unknown_flag():
